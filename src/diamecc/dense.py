@@ -7,6 +7,13 @@ cluster C(w) = {v : w in B(v)} has at most 4/p members.  Pairs sharing a
 cluster get their exact distance; pairs with disjoint bunches get the
 certified lower bound d(u,A) + d(v,A) - 1.  A spanner sweep covers the
 remaining slack.  All inputs here are undirected, connected, unit weight.
+
+One greedy cover, ``_greedy_hitting_set`` (max coverage, ties to the
+smaller id), makes both set choices: the initial centers, which hit every
+ceil(1/p)-closest neighborhood, and the spanner's dominators, which hit
+the closed neighborhood of every heavy vertex.  The neighborhoods come
+from the level-truncated ``k_closest``, which scans only the arcs of the
+levels before the last, so the dense pipeline stays near-quadratic.
 """
 
 from __future__ import annotations
@@ -70,25 +77,39 @@ def _nearest_centers(g: Graph, centers):
 
 
 def _greedy_hitting_set(sets, n: int) -> list:
-    """Greedy hitter of the given vertex sets (max coverage, ties to small id)."""
+    """Greedy hitter of nonempty vertex lists over range(n), in pick order.
+
+    Each round picks the vertex with the largest coverage, the number of
+    unhit lists it occurs in (a vertex listed twice in one list counts
+    twice), ties to the smaller id, and marks every list holding it hit.
+    Coverage counts are kept and decremented as lists are hit, and the
+    maximum is found through a lazy max-heap whose stale entries are
+    re-pushed when popped, so the cost is O(L log n) for total list
+    length L.
+    """
+    count = [0] * n
     member_of = [[] for _ in range(n)]
-    for i, s in enumerate(sets):
-        for v in s:
+    for i, members in enumerate(sets):
+        for v in members:
+            count[v] += 1
             member_of[v].append(i)
-    unhit = set(range(len(sets)))
+    heap = [(-c, v) for v, c in enumerate(count) if c]
+    heapq.heapify(heap)
+    hit = [False] * len(sets)
     chosen = []
-    while unhit:
-        best, best_cover = -1, -1
-        counts = {}
-        for i in unhit:
-            for v in sets[i]:
-                counts[v] = counts.get(v, 0) + 1
-        for v in sorted(counts):
-            if counts[v] > best_cover:
-                best, best_cover = v, counts[v]
-        chosen.append(best)
-        unhit = {i for i in unhit if best not in sets[i]}
-    return sorted(chosen)
+    while heap:
+        c, v = heapq.heappop(heap)
+        if -c != count[v]:
+            if count[v]:
+                heapq.heappush(heap, (-count[v], v))
+            continue
+        chosen.append(v)
+        for i in member_of[v]:
+            if not hit[i]:
+                hit[i] = True
+                for u in sets[i]:
+                    count[u] -= 1
+    return chosen
 
 
 def tz_center(g: Graph, p: float, seed: int = 0) -> CenterData:
@@ -108,10 +129,7 @@ def tz_center(g: Graph, p: float, seed: int = 0) -> CenterData:
         return CenterData([], p, seed, [], [], [], [])
     b = min(n, math.ceil(1 / p))
     hoods = [k_closest(g, v, b, "out").items for v in range(n)]
-    hood_sets = [frozenset(u for u, _ in items) for items in hoods]
-    centers = _greedy_hitting_set(hood_sets, n)
-    if not centers:
-        centers = [0]
+    centers = sorted(_greedy_hitting_set([[u for u, _ in items] for items in hoods], n))
 
     dist, pivot = _nearest_centers(g, centers)
     bunches = [[(u, du) for u, du in hoods[v] if du < dist[v]] for v in range(n)]
@@ -167,18 +185,8 @@ def additive2_spanner(g: Graph, seed: int = 0) -> Spanner:
         if deg[u] < threshold or deg[v] < threshold:
             kept.add((u, v) if u <= v else (v, u))
 
-    heavy = {v for v in range(n) if deg[v] >= threshold}
-    uncovered = set(heavy)
-    dominators = []
-    while uncovered:
-        best, best_cover = -1, -1
-        for z in range(n):
-            cover = (1 if z in uncovered else 0) + sum(1 for u, _ in g.adj_out[z] if u in uncovered)
-            if cover > best_cover:
-                best, best_cover = z, cover
-        dominators.append(best)
-        uncovered.discard(best)
-        uncovered.difference_update(u for u, _ in g.adj_out[best])
+    closed = [[v] + [u for u, _ in g.adj_out[v]] for v in range(n) if deg[v] >= threshold]
+    dominators = _greedy_hitting_set(closed, n)
 
     for root in dominators:
         parent = {root: root}

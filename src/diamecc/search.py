@@ -105,18 +105,49 @@ def multi_source_distance(g: Graph, sources, direction: str = "out") -> Distance
     return DistanceArray(_distances(g, srcs, direction), tuple(srcs), direction)
 
 
+def _k_closest_levels(adj, v, s):
+    """Unit weights: whole BFS levels, each sorted by id, cut at s vertices."""
+    items = [(v, 0)]
+    seen = {v}
+    level = [v]
+    d = 0
+    while level and len(items) < s:
+        d += 1
+        nxt = []
+        for u in level:
+            for x, _ in adj[u]:
+                if x not in seen:
+                    seen.add(x)
+                    nxt.append(x)
+        nxt.sort()
+        items.extend((x, d) for x in nxt[:s - len(items)])
+        level = nxt
+    return items
+
+
 def k_closest(g: Graph, v: int, s: int, direction: str = "out") -> Neighborhood:
     """The s closest vertices to v under (distance, id) order.
 
-    The search is truncated: it settles vertices in nondecreasing distance
-    and stops once the s-th closest vertex's distance level is exhausted,
-    which keeps the (distance, id) order exact even with 0-weight edges.
+    Fewer than s come back when fewer are reachable.  The search is
+    truncated, and the rule follows the weight class, like sssp's kernel:
+
+    * unit weights: a level-synchronous BFS.  It expands whole distance
+      levels until they hold s vertices, sorts each level by id and cuts
+      the last one to fit.  It scans the arcs of every level before the
+      last one and never those of the last level.
+    * any other weights (including 0-weight edges): a heap search that
+      settles vertices in nondecreasing distance and stops once the s-th
+      closest vertex's distance level is exhausted.  It scans the arcs of
+      every settled vertex, the whole last level included, which keeps
+      the (distance, id) order exact even with 0-weight edges.
     """
     if not 1 <= s <= g.n:
         raise ValueError(f"s must be in [1, {g.n}], got {s}")
     if not 0 <= v < g.n:
         raise ValueError(f"vertex {v} out of range")
     adj = g.adjacency(direction)
+    if g.unit_weights:
+        return Neighborhood(v, direction, _k_closest_levels(adj, v, s))
     tentative = {v: 0}
     heap = [(0, v)]
     settled = {}

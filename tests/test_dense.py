@@ -13,7 +13,8 @@ from diamecc import (Graph, additive2_spanner, apsp_matrix, approx_on_spanner,
                      diam_dense_32, diam_folklore_2approx, ecc_dense_53,
                      exact_diameter, exact_eccentricities, tz_center,
                      st_3approx, STInstance)
-from diamecc.dense import _cluster_matrix
+from diamecc.dense import _cluster_matrix, _greedy_hitting_set
+from diamecc.eccen import ceil_sqrt
 
 
 def check_center_invariants(g, cd):
@@ -84,6 +85,80 @@ class TestTZCenter:
             tz_center(Graph(3, [(0, 1, 2), (1, 2, 2)]), 0.5)
         with pytest.raises(ValueError):
             tz_center(Graph(3, [(0, 1, 1)]), 0.5)
+
+
+def recount_hitting_set(sets, n: int) -> list:
+    """The greedy hitting set as it was before the incremental helper.
+
+    Verbatim, except that it returns the picks in pick order; the old
+    function returned them sorted.
+    """
+    member_of = [[] for _ in range(n)]
+    for i, s in enumerate(sets):
+        for v in s:
+            member_of[v].append(i)
+    unhit = set(range(len(sets)))
+    chosen = []
+    while unhit:
+        best, best_cover = -1, -1
+        counts = {}
+        for i in unhit:
+            for v in sets[i]:
+                counts[v] = counts.get(v, 0) + 1
+        for v in sorted(counts):
+            if counts[v] > best_cover:
+                best, best_cover = v, counts[v]
+        chosen.append(best)
+        unhit = {i for i in unhit if best not in sets[i]}
+    return chosen
+
+
+def scan_dominators(g) -> list:
+    """The spanner's dominator scan as it was before the greedy helper."""
+    n = g.n
+    threshold = ceil_sqrt(n)
+    deg = [len(g.adj_out[v]) for v in range(n)]
+    heavy = {v for v in range(n) if deg[v] >= threshold}
+    uncovered = set(heavy)
+    dominators = []
+    while uncovered:
+        best, best_cover = -1, -1
+        for z in range(n):
+            cover = (1 if z in uncovered else 0) + sum(1 for u, _ in g.adj_out[z] if u in uncovered)
+            if cover > best_cover:
+                best, best_cover = z, cover
+        dominators.append(best)
+        uncovered.discard(best)
+        uncovered.difference_update(u for u, _ in g.adj_out[best])
+    return dominators
+
+
+class TestGreedyHittingSet:
+    def test_matches_recount_on_ties_and_duplicates(self):
+        rng = Random(46)
+        for _ in range(300):
+            n = rng.randint(1, 15)
+            sets = [[rng.randrange(n) for _ in range(rng.randint(1, 6))]
+                    for _ in range(rng.randint(1, 30))]
+            assert _greedy_hitting_set(sets, n) == recount_hitting_set(sets, n)
+
+    def test_picks_hit_every_set(self):
+        sets = [[0, 1], [1, 2], [2, 3], [3, 0], [4]]
+        picks = _greedy_hitting_set(sets, 5)
+        assert picks == [0, 2, 4]
+        assert all(set(picks) & set(s) for s in sets)
+
+    def test_dominators_match_scan(self):
+        rng = Random(47)
+        for trial in range(40):
+            n = rng.randint(1, 60)
+            g = random_connected(rng, n, rng.randint(0, n * n // 3))
+            edges = list(g.edges)
+            if trial % 2:  # parallel edges and self-loops change the coverage counts
+                edges += rng.choices(edges, k=len(edges) // 2) if edges else []
+                edges += [(v, v, 1) for v in rng.sample(range(n), n // 3)]
+            g = Graph(n, edges)
+            assert additive2_spanner(g).dominators == scan_dominators(g)
 
 
 class TestSpanner:
@@ -179,6 +254,24 @@ class TestDenseEccentricities:
             for u in range(n):
                 assert 5 * est.values[u] >= 3 * ecc[u] - 5
                 assert est.values[u] <= ecc[u]
+
+
+class TestDenseScale:
+    """n = 800 with D = 5: the ceil(sqrt(n)) = 29 closest vertices that each
+    bunch is drawn from are a small fraction of V, so the hitting-set
+    argument is exercised."""
+
+    def test_n800_against_floyd_warshall(self):
+        g = random_connected(Random(7), 800, 4 * 800)
+        ecc = apsp_matrix(g).max(axis=1)
+        D = int(ecc.max())
+        assert D == 5
+        h, z = divmod(D, 3)
+        floor = 2 * h - 1 if z in (0, 1) else 2 * h
+        assert floor <= diam_dense_32(g, seed=0) <= D
+        est = np.array(ecc_dense_53(g, seed=0).values)
+        assert (est <= ecc).all()
+        assert (5 * (est + 1) >= 3 * ecc).all()
 
 
 class TestSpannerComposition:

@@ -130,6 +130,28 @@ class TestKClosest:
             got = k_closest(g, v, s, direction).items
             assert got == [(u, d) for d, u in full]
 
+    def test_unit_weights_last_level_larger_than_s(self):
+        # Unit weights take the level-synchronous path, which cuts the last
+        # level after sorting it by id; here that level dwarfs s.
+        rng = Random(6)
+        n = 40
+        loops = random_graph(rng, n, n * n // 4, directed=False)
+        graphs = [complete_graph(30), complete_graph(20, directed=True), star_graph(40),
+                  Graph(n + 1, [(0, i, 1) for i in range(1, n + 1)], directed=True),
+                  Graph(n, loops.edges + [(v, v, 1) for v in range(0, n, 4)] + loops.edges[:20])]
+        for _ in range(8):
+            m = rng.randint(20, 60)
+            graphs.append(random_graph(rng, m, m * m // 4, directed=rng.random() < 0.5))
+        for g in graphs:
+            assert g.unit_weights
+            for v in range(0, g.n, 3):
+                for s in sorted({1, 2, 5, g.n // 2, g.n}):
+                    for direction in ("out", "in"):
+                        full = sorted((d, u) for u, d in enumerate(sssp(g, v, direction).dist)
+                                      if d != UNREACHABLE)[:s]
+                        got = k_closest(g, v, s, direction).items
+                        assert got == [(u, d) for d, u in full], (g, v, s, direction)
+
     def test_zero_weight_ties_respect_id_order(self):
         # 0-weight edges put several vertices at the same distance; the
         # neighborhood must still come back in (distance, id) order.
