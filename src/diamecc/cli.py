@@ -19,12 +19,8 @@ from .graph import UNREACHABLE, GraphFormatError, load_graph, load_vertex_set
 from .hardness import (BUILDERS, ConstructionSizeError, MetadataError, gen_ov,
                        load_construction, save_construction, verify_construction)
 from .search import exact_diameter, exact_st_diameter
-from .stdiam import STInstance, st_2approx_sqrt, st_2approx_true, st_2approx_weighted, st_via_diameter
-
-RUN_METHODS = ("exact", "ecc2", "ecc2d", "ecc-folk", "radius", "diam-folk",
-               "diam-lin", "diam-dense", "ecc-dense", "st3", "st2", "st2true",
-               "st-equiv", "spanner-compose")
-SET_METHODS = ("st3", "st2", "st2true", "st-equiv")
+from .stdiam import (STInstance, st_2approx_sqrt, st_2approx_true, st_2approx_weighted,
+                     st_3approx, st_via_diameter)
 
 EXIT_USAGE = 2
 EXIT_PARSE = 3
@@ -53,12 +49,67 @@ def _render(report: dict, as_json: bool) -> str:
     return " ".join(parts)
 
 
+# The --inner choices of spanner-compose: Diameter functions of the graph alone.
+DIAMETERS = {"exact": exact_diameter, "diam-folk": diam_folklore_2approx,
+             "diam-lin": diam_linear_lessthan2}
+
+
+def _tau(args) -> Fraction:
+    return args.tau if args.tau is not None else Fraction(1, 4)
+
+
+def _ecc2(g, inst, args):
+    est = ecc_2approx(g, args.seed)
+    return {"estimates": est.values, "unreachable": est.has_unreachable}
+
+
+def _radius(g, inst, args):
+    variant = "2plusdelta" if args.tau is not None else "2approx"
+    vertex, value = source_radius(g, variant, args.seed, _tau(args))
+    return {"estimate": value, "vertex": vertex}
+
+
+def _st3(g, inst, args):
+    value, pair = st_3approx(inst)
+    return {"estimate": value, "witness": list(pair)}
+
+
+def _st2(inst: STInstance, seed: int, true_mode: bool):
+    if not inst.graph.unit_weights:
+        return st_2approx_weighted(inst, seed, true_mode=true_mode)
+    return (st_2approx_true if true_mode else st_2approx_sqrt)(inst, seed)
+
+
+# name -> (needs --sets, reports --seed, fields(graph, STInstance or None, args)).
+# The text report lists method, n, m and seed, then the fields in order.
+METHODS = {
+    "exact": (False, False, lambda g, inst, a: {
+        "estimate": exact_diameter(g) if inst is None else exact_st_diameter(g, inst.S, inst.T)}),
+    "ecc2": (False, True, _ecc2),
+    "ecc2d": (False, True, lambda g, inst, a: {
+        "estimates": ecc_2plusdelta(g, _tau(a), a.seed).values, "tau": str(_tau(a))}),
+    "ecc-folk": (False, False, lambda g, inst, a: {"estimates": ecc_folklore_3approx(g).values}),
+    "radius": (False, True, _radius),
+    "diam-folk": (False, False, lambda g, inst, a: {"estimate": diam_folklore_2approx(g)}),
+    "diam-lin": (False, False, lambda g, inst, a: {"estimate": diam_linear_lessthan2(g)}),
+    "diam-dense": (False, True, lambda g, inst, a: {"estimate": diam_dense_32(g, a.seed)}),
+    "ecc-dense": (False, True, lambda g, inst, a: {"estimates": ecc_dense_53(g, a.seed).values}),
+    "st3": (True, False, _st3),
+    "st2": (True, True, lambda g, inst, a: {"estimate": _st2(inst, a.seed, False)}),
+    "st2true": (True, True, lambda g, inst, a: {"estimate": _st2(inst, a.seed, True)}),
+    "st-equiv": (True, False, lambda g, inst, a: {
+        "estimate": st_via_diameter(inst, exact_diameter)}),
+    "spanner-compose": (False, True, lambda g, inst, a: {
+        "estimate": approx_on_spanner(g, DIAMETERS[a.inner], a.seed), "inner": a.inner}),
+}
+RUN_METHODS = tuple(METHODS)
+SET_METHODS = tuple(name for name, (needs_sets, _, _) in METHODS.items() if needs_sets)
+
+
 def _run(args) -> int:
     try:
         g = load_graph(args.input)
-        sets = None
-        if args.sets:
-            sets = (load_vertex_set(args.sets[0]), load_vertex_set(args.sets[1]))
+        sets = [load_vertex_set(path) for path in args.sets or ()]
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -67,67 +118,15 @@ def _run(args) -> int:
         return EXIT_PARSE
 
     method = args.method
-    if method in SET_METHODS and sets is None:
+    needs_sets, seeded, fields = METHODS[method]
+    if needs_sets and not sets:
         print(f"error: {method} needs --sets S.txt T.txt", file=sys.stderr)
         return EXIT_USAGE
-    tau = args.tau if args.tau is not None else Fraction(1, 4)
-    seed = args.seed
-    report = {"method": method, "n": g.n, "m": g.m, "seed": None}
-
+    report = {"method": method, "n": g.n, "m": g.m, "seed": args.seed if seeded else None}
     t0 = time.perf_counter()
     try:
-        if method == "exact":
-            if sets is not None:
-                report["estimate"] = exact_st_diameter(g, sets[0], sets[1])
-            else:
-                report["estimate"] = exact_diameter(g)
-        elif method == "ecc2":
-            est = ecc_2approx(g, seed)
-            report.update(estimates=est.values, seed=seed,
-                          unreachable=est.has_unreachable)
-        elif method == "ecc2d":
-            est = ecc_2plusdelta(g, tau, seed)
-            report.update(estimates=est.values, seed=seed, tau=str(tau))
-        elif method == "ecc-folk":
-            report["estimates"] = ecc_folklore_3approx(g).values
-        elif method == "radius":
-            variant = "2plusdelta" if args.tau is not None else "2approx"
-            vertex, value = source_radius(g, variant, seed, tau)
-            report.update(estimate=value, vertex=vertex, seed=seed)
-        elif method == "diam-folk":
-            report["estimate"] = diam_folklore_2approx(g)
-        elif method == "diam-lin":
-            report["estimate"] = diam_linear_lessthan2(g)
-        elif method == "diam-dense":
-            report.update(estimate=diam_dense_32(g, seed), seed=seed)
-        elif method == "ecc-dense":
-            report.update(estimates=ecc_dense_53(g, seed).values, seed=seed)
-        elif method == "st3":
-            from .stdiam import st_3approx
-            value, pair = st_3approx(STInstance(g, sets[0], sets[1]))
-            report.update(estimate=value, witness=list(pair))
-        elif method == "st2":
-            inst = STInstance(g, sets[0], sets[1])
-            if g.unit_weights:
-                report.update(estimate=st_2approx_sqrt(inst, seed), seed=seed)
-            else:
-                report.update(estimate=st_2approx_weighted(inst, seed), seed=seed)
-        elif method == "st2true":
-            inst = STInstance(g, sets[0], sets[1])
-            if g.unit_weights:
-                report.update(estimate=st_2approx_true(inst, seed), seed=seed)
-            else:
-                report.update(estimate=st_2approx_weighted(inst, seed, true_mode=True),
-                              seed=seed)
-        elif method == "st-equiv":
-            inst = STInstance(g, sets[0], sets[1])
-            report["estimate"] = st_via_diameter(inst, exact_diameter)
-        elif method == "spanner-compose":
-            inner = {"exact": exact_diameter,
-                     "diam-folk": diam_folklore_2approx,
-                     "diam-lin": diam_linear_lessthan2}[args.inner]
-            report.update(estimate=approx_on_spanner(g, inner, seed),
-                          inner=args.inner, seed=seed)
+        inst = STInstance(g, *sets) if sets else None
+        report.update(fields(g, inst, args))
     except ValueError as exc:
         print(f"precondition error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
@@ -200,7 +199,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--tau", type=Fraction, default=None, metavar="P/Q",
                      help="exact rational threshold for ecc2d / radius")
-    run.add_argument("--inner", choices=("exact", "diam-folk", "diam-lin"),
+    run.add_argument("--inner", choices=tuple(DIAMETERS),
                      default="diam-folk", help="inner algorithm for spanner-compose")
     run.add_argument("--json", action="store_true", help="one JSON object per line")
     run.set_defaults(func=_run)

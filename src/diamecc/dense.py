@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections import deque
 from dataclasses import dataclass
 from random import Random
 
@@ -74,6 +73,27 @@ def _nearest_centers(g: Graph, centers):
             if pivot[u] == -1:
                 heapq.heappush(heap, (d + w, src, u))
     return dist, pivot
+
+
+def _bfs_parents(g: Graph, root: int, radius=math.inf) -> dict:
+    """BFS-tree parent of every vertex within ``radius`` of root.
+
+    Each vertex maps to the vertex that first discovered it, scanning
+    levels in discovery order; root maps to itself.  Vertices at distance
+    ``radius`` are reached but not expanded.
+    """
+    parent = {root: root}
+    level = [root]
+    while level and radius > 0:
+        nxt = []
+        for x in level:
+            for v, _ in g.adj_out[x]:
+                if v not in parent:
+                    parent[v] = x
+                    nxt.append(v)
+        level = nxt
+        radius -= 1
+    return parent
 
 
 def _greedy_hitting_set(sets, n: int) -> list:
@@ -189,15 +209,9 @@ def additive2_spanner(g: Graph, seed: int = 0) -> Spanner:
     dominators = _greedy_hitting_set(closed, n)
 
     for root in dominators:
-        parent = {root: root}
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for v, _ in g.adj_out[u]:
-                if v not in parent:
-                    parent[v] = u
-                    queue.append(v)
-                    kept.add((u, v) if u <= v else (v, u))
+        for v, u in _bfs_parents(g, root).items():
+            if v != root:
+                kept.add((u, v) if u <= v else (v, u))
     edges = [(u, v, 1) for u, v in sorted(kept)]
     return Spanner(Graph(n, edges, directed=False), dominators)
 
@@ -265,8 +279,12 @@ def ecc_dense_53(g: Graph, seed: int = 0) -> EccEstimate:
 
     aug = {(u, v) if u <= v else (v, u) for u, v, _ in spanner.graph.edges}
     for u in range(n):
-        for x, parent in _bunch_tree_edges(g, u, cd.dist[u], cd.bunches[u], cd.pivot[u]):
-            aug.add((x, parent) if x <= parent else (parent, x))
+        # A BFS tree from u truncated at d(u, A) spans the bunch, which lies
+        # strictly inside that radius, and the pivot, which sits on it.
+        parent = _bfs_parents(g, u, cd.dist[u])
+        for x in [v for v, _ in cd.bunches[u]] + [cd.pivot[u]]:
+            if x != u:
+                aug.add((x, parent[x]) if x <= parent[x] else (parent[x], x))
     h = Graph(n, [(u, v, 1) for u, v in sorted(aug)], directed=False)
 
     centers = cd.centers
@@ -295,32 +313,6 @@ def ecc_dense_53(g: Graph, seed: int = 0) -> EccEstimate:
         e5 = max(ecc_g[a] - dist_g[a][u] for a in centers)
         values.append(max(int(row_max[u]), e2, e3, e4, e5, 0))
     return EccEstimate(values, "ecc-dense-53", seed)
-
-
-def _bunch_tree_edges(g: Graph, u: int, radius, bunch, pivot):
-    """Parent edges of a BFS tree from u spanning its bunch and pivot.
-
-    BFS is truncated at the bunch radius d(u, A): every bunch member lies
-    strictly inside it and the pivot sits exactly on it.
-    """
-    if radius == 0:
-        return
-    parent = {u: u}
-    dist = {u: 0}
-    queue = deque([u])
-    while queue:
-        x = queue.popleft()
-        if dist[x] >= radius:
-            continue
-        for v, _ in g.adj_out[x]:
-            if v not in dist:
-                dist[v] = dist[x] + 1
-                parent[v] = x
-                queue.append(v)
-    targets = [v for v, _ in bunch if v != u]
-    targets.append(pivot)
-    for v in targets:
-        yield v, parent[v]
 
 
 def approx_on_spanner(g: Graph, inner, seed: int = 0):

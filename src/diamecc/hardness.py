@@ -415,8 +415,9 @@ class _ArcBuilder:
         self.und(prev, v)
 
 
-def build_diam_3km4(inst: OVInstance, max_edges: int = DEFAULT_EDGE_CAP) -> ConstructionOutput:
-    """Directed unweighted diameter gap 3k-4 vs 5k-7 for any k >= 3.
+def _diam_gadget_directed(inst: OVInstance, name: str,
+                          max_edges: int) -> ConstructionOutput:
+    """Shared body of the 3k-4 vs 5k-7 and 8 vs 13 diameter constructions.
 
     One-way shortcuts leave the clique towards the matched copy S' and, on
     the other side, run from T' into the clique; pointing them at S itself
@@ -424,8 +425,6 @@ def build_diam_3km4(inst: OVInstance, max_edges: int = DEFAULT_EDGE_CAP) -> Cons
     the planted gap to 4k-4 once k > 3.
     """
     k, n = inst.k, inst.n
-    if k < 3:
-        raise ValueError("this construction needs k >= 3")
     core = _build_layered(inst, max_edges=max_edges)
     s_size = n ** (k - 1)
     if 4 * s_size * (k - 2) > max_edges:
@@ -460,53 +459,23 @@ def build_diam_3km4(inst: OVInstance, max_edges: int = DEFAULT_EDGE_CAP) -> Cons
     if inst.planted is not None:
         witness = (s1 + _ridx(inst.planted[:k - 1], rad),
                    t1 + _ridx(inst.planted[1:], rad))
-    return ConstructionOutput("3km4", g, sets, 3 * k - 4, 5 * k - 7, witness,
+    return ConstructionOutput(name, g, sets, 3 * k - 4, 5 * k - 7, witness,
                               "diameter", _params(inst))
 
 
+def build_diam_3km4(inst: OVInstance, max_edges: int = DEFAULT_EDGE_CAP) -> ConstructionOutput:
+    """Directed unweighted diameter gap 3k-4 vs 5k-7 for any k >= 3."""
+    if inst.k < 3:
+        raise ValueError("this construction needs k >= 3")
+    return _diam_gadget_directed(inst, "3km4", max_edges)
+
+
 def build_diam_8v13(inst: OVInstance, max_edges: int = DEFAULT_EDGE_CAP) -> ConstructionOutput:
-    """Directed unweighted diameter gap 8 vs 13 from 4-OV.
-
-    Differs from build_diam_3km4 at k=4: the one-way shortcuts leave the
-    clique towards the matched copy S' (not S), and on the T side they run
-    from T' into the clique.
-    """
-    k, n = inst.k, inst.n
-    if k != 4:
+    """Directed unweighted diameter gap 8 vs 13 from 4-OV: build_diam_3km4 at
+    k = 4, with the same graph, sets, witness and gap, named "8v13"."""
+    if inst.k != 4:
         raise ValueError("this construction needs a 4-OV instance")
-    core = _build_layered(inst, max_edges=max_edges)
-    s_size = n ** 3
-    s1 = core.vertex_count
-    s2 = s1 + s_size
-    t1 = s2 + n
-    t2 = t1 + s_size
-    ab = _ArcBuilder(t2 + n)
-    for u, v, _ in core.edges:
-        ab.und(u, v)
-    for i in range(s_size):
-        ab.und_path(i, s1 + i, 2)
-        ab.und_path(core.t_lo + i, t1 + i, 2)
-    for a, a2 in combinations(range(n), 2):
-        ab.und(s2 + a, s2 + a2)
-        ab.und(t2 + a, t2 + a2)
-    rad = [n] * 3
-    for first in range(n):
-        for rest in product(range(n), repeat=2):
-            ab.und_path(s2 + first, core.s_id((first,) + rest), 2)
-            ab.arc(s2 + first, s1 + _ridx((first,) + rest, rad))
-            ab.und_path(t2 + first, core.t_id(rest + (first,)), 2)
-            ab.arc(t1 + _ridx(rest + (first,), rad), t2 + first)
-
-    g = Graph(ab.next_id, ab.arcs, directed=True)
-    sets = dict(core.sets)
-    sets.update({"S'": (s1, s1 + s_size), "S''": (s2, s2 + n),
-                 "T'": (t1, t1 + s_size), "T''": (t2, t2 + n)})
-    witness = None
-    if inst.planted is not None:
-        witness = (s1 + _ridx(inst.planted[:3], rad),
-                   t1 + _ridx(inst.planted[1:], rad))
-    return ConstructionOutput("8v13", g, sets, 8, 13, witness, "diameter",
-                              _params(inst))
+    return _diam_gadget_directed(inst, "8v13", max_edges)
 
 
 def build_ecc_lb_undirected(inst: OVInstance, max_edges: int = DEFAULT_EDGE_CAP) -> ConstructionOutput:
@@ -643,25 +612,34 @@ class CheckResult:
 def _range_set(meta, name, n):
     try:
         lo, hi = meta["sets"][name]
-    except (KeyError, TypeError):
+    except (KeyError, TypeError, ValueError):
         raise MetadataError(f"metadata lacks vertex set {name!r}") from None
-    if not (0 <= lo <= hi <= n):
-        raise MetadataError(f"set {name!r} range [{lo},{hi}) outside graph of {n} vertices")
+    if not (isinstance(lo, int) and isinstance(hi, int) and 0 <= lo <= hi <= n):
+        raise MetadataError(f"set {name!r} bounds {[lo, hi]!r} are not a range "
+                            f"within the graph's {n} vertices")
     return range(lo, hi)
+
+
+def _promise(meta, key) -> int:
+    value = meta.get(key)
+    if not isinstance(value, int):
+        raise MetadataError(f"{key} must be an integer, got {value!r}")
+    return value
 
 
 def verify_construction(g: Graph, meta: dict) -> list:
     """Recompute the promised bound with the exact oracle.
 
     Returns one CheckResult per promised bound; MetadataError when the
-    metadata does not fit the graph.
+    metadata is not an object or does not fit the graph.
     """
+    if not isinstance(meta, dict):
+        raise MetadataError(f"metadata must be a JSON object, got {type(meta).__name__}")
     scope = meta.get("scope")
     mode = meta.get("mode")
-    low = meta.get("promised_low")
-    high = meta.get("promised_high")
     witness = meta.get("witness")
     if mode == "planted":
+        high = _promise(meta, "promised_high")
         if not (isinstance(witness, (list, tuple)) and len(witness) == 2
                 and all(isinstance(w, int) and 0 <= w < g.n for w in witness)):
             raise MetadataError(f"bad witness {witness!r}")
@@ -673,6 +651,7 @@ def verify_construction(g: Graph, meta: dict) -> list:
                             f"d({u},{v}) = {shown}")]
     if mode != "unsat":
         raise MetadataError(f"unknown mode {mode!r}")
+    low = _promise(meta, "promised_low")
 
     if scope == "st":
         S = _range_set(meta, "S", g.n)

@@ -14,11 +14,10 @@ Diameter solver, via pendant-edge gadget graphs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from random import Random
 
-from .eccen import SAMPLE_C, ceil_sqrt
+from .eccen import _sqrt_sample_size, ceil_sqrt
 from .graph import UNREACHABLE, Graph
 from .search import _distances, degree3_blowup, exact_st_diameter, is_connected, k_closest
 
@@ -59,13 +58,6 @@ def st_3approx(inst: STInstance):
     return to_t[best_s], (best_s, t)
 
 
-def _sqrt_log_sample(rng: Random, n: int) -> list:
-    if n <= 1:
-        return list(range(n))
-    size = min(n, max(1, math.ceil(SAMPLE_C * math.sqrt(n) * math.log(n))))
-    return sorted(rng.sample(range(n), size))
-
-
 def _two_approx_sweep(g: Graph, S, T, rng: Random, z_size: int, extend_positive: bool):
     """Core of the 2-approximation sweep on an undirected graph.
 
@@ -84,7 +76,7 @@ def _two_approx_sweep(g: Graph, S, T, rng: Random, z_size: int, extend_positive:
 
     d1 = 0
     min_from_x = [UNREACHABLE] * n
-    for x in _sqrt_log_sample(rng, n):
+    for x in sorted(rng.sample(range(n), _sqrt_sample_size(n))):
         dx = dist_from(x)
         for v in range(n):
             if dx[v] < min_from_x[v]:
@@ -192,8 +184,16 @@ class EquivalenceGadget:
     swapped: bool
 
 
-def _doubled(g: Graph) -> Graph:
-    return Graph(g.n, [(u, v, 2 * w) for u, v, w in g.edges], directed=False)
+def _doubled(inst: STInstance):
+    """Check the reduction's preconditions; return the input with every
+    weight doubled, and the pendant weight w_scale."""
+    g = inst.graph
+    if g.directed:
+        raise ValueError("the equivalence reduction is for undirected graphs")
+    if not is_connected(g):
+        raise ValueError("the equivalence reduction requires a connected graph")
+    g2 = Graph(g.n, [(u, v, 2 * w) for u, v, w in g.edges], directed=False)
+    return g2, max(2, g2.max_weight) * g2.n
 
 
 def _with_pendants(g: Graph, groups, w_scale: int):
@@ -217,13 +217,7 @@ def _with_pendants(g: Graph, groups, w_scale: int):
 
 def build_equivalence_gadget(inst: STInstance) -> EquivalenceGadget:
     """Construct the reduction gadgets, computing the spans exactly."""
-    g = inst.graph
-    if g.directed:
-        raise ValueError("the equivalence reduction is for undirected graphs")
-    if not is_connected(g):
-        raise ValueError("the equivalence reduction requires a connected graph")
-    g2 = _doubled(g)
-    w_scale = max(2, g2.max_weight) * g2.n
+    g2, w_scale = _doubled(inst)
     span_s = exact_st_diameter(g2, inst.S, inst.S) if len(inst.S) > 1 else 0
     span_t = exact_st_diameter(g2, inst.T, inst.T) if len(inst.T) > 1 else 0
     return _assemble_gadget(g2, inst.S, inst.T, w_scale, span_s, span_t)
@@ -262,13 +256,7 @@ def st_via_diameter(inst: STInstance, diameter_fn):
     a plain Graph; 2*w_scale is subtracted from its answers and the final
     value is halved to undo the weight doubling.
     """
-    g = inst.graph
-    if g.directed:
-        raise ValueError("the equivalence reduction is for undirected graphs")
-    if not is_connected(g):
-        raise ValueError("the equivalence reduction requires a connected graph")
-    g2 = _doubled(g)
-    w_scale = max(2, g2.max_weight) * g2.n
+    g2, w_scale = _doubled(inst)
     S, T = inst.S, inst.T
     g_s = _with_pendants(g2, [S], w_scale)[0] if len(S) > 1 else None
     g_t = _with_pendants(g2, [T], w_scale)[0] if len(T) > 1 else None

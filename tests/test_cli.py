@@ -78,6 +78,16 @@ class TestRun:
             reports.append(report)
         assert reports[0] == reports[1]
 
+    @pytest.mark.parametrize("t", ["5", "-1"])
+    def test_exact_sets_out_of_range_is_precondition_error(self, capsys, tmp_path, t):
+        p3 = tmp_path / "p3.txt"
+        p3.write_text("3 2 undirected unweighted\n0 1\n1 2\n")
+        (tmp_path / "S.txt").write_text("0\n")
+        (tmp_path / "T.txt").write_text(f"{t}\n")
+        code, out, err = run_cli(capsys, "run", "exact", "--input", str(p3), "--sets",
+                                 str(tmp_path / "S.txt"), str(tmp_path / "T.txt"))
+        assert code == 4 and "out of range" in err and out == ""
+
     def test_missing_sets_is_usage_error(self, capsys, p5):
         code, _, err = run_cli(capsys, "run", "st3", "--input", p5)
         assert code == 2 and "--sets" in err
@@ -170,3 +180,18 @@ class TestGenVerify:
         code, _, err = run_cli(capsys, "verify", "--graph", prefix + ".graph",
                                "--meta", prefix + ".meta.json")
         assert code == 3
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda meta: [], "JSON object"),
+        (lambda meta: {"mode": "unsat", "scope": "diameter"}, "promised_low"),
+        (lambda meta: {**meta, "sets": {**meta["sets"], "S": "ab"}}, "'S'"),
+    ], ids=["not-an-object", "no-promise", "non-integer-set-bounds"])
+    def test_malformed_metadata_is_parse_error(self, capsys, tmp_path, edit, message):
+        prefix = str(tmp_path / "fix")
+        run_cli(capsys, "gen", "--construction", "kov", "--k", "2", "--n", "2",
+                "--d", "3", "--mode", "unsat", "--seed", "0", "--out", prefix)
+        meta = edit(json.loads((tmp_path / "fix.meta.json").read_text()))
+        (tmp_path / "fix.meta.json").write_text(json.dumps(meta))
+        code, out, err = run_cli(capsys, "verify", "--graph", prefix + ".graph",
+                                 "--meta", prefix + ".meta.json")
+        assert code == 3 and message in err and out == ""

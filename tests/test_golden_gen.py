@@ -22,6 +22,7 @@ from pathlib import Path
 import pytest
 
 from diamecc.cli import main
+from diamecc.hardness import BUILDERS
 
 GOLDEN = Path(__file__).with_name("golden") / "cli_gen.json"
 
@@ -76,8 +77,6 @@ def _load_golden() -> list:
 
 
 def test_golden_covers_every_construction():
-    from diamecc.hardness import BUILDERS
-
     cases = _load_golden()
     assert [case["argv"] for case in cases] == _command_lines()
     built = {(case["argv"][2], case["meta"]["mode"]) for case in cases if case["exit"] == 0}
