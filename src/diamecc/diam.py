@@ -9,7 +9,7 @@ whenever D = 2h is even, beating the folklore h on those inputs.
 from __future__ import annotations
 
 from .graph import Graph
-from .search import eccentricity
+from .search import eccentricities, eccentricity
 
 
 def diam_folklore_2approx(g: Graph):
@@ -37,7 +37,7 @@ def diam_linear_lessthan2(g: Graph):
     around = {v}
     around.update(u for u, _ in g.adj_out[v])
     around.update(u for u, _ in g.adj_in[v])
-    best = 0
-    for w in sorted(around):
-        best = max(best, eccentricity(g, w, "out"), eccentricity(g, w, "in"))
+    best = max(eccentricities(g, around, "out"))
+    if g.directed:
+        best = max(best, *eccentricities(g, around, "in"))
     return best

@@ -21,8 +21,8 @@ from fractions import Fraction
 from random import Random
 
 from .graph import UNREACHABLE, Graph
-from .search import (eccentricity, is_strongly_connected, k_closest,
-                     multi_source_distance, sssp)
+from .search import (eccentricities, eccentricity, is_strongly_connected,
+                     k_closest, max_distances, multi_source_distance, sssp)
 
 # "end with |S| <= O(1)" cutoff for the threshold-decay estimator.
 TERMINAL_SIZE = 4
@@ -94,17 +94,11 @@ def ecc_2approx(g: Graph, seed: int = 0) -> EccEstimate:
     sample = sorted(rng.sample(range(n), _sqrt_sample_size(n)))
     d_from_s = multi_source_distance(g, sample, "out").dist
     w = _argmax_min_id(d_from_s)
-    near_w = set(k_closest(g, w, min(n, ceil_sqrt(n)), "in").vertices())
+    near_w = k_closest(g, w, min(n, ceil_sqrt(n)), "in").vertices()
 
-    est = [0] * n
-    for v in near_w:
-        est[v] = eccentricity(g, v, "out")
-    probes = sorted(set(sample) | {w})
-    for s in probes:
-        into_s = sssp(g, s, "in").dist
-        for v in range(n):
-            if v not in near_w and into_s[v] > est[v]:
-                est[v] = into_s[v]
+    est = max_distances(g, set(sample) | {w}, "in")
+    for v, ecc in zip(near_w, eccentricities(g, near_w, "out")):
+        est[v] = ecc
     flagged = any(x == UNREACHABLE for x in est)
     return EccEstimate(est, "ecc-2approx", seed, has_unreachable=flagged)
 
@@ -154,7 +148,7 @@ def ecc_2plusdelta(g: Graph, tau, seed: int = 0,
     exact = [None] * n
     phases = 0
     misses = 0
-    true_ecc = [eccentricity(g, v, "out") for v in range(n)] if check_bound_invariant else None
+    true_ecc = eccentricities(g, range(n), "out") if check_bound_invariant else None
 
     while len(active) > TERMINAL_SIZE and bound >= 1:
         phases += 1
@@ -175,12 +169,7 @@ def ecc_2plusdelta(g: Graph, tau, seed: int = 0,
                 exact[v] = threshold
             active = sorted(near_w)
         else:
-            reach = {}
-            for x in probe:
-                into_x = sssp(g, x, "in").dist
-                for v in active:
-                    if into_x[v] > reach.get(v, -1):
-                        reach[v] = into_x[v]
+            reach = max_distances(g, probe, "in")
             survivors = []
             for v in active:
                 if reach[v] >= threshold:
@@ -190,10 +179,11 @@ def ecc_2plusdelta(g: Graph, tau, seed: int = 0,
             active = survivors
             bound = decay * bound
 
-    for v in active:
-        # Endgame: exact computation when few survive, 0 when the bound
-        # certifies ecc < 1 (integer weights make that ecc = 0).
-        exact[v] = Fraction(eccentricity(g, v, "out")) if len(active) <= TERMINAL_SIZE else Fraction(0)
+    # Endgame: exact computation when few survive, 0 when the bound
+    # certifies ecc < 1 (integer weights make that ecc = 0).
+    ends = eccentricities(g, active, "out") if len(active) <= TERMINAL_SIZE else [0] * len(active)
+    for v, ecc in zip(active, ends):
+        exact[v] = Fraction(ecc)
     values = [int(r.numerator // r.denominator) for r in exact]
     return EccEstimate(values, "ecc-2plusdelta", seed, rationals=exact,
                        phases=phases, sample_misses=misses)

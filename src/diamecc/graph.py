@@ -33,11 +33,13 @@ class Graph:
     mirrored in both adjacency directions.  For directed graphs each entry
     of ``edges`` is one arc.  Instances must not be mutated after
     construction; all algorithms in this package treat them as read-only,
-    which also makes every operation safe to call concurrently.
+    which also makes every operation safe to call concurrently.  The one
+    exception is ``_csr``, a cache of array adjacency that the batched
+    searches fill on first use; filling it twice gives the same arrays.
     """
 
     __slots__ = ("n", "directed", "edges", "adj_out", "adj_in",
-                 "max_weight", "unit_weights", "zero_one_weights")
+                 "max_weight", "unit_weights", "zero_one_weights", "_csr")
 
     def __init__(self, n: int, edges=(), directed: bool = False):
         if n < 0:
@@ -76,6 +78,7 @@ class Graph:
         self.max_weight = max_w
         self.unit_weights = unit
         self.zero_one_weights = zero_one
+        self._csr = {}
 
     @property
     def m(self) -> int:

@@ -21,7 +21,7 @@ from itertools import combinations, product
 from random import Random
 
 from .graph import Graph, format_graph, load_graph
-from .search import UNREACHABLE, _distances, sssp
+from .search import UNREACHABLE, _distances, eccentricities, exact_diameter, sssp
 
 DEFAULT_EDGE_CAP = 2_000_000
 
@@ -620,6 +620,10 @@ def _range_set(meta, name, n):
     return range(lo, hi)
 
 
+def _shown(dist) -> str:
+    return "unreachable" if dist == UNREACHABLE else str(dist)
+
+
 def _promise(meta, key) -> int:
     value = meta.get(key)
     if not isinstance(value, int):
@@ -645,10 +649,8 @@ def verify_construction(g: Graph, meta: dict) -> list:
             raise MetadataError(f"bad witness {witness!r}")
         u, v = witness
         dist = sssp(g, u, "out")[v]
-        ok = dist >= high
-        shown = "unreachable" if dist == UNREACHABLE else str(dist)
-        return [CheckResult(f"witness distance >= {high}", ok,
-                            f"d({u},{v}) = {shown}")]
+        return [CheckResult(f"witness distance >= {high}", dist >= high,
+                            f"d({u},{v}) = {_shown(dist)}")]
     if mode != "unsat":
         raise MetadataError(f"unknown mode {mode!r}")
     low = _promise(meta, "promised_low")
@@ -666,29 +668,19 @@ def verify_construction(g: Graph, meta: dict) -> list:
             if bad:
                 break
         return [CheckResult(f"all S-T distances == {low}", bad is None,
-                            "ok" if bad is None else f"d({bad[0]},{bad[1]}) = {bad[2]}")]
+                            "ok" if bad is None else f"d({bad[0]},{bad[1]}) = {_shown(bad[2])}")]
     if scope == "diameter":
-        worst = 0
-        for v in range(g.n):
-            worst = max(worst, max(_distances(g, (v,), "out"), default=0))
-        return [CheckResult(f"diameter <= {low}", worst <= low, f"diameter = {worst}")]
+        worst = exact_diameter(g)
+        return [CheckResult(f"diameter <= {low}", worst <= low, f"diameter = {_shown(worst)}")]
     if scope == "ecc_from_s":
-        S = _range_set(meta, "S", g.n)
-        worst = 0
-        for s in S:
-            worst = max(worst, max(_distances(g, (s,), "out"), default=0))
+        worst = max(eccentricities(g, _range_set(meta, "S", g.n), "out"), default=0)
         return [CheckResult(f"max ecc over S <= {low}", worst <= low,
-                            f"max ecc = {worst}")]
+                            f"max ecc = {_shown(worst)}")]
     if scope == "ecc_out_all":
         U = _range_set(meta, "U", g.n)
-        bad = None
-        for u in U:
-            ecc = max(_distances(g, (u,), "out"), default=0)
-            if ecc != low:
-                bad = (u, ecc)
-                break
+        bad = next(((u, ecc) for u, ecc in zip(U, eccentricities(g, U, "out")) if ecc != low), None)
         return [CheckResult(f"all out-eccentricities over U == {low}", bad is None,
-                            "ok" if bad is None else f"ecc({bad[0]}) = {bad[1]}")]
+                            "ok" if bad is None else f"ecc({bad[0]}) = {_shown(bad[1])}")]
     raise MetadataError(f"unknown scope {scope!r}")
 
 

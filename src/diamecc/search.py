@@ -1,10 +1,27 @@
 """Shortest-path searches, exact distance oracles, and the degree-3 blow-up.
 
-Algorithm selection inside sssp is internal: plain BFS when every weight
-is 1, a deque-based 0/1 search when weights are 0 or 1 (the blow-up
-gadget needs 0-weight edges without a heap), and binary-heap Dijkstra
-otherwise.  All tie-breaking is by (distance, vertex id) ascending, so
-every operation here is deterministic.
+Which kernel runs follows the weight class of the graph:
+
+* single and multi-source searches (sssp, multi_source_distance and
+  everything built on them): plain BFS when every weight is 1, a
+  deque-based 0/1 search when weights are 0 or 1 (the blow-up gadget needs
+  0-weight edges without a heap), and binary-heap Dijkstra otherwise.
+  These walk the Python adjacency lists, one arc at a time.
+* many independent searches (eccentricities, max_distances, and through
+  them the exact oracles and the estimators' probe loops): on unit
+  weights, a bit-parallel BFS runs up to 64 sources in one
+  level-synchronous pass over int64 CSR arrays, with bit i of a uint64
+  word per vertex standing for source i.  A pass costs the arcs of its
+  frontiers, in numpy, plus a fixed numpy overhead per distance level, so
+  each vertex's arcs are scanned once per level at which some new source
+  reaches it, not once per source.  Deep graphs with small levels (paths,
+  long cycles, small sparse graphs) are the slow case: there the per-level
+  overhead dominates, and a pass can take about twice as long as 64
+  list-based BFS runs.  Other weight classes run one search per source
+  through the kernels above.
+
+All tie-breaking is by (distance, vertex id) ascending, so every operation
+here is deterministic.
 """
 
 from __future__ import annotations
@@ -16,6 +33,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import UNREACHABLE, DistanceArray, Graph, Neighborhood
+
+# Sources per batched search: one bit each in a uint64 word per vertex.
+_WORD = np.iinfo(np.uint64).bits
 
 
 def _bfs(adj, n, sources):
@@ -84,6 +104,119 @@ def _distances(g: Graph, sources, direction: str):
     return _dijkstra(adj, g.n, sources)
 
 
+def _csr(g: Graph, direction: str):
+    """(indptr, degree, heads) int64 arrays of one adjacency, built on first use.
+
+    Undirected graphs keep one copy for both directions, since their
+    reverse adjacency equals the forward one.
+    """
+    adj = g.adjacency(direction)
+    key = direction if g.directed else "out"
+    csr = g._csr.get(key)
+    if csr is None:
+        degree = np.fromiter(map(len, adj), dtype=np.int64, count=g.n)
+        indptr = np.zeros(g.n + 1, dtype=np.int64)
+        np.cumsum(degree, out=indptr[1:])
+        heads = np.fromiter((v for row in adj for v, _ in row), dtype=np.int64,
+                            count=int(indptr[-1]))
+        csr = g._csr[key] = (indptr, degree, heads)
+    return csr
+
+
+def _bfs_bits(g: Graph, sources, direction: str):
+    """Level-synchronous BFS from up to 64 sources at once (unit weights).
+
+    Bit i of a vertex's uint64 word stands for ``sources[i]``, so each arc
+    scan advances every search.  For d = 0, 1, ... yields the vertices that
+    some source first reaches at distance d, and the bits that do so.
+    """
+    indptr, degree, heads = _csr(g, direction)
+    reached = np.zeros(g.n, dtype=np.uint64)
+    np.bitwise_or.at(reached, np.asarray(sources, dtype=np.int64),
+                     np.left_shift(np.uint64(1), np.arange(len(sources), dtype=np.uint64)))
+    unseen = ~reached
+    while True:
+        frontier = (reached != 0).nonzero()[0]
+        if not frontier.size:
+            return
+        bits = reached[frontier]
+        yield frontier, bits
+        counts = degree[frontier]
+        ends = counts.cumsum()
+        arcs = np.arange(ends[-1])
+        arcs += (indptr[frontier] - ends + counts).repeat(counts)
+        reached = np.zeros(g.n, dtype=np.uint64)
+        np.bitwise_or.at(reached, heads[arcs], bits.repeat(counts))
+        reached &= unseen
+        unseen ^= reached
+
+
+def _source_set(g: Graph, sources) -> list:
+    """Sorted distinct source ids; ValueError when empty or out of range."""
+    srcs = sorted(set(sources))
+    if not srcs:
+        raise ValueError("source set must be nonempty")
+    if srcs[0] < 0 or srcs[-1] >= g.n:
+        raise ValueError("source id out of range")
+    return srcs
+
+
+def eccentricities(g: Graph, sources, direction: str = "out") -> list:
+    """Exact eccentricity of each listed source, in the order given.
+
+    Entry i is max over v of d(sources[i], v) ("out") or d(v, sources[i])
+    ("in"), and UNREACHABLE when some v is unreachable.
+    """
+    srcs = list(sources)
+    if srcs and (min(srcs) < 0 or max(srcs) >= g.n):
+        raise ValueError("source id out of range")
+    if not g.unit_weights:
+        return [max(_distances(g, (s,), direction)) for s in srcs]
+    out = []
+    for lo in range(0, len(srcs), _WORD):
+        batch = srcs[lo:lo + _WORD]
+        seen = np.zeros(g.n, dtype=np.uint64)
+        words = []  # words[d]: the bits that reach some vertex first at d
+        for frontier, bits in _bfs_bits(g, batch, direction):
+            seen[frontier] |= bits
+            words.append(int(np.bitwise_or.reduce(bits)))
+        ecc = [UNREACHABLE] * len(batch)
+        todo = int(np.bitwise_and.reduce(seen))  # sources that reach every vertex
+        for d in range(len(words) - 1, -1, -1):
+            hit = words[d] & todo
+            todo ^= hit
+            while hit:
+                ecc[(hit & -hit).bit_length() - 1] = d
+                hit &= hit - 1
+        out.extend(ecc)
+    return out
+
+
+def max_distances(g: Graph, sources, direction: str = "out") -> list:
+    """Per vertex v, the max over s in sources of d(s, v) ("out") or d(v, s) ("in").
+
+    An entry is UNREACHABLE when some source and v are not connected that way.
+    """
+    srcs = _source_set(g, sources)
+    if not g.unit_weights:
+        far = [0] * g.n
+        for s in srcs:
+            far = list(map(max, far, _distances(g, (s,), direction)))
+        return far
+    far = np.zeros(g.n, dtype=np.int64)
+    missed = np.zeros(g.n, dtype=bool)
+    for lo in range(0, len(srcs), _WORD):
+        batch = srcs[lo:lo + _WORD]
+        seen = np.zeros(g.n, dtype=np.uint64)
+        last = np.zeros(g.n, dtype=np.int64)  # the level that last reached v
+        for d, (frontier, bits) in enumerate(_bfs_bits(g, batch, direction)):
+            seen[frontier] |= bits
+            last[frontier] = d
+        np.maximum(far, last, out=far)
+        missed |= seen != np.uint64((1 << len(batch)) - 1)
+    return [UNREACHABLE if m else d for d, m in zip(far.tolist(), missed.tolist())]
+
+
 def sssp(g: Graph, source: int, direction: str = "out") -> DistanceArray:
     """Exact single-source shortest paths.
 
@@ -97,11 +230,7 @@ def sssp(g: Graph, source: int, direction: str = "out") -> DistanceArray:
 
 def multi_source_distance(g: Graph, sources, direction: str = "out") -> DistanceArray:
     """dist[v] = min over s in sources of d(s, v) (out) or d(v, s) (in)."""
-    srcs = sorted(set(sources))
-    if not srcs:
-        raise ValueError("source set must be nonempty")
-    if srcs[0] < 0 or srcs[-1] >= g.n:
-        raise ValueError("source id out of range")
+    srcs = _source_set(g, sources)
     return DistanceArray(_distances(g, srcs, direction), tuple(srcs), direction)
 
 
@@ -175,8 +304,8 @@ def eccentricity(g: Graph, v: int, direction: str = "out"):
 
 
 def exact_eccentricities(g: Graph, direction: str = "out") -> list:
-    """Exact per-vertex eccentricities via one search per vertex."""
-    return [max(_distances(g, (v,), direction), default=0) for v in range(g.n)]
+    """Exact per-vertex eccentricities (see eccentricities)."""
+    return eccentricities(g, range(g.n), direction)
 
 
 def exact_diameter(g: Graph):
@@ -194,18 +323,13 @@ def exact_radius(g: Graph):
 
 
 def exact_st_diameter(g: Graph, S, T):
-    """max over s in S, t in T of d(s, t), by one exact search per s."""
+    """max over s in S, t in T of d(s, t), by exact searches from S."""
     S = sorted(set(S))
     T = sorted(set(T))
     if not S or not T:
         raise ValueError("S and T must be nonempty")
-    best = 0
-    for s in S:
-        dist = _distances(g, (s,), "out")
-        cand = max(dist[t] for t in T)
-        if cand > best:
-            best = cand
-    return best
+    far = max_distances(g, S, "out")
+    return max(far[t] for t in T)
 
 
 def apsp_matrix(g: Graph) -> np.ndarray:

@@ -181,6 +181,21 @@ class TestGenVerify:
                                "--meta", prefix + ".meta.json")
         assert code == 3
 
+    @pytest.mark.parametrize("scope, detail", [
+        ("diameter", "diameter = unreachable"),
+        ("st", "d(0,2) = unreachable"),
+        ("ecc_from_s", "max ecc = unreachable"),
+        ("ecc_out_all", "ecc(0) = unreachable"),
+    ])
+    def test_unsat_unreachable_detail(self, capsys, tmp_path, scope, detail):
+        graph = tmp_path / "u.graph"
+        graph.write_text("4 2 directed unweighted\n0 1\n2 3\n")
+        meta = tmp_path / "u.meta.json"
+        meta.write_text(json.dumps({"mode": "unsat", "scope": scope, "promised_low": 3,
+                                    "sets": {"S": [0, 1], "T": [2, 3], "U": [0, 4]}}))
+        code, out, _ = run_cli(capsys, "verify", "--graph", str(graph), "--meta", str(meta))
+        assert code == 1 and f"({detail})" in out and "inf" not in out
+
     @pytest.mark.parametrize("edit, message", [
         (lambda meta: [], "JSON object"),
         (lambda meta: {"mode": "unsat", "scope": "diameter"}, "promised_low"),

@@ -2,16 +2,18 @@
 
 from __future__ import annotations
 
+import math
 from random import Random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import bellman_ford, complete_graph, path_graph, random_graph, star_graph
 from diamecc import (UNREACHABLE, Graph, GraphFormatError, apsp_matrix,
-                     degree3_blowup, exact_eccentricities, exact_st_diameter,
-                     format_graph, k_closest, multi_source_distance,
-                     parse_graph, parse_vertex_set, sssp)
+                     degree3_blowup, eccentricities, exact_eccentricities,
+                     exact_st_diameter, format_graph, k_closest, max_distances,
+                     multi_source_distance, parse_graph, parse_vertex_set, sssp)
 
 
 class TestGraphType:
@@ -193,6 +195,108 @@ class TestExactOracles:
             T = rng.sample(range(n), rng.randint(1, n))
             D = apsp_matrix(g)
             assert exact_st_diameter(g, S, T) == D[np.ix_(sorted(S), sorted(T))].max()
+
+
+def _assert_reductions(g, sources, direction, rows=None):
+    """Check both reductions against Bellman-Ford rows, memoised in ``rows``."""
+    rows = {} if rows is None else rows
+    for s in set(sources) - rows.keys():
+        rows[s] = bellman_ford(g, s, direction)
+    got_ecc = eccentricities(g, sources, direction)
+    got_far = max_distances(g, sources, direction)
+    assert got_ecc == [max(rows[s]) for s in sources]
+    assert got_far == [max(col) for col in zip(*(rows[s] for s in set(sources)))]
+    # Plain ints and math.inf: the JSON renderer and `x == UNREACHABLE` need them.
+    assert all(type(x) is int or x is math.inf for x in got_ecc + got_far)
+
+
+def _messy_graph(rng, n, directed, max_w):
+    """Random graph plus self-loops, parallel arcs and two isolated vertices."""
+    base = random_graph(rng, n, 2 * n, directed, max_w)
+    edges = list(base.edges)
+    edges += [(v, v, 1) for v in rng.sample(range(n), 3)]
+    edges += rng.sample(edges, 5)
+    return Graph(n + 2, edges, directed=directed)
+
+
+class TestBatchedReductions:
+    # Unit weights run 64 sources per bit-parallel pass, so every count
+    # around a word boundary is checked there; other weights run one
+    # search per source through the same entry points.
+    @pytest.mark.parametrize("directed", [True, False])
+    @pytest.mark.parametrize("max_w, counts", [
+        (1, (1, 63, 64, 65, 130)), (0, (1, 65)), (7, (1, 65))],
+        ids=["unit", "zero-one", "weighted"])
+    def test_match_bellman_ford(self, directed, max_w, counts):
+        rng = Random(10 * max_w + directed)
+        # Mostly connected, fragmented, and small enough that 130 sources repeat.
+        for n, m in ((132, 400), (132, 80), (40, 120)):
+            g = random_graph(rng, n, m, directed, max_w)
+            for direction in ("out", "in"):
+                rows = {}
+                for count in counts:
+                    distinct = rng.sample(range(n), min(count, n))
+                    with_repeats = [rng.randrange(n) for _ in range(count)]
+                    _assert_reductions(g, distinct, direction, rows)
+                    _assert_reductions(g, with_repeats, direction, rows)
+
+    @pytest.mark.parametrize("max_w", [1, 0, 7])
+    def test_self_loops_parallel_arcs_isolated_vertices(self, max_w):
+        rng = Random(max_w)
+        for directed in (True, False):
+            g = _messy_graph(rng, 70, directed, max_w)
+            for direction in ("out", "in"):
+                _assert_reductions(g, range(g.n), direction)
+                _assert_reductions(g, [0, 0, 5, 69, 5], direction)
+
+    def test_tiny_graphs(self):
+        assert eccentricities(Graph(0), []) == []
+        with pytest.raises(ValueError):
+            max_distances(Graph(0), [])
+        for g in (Graph(1), Graph(1, [(0, 0, 1)], directed=True)):
+            assert eccentricities(g, [0, 0]) == [0, 0]
+            assert max_distances(g, [0], "in") == [0]
+
+    def test_strongly_connected_finite(self):
+        g = Graph(3, [(0, 1, 1), (1, 2, 1), (2, 0, 1)], directed=True)
+        assert eccentricities(g, [2, 0, 1]) == [2, 2, 2]
+        assert max_distances(g, [0], "out") == [0, 1, 2]
+        assert max_distances(g, [0], "in") == [0, 2, 1]
+
+    def test_unreachable(self):
+        g = Graph(4, [(0, 1, 1), (2, 3, 1)], directed=True)
+        assert eccentricities(g, [0, 3]) == [UNREACHABLE, UNREACHABLE]
+        assert max_distances(g, [0]) == [0, 1, UNREACHABLE, UNREACHABLE]
+        assert max_distances(g, [1, 3], "in") == [UNREACHABLE] * 4
+
+    def test_source_checks(self):
+        g = path_graph(3)
+        for bad in ([3], [-1], [0, 5]):
+            with pytest.raises(ValueError):
+                eccentricities(g, bad)
+            with pytest.raises(ValueError):
+                max_distances(g, bad)
+        with pytest.raises(ValueError):
+            max_distances(g, [])
+        with pytest.raises(ValueError):
+            eccentricities(g, [0], "sideways")
+
+    def test_undirected_shares_one_array_adjacency(self):
+        g = path_graph(70)
+        assert eccentricities(g, range(70), "in") == eccentricities(g, range(70), "out")
+        assert list(g._csr) == ["out"]
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 80), directed=st.booleans(),
+           max_w=st.sampled_from([1, 1, 0, 5]))
+    def test_property_random_graphs(self, data, n, directed, max_w):
+        weight = st.integers(0, 1) if max_w == 0 else st.integers(1, max_w)
+        edges = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                                             weight), max_size=3 * n))
+        sources = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=140))
+        g = Graph(n, edges, directed=directed)
+        for direction in ("out", "in"):
+            _assert_reductions(g, sources, direction)
 
 
 class TestDegree3Blowup:
