@@ -27,8 +27,13 @@ from .search import (eccentricities, eccentricity, is_strongly_connected,
 # "end with |S| <= O(1)" cutoff for the threshold-decay estimator.
 TERMINAL_SIZE = 4
 
-# c in the ceil(c sqrt(n) ln n) and ceil(c ln n) sample sizes; c = 2 gives
-# the standard 1 - 1/n hitting-set success probability.
+# c in the ceil(c sqrt(n) ln n) and ceil(c ln n) sample sizes.  For the
+# sqrt(n) sample, c = 2 hits every ceil(sqrt(n))-sized in-neighborhood with
+# probability at least 1 - 1/n.  That does not carry over to the ceil(2 ln n)
+# phase sample of ecc_2plusdelta: it misses a given half-set with probability
+# about 2^(-2 ln n) = n^(-2 ln 2), so the union bound over the n possible
+# half-sets gives only about n^(1 - 2 ln 2) ~ n^(-0.39) per phase.  Such
+# misses are counted in EccEstimate.sample_misses.
 SAMPLE_C = 2
 
 

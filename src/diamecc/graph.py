@@ -39,7 +39,8 @@ class Graph:
     """
 
     __slots__ = ("n", "directed", "edges", "adj_out", "adj_in",
-                 "max_weight", "unit_weights", "zero_one_weights", "_csr")
+                 "max_weight", "unit_weights", "zero_one_weights",
+                 "positive_weights", "_csr")
 
     def __init__(self, n: int, edges=(), directed: bool = False):
         if n < 0:
@@ -52,6 +53,7 @@ class Graph:
         max_w = 0
         unit = True
         zero_one = True
+        positive = True
         for u, v, w in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
@@ -70,6 +72,8 @@ class Graph:
                 unit = False
             if w > 1:
                 zero_one = False
+            if w == 0:
+                positive = False
         if n > 1 and (n - 1) * max_w + 1 >= _WEIGHT_BUDGET:
             raise ValueError("weights too large: (n-1)*max_weight must fit 63 bits")
         self.edges = canon
@@ -78,6 +82,7 @@ class Graph:
         self.max_weight = max_w
         self.unit_weights = unit
         self.zero_one_weights = zero_one
+        self.positive_weights = positive
         self._csr = {}
 
     @property

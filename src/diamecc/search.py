@@ -2,23 +2,41 @@
 
 Which kernel runs follows the weight class of the graph:
 
-* single and multi-source searches (sssp, multi_source_distance and
-  everything built on them): plain BFS when every weight is 1, a
-  deque-based 0/1 search when weights are 0 or 1 (the blow-up gadget needs
-  0-weight edges without a heap), and binary-heap Dijkstra otherwise.
-  These walk the Python adjacency lists, one arc at a time.
+* single and multi-source searches (sssp, multi_source_distance,
+  k_closest and everything built on them, the S-T sweeps included): plain
+  BFS when every weight is 1, a deque-based 0/1 search when weights are 0
+  or 1 (the blow-up gadget needs 0-weight edges without a heap), and
+  binary-heap Dijkstra otherwise.  These walk the Python adjacency lists,
+  one arc at a time.
 * many independent searches (eccentricities, max_distances, and through
-  them the exact oracles and the estimators' probe loops): on unit
-  weights, a bit-parallel BFS runs up to 64 sources in one
-  level-synchronous pass over int64 CSR arrays, with bit i of a uint64
-  word per vertex standing for source i.  A pass costs the arcs of its
-  frontiers, in numpy, plus a fixed numpy overhead per distance level, so
-  each vertex's arcs are scanned once per level at which some new source
-  reaches it, not once per source.  Deep graphs with small levels (paths,
-  long cycles, small sparse graphs) are the slow case: there the per-level
-  overhead dominates, and a pass can take about twice as long as 64
-  list-based BFS runs.  Other weight classes run one search per source
-  through the kernels above.
+  them the exact oracles and the estimators' probe loops): a bit-parallel
+  bucket ring (Dial's bucket queue, one bit per source in a uint64 word
+  per vertex) runs up to 64 sources per pass over int64 CSR arrays.  Unit
+  weights use 2 slots and every arc goes to the next one, which is a
+  level-synchronous BFS with no weight gather; 0/1 weights add a closure
+  over the 0-weight arcs inside each slot; weights up to W use W + 1
+  slots.  A pass costs the arcs of its frontiers, in numpy, plus a fixed
+  numpy overhead, about what a list search spends on 64 arcs, per
+  distance that something settles at.
+
+The ring rule: a batch of k sources runs in the ring only while W is
+small next to n + m, and otherwise as k list searches.
+
+* memory: the ring takes (W + 1) n words, so it needs
+  (W + 1) n <= 16 (n + m), 128 bytes per vertex and edge, less than the
+  graph's adjacency lists take.  Weights up to 10**6 fail this, and so do
+  the pendant gadgets of stdiam.st_via_diameter (pendant weight about 2 n
+  times the largest weight).
+* time: a shallow graph settles at about 8 W distinct distances, against
+  k (n + m) arc scans for the list searches, so the ring needs
+  512 W <= k (n + m).  Small batches on small graphs (n + m of a few
+  hundred, about 10 sources) fail this; there a pass took two to three
+  times as long as the list searches.
+
+Deep graphs (paths, long cycles) are the slow case that the rule does not
+see: they settle at many distances with few vertices each.  On a directed
+320-cycle with weights 1..10, a pass of 64 sources takes about three times
+as long as 64 list searches, and one of 10 sources about 19 times.
 
 All tie-breaking is by (distance, vertex id) ascending, so every operation
 here is deterministic.
@@ -36,6 +54,11 @@ from .graph import UNREACHABLE, DistanceArray, Graph, Neighborhood
 
 # Sources per batched search: one bit each in a uint64 word per vertex.
 _WORD = np.iinfo(np.uint64).bits
+
+# The ring rule (see the module docstring): ring words allowed per vertex
+# and edge, and the per-source arc scans a batch needs per unit of W.
+_RING_WORDS_PER_ITEM = 16
+_RING_WORK_PER_WEIGHT = 512
 
 
 def _bfs(adj, n, sources):
@@ -104,9 +127,20 @@ def _distances(g: Graph, sources, direction: str):
     return _dijkstra(adj, g.n, sources)
 
 
-def _csr(g: Graph, direction: str):
-    """(indptr, degree, heads) int64 arrays of one adjacency, built on first use.
+def _csr_part(n: int, degree, targets):
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(degree, out=indptr[1:])
+    return indptr, degree, targets
 
+
+def _csr(g: Graph, direction: str):
+    """Array adjacency of one direction for the ring search, built on first use.
+
+    Returns ``(positive, zero)``: (indptr, degree, targets) int64 arrays
+    over the positive arcs, and the same over the 0-weight arcs (None
+    when there are none).  A positive arc u -> v of weight w has target
+    (w - 1) n + v, the offset of v's word w - 1 ring slots past the next
+    one; on unit weights that is v.  A 0-weight arc has target v.
     Undirected graphs keep one copy for both directions, since their
     reverse adjacency equals the forward one.
     """
@@ -114,41 +148,111 @@ def _csr(g: Graph, direction: str):
     key = direction if g.directed else "out"
     csr = g._csr.get(key)
     if csr is None:
-        degree = np.fromiter(map(len, adj), dtype=np.int64, count=g.n)
-        indptr = np.zeros(g.n + 1, dtype=np.int64)
-        np.cumsum(degree, out=indptr[1:])
-        heads = np.fromiter((v for row in adj for v, _ in row), dtype=np.int64,
-                            count=int(indptr[-1]))
-        csr = g._csr[key] = (indptr, degree, heads)
+        n = g.n
+        degree = np.fromiter(map(len, adj), dtype=np.int64, count=n)
+        count = int(degree.sum())
+        heads = np.fromiter((v for row in adj for v, _ in row), dtype=np.int64, count=count)
+        if g.unit_weights:
+            csr = (_csr_part(n, degree, heads), None)
+        else:
+            weights = np.fromiter((w for row in adj for _, w in row), dtype=np.int64,
+                                  count=count)
+            owner = np.arange(n).repeat(degree)
+            pos, zero = weights > 0, weights == 0
+            csr = (_csr_part(n, np.bincount(owner[pos], minlength=n),
+                             (weights[pos] - 1) * n + heads[pos]),
+                   None if g.positive_weights else
+                   _csr_part(n, np.bincount(owner[zero], minlength=n), heads[zero]))
+        g._csr[key] = csr
     return csr
 
 
-def _bfs_bits(g: Graph, sources, direction: str):
-    """Level-synchronous BFS from up to 64 sources at once (unit weights).
+def _arcs(indptr, degree, frontier):
+    """Indices of the arcs leaving a nonempty ``frontier``, and each vertex's arc count."""
+    counts = degree[frontier]
+    ends = counts.cumsum()
+    arcs = np.arange(ends[-1])
+    arcs += (indptr[frontier] - ends + counts).repeat(counts)
+    return arcs, counts
+
+
+def _all_bits(n: int):
+    return np.full(n, np.iinfo(np.uint64).max, dtype=np.uint64)
+
+
+def _use_ring(g: Graph, count: int) -> bool:
+    """The ring rule: W must be small next to n + m, for memory and for time."""
+    items = g.n + g.m
+    width = _ring_width(g)
+    return ((width + 1) * g.n <= _RING_WORDS_PER_ITEM * items
+            and width * _RING_WORK_PER_WEIGHT <= count * items)
+
+
+def _ring_width(g: Graph) -> int:
+    return 1 if g.unit_weights else g.max_weight
+
+
+def _ring_bits(g: Graph, sources, direction: str, unseen):
+    """Bit-parallel Dial search from up to 64 sources at once.
 
     Bit i of a vertex's uint64 word stands for ``sources[i]``, so each arc
-    scan advances every search.  For d = 0, 1, ... yields the vertices that
-    some source first reaches at distance d, and the bits that do so.
+    scan advances every search.  Slot d mod (W + 1) of a ring of n-word
+    slots holds the (vertex, bit) pairs at tentative distance d, W being
+    the largest arc weight (1 on unit weights).  Settling slot d masks out
+    the bits seen before, closes the 0-weight arcs inside it, and ORs
+    every positive arc's bits into slot (d + w) mod (W + 1).  For each
+    distance d that something settles at, in increasing order, yields
+    (d, vertices, bits): the vertices some source first reaches at d, and
+    the bits that do so.  ``unseen`` (n words, all ones on entry) loses
+    each bit at the vertices it reaches.
     """
-    indptr, degree, heads = _csr(g, direction)
-    reached = np.zeros(g.n, dtype=np.uint64)
-    np.bitwise_or.at(reached, np.asarray(sources, dtype=np.int64),
+    (indptr, degree, targets), zero = _csr(g, direction)
+    n = g.n
+    width = _ring_width(g) + 1
+    ring = np.zeros((width, n), dtype=np.uint64)
+    flat = ring.reshape(-1)
+    np.bitwise_or.at(ring[0], np.asarray(sources, dtype=np.int64),
                      np.left_shift(np.uint64(1), np.arange(len(sources), dtype=np.uint64)))
-    unseen = ~reached
+    d = last = 0  # last: the largest tentative distance in the ring
+    while d <= last:
+        # Bits left in a slot after it settles are seen, so the mask below
+        # drops them when the ring comes round again.
+        slot = ring[d % width]
+        slot &= unseen
+        unseen ^= slot
+        if zero is not None:
+            _zero_closure(zero, slot, unseen)
+        frontier = (slot != 0).nonzero()[0]
+        if frontier.size:
+            bits = slot[frontier]
+            yield d, frontier, bits
+            arcs, counts = _arcs(indptr, degree, frontier)
+            if arcs.size:
+                last = d + width - 1
+                heads = targets[arcs]
+                if width == 2:
+                    np.bitwise_or.at(ring[(d + 1) % 2], heads, bits.repeat(counts))
+                else:
+                    heads += (d + 1) % width * n
+                    heads %= flat.size
+                    np.bitwise_or.at(flat, heads, bits.repeat(counts))
+        d += 1
+
+
+def _zero_closure(zero, level, unseen):
+    """OR into ``level`` the unseen bits that 0-weight arcs carry on from it."""
+    indptr, degree, heads = zero
+    new = level
     while True:
-        frontier = (reached != 0).nonzero()[0]
+        frontier = (new != 0).nonzero()[0]
         if not frontier.size:
             return
-        bits = reached[frontier]
-        yield frontier, bits
-        counts = degree[frontier]
-        ends = counts.cumsum()
-        arcs = np.arange(ends[-1])
-        arcs += (indptr[frontier] - ends + counts).repeat(counts)
-        reached = np.zeros(g.n, dtype=np.uint64)
-        np.bitwise_or.at(reached, heads[arcs], bits.repeat(counts))
-        reached &= unseen
-        unseen ^= reached
+        arcs, counts = _arcs(indptr, degree, frontier)
+        new = np.zeros(level.size, dtype=np.uint64)
+        np.bitwise_or.at(new, heads[arcs], level[frontier].repeat(counts))
+        new &= unseen
+        unseen ^= new
+        level |= new
 
 
 def _source_set(g: Graph, sources) -> list:
@@ -170,20 +274,20 @@ def eccentricities(g: Graph, sources, direction: str = "out") -> list:
     srcs = list(sources)
     if srcs and (min(srcs) < 0 or max(srcs) >= g.n):
         raise ValueError("source id out of range")
-    if not g.unit_weights:
+    if not _use_ring(g, len(srcs)):
         return [max(_distances(g, (s,), direction)) for s in srcs]
     out = []
     for lo in range(0, len(srcs), _WORD):
         batch = srcs[lo:lo + _WORD]
-        seen = np.zeros(g.n, dtype=np.uint64)
-        words = []  # words[d]: the bits that reach some vertex first at d
-        for frontier, bits in _bfs_bits(g, batch, direction):
-            seen[frontier] |= bits
-            words.append(int(np.bitwise_or.reduce(bits)))
+        unseen = _all_bits(g.n)
+        # (d, the bits that reach some vertex first at d)
+        levels = [(d, int(np.bitwise_or.reduce(bits)))
+                  for d, _, bits in _ring_bits(g, batch, direction, unseen)]
         ecc = [UNREACHABLE] * len(batch)
-        todo = int(np.bitwise_and.reduce(seen))  # sources that reach every vertex
-        for d in range(len(words) - 1, -1, -1):
-            hit = words[d] & todo
+        # The sources that reach every vertex.
+        todo = ~int(np.bitwise_or.reduce(unseen)) & ((1 << len(batch)) - 1)
+        for d, word in reversed(levels):
+            hit = word & todo
             todo ^= hit
             while hit:
                 ecc[(hit & -hit).bit_length() - 1] = d
@@ -198,7 +302,7 @@ def max_distances(g: Graph, sources, direction: str = "out") -> list:
     An entry is UNREACHABLE when some source and v are not connected that way.
     """
     srcs = _source_set(g, sources)
-    if not g.unit_weights:
+    if not _use_ring(g, len(srcs)):
         far = [0] * g.n
         for s in srcs:
             far = list(map(max, far, _distances(g, (s,), direction)))
@@ -207,13 +311,12 @@ def max_distances(g: Graph, sources, direction: str = "out") -> list:
     missed = np.zeros(g.n, dtype=bool)
     for lo in range(0, len(srcs), _WORD):
         batch = srcs[lo:lo + _WORD]
-        seen = np.zeros(g.n, dtype=np.uint64)
-        last = np.zeros(g.n, dtype=np.int64)  # the level that last reached v
-        for d, (frontier, bits) in enumerate(_bfs_bits(g, batch, direction)):
-            seen[frontier] |= bits
+        unseen = _all_bits(g.n)
+        last = np.zeros(g.n, dtype=np.int64)  # the distance that last reached v
+        for d, frontier, _ in _ring_bits(g, batch, direction, unseen):
             last[frontier] = d
         np.maximum(far, last, out=far)
-        missed |= seen != np.uint64((1 << len(batch)) - 1)
+        missed |= (unseen & np.uint64((1 << len(batch)) - 1)) != 0
     return [UNREACHABLE if m else d for d, m in zip(far.tolist(), missed.tolist())]
 
 
@@ -264,11 +367,13 @@ def k_closest(g: Graph, v: int, s: int, direction: str = "out") -> Neighborhood:
       levels until they hold s vertices, sorts each level by id and cuts
       the last one to fit.  It scans the arcs of every level before the
       last one and never those of the last level.
-    * any other weights (including 0-weight edges): a heap search that
-      settles vertices in nondecreasing distance and stops once the s-th
-      closest vertex's distance level is exhausted.  It scans the arcs of
-      every settled vertex, the whole last level included, which keeps
-      the (distance, id) order exact even with 0-weight edges.
+    * other positive weights: a heap search that stops at the s-th pop.
+      Every vertex at distance d is pushed at d before the first pop at
+      d, so the pops come in exact (distance, id) order.  It scans the
+      arcs of the first s - 1 vertices.
+    * with 0-weight edges: the same heap search, but a vertex at distance
+      d can then be pushed by another one popped at d, so it settles the
+      whole level of the s-th closest vertex, scans its arcs, and sorts.
     """
     if not 1 <= s <= g.n:
         raise ValueError(f"s must be in [1, {g.n}], got {s}")
@@ -288,6 +393,8 @@ def k_closest(g: Graph, v: int, s: int, direction: str = "out") -> Neighborhood:
         if len(settled) >= s and d > last_level:
             break
         settled[u] = d
+        if len(settled) == s and g.positive_weights:
+            break
         last_level = d
         for x, w in adj[u]:
             nd = d + w

@@ -8,6 +8,7 @@ package's search code is checked against independent implementations.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from random import Random
 
 from diamecc import Graph
@@ -75,25 +76,41 @@ def star_graph(n_leaves: int) -> Graph:
     return Graph(n_leaves + 1, [(0, i, 1) for i in range(1, n_leaves + 1)])
 
 
-def bellman_ford(g: Graph, source: int, direction: str = "out") -> list:
-    """Quadratic relaxation oracle, independent of the package's searches."""
-    arcs = []
+@lru_cache(maxsize=4)
+def _arc_lists(g: Graph, direction: str) -> list:
+    """Per-vertex (head, weight) lists built from ``g.edges`` alone."""
+    arcs = [[] for _ in range(g.n)]
     for u, v, w in g.edges:
-        arcs.append((u, v, w))
+        if direction == "in":
+            u, v = v, u
+        arcs[u].append((v, w))
         if not g.directed:
-            arcs.append((v, u, w))
-    if direction == "in":
-        arcs = [(v, u, w) for u, v, w in arcs]
+            arcs[v].append((u, w))
+    return arcs
+
+
+def bellman_ford(g: Graph, source: int, direction: str = "out") -> list:
+    """Relaxation oracle, independent of the package's searches.
+
+    Bellman-Ford in rounds over arc lists built from ``g.edges``; each
+    round relaxes only the arcs of the vertices whose distance dropped in
+    the round before, so it stops after at most n - 1 rounds.
+    """
+    arcs = _arc_lists(g, direction)
     dist = [math.inf] * g.n
     dist[source] = 0
+    changed = {source}
     for _ in range(max(g.n - 1, 0)):
-        changed = False
-        for u, v, w in arcs:
-            if dist[u] + w < dist[v]:
-                dist[v] = dist[u] + w
-                changed = True
-        if not changed:
+        dropped = set()
+        for u in changed:
+            du = dist[u]
+            for v, w in arcs[u]:
+                if du + w < dist[v]:
+                    dist[v] = du + w
+                    dropped.add(v)
+        if not dropped:
             break
+        changed = dropped
     return dist
 
 

@@ -7,9 +7,10 @@ from random import Random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import bellman_ford, complete_graph, path_graph, random_graph, star_graph
+from diamecc import search
 from diamecc import (UNREACHABLE, Graph, GraphFormatError, apsp_matrix,
                      degree3_blowup, eccentricities, exact_eccentricities,
                      exact_st_diameter, format_graph, k_closest, max_distances,
@@ -28,6 +29,14 @@ class TestGraphType:
         g = Graph(3, [(0, 1, 4), (1, 2, 1)])
         assert (0, 4) in g.adj_out[1] and (2, 1) in g.adj_out[1]
         assert g.adj_out == g.adj_in
+
+    def test_weight_classes(self):
+        assert Graph(3, [(0, 1, 1), (1, 2, 1)]).unit_weights
+        zero_one = Graph(3, [(0, 1, 0), (1, 2, 1)])
+        assert zero_one.zero_one_weights and not zero_one.positive_weights
+        heavy = Graph(3, [(0, 1, 4), (1, 2, 1)])
+        assert heavy.positive_weights and not heavy.zero_one_weights
+        assert Graph(2).positive_weights and Graph(2).max_weight == 0
 
     def test_rejects_bad_edges(self):
         with pytest.raises(ValueError):
@@ -154,6 +163,30 @@ class TestKClosest:
                         got = k_closest(g, v, s, direction).items
                         assert got == [(u, d) for d, u in full], (g, v, s, direction)
 
+    def test_heap_path_on_distance_ties(self):
+        # Few distinct weights put many vertices at one distance, so the
+        # s-th closest vertex often sits inside a level.  Positive weights
+        # stop at the s-th pop; 0-weight edges settle the whole level.
+        rng = Random(15)
+        side = 6
+        grid = [(r * side + c, r * side + c + 1, 3) for r in range(side) for c in range(side - 1)]
+        grid += [(r * side + c, (r + 1) * side + c, 3) for r in range(side - 1) for c in range(side)]
+        graphs = [Graph(side * side, grid), Graph(side * side, grid, directed=True)]
+        for choices in ((2, 4), (3,), (0, 2), (0, 1, 2)) * 3:
+            n = rng.randint(5, 40)
+            graphs.append(Graph(n, [(rng.randrange(n), rng.randrange(n), rng.choice(choices))
+                                    for _ in range(rng.randint(n, 3 * n))],
+                                directed=rng.random() < 0.5))
+        for g in graphs:
+            assert not g.unit_weights
+            for v in range(0, g.n, 4):
+                for direction in ("out", "in"):
+                    order = sorted((d, u) for u, d in enumerate(bellman_ford(g, v, direction))
+                                   if d != UNREACHABLE)
+                    for s in range(1, g.n + 1):
+                        got = k_closest(g, v, s, direction).items
+                        assert got == [(u, d) for d, u in order[:s]], (g, v, s, direction)
+
     def test_zero_weight_ties_respect_id_order(self):
         # 0-weight edges put several vertices at the same distance; the
         # neighborhood must still come back in (distance, id) order.
@@ -210,6 +243,13 @@ def _assert_reductions(g, sources, direction, rows=None):
     assert all(type(x) is int or x is math.inf for x in got_ecc + got_far)
 
 
+def _graph_in(rng, n, m, directed, weights):
+    """Random graph with m arcs (self-loops allowed), weights uniform in [lo, hi]."""
+    lo, hi = weights
+    return Graph(n, [(rng.randrange(n), rng.randrange(n), rng.randint(lo, hi))
+                     for _ in range(m)], directed=directed)
+
+
 def _messy_graph(rng, n, directed, max_w):
     """Random graph plus self-loops, parallel arcs and two isolated vertices."""
     base = random_graph(rng, n, 2 * n, directed, max_w)
@@ -220,21 +260,26 @@ def _messy_graph(rng, n, directed, max_w):
 
 
 class TestBatchedReductions:
-    # Unit weights run 64 sources per bit-parallel pass, so every count
-    # around a word boundary is checked there; other weights run one
-    # search per source through the same entry points.
+    # Every weight class runs 64 sources per pass of the bucket ring, so
+    # each is checked at the counts around a word boundary.  The ring rule
+    # sends small batches on small graphs to the list searches; here it
+    # keeps only its memory bound, so the ring runs wherever it fits.
+    @pytest.fixture(autouse=True)
+    def ring_whenever_it_fits(self, monkeypatch):
+        monkeypatch.setattr(search, "_RING_WORK_PER_WEIGHT", 0)
+
     @pytest.mark.parametrize("directed", [True, False])
-    @pytest.mark.parametrize("max_w, counts", [
-        (1, (1, 63, 64, 65, 130)), (0, (1, 65)), (7, (1, 65))],
-        ids=["unit", "zero-one", "weighted"])
-    def test_match_bellman_ford(self, directed, max_w, counts):
-        rng = Random(10 * max_w + directed)
+    @pytest.mark.parametrize("weights", [(1, 1), (0, 1), (1, 7), (0, 8)],
+                             ids=["unit", "zero-one", "weighted", "zero-to-8"])
+    def test_match_bellman_ford(self, directed, weights):
+        rng = Random(10 * weights[1] + weights[0] + directed)
         # Mostly connected, fragmented, and small enough that 130 sources repeat.
         for n, m in ((132, 400), (132, 80), (40, 120)):
-            g = random_graph(rng, n, m, directed, max_w)
+            g = _graph_in(rng, n, m, directed, weights)
+            assert search._use_ring(g, 1)
             for direction in ("out", "in"):
                 rows = {}
-                for count in counts:
+                for count in (1, 63, 64, 65, 130):
                     distinct = rng.sample(range(n), min(count, n))
                     with_repeats = [rng.randrange(n) for _ in range(count)]
                     _assert_reductions(g, distinct, direction, rows)
@@ -248,6 +293,46 @@ class TestBatchedReductions:
             for direction in ("out", "in"):
                 _assert_reductions(g, range(g.n), direction)
                 _assert_reductions(g, [0, 0, 5, 69, 5], direction)
+
+    def test_zero_weight_cycles(self):
+        # The blow-up turns every vertex of degree >= 3 into a 0-weight
+        # cycle; a directed graph gets 0-weight cycles through several
+        # vertices, reached at several distances.
+        rng = Random(12)
+        blown, _ = degree3_blowup(random_graph(rng, 30, 90, directed=False, max_w=3))
+        ring = [(i, (i + 1) % 6, 0) for i in range(6)]
+        chords = [(rng.randrange(40), rng.randrange(40), rng.randint(0, 4)) for _ in range(90)]
+        directed = Graph(40, ring + [(5, 0, 0)] + chords, directed=True)
+        for g in (blown, directed):
+            assert not g.positive_weights
+            for direction in ("out", "in"):
+                rows = {}
+                _assert_reductions(g, range(g.n), direction, rows)
+                _assert_reductions(g, [0, 3, 3, g.n - 1], direction, rows)
+
+    def test_all_zero_weights(self):
+        # One ring slot: every reachable vertex settles at distance 0.
+        rng = Random(13)
+        for directed in (True, False):
+            g = _graph_in(rng, 70, 90, directed, (0, 0))
+            assert g.max_weight == 0
+            for direction in ("out", "in"):
+                _assert_reductions(g, range(g.n), direction)
+        g = Graph(3, [(0, 1, 0), (1, 2, 0)], directed=True)
+        assert eccentricities(g, [0, 2]) == [0, UNREACHABLE]
+        assert max_distances(g, [0], "out") == [0, 0, 0]
+
+    def test_weights_above_the_ring_bound(self):
+        # A ring of 10**6 slots would dwarf the graph, so these run one
+        # search per source; the answers must not change.
+        rng = Random(14)
+        for directed in (True, False):
+            g = _graph_in(rng, 90, 270, directed, (0, 10**6))
+            assert not search._use_ring(g, g.n)
+            for direction in ("out", "in"):
+                rows = {}
+                _assert_reductions(g, range(g.n), direction, rows)
+                _assert_reductions(g, [7, 7, 1], direction, rows)
 
     def test_tiny_graphs(self):
         assert eccentricities(Graph(0), []) == []
@@ -286,17 +371,44 @@ class TestBatchedReductions:
         assert eccentricities(g, range(70), "in") == eccentricities(g, range(70), "out")
         assert list(g._csr) == ["out"]
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data(), n=st.integers(1, 80), directed=st.booleans(),
-           max_w=st.sampled_from([1, 1, 0, 5]))
-    def test_property_random_graphs(self, data, n, directed, max_w):
-        weight = st.integers(0, 1) if max_w == 0 else st.integers(1, max_w)
+           weights=st.sampled_from([(1, 1), (1, 1), (0, 1), (1, 5), (0, 8)]))
+    def test_property_random_graphs(self, data, n, directed, weights):
         edges = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
-                                             weight), max_size=3 * n))
+                                             st.integers(*weights)), max_size=3 * n))
         sources = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=140))
         g = Graph(n, edges, directed=directed)
         for direction in ("out", "in"):
             _assert_reductions(g, sources, direction)
+
+
+class TestRingRule:
+    def test_memory_and_time_bounds(self):
+        rng = Random(16)
+        # Weights 1..8 at m = 5n: the ring fits, and pays off from 1 source.
+        sparse = _graph_in(rng, 700, 3500, True, (1, 8))
+        assert search._use_ring(sparse, 1)
+        # Weights up to 10**6 would need a ring of about 10**6 n words.
+        assert not search._use_ring(_graph_in(rng, 700, 3500, True, (1, 10**6)), 700)
+        # About 10 sources on a graph of a few hundred vertices and edges:
+        # a pass would cost more than the list searches.
+        small = _graph_in(rng, 80, 160, True, (1, 10))
+        assert not search._use_ring(small, 10) and search._use_ring(small, 64)
+        assert not search._use_ring(path_graph(20), 1) and search._use_ring(path_graph(20), 20)
+        # All weights 0: one slot, which always runs.
+        assert search._use_ring(_graph_in(rng, 20, 10, True, (0, 0)), 1)
+
+    def test_both_sides_agree(self, monkeypatch):
+        rng = Random(17)
+        g = _graph_in(rng, 60, 150, True, (0, 9))
+        sources = rng.sample(range(60), 12)
+        per_source = [eccentricities(g, sources, "out"), max_distances(g, sources, "in")]
+        assert not search._use_ring(g, len(sources))
+        monkeypatch.setattr(search, "_RING_WORK_PER_WEIGHT", 0)
+        assert search._use_ring(g, len(sources))
+        assert [eccentricities(g, sources, "out"), max_distances(g, sources, "in")] == per_source
 
 
 class TestDegree3Blowup:
