@@ -36,6 +36,8 @@ class Graph:
     which also makes every operation safe to call concurrently.  The one
     exception is ``_csr``, a cache of array adjacency that the batched
     searches fill on first use; filling it twice gives the same arrays.
+    It also keeps the depth the ring rule measured, which picks a kernel
+    but never changes a result.
     """
 
     __slots__ = ("n", "directed", "edges", "adj_out", "adj_in",

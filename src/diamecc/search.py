@@ -15,28 +15,36 @@ Which kernel runs follows the weight class of the graph:
   weights use 2 slots and every arc goes to the next one, which is a
   level-synchronous BFS with no weight gather; 0/1 weights add a closure
   over the 0-weight arcs inside each slot; weights up to W use W + 1
-  slots.  A pass costs the arcs of its frontiers, in numpy, plus a fixed
-  numpy overhead, about what a list search spends on 64 arcs, per
-  distance that something settles at.
+  slots.  A pass steps through every distance up to the batch's largest
+  one plus W.  Each step costs the arcs of its frontier, in numpy, plus a
+  fixed numpy overhead of about what a list search spends on 64 vertices
+  and arcs, however few vertices settle there.
 
-The ring rule: a batch of k sources runs in the ring only while W is
-small next to n + m, and otherwise as k list searches.
+The ring rule decides, for a call with k sources, which of them run in
+the ring; the others run one list search each.
 
-* memory: the ring takes (W + 1) n words, so it needs
+* memory: the ring takes (W + 1) n words, so nothing runs in it unless
   (W + 1) n <= 16 (n + m), 128 bytes per vertex and edge, less than the
-  graph's adjacency lists take.  Weights up to 10**6 fail this, and so do
-  the pendant gadgets of stdiam.st_via_diameter (pendant weight about 2 n
-  times the largest weight).
-* time: a shallow graph settles at about 8 W distinct distances, against
-  k (n + m) arc scans for the list searches, so the ring needs
-  512 W <= k (n + m).  Small batches on small graphs (n + m of a few
-  hundred, about 10 sources) fail this; there a pass took two to three
-  times as long as the list searches.
+  graph's adjacency lists take.  Unit and 0/1 weights always pass.
+  Weights up to 10**6 fail, and so do the pendant gadgets of
+  stdiam.st_via_diameter (pendant weight about 2 n times the largest
+  weight).
+* depth, on every weight class but unit weights: the first call on a
+  graph in a direction runs its first source as a list search, and that
+  search's largest finite distance D shows how deep the graph is; later
+  calls reuse D.  The k' sources left (k - 1 on that first call, k after)
+  run in the ring only when 64 (D + W + 1) ceil(k' / 64) <= k' (n + m):
+  each pass takes about D + W + 1 steps, against k' (n + m) scans for the
+  list searches.
+  On a directed 320-cycle with weights 1..10, a step took about 12 us and
+  a Dijkstra about 0.18 us per vertex or arc, and the ring took 19 times
+  as long as 10 list searches and 3 times as long as 64; the rule sends
+  both to the list searches.
 
-Deep graphs (paths, long cycles) are the slow case that the rule does not
-see: they settle at many distances with few vertices each.  On a directed
-320-cycle with weights 1..10, a pass of 64 sources takes about three times
-as long as 64 list searches, and one of 10 sources about 19 times.
+What stays slow on deep graphs: unit weights skip the probe and always
+run in the ring, so a long path or cycle pays one step per level; and D
+comes from one source, so a directed graph whose probe source reaches
+only a shallow part can still let a deep batch into the ring.
 
 All tie-breaking is by (distance, vertex id) ascending, so every operation
 here is deterministic.
@@ -56,9 +64,9 @@ from .graph import UNREACHABLE, DistanceArray, Graph, Neighborhood
 _WORD = np.iinfo(np.uint64).bits
 
 # The ring rule (see the module docstring): ring words allowed per vertex
-# and edge, and the per-source arc scans a batch needs per unit of W.
+# and edge, and a ring step's fixed cost in list-search vertex and arc scans.
 _RING_WORDS_PER_ITEM = 16
-_RING_WORK_PER_WEIGHT = 512
+_STEP_COST = 64
 
 
 def _bfs(adj, n, sources):
@@ -180,12 +188,43 @@ def _all_bits(n: int):
     return np.full(n, np.iinfo(np.uint64).max, dtype=np.uint64)
 
 
-def _use_ring(g: Graph, count: int) -> bool:
-    """The ring rule: W must be small next to n + m, for memory and for time."""
-    items = g.n + g.m
-    width = _ring_width(g)
-    return ((width + 1) * g.n <= _RING_WORDS_PER_ITEM * items
-            and width * _RING_WORK_PER_WEIGHT <= count * items)
+def _use_ring(g: Graph) -> bool:
+    """The memory half of the ring rule: W + 1 slots of n words must fit next to the graph."""
+    return (_ring_width(g) + 1) * g.n <= _RING_WORDS_PER_ITEM * (g.n + g.m)
+
+
+def _ring_rule(g: Graph, srcs: list, direction: str):
+    """The ring rule (see the module docstring) for a nonempty source list.
+
+    Returns (ring, rows): ``rows`` holds the list-search distance rows run
+    to decide, one per source from the start of ``srcs``, and ``ring``
+    says whether the sources after them run in the ring or as list
+    searches.
+    """
+    if not _use_ring(g):
+        return False, []
+    if g.unit_weights:
+        return True, []
+    depth, rows = _depth(g, srcs[0], direction)
+    left = len(srcs) - len(rows)
+    steps = (depth + g.max_weight + 1) * -(-left // _WORD)
+    return left > 0 and _STEP_COST * steps <= left * (g.n + g.m), rows
+
+
+def _depth(g: Graph, source: int, direction: str):
+    """The ring rule's depth probe: (D, rows), D kept per graph and direction.
+
+    The first call runs one list search from ``source`` and returns its
+    row; later calls reuse its D and return no rows.  D only picks a
+    kernel, so which source measured it never changes a result.
+    """
+    key = ("depth", direction if g.directed else "out")
+    depth = g._csr.get(key)
+    if depth is not None:
+        return depth, []
+    row = _distances(g, (source,), direction)
+    depth = g._csr[key] = max((d for d in row if d != UNREACHABLE), default=0)
+    return depth, [row]
 
 
 def _ring_width(g: Graph) -> int:
@@ -230,12 +269,9 @@ def _ring_bits(g: Graph, sources, direction: str, unseen):
             if arcs.size:
                 last = d + width - 1
                 heads = targets[arcs]
-                if width == 2:
-                    np.bitwise_or.at(ring[(d + 1) % 2], heads, bits.repeat(counts))
-                else:
-                    heads += (d + 1) % width * n
-                    heads %= flat.size
-                    np.bitwise_or.at(flat, heads, bits.repeat(counts))
+                heads += (d + 1) % width * n
+                heads %= flat.size
+                np.bitwise_or.at(flat, heads, bits.repeat(counts))
         d += 1
 
 
@@ -272,13 +308,17 @@ def eccentricities(g: Graph, sources, direction: str = "out") -> list:
     ("in"), and UNREACHABLE when some v is unreachable.
     """
     srcs = list(sources)
-    if srcs and (min(srcs) < 0 or max(srcs) >= g.n):
+    if not srcs:
+        return []
+    if min(srcs) < 0 or max(srcs) >= g.n:
         raise ValueError("source id out of range")
-    if not _use_ring(g, len(srcs)):
-        return [max(_distances(g, (s,), direction)) for s in srcs]
-    out = []
-    for lo in range(0, len(srcs), _WORD):
-        batch = srcs[lo:lo + _WORD]
+    ring, rows = _ring_rule(g, srcs, direction)
+    out = [max(row) for row in rows]
+    rest = srcs[len(rows):]
+    if not ring:
+        return out + [max(_distances(g, (s,), direction)) for s in rest]
+    for lo in range(0, len(rest), _WORD):
+        batch = rest[lo:lo + _WORD]
         unseen = _all_bits(g.n)
         # (d, the bits that reach some vertex first at d)
         levels = [(d, int(np.bitwise_or.reduce(bits)))
@@ -302,22 +342,25 @@ def max_distances(g: Graph, sources, direction: str = "out") -> list:
     An entry is UNREACHABLE when some source and v are not connected that way.
     """
     srcs = _source_set(g, sources)
-    if not _use_ring(g, len(srcs)):
-        far = [0] * g.n
-        for s in srcs:
+    ring, rows = _ring_rule(g, srcs, direction)
+    far = rows[0] if rows else [0] * g.n
+    rest = srcs[len(rows):]
+    if not ring:
+        for s in rest:
             far = list(map(max, far, _distances(g, (s,), direction)))
         return far
-    far = np.zeros(g.n, dtype=np.int64)
+    ring_far = np.zeros(g.n, dtype=np.int64)
     missed = np.zeros(g.n, dtype=bool)
-    for lo in range(0, len(srcs), _WORD):
-        batch = srcs[lo:lo + _WORD]
+    for lo in range(0, len(rest), _WORD):
+        batch = rest[lo:lo + _WORD]
         unseen = _all_bits(g.n)
         last = np.zeros(g.n, dtype=np.int64)  # the distance that last reached v
         for d, frontier, _ in _ring_bits(g, batch, direction, unseen):
             last[frontier] = d
-        np.maximum(far, last, out=far)
+        np.maximum(ring_far, last, out=ring_far)
         missed |= (unseen & np.uint64((1 << len(batch)) - 1)) != 0
-    return [UNREACHABLE if m else d for d, m in zip(far.tolist(), missed.tolist())]
+    return [UNREACHABLE if m else max(d, f)
+            for d, m, f in zip(ring_far.tolist(), missed.tolist(), far)]
 
 
 def sssp(g: Graph, source: int, direction: str = "out") -> DistanceArray:

@@ -14,14 +14,22 @@ from random import Random
 from diamecc import Graph
 
 
-def random_graph(rng: Random, n: int, m: int, directed: bool, max_w: int = 1) -> Graph:
-    """Arbitrary (possibly disconnected) graph with m edges."""
+def random_graph(rng: Random, n: int, m: int, directed: bool, max_w: int = 1,
+                 min_w: int | None = None, loops: bool = False) -> Graph:
+    """Arbitrary (possibly disconnected) graph from m random arcs.
+
+    Weights are uniform in [min_w, max_w].  Without min_w they start at 1,
+    and max_w = 0 then means weights 0 or 1.  Self-loops are dropped unless
+    ``loops`` is set.
+    """
+    if min_w is None:
+        min_w, max_w = (0, 1) if max_w == 0 else (1, max_w)
     edges = []
     for _ in range(m):
         u, v = rng.randrange(n), rng.randrange(n)
-        if u == v:
+        if u == v and not loops:
             continue
-        edges.append((u, v, rng.randint(0 if max_w == 0 else 1, max(max_w, 1))))
+        edges.append((u, v, rng.randint(min_w, max_w)))
     return Graph(n, edges, directed=directed)
 
 

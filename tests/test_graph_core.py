@@ -243,13 +243,6 @@ def _assert_reductions(g, sources, direction, rows=None):
     assert all(type(x) is int or x is math.inf for x in got_ecc + got_far)
 
 
-def _graph_in(rng, n, m, directed, weights):
-    """Random graph with m arcs (self-loops allowed), weights uniform in [lo, hi]."""
-    lo, hi = weights
-    return Graph(n, [(rng.randrange(n), rng.randrange(n), rng.randint(lo, hi))
-                     for _ in range(m)], directed=directed)
-
-
 def _messy_graph(rng, n, directed, max_w):
     """Random graph plus self-loops, parallel arcs and two isolated vertices."""
     base = random_graph(rng, n, 2 * n, directed, max_w)
@@ -261,27 +254,23 @@ def _messy_graph(rng, n, directed, max_w):
 
 class TestBatchedReductions:
     # Every weight class runs 64 sources per pass of the bucket ring, so
-    # each is checked at the counts around a word boundary.  The ring rule
-    # sends small batches on small graphs to the list searches; here it
-    # keeps only its memory bound, so the ring runs wherever it fits.
-    @pytest.fixture(autouse=True)
-    def ring_whenever_it_fits(self, monkeypatch):
-        monkeypatch.setattr(search, "_RING_WORK_PER_WEIGHT", 0)
-
+    # each is checked at the counts around a word boundary.
     @pytest.mark.parametrize("directed", [True, False])
-    @pytest.mark.parametrize("weights", [(1, 1), (0, 1), (1, 7), (0, 8)],
+    @pytest.mark.parametrize("lo, hi", [(1, 1), (0, 1), (1, 7), (0, 8)],
                              ids=["unit", "zero-one", "weighted", "zero-to-8"])
-    def test_match_bellman_ford(self, directed, weights):
-        rng = Random(10 * weights[1] + weights[0] + directed)
+    def test_match_bellman_ford(self, directed, lo, hi):
+        rng = Random(10 * hi + lo + directed)
         # Mostly connected, fragmented, and small enough that 130 sources repeat.
         for n, m in ((132, 400), (132, 80), (40, 120)):
-            g = _graph_in(rng, n, m, directed, weights)
-            assert search._use_ring(g, 1)
+            g = random_graph(rng, n, m, directed, max_w=hi, min_w=lo, loops=True)
+            assert search._use_ring(g)
             for direction in ("out", "in"):
                 rows = {}
                 for count in (1, 63, 64, 65, 130):
                     distinct = rng.sample(range(n), min(count, n))
                     with_repeats = [rng.randrange(n) for _ in range(count)]
+                    # These graphs are shallow enough that big batches run in the ring.
+                    assert search._ring_rule(g, distinct, direction)[0] or count == 1
                     _assert_reductions(g, distinct, direction, rows)
                     _assert_reductions(g, with_repeats, direction, rows)
 
@@ -314,7 +303,7 @@ class TestBatchedReductions:
         # One ring slot: every reachable vertex settles at distance 0.
         rng = Random(13)
         for directed in (True, False):
-            g = _graph_in(rng, 70, 90, directed, (0, 0))
+            g = random_graph(rng, 70, 90, directed, max_w=0, min_w=0, loops=True)
             assert g.max_weight == 0
             for direction in ("out", "in"):
                 _assert_reductions(g, range(g.n), direction)
@@ -327,8 +316,8 @@ class TestBatchedReductions:
         # search per source; the answers must not change.
         rng = Random(14)
         for directed in (True, False):
-            g = _graph_in(rng, 90, 270, directed, (0, 10**6))
-            assert not search._use_ring(g, g.n)
+            g = random_graph(rng, 90, 270, directed, max_w=10**6, min_w=0, loops=True)
+            assert not search._use_ring(g)
             for direction in ("out", "in"):
                 rows = {}
                 _assert_reductions(g, range(g.n), direction, rows)
@@ -385,30 +374,44 @@ class TestBatchedReductions:
 
 
 class TestRingRule:
-    def test_memory_and_time_bounds(self):
+    def test_memory_bound(self):
         rng = Random(16)
-        # Weights 1..8 at m = 5n: the ring fits, and pays off from 1 source.
-        sparse = _graph_in(rng, 700, 3500, True, (1, 8))
-        assert search._use_ring(sparse, 1)
+        # Weights 1..8 at m = 5n: 9 n ring words against 16 (n + m).
+        assert search._use_ring(random_graph(rng, 700, 3500, True, max_w=8))
         # Weights up to 10**6 would need a ring of about 10**6 n words.
-        assert not search._use_ring(_graph_in(rng, 700, 3500, True, (1, 10**6)), 700)
-        # About 10 sources on a graph of a few hundred vertices and edges:
-        # a pass would cost more than the list searches.
-        small = _graph_in(rng, 80, 160, True, (1, 10))
-        assert not search._use_ring(small, 10) and search._use_ring(small, 64)
-        assert not search._use_ring(path_graph(20), 1) and search._use_ring(path_graph(20), 20)
-        # All weights 0: one slot, which always runs.
-        assert search._use_ring(_graph_in(rng, 20, 10, True, (0, 0)), 1)
+        assert not search._use_ring(random_graph(rng, 700, 3500, True, max_w=10**6))
+        # Unit and 0/1 weights need at most 2 n words, which fit even with no edges.
+        assert search._use_ring(Graph(20, directed=True))
+        # The largest W that fits: (W + 1) n = 16 (n + m) at n = 10, m = 5.
+        assert search._use_ring(Graph(10, [(0, 1, 23)] + [(0, 1, 1)] * 4, directed=True))
+        assert not search._use_ring(Graph(10, [(0, 1, 24)] + [(0, 1, 1)] * 4, directed=True))
 
-    def test_both_sides_agree(self, monkeypatch):
+    def test_depth_probe(self):
         rng = Random(17)
-        g = _graph_in(rng, 60, 150, True, (0, 9))
-        sources = rng.sample(range(60), 12)
-        per_source = [eccentricities(g, sources, "out"), max_distances(g, sources, "in")]
-        assert not search._use_ring(g, len(sources))
-        monkeypatch.setattr(search, "_RING_WORK_PER_WEIGHT", 0)
-        assert search._use_ring(g, len(sources))
-        assert [eccentricities(g, sources, "out"), max_distances(g, sources, "in")] == per_source
+        # A directed 320-cycle with weights 1..10 is deep: the first source's
+        # largest distance is about 1760, so 64 sources still run as list
+        # searches, with that source's row reused.
+        cycle = Graph(320, [(i, (i + 1) % 320, rng.randint(1, 10)) for i in range(320)],
+                      directed=True)
+        ring, rows = search._ring_rule(cycle, list(range(64)), "out")
+        assert not ring and rows == [bellman_ford(cycle, 0, "out")]
+        # The depth is kept: a later call runs no probe.
+        assert search._ring_rule(cycle, [5, 6], "out") == (False, [])
+        rows = {s: bellman_ford(cycle, s, "in") for s in range(0, 320, 5)}
+        _assert_reductions(cycle, list(rows), "in", rows)
+        # Weights 1..8 at m = 5n are shallow.  A lone first source is the
+        # probe itself; once D is known, one source is enough for the ring.
+        shallow = random_graph(rng, 700, 3500, True, max_w=8)
+        ring, rows = search._ring_rule(shallow, [3], "out")
+        assert not ring and rows == [bellman_ford(shallow, 3, "out")]
+        assert search._ring_rule(shallow, [3], "out") == (True, [])
+        ring, rows = search._ring_rule(random_graph(rng, 700, 3500, True, max_w=8), [3, 1], "out")
+        assert ring and len(rows) == 1
+        # Unit weights skip the probe however deep the graph, and above the
+        # memory bound no probe runs either.
+        assert search._ring_rule(path_graph(300), [0], "out") == (True, [])
+        heavy = random_graph(rng, 50, 100, True, max_w=10**6)
+        assert search._ring_rule(heavy, [0, 1], "out") == (False, [])
 
 
 class TestDegree3Blowup:
