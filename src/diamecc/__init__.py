@@ -8,7 +8,8 @@ from .graph import (UNREACHABLE, DistanceArray, Graph, GraphFormatError,
 from .search import (apsp_matrix, degree3_blowup, eccentricities, eccentricity,
                      exact_diameter, exact_eccentricities, exact_radius,
                      exact_st_diameter, is_connected, is_strongly_connected,
-                     k_closest, max_distances, multi_source_distance, sssp)
+                     k_closest, max_distances, multi_source_distance, nearest,
+                     sssp)
 from .eccen import (EccEstimate, ecc_2approx, ecc_2plusdelta,
                     ecc_folklore_3approx, source_radius)
 from .stdiam import (EquivalenceGadget, STInstance, build_equivalence_gadget,

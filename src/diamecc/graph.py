@@ -17,6 +17,12 @@ UNREACHABLE = math.inf
 # (n-1) * max_weight + 1 must stay below this; a 64-bit distance budget.
 _WEIGHT_BUDGET = 2**63
 
+# The largest vertex count parse_graph accepts.  A Graph holds two
+# adjacency lists per vertex, about 128 bytes with their slots even when
+# empty, so this caps an edgeless file's graph at about 1.2 GiB.  A larger
+# header is rejected before anything is allocated for it.
+MAX_VERTICES = 10**7
+
 
 class GraphFormatError(ValueError):
     """Malformed edge-list input; carries the offending 1-based line number."""
@@ -182,6 +188,9 @@ def parse_graph(text: str) -> Graph:
                 raise GraphFormatError(line_no, f"bad weight flag {fields[3]!r}")
             if n < 0 or expected_m < 0:
                 raise GraphFormatError(line_no, "n and m must be nonnegative")
+            if n > MAX_VERTICES:
+                raise GraphFormatError(line_no, f"n = {n} exceeds the limit of "
+                                                f"{MAX_VERTICES} vertices")
             directed = fields[2] == "directed"
             weighted = fields[3] == "weighted"
             header = (n, expected_m)

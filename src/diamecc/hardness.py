@@ -21,7 +21,7 @@ from itertools import combinations, product
 from random import Random
 
 from .graph import Graph, format_graph, load_graph
-from .search import UNREACHABLE, _distances, eccentricities, exact_diameter, sssp
+from .search import UNREACHABLE, _distances, eccentricities, exact_diameter, nearest, sssp
 
 DEFAULT_EDGE_CAP = 2_000_000
 
@@ -658,17 +658,16 @@ def verify_construction(g: Graph, meta: dict) -> list:
     if scope == "st":
         S = _range_set(meta, "S", g.n)
         T = _range_set(meta, "T", g.n)
-        bad = None
-        for s in S:
-            row = _distances(g, (s,), "out")
-            for t in T:
-                if row[t] != low:
-                    bad = (s, t, row[t])
-                    break
-            if bad:
-                break
-        return [CheckResult(f"all S-T distances == {low}", bad is None,
-                            "ok" if bad is None else f"d({bad[0]},{bad[1]}) = {_shown(bad[2])}")]
+        # Every d(s, t) equals low exactly when the nearest and the farthest
+        # t do; one list search then names the first bad t of the first bad s.
+        near_far = zip(S, nearest(g, S, T), eccentricities(g, S, targets=T)) if T else ()
+        bad = next((s for s, (_, lo), hi in near_far if lo != low or hi != low), None)
+        detail = "ok"
+        if bad is not None:
+            row = _distances(g, (bad,), "out")
+            t = next(t for t in T if row[t] != low)
+            detail = f"d({bad},{t}) = {_shown(row[t])}"
+        return [CheckResult(f"all S-T distances == {low}", bad is None, detail)]
     if scope == "diameter":
         worst = exact_diameter(g)
         return [CheckResult(f"diameter <= {low}", worst <= low, f"diameter = {_shown(worst)}")]

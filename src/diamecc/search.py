@@ -2,23 +2,27 @@
 
 Which kernel runs follows the weight class of the graph:
 
-* single and multi-source searches (sssp, multi_source_distance,
-  k_closest and everything built on them, the S-T sweeps included): plain
-  BFS when every weight is 1, a deque-based 0/1 search when weights are 0
-  or 1 (the blow-up gadget needs 0-weight edges without a heap), and
-  binary-heap Dijkstra otherwise.  These walk the Python adjacency lists,
-  one arc at a time.
-* many independent searches (eccentricities, max_distances, and through
-  them the exact oracles and the estimators' probe loops): a bit-parallel
-  bucket ring (Dial's bucket queue, one bit per source in a uint64 word
-  per vertex) runs up to 64 sources per pass over int64 CSR arrays.  Unit
-  weights use 2 slots and every arc goes to the next one, which is a
-  level-synchronous BFS with no weight gather; 0/1 weights add a closure
-  over the 0-weight arcs inside each slot; weights up to W use W + 1
-  slots.  A pass steps through every distance up to the batch's largest
-  one plus W.  Each step costs the arcs of its frontier, in numpy, plus a
-  fixed numpy overhead of about what a list search spends on 64 vertices
-  and arcs, however few vertices settle there.
+* single searches (sssp, multi_source_distance, k_closest and the few
+  searches built on them): plain BFS when every weight is 1, a
+  deque-based 0/1 search when weights are 0 or 1, and binary-heap
+  Dijkstra otherwise.  These walk the Python adjacency lists, one arc at
+  a time.
+* many independent searches, reduced per source as they run:
+  eccentricities (the largest distance, into every vertex or into a
+  target set), max_distances (per vertex, the largest distance from the
+  sources) and nearest (the closest member of a set, ties to the smaller
+  id).  The exact oracles, the estimators' probe loops, the S-T sweeps
+  and the st scope of hardness.verify_construction are built on them.
+  A bit-parallel bucket ring (Dial's bucket queue, one bit per source in
+  a uint64 word per vertex) runs up to 64 sources per pass over int64 CSR
+  arrays.  Unit weights use 2 slots and every arc goes to the next one,
+  which is a level-synchronous BFS with no weight gather; 0/1 weights add
+  a closure over the 0-weight arcs inside each slot; weights up to W use
+  W + 1 slots.  A pass steps through every distance up to the batch's
+  largest one plus W (nearest stops once every source has met a member).
+  Each step costs the arcs of its frontier, in numpy, plus a fixed numpy
+  overhead of about what a list search spends on 64 vertices and arcs,
+  however few vertices settle there.
 
 The ring rule decides, for a call with k sources, which of them run in
 the ring; the others run one list search each.
@@ -292,48 +296,125 @@ def _zero_closure(zero, level, unseen):
 
 
 def _source_set(g: Graph, sources) -> list:
-    """Sorted distinct source ids; ValueError when empty or out of range."""
+    """Sorted distinct vertex ids; ValueError when empty or out of range."""
     srcs = sorted(set(sources))
     if not srcs:
-        raise ValueError("source set must be nonempty")
+        raise ValueError("vertex set must be nonempty")
     if srcs[0] < 0 or srcs[-1] >= g.n:
+        raise ValueError("vertex id out of range")
+    return srcs
+
+
+def eccentricities(g: Graph, sources, direction: str = "out", targets=None) -> list:
+    """Exact eccentricity of each listed source, in the order given.
+
+    Entry i is max over v of d(sources[i], v) ("out") or d(v, sources[i])
+    ("in"), v ranging over ``targets`` (every vertex when None), and
+    UNREACHABLE when some such v is unreachable.
+    """
+    srcs = _listed(g, sources)
+    if not srcs:
+        return []
+    cols = range(g.n) if targets is None else _source_set(g, targets)
+    ring, rows = _ring_rule(g, srcs, direction)
+    out = [max([row[v] for v in cols]) for row in rows]
+    rest = srcs[len(rows):]
+    if not ring:
+        for s in rest:
+            row = _distances(g, (s,), direction)
+            out.append(max([row[v] for v in cols]))
+        return out
+    picked = None if targets is None else _mask(g, cols)
+    for lo in range(0, len(rest), _WORD):
+        batch = rest[lo:lo + _WORD]
+        unseen = _all_bits(g.n)
+        # (d, the bits that reach some target first at d)
+        levels = []
+        for d, frontier, bits in _ring_bits(g, batch, direction, unseen):
+            if picked is not None:
+                bits = bits[picked[frontier]]
+            if bits.size:
+                levels.append((d, int(np.bitwise_or.reduce(bits))))
+        ecc = [UNREACHABLE] * len(batch)
+        # The sources that reach every target.
+        missed = unseen if picked is None else unseen[picked]
+        todo = ~int(np.bitwise_or.reduce(missed)) & ((1 << len(batch)) - 1)
+        for d, word in reversed(levels):
+            hit = word & todo
+            todo ^= hit
+            for i in _bit_indices(hit):
+                ecc[i] = d
+        out.extend(ecc)
+    return out
+
+
+def nearest(g: Graph, sources, members, direction: str = "out") -> list:
+    """Per listed source, the closest member and its distance, in the order given.
+
+    Entry i is (t, d) for the t in ``members`` with the smallest
+    (d(sources[i], t), t) ("out") or (d(t, sources[i]), t) ("in"), so ties
+    go to the smaller id; (the smallest member, UNREACHABLE) when no
+    member is reachable.  A ring pass stops once each of its sources has
+    met a member.
+    """
+    srcs = _listed(g, sources)
+    cols = _source_set(g, members)
+    if not srcs:
+        return []
+    ring, rows = _ring_rule(g, srcs, direction)
+    out = [_nearest_in_row(row, cols) for row in rows]
+    rest = srcs[len(rows):]
+    if not ring:
+        return out + [_nearest_in_row(_distances(g, (s,), direction), cols) for s in rest]
+    picked = _mask(g, cols)
+    for lo in range(0, len(rest), _WORD):
+        batch = rest[lo:lo + _WORD]
+        found = [(cols[0], UNREACHABLE)] * len(batch)
+        todo = np.uint64((1 << len(batch)) - 1)
+        for d, frontier, bits in _ring_bits(g, batch, direction, _all_bits(g.n)):
+            hit = picked[frontier]
+            if not hit.any():
+                continue
+            # Members arrive in id order, so the first to carry a bit is
+            # that source's nearest: bit i is new at the member where the
+            # running OR first gains it.
+            first = np.bitwise_or.accumulate(bits[hit] & todo)
+            new = first.copy()
+            new[1:] ^= first[:-1]
+            for v, word in zip(frontier[hit][new != 0].tolist(), new[new != 0].tolist()):
+                for i in _bit_indices(word):
+                    found[i] = (v, d)
+            todo &= ~first[-1]
+            if not todo:
+                break
+        out.extend(found)
+    return out
+
+
+def _listed(g: Graph, sources) -> list:
+    """The sources as a list, repeats kept; ValueError when one is out of range."""
+    srcs = list(sources)
+    if srcs and (min(srcs) < 0 or max(srcs) >= g.n):
         raise ValueError("source id out of range")
     return srcs
 
 
-def eccentricities(g: Graph, sources, direction: str = "out") -> list:
-    """Exact eccentricity of each listed source, in the order given.
+def _mask(g: Graph, vertices):
+    picked = np.zeros(g.n, dtype=bool)
+    picked[vertices] = True
+    return picked
 
-    Entry i is max over v of d(sources[i], v) ("out") or d(v, sources[i])
-    ("in"), and UNREACHABLE when some v is unreachable.
-    """
-    srcs = list(sources)
-    if not srcs:
-        return []
-    if min(srcs) < 0 or max(srcs) >= g.n:
-        raise ValueError("source id out of range")
-    ring, rows = _ring_rule(g, srcs, direction)
-    out = [max(row) for row in rows]
-    rest = srcs[len(rows):]
-    if not ring:
-        return out + [max(_distances(g, (s,), direction)) for s in rest]
-    for lo in range(0, len(rest), _WORD):
-        batch = rest[lo:lo + _WORD]
-        unseen = _all_bits(g.n)
-        # (d, the bits that reach some vertex first at d)
-        levels = [(d, int(np.bitwise_or.reduce(bits)))
-                  for d, _, bits in _ring_bits(g, batch, direction, unseen)]
-        ecc = [UNREACHABLE] * len(batch)
-        # The sources that reach every vertex.
-        todo = ~int(np.bitwise_or.reduce(unseen)) & ((1 << len(batch)) - 1)
-        for d, word in reversed(levels):
-            hit = word & todo
-            todo ^= hit
-            while hit:
-                ecc[(hit & -hit).bit_length() - 1] = d
-                hit &= hit - 1
-        out.extend(ecc)
-    return out
+
+def _bit_indices(word: int):
+    """The positions of the set bits of a nonnegative int, lowest first."""
+    while word:
+        yield (word & -word).bit_length() - 1
+        word &= word - 1
+
+
+def _nearest_in_row(row, members):
+    d, t = min((row[t], t) for t in members)
+    return t, d
 
 
 def max_distances(g: Graph, sources, direction: str = "out") -> list:

@@ -6,7 +6,14 @@ S-to-T distances, hence never exceed the true value:
 * st_3approx          -- two searches, D/3 <= out <= D.
 * st_2approx_sqrt     -- sampling sweep, 2*floor(D/4) <= out <= D (unweighted).
 * st_2approx_true     -- degree-3 blow-up variant, D/2 <= out <= D.
-* st_2approx_weighted -- Dijkstra variant; true_mode gives D/2 <= out <= D.
+* st_2approx_weighted -- nonnegative weights; true_mode gives D/2 <= out <= D.
+
+The three sweeps share _two_approx_sweep, which runs the paper's
+O(sqrt(n) log n) single-source searches as a few batched reductions from
+search (multi_source_distance, nearest, and eccentricities into a target
+set).  st_2approx_true runs it on the original graph, lifted through the
+port counts of the degree-3 blow-up, whose distances are the original
+ones; the blown graph is never built.
 
 st_via_diameter computes the S-T Diameter *exactly* given any exact
 Diameter solver, via pendant-edge gadget graphs.
@@ -14,12 +21,15 @@ Diameter solver, via pendant-edge gadget graphs.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from random import Random
 
 from .eccen import _sqrt_sample_size, ceil_sqrt
-from .graph import UNREACHABLE, Graph
-from .search import _distances, degree3_blowup, exact_st_diameter, is_connected, k_closest
+from .graph import Graph
+from .search import (_distances, eccentricities, exact_st_diameter, is_connected, k_closest,
+                     multi_source_distance, nearest)
 
 
 @dataclass
@@ -58,51 +68,62 @@ def st_3approx(inst: STInstance):
     return to_t[best_s], (best_s, t)
 
 
-def _two_approx_sweep(g: Graph, S, T, rng: Random, z_size: int, extend_positive: bool):
+def _two_approx_sweep(g: Graph, S, T, rng: Random, z_size: int, extend_positive: bool,
+                      ports=None):
     """Core of the 2-approximation sweep on an undirected graph.
 
-    One search per sample vertex, plus searches from the nearest-T /
-    nearest-S pivots and from every vertex of the far-vertex neighborhood
-    Y (extended with positive-weight neighbors in extend_positive mode).
-    Returns the largest realized S-to-T distance found.
+    The sweep of the paper runs one search per sample vertex x, from each
+    x's nearest t_x in T, from t_bar (the vertex of T farthest from the
+    sample), from each vertex y of t_bar's neighbourhood Y, and from each
+    y's nearest s_y in S.  It needs only three reductions of those
+    searches, which run batched: the sample's multi-source distances,
+    the nearest member of a set under (distance, id), and the largest
+    distance into a set.  Returns the largest realized S-to-T distance
+    found: from t_bar and each t_x into S, and from each s_y into T.
+
+    ``ports`` lifts the sweep from a graph in which vertex v stands for
+    ports[v] consecutive ids (1 each when None): the sample is drawn over
+    all the ids and mapped to their vertices, and Y is cut at z_size ids
+    (see _neighbourhood).
     """
-    n = g.n
-    cache = {}
-
-    def dist_from(v):
-        if v not in cache:
-            cache[v] = _distances(g, (v,), "out")
-        return cache[v]
-
-    d1 = 0
-    min_from_x = [UNREACHABLE] * n
-    for x in sorted(rng.sample(range(n), _sqrt_sample_size(n))):
-        dx = dist_from(x)
-        for v in range(n):
-            if dx[v] < min_from_x[v]:
-                min_from_x[v] = dx[v]
-        t_x = min(T, key=lambda t: (dx[t], t))
-        d_tx = dist_from(t_x)
-        d1 = max(d1, max(d_tx[s] for s in S))
-
+    ports = ports or [1] * g.n
+    sample = _sample(rng, ports)
+    min_from_x = multi_source_distance(g, sample).dist
     t_bar = max(T, key=lambda t: (min_from_x[t], -t))
-    d_tbar = dist_from(t_bar)
-    d2 = max(d_tbar[s] for s in S)
+    pivots = {t for t, _ in nearest(g, sample, T)} | {t_bar}
+    near = _neighbourhood(g, t_bar, z_size, extend_positive, ports)
+    s_y = {s for s, _ in nearest(g, near, S)}
+    return max(eccentricities(g, sorted(pivots), targets=S)
+               + eccentricities(g, sorted(s_y), targets=T))
 
-    near = k_closest(g, t_bar, min(n, z_size), "out").vertices()
-    if extend_positive:
-        extra = set(near)
-        for z in near:
-            for u, w in g.adj_out[z]:
-                if w > 0:
-                    extra.add(u)
-        near = sorted(extra)
-    for y in near:
-        dy = dist_from(y)
-        s_y = min(S, key=lambda s: (dy[s], s))
-        d_sy = dist_from(s_y)
-        d2 = max(d2, max(d_sy[t] for t in T))
-    return max(d1, d2)
+
+def _sample(rng: Random, ports) -> list:
+    """The sweep's sample: ids drawn over all the ports, mapped to their vertices."""
+    ends = list(accumulate(ports))
+    draws = rng.sample(range(ends[-1]), _sqrt_sample_size(ends[-1]))
+    return sorted({bisect_right(ends, x) for x in draws})
+
+
+def _neighbourhood(g: Graph, t_bar: int, z_size: int, extend_positive: bool, ports) -> list:
+    """Y: the owners of t_bar's z_size closest ids, and maybe the far ends of their edges.
+
+    The ids come in (distance, owner, port) order, each owner's ports[v]
+    ids in a row.  With ``extend_positive``, Y also takes the far end of
+    every positive-weight edge a kept id carries: a vertex of one id
+    carries all its edges, and port i of any other carries its i-th edge.
+    """
+    near = set()
+    left = z_size
+    for v in k_closest(g, t_bar, min(g.n, z_size), "out").vertices():
+        near.add(v)
+        kept = min(ports[v], left)
+        if extend_positive:
+            arcs = g.adj_out[v] if kept == ports[v] else g.adj_out[v][:kept]
+            near.update(u for u, w in arcs if w > 0)
+        left -= kept
+        if not left:
+            break
+    return sorted(near)
 
 
 def st_2approx_sqrt(inst: STInstance, seed: int = 0):
@@ -112,31 +133,50 @@ def st_2approx_sqrt(inst: STInstance, seed: int = 0):
         raise ValueError("st_2approx_sqrt requires an undirected graph")
     if not g.unit_weights:
         raise ValueError("st_2approx_sqrt requires unit weights; use st_2approx_weighted")
-    return _two_approx_sweep(g, inst.S, inst.T, Random(seed),
-                             ceil_sqrt(g.n), extend_positive=False)
+    return _two_approx_sweep(g, inst.S, inst.T, Random(seed), ceil_sqrt(g.n),
+                             extend_positive=False)
 
 
 def st_2approx_true(inst: STInstance, seed: int = 0):
     """True 2-approximation for unweighted graphs: D/2 <= out <= D.
 
-    Blows the graph up to maximum degree 3 with 0-weight cycles, then runs
-    the sweep with the far-vertex neighborhood taken as the ceil(sqrt(m))
-    closest vertices plus the endpoints of their weight-1 edges.
+    The paper runs the sweep on the degree-3 blow-up (search.degree3_blowup):
+    each vertex v of degree >= 3 becomes a 0-weight cycle of deg(v) ports,
+    port i carrying v's i-th edge, and every other vertex stays one node.
+    The neighbourhood is the ceil(sqrt(m')) closest blown nodes plus the
+    far ends of their weight-1 edges, m' being the blow-up's edge count.
+    Every port of v is at 0 distance from every other, so blown distances
+    are the distances of the owners, and the sweep runs on the original
+    graph lifted through the port counts: the sample is drawn over the
+    blown ids and mapped to owners, the closest blown nodes are the ports
+    of the closest owners in (distance, id) order, and every draw and
+    tie-break is the blow-up's.  The blow-up graph is never built.
     """
     g = inst.graph
     if g.directed:
         raise ValueError("st_2approx_true requires an undirected graph")
     if not g.unit_weights:
         raise ValueError("st_2approx_true requires unit weights; use st_2approx_weighted")
-    blown, bmap = degree3_blowup(g)
-    S = sorted(bmap.rep[s] for s in inst.S)
-    T = sorted(bmap.rep[t] for t in inst.T)
-    return _two_approx_sweep(blown, S, T, Random(seed),
-                             ceil_sqrt(max(blown.m, 1)), extend_positive=True)
+    ports, blown_m = _blowup_ports(g)
+    return _two_approx_sweep(g, inst.S, inst.T, Random(seed),
+                             min(sum(ports), ceil_sqrt(max(blown_m, 1))),
+                             extend_positive=True, ports=ports)
+
+
+def _blowup_ports(g: Graph):
+    """Per vertex, its number of nodes in degree3_blowup(g); and the blow-up's edge count.
+
+    A vertex of degree >= 3 becomes a cycle of deg ports and deg 0-weight
+    edges; any other vertex stays one node.
+    """
+    if any(u == v for u, v, _ in g.edges):
+        raise ValueError("self-loops are not supported by degree3_blowup")
+    ports = [deg if deg >= 3 else 1 for deg in map(len, g.adj_out)]
+    return ports, g.m + sum(p for p in ports if p >= 3)
 
 
 def st_2approx_weighted(inst: STInstance, seed: int = 0, true_mode: bool = False):
-    """Dijkstra-based sweep for nonnegative weights.
+    """The sweep for nonnegative weights.
 
     In true_mode the far-vertex neighborhood uses the ceil(sqrt(m)) closest
     vertices extended by endpoints of their positive-weight edges, giving
@@ -147,8 +187,8 @@ def st_2approx_weighted(inst: STInstance, seed: int = 0, true_mode: bool = False
     if g.directed:
         raise ValueError("st_2approx_weighted requires an undirected graph")
     z = ceil_sqrt(max(g.m, 1)) if true_mode else ceil_sqrt(g.n)
-    return _two_approx_sweep(g, inst.S, inst.T, Random(seed),
-                             min(g.n, z), extend_positive=true_mode)
+    return _two_approx_sweep(g, inst.S, inst.T, Random(seed), min(g.n, z),
+                             extend_positive=true_mode)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,8 @@ import math
 from functools import lru_cache
 from random import Random
 
-from diamecc import Graph
+from diamecc import Graph, degree3_blowup, sssp
+from diamecc.eccen import _sqrt_sample_size, ceil_sqrt
 
 
 def random_graph(rng: Random, n: int, m: int, directed: bool, max_w: int = 1,
@@ -120,6 +121,56 @@ def bellman_ford(g: Graph, source: int, direction: str = "out") -> list:
             break
         changed = dropped
     return dist
+
+
+def reference_st_sweep(inst, mode: str, seeds) -> list:
+    """The S-T 2-approximation sweep with one list search per vertex, per seed.
+
+    ``mode`` is "sqrt" (st_2approx_sqrt), "true" (st_2approx_true, run on
+    the degree3_blowup graph itself), "weighted" or "weighted-true"
+    (st_2approx_weighted).  Every sample vertex x, its nearest t_x in T,
+    the vertex t_bar of T farthest from the sample, every vertex y of
+    t_bar's neighbourhood and its nearest s_y in S get a full search of
+    their own, and the neighbourhood comes from sorting t_bar's row.  The
+    seeds share the searches.
+    """
+    g, S, T = inst.graph, list(inst.S), list(inst.T)
+    extend = mode in ("true", "weighted-true")
+    if mode == "true":
+        g, bmap = degree3_blowup(g)
+        S = sorted(bmap.rep[s] for s in S)
+        T = sorted(bmap.rep[t] for t in T)
+    n = g.n
+    z = ceil_sqrt(max(g.m, 1)) if extend else ceil_sqrt(n)
+    rows = {}
+
+    def dist_from(v):
+        if v not in rows:
+            rows[v] = sssp(g, v).dist
+        return rows[v]
+
+    out = []
+    for seed in seeds:
+        d1 = 0
+        min_from_x = [math.inf] * n
+        for x in sorted(Random(seed).sample(range(n), _sqrt_sample_size(n))):
+            dx = dist_from(x)
+            min_from_x = list(map(min, min_from_x, dx))
+            t_x = min(T, key=lambda t: (dx[t], t))
+            d1 = max(d1, max(dist_from(t_x)[s] for s in S))
+        t_bar = max(T, key=lambda t: (min_from_x[t], -t))
+        d2 = max(dist_from(t_bar)[s] for s in S)
+        row = dist_from(t_bar)
+        near = sorted((v for v in range(n) if row[v] < math.inf), key=lambda v: (row[v], v))
+        near = set(near[:min(n, z)])
+        if extend:
+            near |= {u for y in near for u, w in g.adj_out[y] if w > 0}
+        for y in near:
+            dy = dist_from(y)
+            s_y = min(S, key=lambda s: (dy[s], s))
+            d2 = max(d2, max(dist_from(s_y)[t] for t in T))
+        out.append(max(d1, d2))
+    return out
 
 
 def ov_brute_force_by_coordinates(vectors) -> bool:

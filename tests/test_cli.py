@@ -6,8 +6,9 @@ import json
 
 import pytest
 
-from diamecc.cli import main
 from diamecc import format_graph
+from diamecc import graph as graph_module
+from diamecc.cli import main
 from conftest import cycle_graph, path_graph
 
 
@@ -97,6 +98,14 @@ class TestRun:
         bad.write_text("not a graph\n")
         code, _, err = run_cli(capsys, "run", "exact", "--input", str(bad))
         assert code == 3 and "parse error" in err
+
+    def test_vertex_guard_exit_code(self, capsys, tmp_path, monkeypatch):
+        # The header alone trips the guard: no Graph is built for it.
+        monkeypatch.setattr(graph_module, "Graph", None)
+        path = tmp_path / "huge.txt"
+        path.write_text("10000000000 0 undirected unweighted\n")
+        code, _, err = run_cli(capsys, "run", "diam-folk", "--input", str(path))
+        assert code == 3 and "line 1" in err and "10000000 vertices" in err
 
     def test_precondition_exit_code(self, capsys, tmp_path):
         dag = tmp_path / "dag.txt"
@@ -195,6 +204,22 @@ class TestGenVerify:
                                     "sets": {"S": [0, 1], "T": [2, 3], "U": [0, 4]}}))
         code, out, _ = run_cli(capsys, "verify", "--graph", str(graph), "--meta", str(meta))
         assert code == 1 and f"({detail})" in out and "inf" not in out
+
+    @pytest.mark.parametrize("S", [3, 70])
+    def test_st_fail_names_first_bad_pair(self, capsys, tmp_path, S):
+        # Every s in S is adjacent to every t in the next 10 ids except for
+        # two missing pairs, which are at distance 3; the first in (s, t)
+        # order is named, even when its s is past a 64-source batch.
+        missing = {(S - 2, S + 2), (S - 1, S + 1)}
+        edges = [(s, t) for s in range(S) for t in range(S, S + 10) if (s, t) not in missing]
+        graph = tmp_path / "st.graph"
+        graph.write_text(f"{S + 10} {len(edges)} undirected unweighted\n"
+                         + "".join(f"{u} {v}\n" for u, v in edges))
+        meta = tmp_path / "st.meta.json"
+        meta.write_text(json.dumps({"mode": "unsat", "scope": "st", "promised_low": 1,
+                                    "sets": {"S": [0, S], "T": [S, S + 10]}}))
+        code, out, _ = run_cli(capsys, "verify", "--graph", str(graph), "--meta", str(meta))
+        assert (code, out) == (1, f"FAIL: all S-T distances == 1 (d({S - 2},{S + 2}) = 3)\n")
 
     @pytest.mark.parametrize("edit, message", [
         (lambda meta: [], "JSON object"),

@@ -10,11 +10,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import bellman_ford, complete_graph, path_graph, random_graph, star_graph
+from diamecc import graph as graph_module
 from diamecc import search
 from diamecc import (UNREACHABLE, Graph, GraphFormatError, apsp_matrix,
                      degree3_blowup, eccentricities, exact_eccentricities,
                      exact_st_diameter, format_graph, k_closest, max_distances,
-                     multi_source_distance, parse_graph, parse_vertex_set, sssp)
+                     multi_source_distance, nearest, parse_graph, parse_vertex_set, sssp)
 
 
 class TestGraphType:
@@ -231,16 +232,26 @@ class TestExactOracles:
 
 
 def _assert_reductions(g, sources, direction, rows=None):
-    """Check both reductions against Bellman-Ford rows, memoised in ``rows``."""
+    """Check every reduction against Bellman-Ford rows, memoised in ``rows``.
+
+    The member and target set is every third vertex plus the last one.
+    """
     rows = {} if rows is None else rows
     for s in set(sources) - rows.keys():
         rows[s] = bellman_ford(g, s, direction)
+    members = sorted(set(range(1, g.n, 3)) | {g.n - 1})
     got_ecc = eccentricities(g, sources, direction)
     got_far = max_distances(g, sources, direction)
+    got_into = eccentricities(g, sources, direction, targets=members)
+    got_near = nearest(g, sources, members, direction)
     assert got_ecc == [max(rows[s]) for s in sources]
     assert got_far == [max(col) for col in zip(*(rows[s] for s in set(sources)))]
+    assert got_into == [max(rows[s][t] for t in members) for s in sources]
+    # Ties at equal distance go to the smaller id.
+    assert got_near == [min((rows[s][t], t) for t in members)[::-1] for s in sources]
     # Plain ints and math.inf: the JSON renderer and `x == UNREACHABLE` need them.
-    assert all(type(x) is int or x is math.inf for x in got_ecc + got_far)
+    values = got_ecc + got_far + got_into + [x for pair in got_near for x in pair]
+    assert all(type(x) is int or x is math.inf for x in values)
 
 
 def _messy_graph(rng, n, directed, max_w):
@@ -355,6 +366,23 @@ class TestBatchedReductions:
         with pytest.raises(ValueError):
             eccentricities(g, [0], "sideways")
 
+    @pytest.mark.parametrize("w", [1, 0, 5])
+    def test_nearest_ties_and_unreachable_members(self, w):
+        # A star with centre 0, leaves 1..6 at weight w, and a lone vertex 7.
+        g = Graph(8, [(0, v, w) for v in (4, 2, 6, 1, 3, 5)])
+        assert nearest(g, [0, 0], [6, 3, 5]) == [(3, w), (3, w)]
+        assert nearest(g, [3], [6, 3, 5]) == [(3, 0)]
+        assert nearest(g, [1, 7], [5, 7]) == [(5, 2 * w), (7, 0)]
+        assert nearest(g, [7, 1], [6, 2]) == [(2, UNREACHABLE), (2, 2 * w)]
+        assert eccentricities(g, [0, 7], targets=[2, 5]) == [w, UNREACHABLE]
+        assert eccentricities(g, [1], targets=[1]) == [0]
+        assert nearest(g, [], [1]) == []
+        for bad in ([], [8], [-1]):
+            with pytest.raises(ValueError):
+                nearest(g, [0], bad)
+            with pytest.raises(ValueError):
+                eccentricities(g, [0], targets=bad)
+
     def test_undirected_shares_one_array_adjacency(self):
         g = path_graph(70)
         assert eccentricities(g, range(70), "in") == eccentricities(g, range(70), "out")
@@ -412,6 +440,30 @@ class TestRingRule:
         assert search._ring_rule(path_graph(300), [0], "out") == (True, [])
         heavy = random_graph(rng, 50, 100, True, max_w=10**6)
         assert search._ring_rule(heavy, [0, 1], "out") == (False, [])
+
+    @pytest.mark.parametrize("reduction", ["eccentricities", "targets", "max_distances",
+                                           "nearest"])
+    def test_probe_row_is_the_first_answer(self, reduction):
+        # The first call on a fresh weighted graph answers its first source
+        # from the depth probe's row, on both sides of the depth rule.
+        rng = Random(18)
+        deep = Graph(320, [(i, (i + 1) % 320, rng.randint(1, 10)) for i in range(320)],
+                     directed=True)
+        shallow = random_graph(rng, 200, 1000, True, max_w=8)
+        members = list(range(3, 200, 7))
+        run = {"eccentricities": lambda g, srcs: eccentricities(g, srcs),
+               "targets": lambda g, srcs: eccentricities(g, srcs, targets=members),
+               "max_distances": lambda g, srcs: max_distances(g, srcs),
+               "nearest": lambda g, srcs: nearest(g, srcs, members)}[reduction]
+        for g, ring in ((deep, False), (shallow, True)):
+            srcs = [9] + list(range(100, 170))
+            rows = [bellman_ford(g, s) for s in srcs]
+            want = {"eccentricities": [max(row) for row in rows],
+                    "targets": [max(row[t] for t in members) for row in rows],
+                    "max_distances": [max(col) for col in zip(*rows)],
+                    "nearest": [min((row[t], t) for t in members)[::-1] for row in rows]}
+            assert run(g, srcs) == want[reduction]
+            assert search._ring_rule(g, srcs, "out") == (ring, [])
 
 
 class TestDegree3Blowup:
@@ -480,6 +532,14 @@ class TestEdgeListFormat:
     def test_bad_header(self):
         with pytest.raises(GraphFormatError):
             parse_graph("3 1 sideways unweighted\n0 1\n")
+
+    def test_vertex_guard(self, monkeypatch):
+        with pytest.raises(GraphFormatError, match="line 2: n = 10000000001 exceeds"):
+            parse_graph("# huge\n10000000001 0 undirected unweighted\n")
+        monkeypatch.setattr(graph_module, "MAX_VERTICES", 5)
+        assert parse_graph("5 1 directed unweighted\n0 4\n").n == 5
+        with pytest.raises(GraphFormatError, match="limit of 5 vertices"):
+            parse_graph("6 0 directed unweighted\n")
 
     def test_edge_count_mismatch(self):
         with pytest.raises(GraphFormatError):

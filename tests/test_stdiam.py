@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from random import Random
 
+import numpy as np
 import pytest
 
-from conftest import path_graph, random_connected, star_graph
-from diamecc import (Graph, STInstance, build_equivalence_gadget,
+from conftest import path_graph, random_connected, random_graph, reference_st_sweep, star_graph
+from diamecc import search, stdiam
+from diamecc.eccen import _sqrt_sample_size, ceil_sqrt
+from diamecc import (UNREACHABLE, Graph, STInstance, build_equivalence_gadget, degree3_blowup,
                      exact_diameter, exact_st_diameter, gen_ov,
                      build_kov_layered, sssp, st_2approx_sqrt, st_2approx_true,
                      st_2approx_weighted, st_3approx, st_via_diameter)
@@ -125,6 +129,128 @@ class TestST2ApproxWeighted:
                                       max_w=9)
             D = exact_st_diameter(inst.graph, inst.S, inst.T)
             assert st_2approx_weighted(inst, seed=trial) <= D
+
+
+def _sweep_cases():
+    """About 100 random undirected instances: multi-edges, isolated and
+    low-degree vertices, disconnected graphs, and in half of them weights
+    from 0; one in five is large enough for several 64-source ring passes."""
+    rng = Random(30)
+    for i in range(100):
+        weighted = i % 2 == 1
+        n = rng.randint(65, 110) if i % 10 >= 8 else rng.randint(1, 50)
+        g = random_graph(rng, n, rng.randint(0, 3 * n), directed=False,
+                         max_w=rng.choice([1, 4, 9]) if weighted else 1,
+                         min_w=0 if weighted else None)
+        S = rng.sample(range(n), rng.randint(1, n))
+        T = rng.sample(range(n), rng.randint(1, n))
+        yield STInstance(g, S, T)
+
+
+ESTIMATORS = {"sqrt": st_2approx_sqrt, "true": st_2approx_true,
+              "weighted": st_2approx_weighted,
+              "weighted-true": lambda inst, seed: st_2approx_weighted(inst, seed, true_mode=True)}
+
+
+class TestSweepMatchesReference:
+    def test_batched_sweeps_equal_per_source_sweep(self, monkeypatch):
+        cases = []
+        for inst in _sweep_cases():
+            modes = ESTIMATORS if inst.graph.unit_weights else ("weighted", "weighted-true")
+            for mode in modes:
+                cases += [(inst, seed, mode, want) for seed, want in
+                          zip((0, 1, 7), reference_st_sweep(inst, mode, (0, 1, 7)))]
+        assert sum(mode == "true" for _, _, mode, _ in cases) >= 150
+
+        # st_2approx_true must not build the blow-up, nor any other graph.
+        def forbidden(*args):
+            raise AssertionError("degree3_blowup called")
+
+        built = []
+        init = Graph.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args[0])
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(search, "degree3_blowup", forbidden)
+        monkeypatch.setattr(stdiam, "degree3_blowup", forbidden, raising=False)
+        monkeypatch.setattr(Graph, "__init__", counting_init)
+        for inst, seed, mode, want in cases:
+            got = ESTIMATORS[mode](inst, seed)
+            assert (got, type(got)) == (want, type(want)), (inst.graph, seed, mode)
+        assert built == []
+
+    def test_self_loops_rejected(self):
+        g = Graph(3, [(0, 1, 1), (1, 1, 1), (1, 2, 1)])
+        for run in (st_2approx_true, lambda inst: degree3_blowup(inst.graph)):
+            with pytest.raises(ValueError, match="self-loops are not supported"):
+                run(STInstance(g, {0}, {2}))
+
+
+class TestBlowupLifting:
+    def test_ports_sample_and_neighbourhood_match_the_blown_graph(self):
+        # st_2approx_true reads the blow-up's sizes, sample owners and
+        # neighbourhood owners off the original graph; here they are read
+        # off degree3_blowup instead.
+        rng = Random(31)
+        for trial in range(60):
+            n = rng.randint(1, 40)
+            g = random_graph(rng, n, rng.randint(0, 3 * n), directed=False)
+            blown, bmap = degree3_blowup(g)
+
+            def owner(b):
+                return bisect_right(bmap.rep, b) - 1
+
+            ports, blown_m = stdiam._blowup_ports(g)
+            assert (sum(ports), blown_m) == (blown.n, blown.m)
+            draws = Random(trial).sample(range(blown.n), _sqrt_sample_size(blown.n))
+            assert stdiam._sample(Random(trial), ports) == sorted({owner(b) for b in draws})
+            z = min(blown.n, ceil_sqrt(max(blown.m, 1)))
+            for t in range(n):
+                row = sssp(blown, bmap.rep[t]).dist
+                near = sorted((b for b in range(blown.n) if row[b] != UNREACHABLE),
+                              key=lambda b: (row[b], b))[:z]
+                near += [u for b in near for u, w in blown.adj_out[b] if w > 0]
+                assert stdiam._neighbourhood(g, t, z, True, ports) == \
+                    sorted({owner(b) for b in near})
+
+
+def _scipy_st_diameter(inst):
+    """max over S x T of scipy's distances, independent of diamecc.search."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import dijkstra
+
+    g = inst.graph
+    u, v, w = np.array(g.edges).T
+    # random_connected draws distinct edges, so csr_matrix sums no weights.
+    adj = csr_matrix((w.astype(float), (u, v)), shape=(g.n, g.n))
+    rows = dijkstra(adj, directed=False, indices=list(inst.S))
+    return rows[:, list(inst.T)].max()
+
+
+class TestSTScale:
+    """n = 2000 and |S| = |T| = 200: the ceil(2 sqrt(n) ln n) sample is 680
+    vertices, 34% of V.  At m = 4n - 1 the blow-up has about 8n ids; at
+    m = 1.1n the graph is nearly a tree, with D about 20 (unit weights)."""
+
+    @pytest.mark.parametrize("extra", [6000, 200])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_factors_hold_against_scipy(self, seed, extra):
+        rng = Random(seed)
+        unit = random_connected(rng, 2000, extra)
+        weighted = random_connected(rng, 2000, extra, max_w=6)
+        S, T = rng.sample(range(2000), 200), rng.sample(range(2000), 200)
+        inst, winst = STInstance(unit, S, T), STInstance(weighted, S, T)
+        D, WD = _scipy_st_diameter(inst), _scipy_st_diameter(winst)
+        assert np.isfinite([D, WD]).all()
+        est = st_2approx_sqrt(inst, seed)
+        assert 2 * (D // 4) <= est <= D
+        est = st_2approx_true(inst, seed)
+        assert D <= 2 * est <= 2 * D
+        assert st_2approx_weighted(winst, seed) <= WD
+        est = st_2approx_weighted(winst, seed, true_mode=True)
+        assert WD <= 2 * est <= 2 * WD
 
 
 class TestEquivalenceGadget:
