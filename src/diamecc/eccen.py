@@ -175,9 +175,11 @@ def ecc_2plusdelta(g: Graph, tau, seed: int = 0,
             active = sorted(near_w)
         else:
             reach = max_distances(g, probe, "in")
+            # reach holds ints, so one integer cut replaces a Fraction compare per vertex.
+            cut = math.ceil(threshold)
             survivors = []
             for v in active:
-                if reach[v] >= threshold:
+                if reach[v] >= cut:
                     exact[v] = threshold
                 else:
                     survivors.append(v)

@@ -40,10 +40,13 @@ class Graph:
     of ``edges`` is one arc.  Instances must not be mutated after
     construction; all algorithms in this package treat them as read-only,
     which also makes every operation safe to call concurrently.  The one
-    exception is ``_csr``, a cache of array adjacency that the batched
-    searches fill on first use; filling it twice gives the same arrays.
-    It also keeps the depth the ring rule measured, which picks a kernel
-    but never changes a result.
+    exception is ``_csr``, a cache that the batched searches fill on first
+    use, per direction: the array adjacency, in which a positive arc
+    carries the rank of its weight among the graph's distinct positive
+    weights; the depth and the number of distinct distances the ring rule
+    measured; and a mark when a ring pass outgrew its memory.  Filling it
+    twice gives the same arrays.  The rest only picks a kernel and never
+    changes a result.
     """
 
     __slots__ = ("n", "directed", "edges", "adj_out", "adj_in",

@@ -614,9 +614,10 @@ def _range_set(meta, name, n):
         lo, hi = meta["sets"][name]
     except (KeyError, TypeError, ValueError):
         raise MetadataError(f"metadata lacks vertex set {name!r}") from None
-    if not (isinstance(lo, int) and isinstance(hi, int) and 0 <= lo <= hi <= n):
-        raise MetadataError(f"set {name!r} bounds {[lo, hi]!r} are not a range "
-                            f"within the graph's {n} vertices")
+    # An empty set would make every promise over it hold vacuously.
+    if not (isinstance(lo, int) and isinstance(hi, int) and 0 <= lo < hi <= n):
+        raise MetadataError(f"set {name!r} bounds {[lo, hi]!r} are not a nonempty "
+                            f"range within the graph's {n} vertices")
     return range(lo, hi)
 
 
@@ -660,7 +661,7 @@ def verify_construction(g: Graph, meta: dict) -> list:
         T = _range_set(meta, "T", g.n)
         # Every d(s, t) equals low exactly when the nearest and the farthest
         # t do; one list search then names the first bad t of the first bad s.
-        near_far = zip(S, nearest(g, S, T), eccentricities(g, S, targets=T)) if T else ()
+        near_far = zip(S, nearest(g, S, T), eccentricities(g, S, targets=T))
         bad = next((s for s, (_, lo), hi in near_far if lo != low or hi != low), None)
         detail = "ok"
         if bad is not None:
@@ -672,7 +673,7 @@ def verify_construction(g: Graph, meta: dict) -> list:
         worst = exact_diameter(g)
         return [CheckResult(f"diameter <= {low}", worst <= low, f"diameter = {_shown(worst)}")]
     if scope == "ecc_from_s":
-        worst = max(eccentricities(g, _range_set(meta, "S", g.n), "out"), default=0)
+        worst = max(eccentricities(g, _range_set(meta, "S", g.n), "out"))
         return [CheckResult(f"max ecc over S <= {low}", worst <= low,
                             f"max ecc = {_shown(worst)}")]
     if scope == "ecc_out_all":

@@ -13,42 +13,56 @@ Which kernel runs follows the weight class of the graph:
   sources) and nearest (the closest member of a set, ties to the smaller
   id).  The exact oracles, the estimators' probe loops, the S-T sweeps
   and the st scope of hardness.verify_construction are built on them.
-  A bit-parallel bucket ring (Dial's bucket queue, one bit per source in
-  a uint64 word per vertex) runs up to 64 sources per pass over int64 CSR
-  arrays.  Unit weights use 2 slots and every arc goes to the next one,
-  which is a level-synchronous BFS with no weight gather; 0/1 weights add
-  a closure over the 0-weight arcs inside each slot; weights up to W use
-  W + 1 slots.  A pass steps through every distance up to the batch's
-  largest one plus W (nearest stops once every source has met a member).
-  Each step costs the arcs of its frontier, in numpy, plus a fixed numpy
+  A bit-parallel bucket queue (Dial's, one bit per source in a uint64
+  word per vertex; "the ring" below) runs up to 64 sources per pass over
+  int64 CSR arrays.  Its n-word slots are keyed by distance: a slot
+  exists only while bits are pending at its distance, and a pass steps
+  only through those distances (nearest stops once every source has met
+  a member).  Each
+  step ORs its frontier's arc bits into a k_w x n block, k_w being the
+  number of distinct positive weights, and each row that gained bits
+  becomes the slot at d + w or is ORed into it.  Unit weights (k_w = 1)
+  keep one pending slot, which is a level-synchronous BFS with no weight
+  gather; 0/1 weights add a closure over the 0-weight arcs inside each
+  slot.  When the positive weights are exactly 1..W, the slots form a
+  ring of W + 1 indexed by d mod (W + 1) instead, which copies and merges
+  no rows: on weights 1..8 the merges cost about 8% of a pass.  Each
+  step costs the arcs of its frontier, in numpy, plus a fixed numpy
   overhead of about what a list search spends on 64 vertices and arcs,
   however few vertices settle there.
 
 The ring rule decides, for a call with k sources, which of them run in
-the ring; the others run one list search each.
+the ring; the others run one list search each.  Its words are counted
+against 16 (n + m), 128 bytes per vertex and edge, less than the graph's
+adjacency lists take.
 
-* memory: the ring takes (W + 1) n words, so nothing runs in it unless
-  (W + 1) n <= 16 (n + m), 128 bytes per vertex and edge, less than the
-  graph's adjacency lists take.  Unit and 0/1 weights always pass.
-  Weights up to 10**6 fail, and so do the pendant gadgets of
-  stdiam.st_via_diameter (pendant weight about 2 n times the largest
-  weight).
 * depth, on every weight class but unit weights: the first call on a
   graph in a direction runs its first source as a list search, and that
-  search's largest finite distance D shows how deep the graph is; later
-  calls reuse D.  The k' sources left (k - 1 on that first call, k after)
-  run in the ring only when 64 (D + W + 1) ceil(k' / 64) <= k' (n + m):
-  each pass takes about D + W + 1 steps, against k' (n + m) scans for the
-  list searches.
+  search's row gives D, its largest finite distance, and K, its number
+  of distinct finite distances; later calls reuse them.  A pass of b
+  sources takes about min(D + W + 1, K b) steps, W being the largest
+  weight.  The k' sources left (k - 1 on that first call, k after) run
+  in the ring only when 64 times the steps of their passes is at most
+  k' (n + m), the list searches' scans.
   On a directed 320-cycle with weights 1..10, a step took about 12 us and
   a Dijkstra about 0.18 us per vertex or arc, and the ring took 19 times
   as long as 10 list searches and 3 times as long as 64; the rule sends
-  both to the list searches.
+  both to the list searches.  The pendant gadgets of
+  stdiam.st_via_diameter have W about 2 n but K below 10, so they run in
+  the ring.
+* memory, before a pass: the k_w x n block and two slots must fit,
+  (k_w + 2) n <= 16 (n + m).  Unit and 0/1 weights always pass; random
+  weights up to 10**6, nearly all distinct, fail.
+* memory, during a pass: the live slots (the pending ones and the one
+  settling) plus k_w may never exceed 16 (n + m) / n.  A pass that would
+  go over stops before it allocates the slot; its batch and the rest of
+  the call run as list searches, and the graph keeps a mark so that
+  later calls in that direction skip the ring.
 
 What stays slow on deep graphs: unit weights skip the probe and always
 run in the ring, so a long path or cycle pays one step per level; and D
-comes from one source, so a directed graph whose probe source reaches
-only a shallow part can still let a deep batch into the ring.
+and K come from one source, so a directed graph whose probe source
+reaches only a shallow part can still let a deep batch into the ring.
 
 All tie-breaking is by (distance, vertex id) ascending, so every operation
 here is deterministic.
@@ -145,19 +159,29 @@ def _csr_part(n: int, degree, targets):
     return indptr, degree, targets
 
 
+def _key(g: Graph, direction: str) -> str:
+    """The cache key of a direction: undirected graphs share one for both."""
+    return direction if g.directed else "out"
+
+
 def _csr(g: Graph, direction: str):
     """Array adjacency of one direction for the ring search, built on first use.
 
-    Returns ``(positive, zero)``: (indptr, degree, targets) int64 arrays
-    over the positive arcs, and the same over the 0-weight arcs (None
-    when there are none).  A positive arc u -> v of weight w has target
-    (w - 1) n + v, the offset of v's word w - 1 ring slots past the next
-    one; on unit weights that is v.  A 0-weight arc has target v.
-    Undirected graphs keep one copy for both directions, since their
-    reverse adjacency equals the forward one.
+    Returns ``(positive, zero, steps, ranks)``: (indptr, degree, targets)
+    int64 arrays over the positive arcs, the same over the 0-weight arcs
+    (None when there are none), ``steps``, the distinct positive weights
+    in increasing order as ints, and ``ranks``, an n x ceil(k_w / 64)
+    uint64 array in which bit r of u's row is set when u has a positive
+    arc of weight ``steps[r]`` (None when _ring_bits does not read it).
+    Such an arc u -> v has target r n + v: v's word in row r of the
+    k_w x n block, or, when the weights are exactly 1..W and so
+    r = w - 1, in the ring slot w - 1 past the next one.  On unit weights
+    that is v.  A 0-weight arc has target v.  Undirected graphs keep one
+    copy for both directions, since their reverse adjacency equals the
+    forward one.
     """
     adj = g.adjacency(direction)
-    key = direction if g.directed else "out"
+    key = _key(g, direction)
     csr = g._csr.get(key)
     if csr is None:
         n = g.n
@@ -165,16 +189,28 @@ def _csr(g: Graph, direction: str):
         count = int(degree.sum())
         heads = np.fromiter((v for row in adj for v, _ in row), dtype=np.int64, count=count)
         if g.unit_weights:
-            csr = (_csr_part(n, degree, heads), None)
+            csr = (_csr_part(n, degree, heads), None, [1], None)
         else:
             weights = np.fromiter((w for row in adj for _, w in row), dtype=np.int64,
                                   count=count)
             owner = np.arange(n).repeat(degree)
             pos, zero = weights > 0, weights == 0
-            csr = (_csr_part(n, np.bincount(owner[pos], minlength=n),
-                             (weights[pos] - 1) * n + heads[pos]),
+            w, top = weights[pos], g.max_weight
+            ranks = None
+            if top + 2 <= _slot_cap(g) and np.bincount(w, minlength=top + 1)[1:].all():
+                # Weights exactly 1..W: rank w - 1, and the slots form a ring.
+                steps, rank = np.arange(1, top + 1), w - 1
+            else:
+                steps, rank = np.unique(w, return_inverse=True)
+                rank = rank.reshape(-1)
+                if len(steps) > 1:
+                    ranks = np.zeros((n, -(-len(steps) // _WORD)), dtype=np.uint64)
+                    np.bitwise_or.at(ranks, (owner[pos], rank // _WORD),
+                                     np.left_shift(np.uint64(1), (rank % _WORD).astype(np.uint64)))
+            csr = (_csr_part(n, np.bincount(owner[pos], minlength=n), rank * n + heads[pos]),
                    None if g.positive_weights else
-                   _csr_part(n, np.bincount(owner[zero], minlength=n), heads[zero]))
+                   _csr_part(n, np.bincount(owner[zero], minlength=n), heads[zero]),
+                   steps.tolist(), ranks)
         g._csr[key] = csr
     return csr
 
@@ -192,9 +228,15 @@ def _all_bits(n: int):
     return np.full(n, np.iinfo(np.uint64).max, dtype=np.uint64)
 
 
-def _use_ring(g: Graph) -> bool:
-    """The memory half of the ring rule: W + 1 slots of n words must fit next to the graph."""
-    return (_ring_width(g) + 1) * g.n <= _RING_WORDS_PER_ITEM * (g.n + g.m)
+def _slot_cap(g: Graph) -> int:
+    """The n-word arrays a ring pass may hold: 16 (n + m) words, over n."""
+    return _RING_WORDS_PER_ITEM * (g.n + g.m) // g.n
+
+
+def _use_ring(g: Graph, direction: str) -> bool:
+    """The memory half of the ring rule, before a pass: the k_w x n block
+    and two slots must fit next to the graph."""
+    return g.zero_one_weights or len(_csr(g, direction)[2]) + 2 <= _slot_cap(g)
 
 
 def _ring_rule(g: Graph, srcs: list, direction: str):
@@ -205,78 +247,137 @@ def _ring_rule(g: Graph, srcs: list, direction: str):
     says whether the sources after them run in the ring or as list
     searches.
     """
-    if not _use_ring(g):
+    if g._csr.get(("full", _key(g, direction))):
         return False, []
     if g.unit_weights:
         return True, []
-    depth, rows = _depth(g, srcs[0], direction)
+    (depth, distinct), rows = _depth(g, srcs[0], direction)
     left = len(srcs) - len(rows)
-    steps = (depth + g.max_weight + 1) * -(-left // _WORD)
-    return left > 0 and _STEP_COST * steps <= left * (g.n + g.m), rows
+    deepest = depth + g.max_weight + 1
+    full, part = divmod(left, _WORD)
+    steps = full * min(deepest, distinct * _WORD) + min(deepest, distinct * part)
+    return (left > 0 and _STEP_COST * steps <= left * (g.n + g.m)
+            and _use_ring(g, direction)), rows
 
 
 def _depth(g: Graph, source: int, direction: str):
-    """The ring rule's depth probe: (D, rows), D kept per graph and direction.
+    """The ring rule's depth probe: ((D, K), rows), kept per graph and direction.
 
-    The first call runs one list search from ``source`` and returns its
-    row; later calls reuse its D and return no rows.  D only picks a
-    kernel, so which source measured it never changes a result.
+    D is the largest finite distance of one list search and K the number
+    of distinct finite distances in it.  The first call runs that search
+    from ``source`` and returns its row; later calls reuse (D, K) and
+    return no rows.  They only pick a kernel, so which source measured
+    them never changes a result.
     """
-    key = ("depth", direction if g.directed else "out")
+    key = ("depth", _key(g, direction))
     depth = g._csr.get(key)
     if depth is not None:
         return depth, []
     row = _distances(g, (source,), direction)
-    depth = g._csr[key] = max((d for d in row if d != UNREACHABLE), default=0)
+    finite = {d for d in row if d != UNREACHABLE}
+    depth = g._csr[key] = max(finite, default=0), len(finite)
     return depth, [row]
 
 
-def _ring_width(g: Graph) -> int:
-    return 1 if g.unit_weights else g.max_weight
+class _RingFull(Exception):
+    """A ring pass would hold more live slots than the memory rule allows."""
 
 
 def _ring_bits(g: Graph, sources, direction: str, unseen):
     """Bit-parallel Dial search from up to 64 sources at once.
 
     Bit i of a vertex's uint64 word stands for ``sources[i]``, so each arc
-    scan advances every search.  Slot d mod (W + 1) of a ring of n-word
-    slots holds the (vertex, bit) pairs at tentative distance d, W being
-    the largest arc weight (1 on unit weights).  Settling slot d masks out
-    the bits seen before, closes the 0-weight arcs inside it, and ORs
-    every positive arc's bits into slot (d + w) mod (W + 1).  For each
-    distance d that something settles at, in increasing order, yields
-    (d, vertices, bits): the vertices some source first reaches at d, and
-    the bits that do so.  ``unseen`` (n words, all ones on entry) loses
-    each bit at the vertices it reaches.
+    scan advances every search.  A dict keyed by distance holds one n-word
+    slot per distance at which bits are pending, and a heap the pending
+    distances; a pass steps through them in increasing order.  Settling
+    slot d masks out the bits seen before, closes the 0-weight arcs inside
+    it, and ORs every positive arc's bits into row r of a k_w x n block,
+    ``steps[r]`` being the arc's weight; each row that gained bits then
+    becomes slot d + steps[r] or is ORed into it.  When the weights are
+    exactly 1..k_w, the block and one more slot form a ring instead: slot
+    d mod (k_w + 1) holds distance d, and no row is copied or merged.
+    For each distance d that something settles at, in increasing order,
+    yields (d, vertices, bits): the vertices some source first reaches at
+    d, and the bits that do so.  ``unseen`` (n words, all ones on entry)
+    loses each bit at the vertices it reaches.  Raises _RingFull, before
+    allocating the slot, when the live slots plus k_w would exceed the
+    memory rule's 16 (n + m) / n.
     """
-    (indptr, degree, targets), zero = _csr(g, direction)
-    n = g.n
-    width = _ring_width(g) + 1
-    ring = np.zeros((width, n), dtype=np.uint64)
-    flat = ring.reshape(-1)
-    np.bitwise_or.at(ring[0], np.asarray(sources, dtype=np.int64),
+    (indptr, degree, targets), zero, steps, ranks = _csr(g, direction)
+    n, k = g.n, len(steps)
+    seeds = np.zeros(n, dtype=np.uint64)
+    np.bitwise_or.at(seeds, np.asarray(sources, dtype=np.int64),
                      np.left_shift(np.uint64(1), np.arange(len(sources), dtype=np.uint64)))
-    d = last = 0  # last: the largest tentative distance in the ring
-    while d <= last:
-        # Bits left in a slot after it settles are seen, so the mask below
-        # drops them when the ring comes round again.
-        slot = ring[d % width]
-        slot &= unseen
-        unseen ^= slot
-        if zero is not None:
-            _zero_closure(zero, slot, unseen)
-        frontier = (slot != 0).nonzero()[0]
-        if frontier.size:
-            bits = slot[frontier]
-            yield d, frontier, bits
-            arcs, counts = _arcs(indptr, degree, frontier)
-            if arcs.size:
-                last = d + width - 1
-                heads = targets[arcs]
-                heads += (d + 1) % width * n
-                heads %= flat.size
-                np.bitwise_or.at(flat, heads, bits.repeat(counts))
-        d += 1
+    # Slots are never cleared: bits left in one were settled at the smaller
+    # distance they were pending at, so _settle's mask drops them wherever
+    # they are carried on.
+    if 1 < k == steps[-1]:
+        ring = np.zeros((k + 1, n), dtype=np.uint64)
+        ring[0] = seeds
+        flat = ring.reshape(-1)
+        d = last = 0  # last: the largest tentative distance in the ring
+        while d <= last:
+            frontier, bits = _settle(ring[d % (k + 1)], unseen, zero)
+            if frontier.size:
+                yield d, frontier, bits
+                arcs, counts = _arcs(indptr, degree, frontier)
+                if arcs.size:
+                    last = d + k
+                    heads = targets[arcs]
+                    heads += (d + 1) % (k + 1) * n
+                    heads %= flat.size
+                    np.bitwise_or.at(flat, heads, bits.repeat(counts))
+            d += 1
+        return
+    # Live slots: the pending ones and the one settling.
+    cap = _slot_cap(g) - k
+    slots = {0: seeds}
+    pending = [0]
+    block = np.zeros((k, n), dtype=np.uint64)
+    flat = block.reshape(-1)
+    rows = list(block)
+    while pending:
+        d = heapq.heappop(pending)
+        slot = slots.pop(d)
+        frontier, bits = _settle(slot, unseen, zero)
+        if not frontier.size:
+            continue
+        yield d, frontier, bits
+        arcs, counts = _arcs(indptr, degree, frontier)
+        if not arcs.size:
+            continue
+        np.bitwise_or.at(flat, targets[arcs], bits.repeat(counts))
+        if k == 1:
+            # One weight: the block becomes the only pending slot, and the
+            # settled slot's array the next block.
+            slots[d + steps[0]] = flat
+            pending.append(d + steps[0])
+            flat = slot
+            continue
+        # The rows that gained bits: the ranks of the frontier's arcs.
+        for j, word in enumerate(np.bitwise_or.reduce(ranks[frontier]).tolist()):
+            for r in _bit_indices(word):
+                r += _WORD * j
+                at = d + steps[r]
+                into = slots.get(at)
+                if into is not None:
+                    into |= rows[r]
+                elif len(slots) + 2 > cap:
+                    raise _RingFull
+                else:
+                    slots[at] = rows[r].copy()
+                    heapq.heappush(pending, at)
+
+
+def _settle(slot, unseen, zero):
+    """Settle a slot: drop its seen bits, close its 0-weight arcs, and
+    return the vertices that hold bits and those bits."""
+    slot &= unseen
+    unseen ^= slot
+    if zero is not None:
+        _zero_closure(zero, slot, unseen)
+    frontier = slot.nonzero()[0]
+    return frontier, slot[frontier]
 
 
 def _zero_closure(zero, level, unseen):
@@ -284,7 +385,7 @@ def _zero_closure(zero, level, unseen):
     indptr, degree, heads = zero
     new = level
     while True:
-        frontier = (new != 0).nonzero()[0]
+        frontier = new.nonzero()[0]
         if not frontier.size:
             return
         arcs, counts = _arcs(indptr, degree, frontier)
@@ -293,6 +394,31 @@ def _zero_closure(zero, level, unseen):
         new &= unseen
         unseen ^= new
         level |= new
+
+
+def _each(g: Graph, srcs: list, direction: str, from_row, from_batch):
+    """Run every source of a nonempty list, in order, under the ring rule.
+
+    ``from_row`` takes the distance row of one list search, and
+    ``from_batch`` runs one ring pass over up to 64 sources; it must keep
+    nothing from a pass that raises _RingFull.  Such a pass marks the
+    graph and direction, so later calls skip the ring, and its batch and
+    the rest run as list searches.
+    """
+    ring, rows = _ring_rule(g, srcs, direction)
+    for row in rows:
+        from_row(row)
+    rest = srcs[len(rows):]
+    lo = 0
+    if ring:
+        try:
+            for lo in range(0, len(rest), _WORD):
+                from_batch(rest[lo:lo + _WORD])
+            return
+        except _RingFull:
+            g._csr[("full", _key(g, direction))] = True
+    for s in rest[lo:]:
+        from_row(_distances(g, (s,), direction))
 
 
 def _source_set(g: Graph, sources) -> list:
@@ -316,17 +442,10 @@ def eccentricities(g: Graph, sources, direction: str = "out", targets=None) -> l
     if not srcs:
         return []
     cols = range(g.n) if targets is None else _source_set(g, targets)
-    ring, rows = _ring_rule(g, srcs, direction)
-    out = [max([row[v] for v in cols]) for row in rows]
-    rest = srcs[len(rows):]
-    if not ring:
-        for s in rest:
-            row = _distances(g, (s,), direction)
-            out.append(max([row[v] for v in cols]))
-        return out
     picked = None if targets is None else _mask(g, cols)
-    for lo in range(0, len(rest), _WORD):
-        batch = rest[lo:lo + _WORD]
+    out = []
+
+    def from_batch(batch):
         unseen = _all_bits(g.n)
         # (d, the bits that reach some target first at d)
         levels = []
@@ -345,6 +464,8 @@ def eccentricities(g: Graph, sources, direction: str = "out", targets=None) -> l
             for i in _bit_indices(hit):
                 ecc[i] = d
         out.extend(ecc)
+
+    _each(g, srcs, direction, lambda row: out.append(max([row[v] for v in cols])), from_batch)
     return out
 
 
@@ -361,14 +482,10 @@ def nearest(g: Graph, sources, members, direction: str = "out") -> list:
     cols = _source_set(g, members)
     if not srcs:
         return []
-    ring, rows = _ring_rule(g, srcs, direction)
-    out = [_nearest_in_row(row, cols) for row in rows]
-    rest = srcs[len(rows):]
-    if not ring:
-        return out + [_nearest_in_row(_distances(g, (s,), direction), cols) for s in rest]
     picked = _mask(g, cols)
-    for lo in range(0, len(rest), _WORD):
-        batch = rest[lo:lo + _WORD]
+    out = []
+
+    def from_batch(batch):
         found = [(cols[0], UNREACHABLE)] * len(batch)
         todo = np.uint64((1 << len(batch)) - 1)
         for d, frontier, bits in _ring_bits(g, batch, direction, _all_bits(g.n)):
@@ -388,6 +505,8 @@ def nearest(g: Graph, sources, members, direction: str = "out") -> list:
             if not todo:
                 break
         out.extend(found)
+
+    _each(g, srcs, direction, lambda row: out.append(_nearest_in_row(row, cols)), from_batch)
     return out
 
 
@@ -423,23 +542,22 @@ def max_distances(g: Graph, sources, direction: str = "out") -> list:
     An entry is UNREACHABLE when some source and v are not connected that way.
     """
     srcs = _source_set(g, sources)
-    ring, rows = _ring_rule(g, srcs, direction)
-    far = rows[0] if rows else [0] * g.n
-    rest = srcs[len(rows):]
-    if not ring:
-        for s in rest:
-            far = list(map(max, far, _distances(g, (s,), direction)))
-        return far
+    far = [0] * g.n
     ring_far = np.zeros(g.n, dtype=np.int64)
     missed = np.zeros(g.n, dtype=bool)
-    for lo in range(0, len(rest), _WORD):
-        batch = rest[lo:lo + _WORD]
+
+    def from_row(row):
+        far[:] = map(max, far, row)
+
+    def from_batch(batch):
         unseen = _all_bits(g.n)
         last = np.zeros(g.n, dtype=np.int64)  # the distance that last reached v
         for d, frontier, _ in _ring_bits(g, batch, direction, unseen):
             last[frontier] = d
         np.maximum(ring_far, last, out=ring_far)
-        missed |= (unseen & np.uint64((1 << len(batch)) - 1)) != 0
+        missed[(unseen & np.uint64((1 << len(batch)) - 1)) != 0] = True
+
+    _each(g, srcs, direction, from_row, from_batch)
     return [UNREACHABLE if m else max(d, f)
             for d, m, f in zip(ring_far.tolist(), missed.tolist(), far)]
 

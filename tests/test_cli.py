@@ -221,6 +221,28 @@ class TestGenVerify:
         code, out, _ = run_cli(capsys, "verify", "--graph", str(graph), "--meta", str(meta))
         assert (code, out) == (1, f"FAIL: all S-T distances == 1 (d({S - 2},{S + 2}) = 3)\n")
 
+    @pytest.mark.parametrize("scope, sets", [
+        ("st", {"S": [0, 0], "T": [1, 2]}),
+        ("st", {"S": [0, 1], "T": [2, 2]}),
+        ("ecc_from_s", {"S": [1, 1]}),
+        ("ecc_out_all", {"U": [2, 2]}),
+    ])
+    def test_empty_vertex_set_is_parse_error(self, capsys, tmp_path, scope, sets):
+        # A promise over an empty set holds vacuously, so it proves nothing:
+        # on this graph d(0, 1) = 1 breaks each promise of 0 once the sets
+        # hold vertex 0 or the pair (0, 1).
+        graph = tmp_path / "e.graph"
+        graph.write_text("2 1 directed unweighted\n0 1\n")
+        meta = tmp_path / "e.meta.json"
+        meta.write_text(json.dumps({"mode": "unsat", "scope": scope, "promised_low": 0,
+                                    "sets": sets}))
+        code, out, err = run_cli(capsys, "verify", "--graph", str(graph), "--meta", str(meta))
+        assert code == 3 and "nonempty" in err and out == ""
+        meta.write_text(json.dumps({"mode": "unsat", "scope": scope, "promised_low": 0,
+                                    "sets": {"S": [0, 1], "T": [1, 2], "U": [0, 2]}}))
+        code, out, _ = run_cli(capsys, "verify", "--graph", str(graph), "--meta", str(meta))
+        assert code == 1 and out.startswith("FAIL")
+
     @pytest.mark.parametrize("edit, message", [
         (lambda meta: [], "JSON object"),
         (lambda meta: {"mode": "unsat", "scope": "diameter"}, "promised_low"),

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import math
 from random import Random
 
@@ -9,9 +10,11 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from conftest import bellman_ford, complete_graph, path_graph, random_graph, star_graph
+from conftest import (bellman_ford, complete_graph, path_graph, random_connected, random_graph,
+                      star_graph)
 from diamecc import graph as graph_module
 from diamecc import search
+from diamecc.stdiam import STInstance, _assemble_gadget, _doubled, _with_pendants
 from diamecc import (UNREACHABLE, Graph, GraphFormatError, apsp_matrix,
                      degree3_blowup, eccentricities, exact_eccentricities,
                      exact_st_diameter, format_graph, k_closest, max_distances,
@@ -263,6 +266,22 @@ def _messy_graph(rng, n, directed, max_w):
     return Graph(n + 2, edges, directed=directed)
 
 
+def _pendant_gadgets(rng, n):
+    """g_s, g_st and g_final of st_via_diameter on a random connected graph."""
+    g = random_connected(rng, n, 3 * n)
+    picked = rng.sample(range(n), 2 * (n // 10))
+    S, T = sorted(picked[:n // 10]), sorted(picked[n // 10:])
+    g2, w_scale = _doubled(STInstance(g, S, T))
+    span_s, span_t = exact_st_diameter(g2, S, S), exact_st_diameter(g2, T, T)
+    gadget = _assemble_gadget(g2, S, T, w_scale, span_s, span_t)
+    return _with_pendants(g2, [S], w_scale)[0], gadget.g_st, gadget.g_final
+
+
+def _twin_path(n=600):
+    """A directed weight-1 path with a weight-1000 twin of every arc."""
+    return Graph(n, [(v, v + 1, w) for v in range(n - 1) for w in (1, 1000)], directed=True)
+
+
 class TestBatchedReductions:
     # Every weight class runs 64 sources per pass of the bucket ring, so
     # each is checked at the counts around a word boundary.
@@ -274,7 +293,7 @@ class TestBatchedReductions:
         # Mostly connected, fragmented, and small enough that 130 sources repeat.
         for n, m in ((132, 400), (132, 80), (40, 120)):
             g = random_graph(rng, n, m, directed, max_w=hi, min_w=lo, loops=True)
-            assert search._use_ring(g)
+            assert search._use_ring(g, "out")
             for direction in ("out", "in"):
                 rows = {}
                 for count in (1, 63, 64, 65, 130):
@@ -303,7 +322,10 @@ class TestBatchedReductions:
         ring = [(i, (i + 1) % 6, 0) for i in range(6)]
         chords = [(rng.randrange(40), rng.randrange(40), rng.randint(0, 4)) for _ in range(90)]
         directed = Graph(40, ring + [(5, 0, 0)] + chords, directed=True)
-        for g in (blown, directed):
+        # Weights 0, 3 and 7 key the slots by distance instead of a ring.
+        keyed = Graph(40, ring + [(u, v, rng.choice((0, 3, 7))) for u, v, _ in chords],
+                      directed=True)
+        for g in (blown, directed, keyed):
             assert not g.positive_weights
             for direction in ("out", "in"):
                 rows = {}
@@ -328,11 +350,96 @@ class TestBatchedReductions:
         rng = Random(14)
         for directed in (True, False):
             g = random_graph(rng, 90, 270, directed, max_w=10**6, min_w=0, loops=True)
-            assert not search._use_ring(g)
+            assert not search._use_ring(g, "out")
             for direction in ("out", "in"):
                 rows = {}
                 _assert_reductions(g, range(g.n), direction, rows)
                 _assert_reductions(g, [7, 7, 1], direction, rows)
+
+    def test_pendant_gadgets(self):
+        # The S-T reduction's gadgets: the pendant weight is about 2 n times
+        # the largest weight, but there are few distinct weights and
+        # distances, so the ring runs them 64 sources per pass.
+        for graph in _pendant_gadgets(Random(19), 150):
+            # Undirected: both directions share one array adjacency and rows.
+            rows = {}
+            for direction in ("out", "in"):
+                for count in (1, 63, 64, 65, 130):
+                    rng = Random(count)
+                    distinct = rng.sample(range(graph.n), count)
+                    with_repeats = [rng.randrange(graph.n) for _ in range(count)]
+                    assert search._ring_rule(graph, distinct, direction)[0] or count == 1
+                    _assert_reductions(graph, distinct, direction, rows)
+                    _assert_reductions(graph, with_repeats, direction, rows)
+            assert ("full", "out") not in graph._csr
+
+    def test_more_than_64_distinct_weights(self):
+        # Even weights, so the slots are keyed by distance rather than a
+        # ring of W + 1.  The rank masks that pick a step's gained rows take
+        # two words here, and ten pendant vertices hang off arcs of the
+        # heaviest weights.
+        rng = Random(23)
+        for directed in (True, False):
+            dense = random_graph(rng, 20, 600, directed, max_w=100, loops=True)
+            pendants = [(20 + i, rng.randrange(20), 70 + 3 * i) for i in range(10)]
+            arcs = dense.edges + pendants + [(v, u, w) for u, v, w in pendants]
+            g = Graph(30, [(u, v, 2 * w) for u, v, w in arcs], directed=directed)
+            assert len(search._csr(g, "out")[2]) > 64 and search._csr(g, "out")[3] is not None
+            for direction in ("out", "in"):
+                rows = {}
+                sources = [v % 30 for v in range(64)]
+                assert search._ring_rule(g, sources, direction)[0]
+                _assert_reductions(g, sources, direction, rows)
+                _assert_reductions(g, [4, 4, 17], direction, rows)
+                assert ("full", search._key(g, direction)) not in g._csr
+
+    def test_live_slot_overflow_falls_back(self):
+        # A weight-1 path whose every arc has a weight-1000 twin: each step
+        # leaves a slot pending 1000 ahead, so a pass from the start outgrows
+        # its live slots long before it ends.
+        sources = list(range(64))
+        g = _twin_path()
+        assert search._ring_rule(g, sources, "out")[0]
+        rows = {}
+        _assert_reductions(g, sources, "out", rows)
+        # It fell back to list searches, and later calls skip the ring.
+        assert g._csr[("full", "out")]
+        assert search._ring_rule(g, sources, "out") == (False, [])
+        _assert_reductions(g, sources, "out", rows)
+        # The in-direction has its own flag: from the far end its passes are
+        # as deep, and they overflow too.
+        assert ("full", "in") not in g._csr
+        _assert_reductions(g, range(g.n - 64, g.n), "in")
+        assert g._csr[("full", "in")]
+        # A call whose first pass fits and whose second overflows keeps the
+        # first pass and runs the second batch as list searches.
+        g = _twin_path()
+        mixed = [g.n - 1] * 65 + sources
+        assert search._ring_rule(g, mixed, "out")[0]
+        _assert_reductions(g, mixed, "out", rows)
+        assert g._csr[("full", "out")]
+
+    def test_live_slots_stay_under_the_cap(self):
+        # The live slots (the pending ones and the one settling) plus the
+        # k_w block rows may fill 16 (n + m) / n words per vertex and no
+        # more; a pass that would go over stops before allocating.
+        # From vertex 0 of a twin path on L vertices, step d leaves slots
+        # d + 1 and 1000, ..., 1000 + d pending while slot d settles, so the
+        # last step, d = L - 2, holds L + 1 live slots.  At L = 44 and 45
+        # the budget is 47 - k_w = 45 slots: the first fits exactly and
+        # the second goes over.
+        for n, overflows in ((44, False), (45, True)):
+            g = _twin_path(n)
+            k = len(search._csr(g, "out")[2])
+            assert search._slot_cap(g) - k == 45
+            with pytest.raises(search._RingFull) if overflows else contextlib.nullcontext():
+                assert len(list(search._ring_bits(g, [0], "out", search._all_bits(n)))) == n
+        # The pendant gadgets use a small part of their budget.
+        for g in _pendant_gadgets(Random(20), 150):
+            k = len(search._csr(g, "out")[2])
+            passes = search._ring_bits(g, range(64), "out", search._all_bits(g.n))
+            for _ in passes:
+                assert len(passes.gi_frame.f_locals["slots"]) + 1 + k < search._slot_cap(g) // 4
 
     def test_tiny_graphs(self):
         assert eccentricities(Graph(0), []) == []
@@ -404,15 +511,24 @@ class TestBatchedReductions:
 class TestRingRule:
     def test_memory_bound(self):
         rng = Random(16)
-        # Weights 1..8 at m = 5n: 9 n ring words against 16 (n + m).
-        assert search._use_ring(random_graph(rng, 700, 3500, True, max_w=8))
-        # Weights up to 10**6 would need a ring of about 10**6 n words.
-        assert not search._use_ring(random_graph(rng, 700, 3500, True, max_w=10**6))
-        # Unit and 0/1 weights need at most 2 n words, which fit even with no edges.
-        assert search._use_ring(Graph(20, directed=True))
-        # The largest W that fits: (W + 1) n = 16 (n + m) at n = 10, m = 5.
-        assert search._use_ring(Graph(10, [(0, 1, 23)] + [(0, 1, 1)] * 4, directed=True))
-        assert not search._use_ring(Graph(10, [(0, 1, 24)] + [(0, 1, 1)] * 4, directed=True))
+        # Weights 1..8 at m = 5n: (k_w + 2) n = 10 n words against 16 (n + m).
+        assert search._use_ring(random_graph(rng, 700, 3500, True, max_w=8), "out")
+        # Weights up to 10**6 are nearly all distinct: k_w is about m.
+        assert not search._use_ring(random_graph(rng, 700, 3500, True, max_w=10**6), "out")
+        # Unit and 0/1 weights need at most 3 n words, which fit even with no edges.
+        assert search._use_ring(Graph(20, directed=True), "out")
+        assert search._use_ring(Graph(20, [(0, 1, 0)], directed=True), "out")
+        # The largest k_w that fits: (k_w + 2) n <= 16 (n + m) at n = 100 and
+        # m = k_w arcs of distinct weights gives k_w = 16.
+        assert search._use_ring(Graph(100, [(0, 1, w) for w in range(1, 17)], directed=True), "out")
+        assert not search._use_ring(Graph(100, [(0, 1, w) for w in range(1, 18)], directed=True),
+                                    "out")
+        # The bound counts distinct weights, not the largest one: the pendant
+        # gadgets of st_via_diameter need (W + 1) n words far above 16 (n + m)
+        # for a ring of W + 1 slots, but have k_w <= 4.
+        for g in _pendant_gadgets(Random(21), 150):
+            assert (g.max_weight + 1) * g.n > search._RING_WORDS_PER_ITEM * (g.n + g.m)
+            assert search._use_ring(g, "out") and len(search._csr(g, "out")[2]) <= 4
 
     def test_depth_probe(self):
         rng = Random(17)
@@ -435,11 +551,25 @@ class TestRingRule:
         assert search._ring_rule(shallow, [3], "out") == (True, [])
         ring, rows = search._ring_rule(random_graph(rng, 700, 3500, True, max_w=8), [3, 1], "out")
         assert ring and len(rows) == 1
-        # Unit weights skip the probe however deep the graph, and above the
-        # memory bound no probe runs either.
+        # Unit weights skip the probe however deep the graph.
         assert search._ring_rule(path_graph(300), [0], "out") == (True, [])
+        # Random weights up to 10**6 settle nearly every vertex at its own
+        # distance, and fail the depth half before the memory half is asked.
         heavy = random_graph(rng, 50, 100, True, max_w=10**6)
-        assert search._ring_rule(heavy, [0, 1], "out") == (False, [])
+        ring, rows = search._ring_rule(heavy, [0, 1], "out")
+        assert not ring and rows == [bellman_ford(heavy, 0, "out")]
+        assert "out" not in heavy._csr
+        # A pass's steps are at most K per source, K being the number of
+        # distinct distances in the probe's row: a pendant gadget's depth
+        # D + W + 1 is about 600, but K is 8 or 9, so a pass of 64 sources
+        # takes at most about 9 * 64 steps and a pass of one source 9.  The
+        # 65 sources after the probe run in the ring; at D + W + 1 steps for
+        # each of their two passes they would not.
+        gadget = _pendant_gadgets(Random(22), 150)[1]
+        ring, rows = search._ring_rule(gadget, list(range(66)), "out")
+        (depth, distinct), W = gadget._csr[("depth", "out")], gadget.max_weight
+        assert ring and len(rows) == 1 and distinct * 64 < depth + W + 1
+        assert search._STEP_COST * 2 * (depth + W + 1) > 65 * (gadget.n + gadget.m)
 
     @pytest.mark.parametrize("reduction", ["eccentricities", "targets", "max_distances",
                                            "nearest"])
