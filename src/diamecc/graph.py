@@ -43,7 +43,8 @@ class Graph:
     exception is ``_csr``, a cache that the batched searches fill on first
     use, per direction: the array adjacency, in which a positive arc
     carries the rank of its weight among the graph's distinct positive
-    weights; the depth and the number of distinct distances the ring rule
+    weights, or None when those weights are too many for the ring's
+    memory bound; the depth and the number of distinct distances the ring rule
     measured; and a mark when a ring pass outgrew its memory.  Filling it
     twice gives the same arrays.  The rest only picks a kernel and never
     changes a result.

@@ -40,10 +40,13 @@ adjacency lists take.
   graph in a direction runs its first source as a list search, and that
   search's row gives D, its largest finite distance, and K, its number
   of distinct finite distances; later calls reuse them.  A pass of b
-  sources takes about min(D + W + 1, K b) steps, W being the largest
-  weight.  The k' sources left (k - 1 on that first call, k after) run
-  in the ring only when 64 times the steps of their passes is at most
-  k' (n + m), the list searches' scans.
+  sources over keyed slots takes about min(D + W + 1, K b) steps, W
+  being the largest weight, and one over the ring of weights 1..W
+  steps through every distance, D + W + 1.  The k' sources left (k - 1
+  on that first call, k after) run in the ring only when 64 times the
+  steps of their passes is at most k' (n + m), the list searches' scans.
+  The keyed estimate, never above the ring's, is asked before the memory
+  half, so a graph that fails it builds no arrays.
   On a directed 320-cycle with weights 1..10, a step took about 12 us and
   a Dijkstra about 0.18 us per vertex or arc, and the ring took 19 times
   as long as 10 list searches and 3 times as long as 64; the rule sends
@@ -51,8 +54,9 @@ adjacency lists take.
   stdiam.st_via_diameter have W about 2 n but K below 10, so they run in
   the ring.
 * memory, before a pass: the k_w x n block and two slots must fit,
-  (k_w + 2) n <= 16 (n + m).  Unit and 0/1 weights always pass; random
-  weights up to 10**6, nearly all distinct, fail.
+  (k_w + 2) n <= 16 (n + m), or no CSR arrays are built.  Unit and 0/1
+  weights always pass; random weights up to 10**6, nearly all distinct,
+  fail.
 * memory, during a pass: the live slots (the pending ones and the one
   settling) plus k_w may never exceed 16 (n + m) / n.  A pass that would
   go over stops before it allocates the slot; its batch and the rest of
@@ -172,47 +176,53 @@ def _csr(g: Graph, direction: str):
     (None when there are none), ``steps``, the distinct positive weights
     in increasing order as ints, and ``ranks``, an n x ceil(k_w / 64)
     uint64 array in which bit r of u's row is set when u has a positive
-    arc of weight ``steps[r]`` (None when _ring_bits does not read it).
-    Such an arc u -> v has target r n + v: v's word in row r of the
-    k_w x n block, or, when the weights are exactly 1..W and so
-    r = w - 1, in the ring slot w - 1 past the next one.  On unit weights
-    that is v.  A 0-weight arc has target v.  Undirected graphs keep one
-    copy for both directions, since their reverse adjacency equals the
-    forward one.
+    arc of weight ``steps[r]`` (None when there is one weight, or when
+    the weights are exactly 1..W).  Such an arc u -> v has target r n + v:
+    v's word in row r of the k_w x n block, or, when the weights are
+    exactly 1..W and so r = w - 1, in the ring slot w - 1 past the next
+    one.  On unit weights that is v.  A 0-weight arc has target v.
+    Returns None, and builds no array, when the memory half of the ring
+    rule fails, (k_w + 2) n > 16 (n + m).  Undirected graphs keep one copy
+    for both directions, since their reverse adjacency equals the forward
+    one.
     """
-    adj = g.adjacency(direction)
     key = _key(g, direction)
-    csr = g._csr.get(key)
-    if csr is None:
-        n = g.n
-        degree = np.fromiter(map(len, adj), dtype=np.int64, count=n)
-        count = int(degree.sum())
+    if key in g._csr:
+        return g._csr[key]
+    adj = g.adjacency(direction)
+    n = g.n
+    degree = np.fromiter(map(len, adj), dtype=np.int64, count=n)
+    count = int(degree.sum())
+    if g.unit_weights:
         heads = np.fromiter((v for row in adj for v, _ in row), dtype=np.int64, count=count)
-        if g.unit_weights:
-            csr = (_csr_part(n, degree, heads), None, [1], None)
-        else:
-            weights = np.fromiter((w for row in adj for _, w in row), dtype=np.int64,
-                                  count=count)
+        csr = (_csr_part(n, degree, heads), None, [1], None)
+    else:
+        weights = np.fromiter((w for row in adj for _, w in row), dtype=np.int64, count=count)
+        pos, zero = weights > 0, weights == 0
+        steps, rank = np.unique(weights[pos], return_inverse=True)
+        csr = None
+        if len(steps) + 2 <= _slot_cap(g):
+            rank = rank.reshape(-1)
+            heads = np.fromiter((v for row in adj for v, _ in row), dtype=np.int64,
+                                count=count)
             owner = np.arange(n).repeat(degree)
-            pos, zero = weights > 0, weights == 0
-            w, top = weights[pos], g.max_weight
             ranks = None
-            if top + 2 <= _slot_cap(g) and np.bincount(w, minlength=top + 1)[1:].all():
-                # Weights exactly 1..W: rank w - 1, and the slots form a ring.
-                steps, rank = np.arange(1, top + 1), w - 1
-            else:
-                steps, rank = np.unique(w, return_inverse=True)
-                rank = rank.reshape(-1)
-                if len(steps) > 1:
-                    ranks = np.zeros((n, -(-len(steps) // _WORD)), dtype=np.uint64)
-                    np.bitwise_or.at(ranks, (owner[pos], rank // _WORD),
-                                     np.left_shift(np.uint64(1), (rank % _WORD).astype(np.uint64)))
+            if len(steps) > 1 and not _one_to_w(steps):
+                ranks = np.zeros((n, -(-len(steps) // _WORD)), dtype=np.uint64)
+                np.bitwise_or.at(ranks, (owner[pos], rank // _WORD),
+                                 np.left_shift(np.uint64(1), (rank % _WORD).astype(np.uint64)))
             csr = (_csr_part(n, np.bincount(owner[pos], minlength=n), rank * n + heads[pos]),
                    None if g.positive_weights else
                    _csr_part(n, np.bincount(owner[zero], minlength=n), heads[zero]),
                    steps.tolist(), ranks)
-        g._csr[key] = csr
+    g._csr[key] = csr
     return csr
+
+
+def _one_to_w(steps) -> bool:
+    """Whether distinct positive weights ``steps`` are exactly 1..W, W > 1:
+    then the ring search's slots form a ring of W + 1."""
+    return 1 < len(steps) == steps[-1]
 
 
 def _arcs(indptr, degree, frontier):
@@ -236,7 +246,7 @@ def _slot_cap(g: Graph) -> int:
 def _use_ring(g: Graph, direction: str) -> bool:
     """The memory half of the ring rule, before a pass: the k_w x n block
     and two slots must fit next to the graph."""
-    return g.zero_one_weights or len(_csr(g, direction)[2]) + 2 <= _slot_cap(g)
+    return _csr(g, direction) is not None
 
 
 def _ring_rule(g: Graph, srcs: list, direction: str):
@@ -253,11 +263,18 @@ def _ring_rule(g: Graph, srcs: list, direction: str):
         return True, []
     (depth, distinct), rows = _depth(g, srcs[0], direction)
     left = len(srcs) - len(rows)
+    scans = left * (g.n + g.m)
     deepest = depth + g.max_weight + 1
+    # Keyed slots step only through pending distances, at most K per source;
+    # this is the lower estimate, so it is asked before the arrays are built.
     full, part = divmod(left, _WORD)
-    steps = full * min(deepest, distinct * _WORD) + min(deepest, distinct * part)
-    return (left > 0 and _STEP_COST * steps <= left * (g.n + g.m)
-            and _use_ring(g, direction)), rows
+    keyed = full * min(deepest, distinct * _WORD) + min(deepest, distinct * part)
+    if not left or _STEP_COST * keyed > scans or not _use_ring(g, direction):
+        return False, rows
+    # The ring of weights 1..W steps through every distance up to the last.
+    if _one_to_w(_csr(g, direction)[2]):
+        return _STEP_COST * -(-left // _WORD) * deepest <= scans, rows
+    return True, rows
 
 
 def _depth(g: Graph, source: int, direction: str):
@@ -311,7 +328,7 @@ def _ring_bits(g: Graph, sources, direction: str, unseen):
     # Slots are never cleared: bits left in one were settled at the smaller
     # distance they were pending at, so _settle's mask drops them wherever
     # they are carried on.
-    if 1 < k == steps[-1]:
+    if _one_to_w(steps):
         ring = np.zeros((k + 1, n), dtype=np.uint64)
         ring[0] = seeds
         flat = ring.reshape(-1)
@@ -376,7 +393,7 @@ def _settle(slot, unseen, zero):
     unseen ^= slot
     if zero is not None:
         _zero_closure(zero, slot, unseen)
-    frontier = slot.nonzero()[0]
+    frontier = (slot != 0).nonzero()[0]
     return frontier, slot[frontier]
 
 
@@ -385,7 +402,7 @@ def _zero_closure(zero, level, unseen):
     indptr, degree, heads = zero
     new = level
     while True:
-        frontier = new.nonzero()[0]
+        frontier = (new != 0).nonzero()[0]
         if not frontier.size:
             return
         arcs, counts = _arcs(indptr, degree, frontier)

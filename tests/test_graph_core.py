@@ -571,6 +571,38 @@ class TestRingRule:
         assert ring and len(rows) == 1 and distinct * 64 < depth + W + 1
         assert search._STEP_COST * 2 * (depth + W + 1) > 65 * (gadget.n + gadget.m)
 
+    def test_memory_half_builds_no_arrays(self):
+        # A dense digraph of nearly all-distinct weights: the probe row holds
+        # at most n distances, so the depth half lets 79 sources through, but
+        # k_w is about m, far above 16 (n + m) / n.  The memory half rejects
+        # the ring without building the CSR arrays or the rank masks.
+        dense = random_graph(Random(23), 40, 4000, True, max_w=10**6)
+        sources = list(range(40)) * 2
+        ring, rows = search._ring_rule(dense, sources, "out")
+        distinct = dense._csr[("depth", "out")][1]
+        assert search._STEP_COST * distinct * 79 <= 79 * (dense.n + dense.m)
+        assert not ring and len(rows) == 1
+        assert dense._csr == {("depth", "out"): dense._csr[("depth", "out")], "out": None}
+        _assert_reductions(dense, sources, "out")
+
+    def test_ring_of_one_to_w_steps_through_every_distance(self):
+        # Weights exactly 1..30 run as a ring, which steps through all
+        # D + W + 1 = 61 distances of a pass, however few of them hold bits.
+        # From vertex 0 every vertex is at 30, so K = 2 and a lone source
+        # passes the keyed estimate, but 64 * 61 > n + m sends it to a list
+        # search.  64 sources pay for a ring pass.
+        n = 500
+        edges = [(0, v, 30) for v in range(1, n)] + [(v, 0, 30) for v in range(1, n)]
+        edges += [(v, v + 1, v) for v in range(1, 30)]
+        g = Graph(n, edges, directed=True)
+        ring, rows = search._ring_rule(g, [0, 5], "out")
+        assert g._csr[("depth", "out")] == (30, 2) and search._one_to_w(search._csr(g, "out")[2])
+        assert search._STEP_COST * 2 <= g.n + g.m < search._STEP_COST * 61
+        assert not ring and len(rows) == 1
+        assert search._ring_rule(g, list(range(64)), "out") == (True, [])
+        _assert_reductions(g, [0, 5], "out")
+        _assert_reductions(g, range(64), "out")
+
     @pytest.mark.parametrize("reduction", ["eccentricities", "targets", "max_distances",
                                            "nearest"])
     def test_probe_row_is_the_first_answer(self, reduction):
