@@ -54,6 +54,14 @@ DIAMETERS = {"exact": exact_diameter, "diam-folk": diam_folklore_2approx,
              "diam-lin": diam_linear_lessthan2}
 
 
+def _fraction(text: str) -> Fraction:
+    """The type of --tau: an exact rational, so "1/0" is a usage error too."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"invalid fraction {text!r}") from None
+
+
 def _tau(args) -> Fraction:
     return args.tau if args.tau is not None else Fraction(1, 4)
 
@@ -197,7 +205,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--input", required=True, help="edge-list graph file")
     run.add_argument("--sets", nargs=2, metavar=("S", "T"), help="vertex-set files for st-* methods")
     run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--tau", type=Fraction, default=None, metavar="P/Q",
+    run.add_argument("--tau", type=_fraction, default=None, metavar="P/Q",
                      help="exact rational threshold for ecc2d / radius")
     run.add_argument("--inner", choices=tuple(DIAMETERS),
                      default="diam-folk", help="inner algorithm for spanner-compose")

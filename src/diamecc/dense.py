@@ -14,6 +14,13 @@ ceil(1/p)-closest neighborhood, and the spanner's dominators, which hit
 the closed neighborhood of every heavy vertex.  The neighborhoods come
 from the level-truncated ``k_closest``, which scans only the arcs of the
 levels before the last, so the dense pipeline stays near-quadratic.
+
+The searches from the centers A are ``search``'s batched reductions:
+per tz_center round one ``nearest`` over all n vertices; in diam_dense_32
+one ``eccentricities`` over A on the spanner; in ecc_dense_53 one
+``eccentricities`` and one ``max_distances`` over A on each of the
+augmented spanner and g, plus one multi-source search per distinct
+center eccentricity.
 """
 
 from __future__ import annotations
@@ -27,7 +34,8 @@ import numpy as np
 
 from .eccen import EccEstimate, ceil_sqrt
 from .graph import Graph
-from .search import _bfs, is_connected, k_closest
+from .search import (eccentricities, is_connected, k_closest, max_distances,
+                     multi_source_distance, nearest)
 
 
 @dataclass
@@ -55,24 +63,6 @@ def _check_dense_input(g: Graph, op: str):
         raise ValueError(f"{op} requires unit weights")
     if not is_connected(g):
         raise ValueError(f"{op} requires a connected graph")
-
-
-def _nearest_centers(g: Graph, centers):
-    """d(v, A) and the lexicographically smallest nearest center per vertex."""
-    dist = [math.inf] * g.n
-    pivot = [-1] * g.n
-    heap = [(0, a, a) for a in sorted(centers)]
-    heapq.heapify(heap)
-    while heap:
-        d, src, v = heapq.heappop(heap)
-        if pivot[v] != -1:
-            continue
-        dist[v] = d
-        pivot[v] = src
-        for u, w in g.adj_out[v]:
-            if pivot[u] == -1:
-                heapq.heappush(heap, (d + w, src, u))
-    return dist, pivot
 
 
 def _bfs_parents(g: Graph, root: int, radius=math.inf) -> dict:
@@ -148,33 +138,27 @@ def tz_center(g: Graph, p: float, seed: int = 0) -> CenterData:
     if n == 0:
         return CenterData([], p, seed, [], [], [], [])
     b = min(n, math.ceil(1 / p))
-    hoods = [k_closest(g, v, b, "out").items for v in range(n)]
-    centers = sorted(_greedy_hitting_set([[u for u, _ in items] for items in hoods], n))
+    # The b-closest neighborhoods; each round prunes them to the bunches.
+    bunches = [k_closest(g, v, b, "out").items for v in range(n)]
+    centers = sorted(_greedy_hitting_set([[u for u, _ in items] for items in bunches], n))
 
-    dist, pivot = _nearest_centers(g, centers)
-    bunches = [[(u, du) for u, du in hoods[v] if du < dist[v]] for v in range(n)]
-
-    def invert(bunches):
+    cap = 4.0 / p
+    rng = Random(seed)
+    while True:
+        found = nearest(g, range(n), centers)
+        dist = [d for _, d in found]
+        bunches = [[(u, du) for u, du in bunches[v] if du < dist[v]] for v in range(n)]
         clusters = [[] for _ in range(n)]
         for v in range(n):
             for u, du in bunches[v]:
                 clusters[u].append((v, du))
-        return clusters
-
-    clusters = invert(bunches)
-    cap = 4.0 / p
-    oversized = [w for w in range(n) if len(clusters[w]) > cap]
-    rng = Random(seed)
-    while oversized:
-        drawn = [w for w in oversized if rng.random() < p]
-        if not drawn:
-            continue
-        centers = sorted(set(centers) | set(drawn))
-        dist, pivot = _nearest_centers(g, centers)
-        bunches = [[(u, du) for u, du in bunches[v] if du < dist[v]] for v in range(n)]
-        clusters = invert(bunches)
         oversized = [w for w in range(n) if len(clusters[w]) > cap]
-    return CenterData(centers, p, seed, dist, pivot, bunches, clusters)
+        if not oversized:
+            return CenterData(centers, p, seed, dist, [a for a, _ in found], bunches, clusters)
+        drawn = []
+        while not drawn:
+            drawn = [w for w in oversized if rng.random() < p]
+        centers = sorted(set(centers) | set(drawn))
 
 
 @dataclass
@@ -253,12 +237,8 @@ def diam_dense_32(g: Graph, seed: int = 0):
     if n <= 1:
         return 0
     cd = tz_center(g, 1 / math.sqrt(n), seed)
-    M = _cluster_matrix(g, cd)
-    d1 = int(M.max())
-    spanner = additive2_spanner(g, seed)
-    h = spanner.graph
-    d2 = max(max(_bfs(h.adj_out, n, (a,))) for a in cd.centers)
-    return max(d1, d2 - 2)
+    h = additive2_spanner(g, seed).graph
+    return max(int(_cluster_matrix(g, cd).max()), max(eccentricities(h, cd.centers)) - 2)
 
 
 def ecc_dense_53(g: Graph, seed: int = 0) -> EccEstimate:
@@ -288,8 +268,8 @@ def ecc_dense_53(g: Graph, seed: int = 0) -> EccEstimate:
     h = Graph(n, [(u, v, 1) for u, v in sorted(aug)], directed=False)
 
     centers = cd.centers
-    dist_h = {a: _bfs(h.adj_out, n, (a,)) for a in centers}
-    ecc_h = {a: max(dist_h[a]) for a in centers}
+    ecc_h = dict(zip(centers, eccentricities(h, centers)))
+    far_h = max_distances(h, centers)
 
     # The spanner probes alone can round below 3*ecc/5 - 1 on integer
     # inputs (the -2 slack loses a fraction exactly at the case split, so
@@ -297,21 +277,22 @@ def ecc_dense_53(g: Graph, seed: int = 0) -> EccEstimate:
     # centers close every such corner: with t the farthest vertex from u,
     # either max_a d(u,a) >= ecc - d(t,A) or the cluster matrix row
     # already carries d(u,A) + d(t',A) - 1, and both routes clear the
-    # bound without the spanner's additive loss.  Cost is one search per
-    # center, the same count Step 3 already spends on the spanner.
-    dist_g = {a: _bfs(g.adj_out, n, (a,)) for a in centers}
-    ecc_g = {a: max(dist_g[a]) for a in centers}
+    # bound without the spanner's additive loss.  Beyond the two reductions
+    # the spanner probes spend on h, max_a (ecc(a) - d(a,u)) costs one
+    # multi-source search per distinct center eccentricity E, as the max
+    # over E of E - d(A_E, u), A_E being the centers of eccentricity E.
+    far_g = max_distances(g, centers)
+    by_ecc = {}
+    for a, e in zip(centers, eccentricities(g, centers)):
+        by_ecc.setdefault(e, []).append(a)
+    near = [(e, multi_source_distance(g, group).dist) for e, group in by_ecc.items()]
 
     row_max = M.max(axis=1)
     values = []
     for u in range(n):
-        p = cd.pivot[u]
-        e2 = ecc_h[p] - cd.dist[u] - 2
-        far = max(centers, key=lambda a: (dist_h[a][u], -a))
-        e3 = dist_h[far][u] - 2
-        e4 = max(dist_g[a][u] for a in centers)
-        e5 = max(ecc_g[a] - dist_g[a][u] for a in centers)
-        values.append(max(int(row_max[u]), e2, e3, e4, e5, 0))
+        e2 = ecc_h[cd.pivot[u]] - cd.dist[u] - 2
+        e5 = max(e - dist[u] for e, dist in near)
+        values.append(max(int(row_max[u]), e2, far_h[u] - 2, far_g[u], e5, 0))
     return EccEstimate(values, "ecc-dense-53", seed)
 
 

@@ -233,9 +233,18 @@ def format_graph(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _read_text(path) -> str:
+    """A file's UTF-8 text; GraphFormatError at the line of a bad byte."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise GraphFormatError(raw.count(b"\n", 0, exc.start) + 1, "not UTF-8 text") from None
+
+
 def load_graph(path) -> Graph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_graph(fh.read())
+    return parse_graph(_read_text(path))
 
 
 def save_graph(g: Graph, path) -> None:
@@ -261,5 +270,4 @@ def parse_vertex_set(text: str) -> list:
 
 
 def load_vertex_set(path) -> list:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_vertex_set(fh.read())
+    return parse_vertex_set(_read_text(path))

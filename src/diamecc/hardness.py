@@ -21,7 +21,7 @@ from itertools import combinations, product
 from random import Random
 
 from .graph import Graph, format_graph, load_graph
-from .search import UNREACHABLE, _distances, eccentricities, exact_diameter, nearest, sssp
+from .search import UNREACHABLE, eccentricities, exact_diameter, nearest, sssp
 
 DEFAULT_EDGE_CAP = 2_000_000
 
@@ -597,8 +597,11 @@ def save_construction(out: ConstructionOutput, prefix: str):
 
 def load_construction(graph_path, meta_path):
     g = load_graph(graph_path)
-    with open(meta_path, "r", encoding="utf-8") as fh:
-        meta = json.load(fh)
+    try:
+        with open(meta_path, "r", encoding="utf-8") as fh:
+            meta = json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise MetadataError(f"metadata is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
     return g, meta
 
 
@@ -665,7 +668,7 @@ def verify_construction(g: Graph, meta: dict) -> list:
         bad = next((s for s, (_, lo), hi in near_far if lo != low or hi != low), None)
         detail = "ok"
         if bad is not None:
-            row = _distances(g, (bad,), "out")
+            row = sssp(g, bad, "out")
             t = next(t for t in T if row[t] != low)
             detail = f"d({bad},{t}) = {_shown(row[t])}"
         return [CheckResult(f"all S-T distances == {low}", bad is None, detail)]

@@ -28,11 +28,10 @@ from random import Random
 
 from .eccen import _sqrt_sample_size, ceil_sqrt
 from .graph import Graph
-from .search import (_distances, eccentricities, exact_st_diameter, is_connected, k_closest,
-                     multi_source_distance, nearest)
+from .search import (eccentricities, exact_st_diameter, is_connected, k_closest,
+                     multi_source_distance, nearest, sssp)
 
 
-@dataclass
 class STInstance:
     """A graph with two nonempty vertex subsets (not necessarily disjoint)."""
 
@@ -59,8 +58,8 @@ def st_3approx(inst: STInstance):
     """
     g = inst.graph
     s, t = inst.S[0], inst.T[0]
-    from_s = _distances(g, (s,), "out")
-    to_t = _distances(g, (t,), "in")
+    from_s = sssp(g, s, "out")
+    to_t = sssp(g, t, "in")
     best_t = max(inst.T, key=lambda v: (from_s[v], -v))
     best_s = max(inst.S, key=lambda v: (to_t[v], -v))
     if from_s[best_t] >= to_t[best_s]:

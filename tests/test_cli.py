@@ -130,6 +130,28 @@ class TestRun:
         assert json.loads(out)["tau"] == "1/3"
 
 
+    @pytest.mark.parametrize("method", ["ecc2d", "radius"])
+    @pytest.mark.parametrize("tau", ["1/0", "nan"])
+    def test_bad_tau_is_usage_error(self, capsys, tmp_path, method, tau):
+        c6 = tmp_path / "c6.txt"
+        c6.write_text(format_graph(cycle_graph(6, directed=True)))
+        with pytest.raises(SystemExit) as exc:
+            main(["run", method, "--input", str(c6), "--tau", tau])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2 and f"invalid fraction '{tau}'" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("bad", ["input", "S", "T"])
+    def test_non_utf8_input_is_parse_error(self, capsys, tmp_path, p5, sets04, bad):
+        undecodable = tmp_path / "bad.txt"
+        undecodable.write_bytes(b"# ok\n0\xff\n")
+        paths = {"input": p5, "S": sets04[0], "T": sets04[1], bad: str(undecodable)}
+        code, out, err = run_cli(capsys, "run", "st3", "--input", paths["input"],
+                                 "--sets", paths["S"], paths["T"])
+        assert (code, out) == (3, "") and "line 2: not UTF-8 text" in err
+        assert "Traceback" not in err
+
+
 class TestGenVerify:
     def test_pipeline(self, capsys, tmp_path):
         prefix = str(tmp_path / "fix")
@@ -257,3 +279,15 @@ class TestGenVerify:
         code, out, err = run_cli(capsys, "verify", "--graph", prefix + ".graph",
                                  "--meta", prefix + ".meta.json")
         assert code == 3 and message in err and out == ""
+
+    @pytest.mark.parametrize("bad", ["graph", "meta"])
+    def test_non_utf8_file_is_parse_error(self, capsys, tmp_path, bad):
+        prefix = str(tmp_path / "fix")
+        run_cli(capsys, "gen", "--construction", "kov", "--k", "2", "--n", "2",
+                "--d", "3", "--mode", "unsat", "--seed", "0", "--out", prefix)
+        path = tmp_path / ("fix.graph" if bad == "graph" else "fix.meta.json")
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\xff\n", 1))
+        code, out, err = run_cli(capsys, "verify", "--graph", prefix + ".graph",
+                                 "--meta", prefix + ".meta.json")
+        assert (code, out) == (3, "") and "not UTF-8 text" in err
+        assert "Traceback" not in err

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import heapq
 import math
+from collections import deque
 from random import Random
 
 import numpy as np
@@ -13,7 +15,7 @@ from diamecc import (Graph, additive2_spanner, apsp_matrix, approx_on_spanner,
                      diam_dense_32, diam_folklore_2approx, ecc_dense_53,
                      exact_diameter, exact_eccentricities, tz_center,
                      st_3approx, STInstance)
-from diamecc.dense import _cluster_matrix, _greedy_hitting_set
+from diamecc.dense import _bfs_parents, _cluster_matrix, _greedy_hitting_set
 from diamecc.eccen import ceil_sqrt
 
 
@@ -272,6 +274,118 @@ class TestDenseScale:
         est = np.array(ecc_dense_53(g, seed=0).values)
         assert (est <= ecc).all()
         assert (5 * (est + 1) >= 3 * ecc).all()
+
+
+# The per-center searches that tz_center, diam_dense_32 and ecc_dense_53
+# ran before they were built on nearest, eccentricities, max_distances and
+# multi_source_distance, kept as written then: a heap search for the
+# nearest centers, one list BFS per center, and e2-e5 read off the rows.
+UNREACHABLE = math.inf
+
+
+def _bfs(adj, n, sources):
+    dist = [UNREACHABLE] * n
+    queue = deque()
+    for s in sources:
+        if dist[s] == UNREACHABLE:
+            dist[s] = 0
+            queue.append(s)
+    while queue:
+        u = queue.popleft()
+        du = dist[u]
+        for v, _ in adj[u]:
+            if dist[v] == UNREACHABLE:
+                dist[v] = du + 1
+                queue.append(v)
+    return dist
+
+
+def _nearest_centers(g: Graph, centers):
+    """d(v, A) and the lexicographically smallest nearest center per vertex."""
+    dist = [math.inf] * g.n
+    pivot = [-1] * g.n
+    heap = [(0, a, a) for a in sorted(centers)]
+    heapq.heapify(heap)
+    while heap:
+        d, src, v = heapq.heappop(heap)
+        if pivot[v] != -1:
+            continue
+        dist[v] = d
+        pivot[v] = src
+        for u, w in g.adj_out[v]:
+            if pivot[u] == -1:
+                heapq.heappush(heap, (d + w, src, u))
+    return dist, pivot
+
+
+def reference_diam_dense_32(g, cd, seed):
+    n = g.n
+    h = additive2_spanner(g, seed).graph
+    d2 = max(max(_bfs(h.adj_out, n, (a,))) for a in cd.centers)
+    return max(int(_cluster_matrix(g, cd).max()), d2 - 2)
+
+
+def reference_ecc_dense_53(g, cd, seed):
+    """The estimates, and the number of distinct center eccentricities."""
+    n = g.n
+    M = _cluster_matrix(g, cd)
+    spanner = additive2_spanner(g, seed)
+
+    aug = {(u, v) if u <= v else (v, u) for u, v, _ in spanner.graph.edges}
+    for u in range(n):
+        parent = _bfs_parents(g, u, cd.dist[u])
+        for x in [v for v, _ in cd.bunches[u]] + [cd.pivot[u]]:
+            if x != u:
+                aug.add((x, parent[x]) if x <= parent[x] else (parent[x], x))
+    h = Graph(n, [(u, v, 1) for u, v in sorted(aug)], directed=False)
+
+    centers = cd.centers
+    dist_h = {a: _bfs(h.adj_out, n, (a,)) for a in centers}
+    ecc_h = {a: max(dist_h[a]) for a in centers}
+    dist_g = {a: _bfs(g.adj_out, n, (a,)) for a in centers}
+    ecc_g = {a: max(dist_g[a]) for a in centers}
+
+    row_max = M.max(axis=1)
+    values = []
+    for u in range(n):
+        p = cd.pivot[u]
+        e2 = ecc_h[p] - cd.dist[u] - 2
+        far = max(centers, key=lambda a: (dist_h[a][u], -a))
+        e3 = dist_h[far][u] - 2
+        e4 = max(dist_g[a][u] for a in centers)
+        e5 = max(ecc_g[a] - dist_g[a][u] for a in centers)
+        values.append(max(int(row_max[u]), e2, e3, e4, e5, 0))
+    return values, len(set(ecc_g.values()))
+
+
+class TestAgainstPerCenterSearches:
+    """The batched reductions give the per-center searches' outputs exactly."""
+
+    def corpus(self):
+        rng = Random(50)
+        for _ in range(30):
+            n = rng.randint(2, 60)
+            yield random_connected(rng, n, rng.randint(n * n // 8, n * n // 3))
+        for _ in range(40):
+            n = rng.randint(2, 90)
+            yield random_connected(rng, n, rng.randint(0, n))
+        for _ in range(25):
+            yield random_connected(rng, rng.randint(2, 90), 0)
+        for n in (2, 3, 4, 9, 16, 33, 64, 65, 100):
+            yield path_graph(n)
+
+    def test_matches_reference(self):
+        spread = []
+        for seed, g in enumerate(self.corpus()):
+            cd = tz_center(g, 1 / math.sqrt(g.n), seed)
+            assert (cd.dist, cd.pivot) == _nearest_centers(g, cd.centers)
+            assert diam_dense_32(g, seed) == reference_diam_dense_32(g, cd, seed)
+            values, distinct = reference_ecc_dense_53(g, cd, seed)
+            assert ecc_dense_53(g, seed).values == values
+            spread.append(distinct)
+        assert len(spread) >= 100
+        # e5 groups the centers by eccentricity; some cases need 3 groups.
+        assert sum(k >= 3 for k in spread) >= 10
 
 
 class TestSpannerComposition:
