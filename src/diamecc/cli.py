@@ -115,15 +115,17 @@ SET_METHODS = tuple(name for name, (needs_sets, _, _) in METHODS.items() if need
 
 
 def _run(args) -> int:
+    loaded = []
     try:
-        g = load_graph(args.input)
-        sets = [load_vertex_set(path) for path in args.sets or ()]
+        for path in [args.input, *(args.sets or ())]:
+            loaded.append((load_vertex_set if loaded else load_graph)(path))
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except GraphFormatError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
+        print(f"parse error: {path}: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    g, *sets = loaded
 
     method = args.method
     needs_sets, seeded, fields = METHODS[method]
@@ -182,8 +184,14 @@ def _verify(args) -> int:
     try:
         g, meta = load_construction(args.graph, args.meta)
         checks = verify_construction(g, meta)
-    except (OSError, GraphFormatError, MetadataError, json.JSONDecodeError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    except GraphFormatError as exc:
+        print(f"error: {args.graph}: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    except (MetadataError, json.JSONDecodeError) as exc:
+        print(f"error: {args.meta}: {exc}", file=sys.stderr)
         return EXIT_PARSE
     ok = True
     for check in checks:

@@ -5,8 +5,10 @@ The center computation returns a set A such that every bunch
 B(v) = {u : d(v,u) < d(v,A)} has at most ceil(1/p) members and every
 cluster C(w) = {v : w in B(v)} has at most 4/p members.  Pairs sharing a
 cluster get their exact distance; pairs with disjoint bunches get the
-certified lower bound d(u,A) + d(v,A) - 1.  A spanner sweep covers the
-remaining slack.  All inputs here are undirected, connected, unit weight.
+certified lower bound d(u,A) + d(v,A) - 1.  For the diameter a spanner
+sweep covers the remaining slack; for the eccentricities exact searches
+from A do, and no spanner is built.  All inputs here are undirected,
+connected, unit weight.
 
 One greedy cover, ``_greedy_hitting_set`` (max coverage, ties to the
 smaller id), makes both set choices: the initial centers, which hit every
@@ -18,9 +20,8 @@ levels before the last, so the dense pipeline stays near-quadratic.
 The searches from the centers A are ``search``'s batched reductions:
 per tz_center round one ``nearest`` over all n vertices; in diam_dense_32
 one ``eccentricities`` over A on the spanner; in ecc_dense_53 one
-``eccentricities`` and one ``max_distances`` over A on each of the
-augmented spanner and g, plus one multi-source search per distinct
-center eccentricity.
+``eccentricities`` and one ``max_distances`` over A on g, |A| sources
+each, plus one multi-source search per distinct center eccentricity.
 """
 
 from __future__ import annotations
@@ -65,16 +66,15 @@ def _check_dense_input(g: Graph, op: str):
         raise ValueError(f"{op} requires a connected graph")
 
 
-def _bfs_parents(g: Graph, root: int, radius=math.inf) -> dict:
-    """BFS-tree parent of every vertex within ``radius`` of root.
+def _bfs_parents(g: Graph, root: int) -> dict:
+    """BFS-tree parent of every vertex reachable from root.
 
     Each vertex maps to the vertex that first discovered it, scanning
-    levels in discovery order; root maps to itself.  Vertices at distance
-    ``radius`` are reached but not expanded.
+    levels in discovery order; root maps to itself.
     """
     parent = {root: root}
     level = [root]
-    while level and radius > 0:
+    while level:
         nxt = []
         for x in level:
             for v, _ in g.adj_out[x]:
@@ -82,7 +82,6 @@ def _bfs_parents(g: Graph, root: int, radius=math.inf) -> dict:
                     parent[v] = x
                     nxt.append(v)
         level = nxt
-        radius -= 1
     return parent
 
 
@@ -244,55 +243,36 @@ def diam_dense_32(g: Graph, seed: int = 0):
 def ecc_dense_53(g: Graph, seed: int = 0) -> EccEstimate:
     """Almost-5/3 eccentricity estimates in near-quadratic time.
 
-    Per vertex u: 3*ecc(u)/5 - 1 <= est(u) <= ecc(u).  Combines the
-    cluster matrix row maxima with two spanner-based probes, where the
-    spanner is augmented with a shortest-path tree spanning each vertex's
-    bunch plus its pivot (so d_H(u, pivot(u)) is exact).
+    Per vertex u: 3*ecc(u)/5 - 1 <= est(u) <= ecc(u).  The estimate is the
+    largest of the cluster matrix row maximum, max_a d(a, u) and
+    max_a (ecc(a) - d(a, u)) over the centers a, all exact on g.
     """
     _check_dense_input(g, "ecc_dense_53")
     n = g.n
     if n <= 1:
         return EccEstimate([0] * n, "ecc-dense-53", seed)
     cd = tz_center(g, 1 / math.sqrt(n), seed)
-    M = _cluster_matrix(g, cd)
-    spanner = additive2_spanner(g, seed)
+    row_max = _cluster_matrix(g, cd).max(axis=1)
 
-    aug = {(u, v) if u <= v else (v, u) for u, v, _ in spanner.graph.edges}
-    for u in range(n):
-        # A BFS tree from u truncated at d(u, A) spans the bunch, which lies
-        # strictly inside that radius, and the pivot, which sits on it.
-        parent = _bfs_parents(g, u, cd.dist[u])
-        for x in [v for v, _ in cd.bunches[u]] + [cd.pivot[u]]:
-            if x != u:
-                aug.add((x, parent[x]) if x <= parent[x] else (parent[x], x))
-    h = Graph(n, [(u, v, 1) for u, v in sorted(aug)], directed=False)
-
-    centers = cd.centers
-    ecc_h = dict(zip(centers, eccentricities(h, centers)))
-    far_h = max_distances(h, centers)
-
-    # The spanner probes alone can round below 3*ecc/5 - 1 on integer
-    # inputs (the -2 slack loses a fraction exactly at the case split, so
-    # e.g. ecc = 7 can yield estimate 3 < 3.2).  Exact searches from the
-    # centers close every such corner: with t the farthest vertex from u,
-    # either max_a d(u,a) >= ecc - d(t,A) or the cluster matrix row
-    # already carries d(u,A) + d(t',A) - 1, and both routes clear the
-    # bound without the spanner's additive loss.  Beyond the two reductions
-    # the spanner probes spend on h, max_a (ecc(a) - d(a,u)) costs one
+    # No spanner is needed: any additive-2 spanner H of g has d_H <= d_g + 2,
+    # so its probes max_a d_H(a, u) - 2 and ecc_H(pivot(u)) - d(u, A) - 2 can
+    # never exceed max_a d(a, u) and max_a (ecc(a) - d(a, u)), taken below.
+    # With t the farthest vertex from u, either max_a d(u, a) >= ecc - d(t, A)
+    # or the cluster matrix row already carries d(u, A) + d(t', A) - 1, and
+    # both routes clear the bound.  max_a (ecc(a) - d(a, u)) costs one
     # multi-source search per distinct center eccentricity E, as the max
     # over E of E - d(A_E, u), A_E being the centers of eccentricity E.
-    far_g = max_distances(g, centers)
+    centers = cd.centers
+    far = max_distances(g, centers)
     by_ecc = {}
     for a, e in zip(centers, eccentricities(g, centers)):
         by_ecc.setdefault(e, []).append(a)
     near = [(e, multi_source_distance(g, group).dist) for e, group in by_ecc.items()]
 
-    row_max = M.max(axis=1)
     values = []
     for u in range(n):
-        e2 = ecc_h[cd.pivot[u]] - cd.dist[u] - 2
         e5 = max(e - dist[u] for e, dist in near)
-        values.append(max(int(row_max[u]), e2, far_h[u] - 2, far_g[u], e5, 0))
+        values.append(max(int(row_max[u]), far[u], e5, 0))
     return EccEstimate(values, "ecc-dense-53", seed)
 
 

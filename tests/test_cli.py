@@ -150,6 +150,8 @@ class TestRun:
                                  "--sets", paths["S"], paths["T"])
         assert (code, out) == (3, "") and "line 2: not UTF-8 text" in err
         assert "Traceback" not in err
+        assert err.startswith(f"parse error: {undecodable}: line 2")
+        assert not any(paths[name] in err for name in paths if name != bad)
 
 
 class TestGenVerify:
@@ -291,3 +293,5 @@ class TestGenVerify:
                                  "--meta", prefix + ".meta.json")
         assert (code, out) == (3, "") and "not UTF-8 text" in err
         assert "Traceback" not in err
+        good = tmp_path / ("fix.meta.json" if bad == "graph" else "fix.graph")
+        assert err.startswith(f"error: {path}: ") and str(good) not in err

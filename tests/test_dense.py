@@ -7,15 +7,17 @@ import math
 from collections import deque
 from random import Random
 
+import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import complete_graph, path_graph, random_connected, star_graph
 from diamecc import (Graph, additive2_spanner, apsp_matrix, approx_on_spanner,
                      diam_dense_32, diam_folklore_2approx, ecc_dense_53,
                      exact_diameter, exact_eccentricities, tz_center,
                      st_3approx, STInstance)
-from diamecc.dense import _bfs_parents, _cluster_matrix, _greedy_hitting_set
+from diamecc.dense import _cluster_matrix, _greedy_hitting_set
 from diamecc.eccen import ceil_sqrt
 
 
@@ -258,6 +260,31 @@ class TestDenseEccentricities:
                 assert est.values[u] <= ecc[u]
 
 
+@st.composite
+def connected_unit_graphs(draw):
+    """``random_connected`` on n <= 40 vertices with up to n^2/4 extra edges."""
+    n = draw(st.integers(1, 40))
+    extra = draw(st.integers(0, n * n // 4))
+    return random_connected(Random(draw(st.integers(0, 2**32))), n, extra)
+
+
+class TestAgainstNetworkx:
+    """Both guarantees against networkx's eccentricities, a third oracle."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(g=connected_unit_graphs(), seed=st.integers(0, 2**16))
+    def test_guarantees(self, g, seed):
+        nxg = nx.empty_graph(g.n)
+        nxg.add_edges_from((u, v) for u, v, _ in g.edges)
+        ecc = nx.eccentricity(nxg)
+        for u, est in enumerate(ecc_dense_53(g, seed).values):
+            assert est <= ecc[u] and 5 * (est + 1) >= 3 * ecc[u]
+        D = max(ecc.values())
+        h, z = divmod(D, 3)
+        floor = 2 * h - 1 if z in (0, 1) else 2 * h
+        assert floor <= diam_dense_32(g, seed) <= D
+
+
 class TestDenseScale:
     """n = 800 with D = 5: the ceil(sqrt(n)) = 29 closest vertices that each
     bunch is drawn from are a small fraction of V, so the hitting-set
@@ -318,6 +345,28 @@ def _nearest_centers(g: Graph, centers):
     return dist, pivot
 
 
+def _bfs_parents(g: Graph, root: int, radius=math.inf) -> dict:
+    """BFS-tree parent of every vertex within ``radius`` of root.
+
+    Each vertex maps to the vertex that first discovered it, scanning
+    levels in discovery order; root maps to itself.  Vertices at distance
+    ``radius`` are reached but not expanded.  This is ``dense``'s helper as
+    it was while ecc_dense_53 still grew the spanner by bunch trees.
+    """
+    parent = {root: root}
+    level = [root]
+    while level and radius > 0:
+        nxt = []
+        for x in level:
+            for v, _ in g.adj_out[x]:
+                if v not in parent:
+                    parent[v] = x
+                    nxt.append(v)
+        level = nxt
+        radius -= 1
+    return parent
+
+
 def reference_diam_dense_32(g, cd, seed):
     n = g.n
     h = additive2_spanner(g, seed).graph
@@ -373,6 +422,9 @@ class TestAgainstPerCenterSearches:
             yield random_connected(rng, rng.randint(2, 90), 0)
         for n in (2, 3, 4, 9, 16, 33, 64, 65, 100):
             yield path_graph(n)
+        # The dense-tz benchmark's sizes.
+        for n in (100, 170, 240):
+            yield random_connected(rng, n, n * n // 8)
 
     def test_matches_reference(self):
         spread = []
