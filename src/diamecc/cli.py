@@ -115,17 +115,15 @@ SET_METHODS = tuple(name for name, (needs_sets, _, _) in METHODS.items() if need
 
 
 def _run(args) -> int:
-    loaded = []
     try:
-        for path in [args.input, *(args.sets or ())]:
-            loaded.append((load_vertex_set if loaded else load_graph)(path))
+        g = load_graph(args.input)
+        sets = [load_vertex_set(path) for path in args.sets or ()]
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except GraphFormatError as exc:
-        print(f"parse error: {path}: {exc}", file=sys.stderr)
+        print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    g, *sets = loaded
 
     method = args.method
     needs_sets, seeded, fields = METHODS[method]
@@ -184,11 +182,8 @@ def _verify(args) -> int:
     try:
         g, meta = load_construction(args.graph, args.meta)
         checks = verify_construction(g, meta)
-    except OSError as exc:
+    except (OSError, GraphFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except GraphFormatError as exc:
-        print(f"error: {args.graph}: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (MetadataError, json.JSONDecodeError) as exc:
         print(f"error: {args.meta}: {exc}", file=sys.stderr)

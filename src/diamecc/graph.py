@@ -25,11 +25,15 @@ MAX_VERTICES = 10**7
 
 
 class GraphFormatError(ValueError):
-    """Malformed edge-list input; carries the offending 1-based line number."""
+    """Malformed edge-list input; carries the offending 1-based line number
+    and, when the input was read from a file, that file's path."""
 
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
+    def __init__(self, line_no: int, message: str, path=None):
+        where = f"line {line_no}" if path is None else f"{path}: line {line_no}"
+        super().__init__(f"{where}: {message}")
         self.line_no = line_no
+        self.message = message
+        self.path = path
 
 
 class Graph:
@@ -233,18 +237,20 @@ def format_graph(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _read_text(path) -> str:
-    """A file's UTF-8 text; GraphFormatError at the line of a bad byte."""
+def _load(parse, path):
+    """``parse`` of a file's UTF-8 text; a GraphFormatError names the file."""
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
-        return raw.decode("utf-8")
+        return parse(raw.decode("utf-8"))
     except UnicodeDecodeError as exc:
-        raise GraphFormatError(raw.count(b"\n", 0, exc.start) + 1, "not UTF-8 text") from None
+        raise GraphFormatError(raw.count(b"\n", 0, exc.start) + 1, "not UTF-8 text", path) from None
+    except GraphFormatError as exc:
+        raise GraphFormatError(exc.line_no, exc.message, path) from None
 
 
 def load_graph(path) -> Graph:
-    return parse_graph(_read_text(path))
+    return _load(parse_graph, path)
 
 
 def save_graph(g: Graph, path) -> None:
@@ -270,4 +276,4 @@ def parse_vertex_set(text: str) -> list:
 
 
 def load_vertex_set(path) -> list:
-    return parse_vertex_set(_read_text(path))
+    return _load(parse_vertex_set, path)

@@ -7,7 +7,6 @@ import math
 from collections import deque
 from random import Random
 
-import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -274,6 +273,7 @@ class TestAgainstNetworkx:
     @settings(max_examples=40, deadline=None)
     @given(g=connected_unit_graphs(), seed=st.integers(0, 2**16))
     def test_guarantees(self, g, seed):
+        nx = pytest.importorskip("networkx")
         nxg = nx.empty_graph(g.n)
         nxg.add_edges_from((u, v) for u, v, _ in g.edges)
         ecc = nx.eccentricity(nxg)

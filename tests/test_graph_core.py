@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import re
 from random import Random
 
 import numpy as np
@@ -711,3 +712,10 @@ class TestEdgeListFormat:
         assert parse_vertex_set("2\n# note\n0\n2\n") == [0, 2]
         with pytest.raises(GraphFormatError):
             parse_vertex_set("1\nx\n")
+
+    def test_load_errors_name_the_file(self, tmp_path):
+        path = tmp_path / "S.txt"
+        path.write_text("1\nx\n")
+        with pytest.raises(GraphFormatError, match=f"^{re.escape(str(path))}: line 2: ") as err:
+            graph_module.load_vertex_set(path)
+        assert (err.value.path, err.value.line_no) == (path, 2)
