@@ -1,7 +1,7 @@
 """Batch command line: run estimators, generate constructions, verify gaps.
 
 Exit codes: 0 ok, 2 usage, 3 parse/metadata error, 4 precondition
-violation, 5 construction size guard.
+violation, 5 construction size guard or an estimator out of memory.
 """
 
 from __future__ import annotations
@@ -138,6 +138,9 @@ def _run(args) -> int:
     except ValueError as exc:
         print(f"precondition error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
+    except MemoryError:
+        print(f"out of memory: {method} on n={g.n}, m={g.m}", file=sys.stderr)
+        return EXIT_SIZE
     report["millis"] = int((time.perf_counter() - t0) * 1000)
     print(_render(report, args.json))
     return 0

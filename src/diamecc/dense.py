@@ -121,16 +121,17 @@ def _greedy_hitting_set(sets, n: int) -> list:
     return chosen
 
 
-def tz_center(g: Graph, p: float, seed: int = 0) -> CenterData:
+def tz_center(g: Graph, p: float, seed: int = 0, *, op: str = "tz_center") -> CenterData:
     """Compute centers with bounded clusters and bunches.
 
     Starts from a greedy hitting set of every vertex's ceil(1/p)-closest
     neighborhood (so every initial bunch already fits in ceil(1/p)), then
     repeatedly samples each vertex whose cluster exceeds 4/p into A with
     probability p, pruning bunches against the shrinking d(v, A), until no
-    cluster is too large.
+    cluster is too large.  ``op`` names the entry point in input errors:
+    the dense estimators pass their own, so their input is checked once.
     """
-    _check_dense_input(g, "tz_center")
+    _check_dense_input(g, op)
     if not 0 < p <= 1:
         raise ValueError(f"p must be in (0, 1], got {p}")
     n = g.n
@@ -231,11 +232,11 @@ def diam_dense_32(g: Graph, seed: int = 0):
     For D = 3h + z the returned value is >= 2h - 1 (z in {0,1}) or
     >= 2h (z = 2), and never exceeds D.
     """
-    _check_dense_input(g, "diam_dense_32")
     n = g.n
     if n <= 1:
+        _check_dense_input(g, "diam_dense_32")
         return 0
-    cd = tz_center(g, 1 / math.sqrt(n), seed)
+    cd = tz_center(g, 1 / math.sqrt(n), seed, op="diam_dense_32")
     h = additive2_spanner(g, seed).graph
     return max(int(_cluster_matrix(g, cd).max()), max(eccentricities(h, cd.centers)) - 2)
 
@@ -247,11 +248,11 @@ def ecc_dense_53(g: Graph, seed: int = 0) -> EccEstimate:
     largest of the cluster matrix row maximum, max_a d(a, u) and
     max_a (ecc(a) - d(a, u)) over the centers a, all exact on g.
     """
-    _check_dense_input(g, "ecc_dense_53")
     n = g.n
     if n <= 1:
+        _check_dense_input(g, "ecc_dense_53")
         return EccEstimate([0] * n, "ecc-dense-53", seed)
-    cd = tz_center(g, 1 / math.sqrt(n), seed)
+    cd = tz_center(g, 1 / math.sqrt(n), seed, op="ecc_dense_53")
     row_max = _cluster_matrix(g, cd).max(axis=1)
 
     # No spanner is needed: any additive-2 spanner H of g has d_H <= d_g + 2,

@@ -44,14 +44,17 @@ class Graph:
     of ``edges`` is one arc.  Instances must not be mutated after
     construction; all algorithms in this package treat them as read-only,
     which also makes every operation safe to call concurrently.  The one
-    exception is ``_csr``, a cache that the batched searches fill on first
-    use, per direction: the array adjacency, in which a positive arc
-    carries the rank of its weight among the graph's distinct positive
-    weights, or None when those weights are too many for the ring's
-    memory bound; the depth and the number of distinct distances the ring rule
-    measured; and a mark when a ring pass outgrew its memory.  Filling it
-    twice gives the same arrays.  The rest only picks a kernel and never
-    changes a result.
+    exception is ``_csr``, a cache that the ring searches, batched and
+    single, fill on first use, per direction: the array adjacency, in
+    which a positive arc carries the rank of its weight among the graph's
+    distinct positive weights, or None when those weights are too many
+    for the ring's memory bound; the depth and the number of distinct
+    distances of the ring rule's probe, the first list search run in that
+    direction to decide a kernel (a batch's first source, or a single
+    search); whether single searches run in the ring, and a mark that one
+    has already waited for the arrays; and a mark when a ring pass
+    outgrew its memory.  Filling it twice gives the same arrays.  The
+    rest only picks a kernel and never changes a result.
     """
 
     __slots__ = ("n", "directed", "edges", "adj_out", "adj_in",

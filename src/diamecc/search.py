@@ -1,12 +1,17 @@
 """Shortest-path searches, exact distance oracles, and the degree-3 blow-up.
 
-Which kernel runs follows the weight class of the graph:
+Which kernel runs follows the weight class of the graph and, through
+the ring rule below, its depth:
 
-* single searches (sssp, multi_source_distance, k_closest and the few
-  searches built on them): plain BFS when every weight is 1, a
-  deque-based 0/1 search when weights are 0 or 1, and binary-heap
-  Dijkstra otherwise.  These walk the Python adjacency lists, one arc at
-  a time.
+* single searches (sssp and multi_source_distance, and eccentricity and
+  is_strongly_connected on them): one search from a source set.  When
+  the ring rule admits it, it is one pass of the ring described next,
+  with every source in bit 0, and each distance it settles writes that
+  row entry for its vertices.  Otherwise it is a list search that walks
+  the Python adjacency lists one arc at a time: plain BFS when every
+  weight is 1, a deque-based 0/1 search when weights are 0 or 1, and
+  binary-heap Dijkstra otherwise.  k_closest is always a truncated list
+  search (see it).
 * many independent searches, reduced per source as they run:
   eccentricities (the largest distance, into every vertex or into a
   target set), max_distances (per vertex, the largest distance from the
@@ -29,30 +34,43 @@ Which kernel runs follows the weight class of the graph:
   no rows: on weights 1..8 the merges cost about 8% of a pass.  Each
   step costs the arcs of its frontier, in numpy, plus a fixed numpy
   overhead of about what a list search spends on 64 vertices and arcs,
-  however few vertices settle there.
+  however few vertices settle there.  A single search's pass holds one
+  bit, so it sets the words at its arcs' heads instead of ORing into them.
 
 The ring rule decides, for a call with k sources, which of them run in
-the ring; the others run one list search each.  Its words are counted
-against 16 (n + m), 128 bytes per vertex and edge, less than the graph's
+the ring, the others running one list search each; and for a single
+search, whether its one pass runs.  Its words are counted against
+16 (n + m), 128 bytes per vertex and edge, less than the graph's
 adjacency lists take.
 
-* depth, on every weight class but unit weights: the first call on a
-  graph in a direction runs its first source as a list search, and that
-  search's row gives D, its largest finite distance, and K, its number
-  of distinct finite distances; later calls reuse them.  A pass of b
-  sources over keyed slots takes about min(D + W + 1, K b) steps, W
-  being the largest weight, and one over the ring of weights 1..W
-  steps through every distance, D + W + 1.  The k' sources left (k - 1
-  on that first call, k after) run in the ring only when 64 times the
-  steps of their passes is at most k' (n + m), the list searches' scans.
-  The keyed estimate, never above the ring's, is asked before the memory
-  half, so a graph that fails it builds no arrays.
+* depth: the first call on a graph in a direction runs a list search,
+  and that search's row gives D, its largest finite distance, and K,
+  its number of distinct finite distances; later calls reuse them.  For
+  a many-source call that search is its first source's, on every weight
+  class but unit weights (those batches skip the probe); for a single
+  search it is the search itself, on every weight class with no 0-weight
+  arc, unit weights included.  A pass of b sources over keyed slots
+  takes about min(D + W + 1, K b) steps, W being the largest weight, and
+  one over the ring of weights 1..W, or over unit weights, steps through
+  every distance, D + W + 1.  The k' sources left (k - 1 on that first
+  call, k after) run in the ring only when 64 times the steps of their
+  passes is at most k' (n + m), the list searches' scans; a single
+  search is one pass with k' = 1, whatever its sources.  Building the
+  arrays costs about one list search (rent or buy), so when no batch has
+  built them, the single search after the probe is a list search too and
+  the one after it asks the rule: the two searches of st_3approx on an
+  undirected graph build none.  The keyed estimate, never above the
+  ring's, is asked before the memory half, so a graph that fails it
+  builds no arrays.
   On a directed 320-cycle with weights 1..10, a step took about 12 us and
   a Dijkstra about 0.18 us per vertex or arc, and the ring took 19 times
   as long as 10 list searches and 3 times as long as 64; the rule sends
   both to the list searches.  The pendant gadgets of
   stdiam.st_via_diameter have W about 2 n but K below 10, so they run in
-  the ring.
+  the ring.  One search on random_strongly_connected(n, 4 n) took 0.3 ms
+  in the ring against 1.1 ms as a BFS at n = 1500, and 1.1-2 ms against
+  23 ms at n = 10**4; a directed 2000-cycle (D = 1999) and a 300-path
+  keep the list search.
 * memory, before a pass: the k_w x n block and two slots must fit,
   (k_w + 2) n <= 16 (n + m), or no CSR arrays are built.  Unit and 0/1
   weights always pass; random weights up to 10**6, nearly all distinct,
@@ -60,13 +78,16 @@ adjacency lists take.
 * memory, during a pass: the live slots (the pending ones and the one
   settling) plus k_w may never exceed 16 (n + m) / n.  A pass that would
   go over stops before it allocates the slot; its batch and the rest of
-  the call run as list searches, and the graph keeps a mark so that
-  later calls in that direction skip the ring.
+  the call, or the single search, run as list searches, and the graph
+  keeps a mark so that later calls in that direction skip the ring.
 
-What stays slow on deep graphs: unit weights skip the probe and always
-run in the ring, so a long path or cycle pays one step per level; and D
-and K come from one source, so a directed graph whose probe source
-reaches only a shallow part can still let a deep batch into the ring.
+Graphs with 0-weight arcs keep the list search for single searches,
+since the step estimate does not count the closure rounds inside a slot.
+
+What stays slow on deep graphs: unit-weight batches skip the probe and
+always run in the ring, so a long path or cycle pays one step per level;
+and D and K come from one search, so a directed graph whose probe reaches
+only a shallow part can still let a deep batch or search into the ring.
 
 All tie-breaking is by (distance, vertex id) ascending, so every operation
 here is deterministic.
@@ -148,13 +169,45 @@ def _dijkstra(adj, n, sources):
     return dist
 
 
-def _distances(g: Graph, sources, direction: str):
+def _list_distances(g: Graph, sources, direction: str):
+    """One list search from a source set, by the graph's weight class."""
     adj = g.adjacency(direction)
     if g.unit_weights:
         return _bfs(adj, g.n, sources)
     if g.zero_one_weights:
         return _zero_one_bfs(adj, g.n, sources)
     return _dijkstra(adj, g.n, sources)
+
+
+def _distances(g: Graph, sources, direction: str):
+    """The row of one search from a source set: per vertex, the distance
+    from (``out``) or to (``in``) the nearest source.
+
+    Runs as one ring pass with every source in bit 0 when the ring rule
+    admits it, and as a list search otherwise (see the module docstring).
+    The rule's answer is kept per graph and direction.
+    """
+    key = _key(g, direction)
+    ring = g._csr.get(("single", key))
+    if ring is None and g.positive_weights:
+        (depth, distinct), rows = _depth(g, sources, direction)
+        if rows:
+            return rows[0]
+        if key in g._csr or ("rented", key) in g._csr:
+            ring = g._csr[("single", key)] = _fits(g, direction, depth, distinct, 1)
+        else:
+            g._csr[("rented", key)] = True
+    if ring and not g._csr.get(("full", key)):
+        dist = np.full(g.n, -1, dtype=np.int64)
+        try:
+            for d, frontier, _ in _ring_bits(g, sources, direction, _all_bits(g.n), one_bit=True):
+                dist[frontier] = d
+        except _RingFull:
+            g._csr[("full", key)] = True
+        else:
+            row = dist.tolist()
+            return row if dist.min() >= 0 else [UNREACHABLE if d < 0 else d for d in row]
+    return _list_distances(g, sources, direction)
 
 
 def _csr_part(n: int, degree, targets):
@@ -261,8 +314,13 @@ def _ring_rule(g: Graph, srcs: list, direction: str):
         return False, []
     if g.unit_weights:
         return True, []
-    (depth, distinct), rows = _depth(g, srcs[0], direction)
-    left = len(srcs) - len(rows)
+    (depth, distinct), rows = _depth(g, srcs[:1], direction)
+    return _fits(g, direction, depth, distinct, len(srcs) - len(rows)), rows
+
+
+def _fits(g: Graph, direction: str, depth: int, distinct: int, left: int) -> bool:
+    """The depth and memory halves of the ring rule for ``left`` sources,
+    one bit each, given the probe's D and K."""
     scans = left * (g.n + g.m)
     deepest = depth + g.max_weight + 1
     # Keyed slots step only through pending distances, at most K per source;
@@ -270,27 +328,28 @@ def _ring_rule(g: Graph, srcs: list, direction: str):
     full, part = divmod(left, _WORD)
     keyed = full * min(deepest, distinct * _WORD) + min(deepest, distinct * part)
     if not left or _STEP_COST * keyed > scans or not _use_ring(g, direction):
-        return False, rows
-    # The ring of weights 1..W steps through every distance up to the last.
-    if _one_to_w(_csr(g, direction)[2]):
-        return _STEP_COST * -(-left // _WORD) * deepest <= scans, rows
-    return True, rows
+        return False
+    # Unit weights and the ring of weights 1..W step through every distance
+    # up to the last.
+    if g.unit_weights or _one_to_w(_csr(g, direction)[2]):
+        return _STEP_COST * -(-left // _WORD) * deepest <= scans
+    return True
 
 
-def _depth(g: Graph, source: int, direction: str):
+def _depth(g: Graph, sources, direction: str):
     """The ring rule's depth probe: ((D, K), rows), kept per graph and direction.
 
     D is the largest finite distance of one list search and K the number
     of distinct finite distances in it.  The first call runs that search
-    from ``source`` and returns its row; later calls reuse (D, K) and
-    return no rows.  They only pick a kernel, so which source measured
+    from ``sources`` and returns its row; later calls reuse (D, K) and
+    return no rows.  They only pick a kernel, so which search measured
     them never changes a result.
     """
     key = ("depth", _key(g, direction))
     depth = g._csr.get(key)
     if depth is not None:
         return depth, []
-    row = _distances(g, (source,), direction)
+    row = _list_distances(g, sources, direction)
     finite = {d for d in row if d != UNREACHABLE}
     depth = g._csr[key] = max(finite, default=0), len(finite)
     return depth, [row]
@@ -300,7 +359,7 @@ class _RingFull(Exception):
     """A ring pass would hold more live slots than the memory rule allows."""
 
 
-def _ring_bits(g: Graph, sources, direction: str, unseen):
+def _ring_bits(g: Graph, sources, direction: str, unseen, one_bit: bool = False):
     """Bit-parallel Dial search from up to 64 sources at once.
 
     Bit i of a vertex's uint64 word stands for ``sources[i]``, so each arc
@@ -316,14 +375,16 @@ def _ring_bits(g: Graph, sources, direction: str, unseen):
     For each distance d that something settles at, in increasing order,
     yields (d, vertices, bits): the vertices some source first reaches at
     d, and the bits that do so.  ``unseen`` (n words, all ones on entry)
-    loses each bit at the vertices it reaches.  Raises _RingFull, before
-    allocating the slot, when the live slots plus k_w would exceed the
-    memory rule's 16 (n + m) / n.
+    loses each bit at the vertices it reaches.  With ``one_bit`` every
+    source is seeded in bit 0 instead, so the pass is one search from the
+    set.  Raises _RingFull, before allocating the slot, when the live slots
+    plus k_w would exceed the memory rule's 16 (n + m) / n.
     """
     (indptr, degree, targets), zero, steps, ranks = _csr(g, direction)
     n, k = g.n, len(steps)
     seeds = np.zeros(n, dtype=np.uint64)
     np.bitwise_or.at(seeds, np.asarray(sources, dtype=np.int64),
+                     np.uint64(1) if one_bit else
                      np.left_shift(np.uint64(1), np.arange(len(sources), dtype=np.uint64)))
     # Slots are never cleared: bits left in one were settled at the smaller
     # distance they were pending at, so _settle's mask drops them wherever
@@ -343,7 +404,7 @@ def _ring_bits(g: Graph, sources, direction: str, unseen):
                     heads = targets[arcs]
                     heads += (d + 1) % (k + 1) * n
                     heads %= flat.size
-                    np.bitwise_or.at(flat, heads, bits.repeat(counts))
+                    _scatter(flat, heads, bits, counts, one_bit)
             d += 1
         return
     # Live slots: the pending ones and the one settling.
@@ -363,7 +424,7 @@ def _ring_bits(g: Graph, sources, direction: str, unseen):
         arcs, counts = _arcs(indptr, degree, frontier)
         if not arcs.size:
             continue
-        np.bitwise_or.at(flat, targets[arcs], bits.repeat(counts))
+        _scatter(flat, targets[arcs], bits, counts, one_bit)
         if k == 1:
             # One weight: the block becomes the only pending slot, and the
             # settled slot's array the next block.
@@ -384,6 +445,15 @@ def _ring_bits(g: Graph, sources, direction: str, unseen):
                 else:
                     slots[at] = rows[r].copy()
                     heapq.heappush(pending, at)
+
+
+def _scatter(flat, heads, bits, counts, one_bit):
+    """OR each frontier vertex's bits into the words at the heads of its
+    arcs; a one-bit pass only sets them, which is the same and faster."""
+    if one_bit:
+        flat[heads] = 1
+    else:
+        np.bitwise_or.at(flat, heads, bits.repeat(counts))
 
 
 def _settle(slot, unseen, zero):
@@ -435,7 +505,7 @@ def _each(g: Graph, srcs: list, direction: str, from_row, from_batch):
         except _RingFull:
             g._csr[("full", _key(g, direction))] = True
     for s in rest[lo:]:
-        from_row(_distances(g, (s,), direction))
+        from_row(_list_distances(g, (s,), direction))
 
 
 def _source_set(g: Graph, sources) -> list:

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from diamecc import format_graph
+from diamecc import cli
 from diamecc import graph as graph_module
 from diamecc.cli import main
 from conftest import cycle_graph, path_graph
@@ -112,6 +113,15 @@ class TestRun:
         dag.write_text("3 2 directed unweighted\n0 1\n0 2\n")
         code, _, err = run_cli(capsys, "run", "ecc2d", "--input", str(dag))
         assert code == 4 and "strongly connected" in err
+
+    def test_out_of_memory_exit_code(self, capsys, p5, monkeypatch):
+        def exhausted(g, inst, args):
+            raise MemoryError
+
+        monkeypatch.setitem(cli.METHODS, "ecc2", (False, True, exhausted))
+        code, out, err = run_cli(capsys, "run", "ecc2", "--input", p5)
+        assert code == 5 and out == ""
+        assert err == "out of memory: ecc2 on n=5, m=4\n"
 
     def test_unreachable_estimate_serializes_as_null(self, capsys, tmp_path):
         dag = tmp_path / "dag.txt"

@@ -16,8 +16,10 @@ from diamecc import (Graph, additive2_spanner, apsp_matrix, approx_on_spanner,
                      diam_dense_32, diam_folklore_2approx, ecc_dense_53,
                      exact_diameter, exact_eccentricities, tz_center,
                      st_3approx, STInstance)
+from diamecc import dense as dense_module
 from diamecc.dense import _cluster_matrix, _greedy_hitting_set
 from diamecc.eccen import ceil_sqrt
+from diamecc.search import is_connected
 
 
 def check_center_invariants(g, cd):
@@ -257,6 +259,31 @@ class TestDenseEccentricities:
             for u in range(n):
                 assert 5 * est.values[u] >= 3 * ecc[u] - 5
                 assert est.values[u] <= ecc[u]
+
+
+class TestDenseInputCheck:
+    @pytest.mark.parametrize("estimator", [diam_dense_32, ecc_dense_53])
+    def test_checked_once_under_the_callers_name(self, estimator, monkeypatch):
+        calls = []
+        monkeypatch.setattr(dense_module, "is_connected",
+                            lambda g: calls.append(g) or is_connected(g))
+        estimator(random_connected(Random(48), 30, 60), seed=0)
+        assert len(calls) == 1
+        name = estimator.__name__
+        for bad, reason in ((Graph(3, [(0, 1, 1), (1, 2, 1)], directed=True), "an undirected"),
+                            (Graph(3, [(0, 1, 2), (1, 2, 2)]), "unit weights"),
+                            (Graph(3, [(0, 1, 1)]), "a connected")):
+            with pytest.raises(ValueError, match=f"^{name} requires {reason}"):
+                estimator(bad, seed=0)
+
+    @pytest.mark.parametrize("estimator", [diam_dense_32, ecc_dense_53])
+    def test_tiny_graphs(self, estimator):
+        for g in (Graph(0), Graph(1), Graph(1, [(0, 0, 1)])):
+            est = estimator(g, seed=0)
+            assert (est if isinstance(est, int) else est.values) in (0, [0] * g.n)
+        for bad in (Graph(1, directed=True), Graph(1, [(0, 0, 2)])):
+            with pytest.raises(ValueError, match=f"^{estimator.__name__} requires"):
+                estimator(bad, seed=0)
 
 
 @st.composite

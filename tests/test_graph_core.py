@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from conftest import (bellman_ford, complete_graph, path_graph, random_connected, random_graph,
-                      star_graph)
+from conftest import (bellman_ford, complete_graph, cycle_graph, path_graph, random_connected,
+                      random_graph, random_strongly_connected, star_graph)
 from diamecc import graph as graph_module
 from diamecc import search
 from diamecc.stdiam import STInstance, _assemble_gadget, _doubled, _with_pendants
@@ -627,6 +627,112 @@ class TestRingRule:
                     "nearest": [min((row[t], t) for t in members)[::-1] for row in rows]}
             assert run(g, srcs) == want[reduction]
             assert search._ring_rule(g, srcs, "out") == (ring, [])
+
+
+def _spy_ring(monkeypatch) -> list:
+    """Record the one_bit flag of every ring pass started from now on."""
+    passes = []
+    ring_bits = search._ring_bits
+
+    def spy(*args, one_bit=False):
+        passes.append(one_bit)
+        return ring_bits(*args, one_bit=one_bit)
+
+    monkeypatch.setattr(search, "_ring_bits", spy)
+    return passes
+
+
+class TestSingleSearches:
+    # Weight draws per class: the ring runs unit weights with one pending
+    # slot, weights 1..W as a ring of W + 1, sparse and many distinct
+    # weights over keyed slots (more than 64 need two rank words), while
+    # 0/1 weights and weights up to 10**6, which fail the memory half,
+    # keep the list search.
+    WEIGHTS = {"unit": ([1], True), "zero-one": ([0, 1], False), "one-to-w": (range(1, 9), True),
+               "sparse": ([1, 7, 50], True), "distinct": (range(2, 162, 2), True),
+               "heavy": (range(1, 10**6), False)}
+
+    @pytest.mark.parametrize("directed", [True, False])
+    @pytest.mark.parametrize("weights", list(WEIGHTS))
+    def test_rows_match_dijkstra(self, monkeypatch, directed, weights):
+        # The time half is switched off, so every search after the probe
+        # that the memory half admits runs as a one-bit ring pass.
+        monkeypatch.setattr(search, "_STEP_COST", 0)
+        draws, ring = self.WEIGHTS[weights]
+        rng = Random(31 + directed)
+        # Self-loops, parallel arcs and two isolated vertices, 150 and 151;
+        # m = 20 n leaves the live slots of 80 distinct weights room.
+        base = random_graph(rng, 150, 3000, directed, loops=True).edges
+        base += rng.sample(base, 20)
+        g = Graph(152, [(u, v, rng.choice(draws)) for u, v, _ in base], directed=directed)
+        # The arrays are built up front, as a batch would, so no search
+        # waits for them; weights up to 10**6 fail the memory half here.
+        assert [search._use_ring(g, d) for d in ("out", "in")] == [weights != "heavy"] * 2
+        assert weights != "distinct" or len(search._csr(g, "out")[2]) > 64
+        passes = _spy_ring(monkeypatch)
+        for direction in ("out", "in"):
+            adj = g.adjacency(direction)
+            for s in (0, 5, 151):  # 151 is isolated
+                assert sssp(g, s, direction).dist == search._dijkstra(adj, g.n, [s])
+            # Repeated sources, one of them isolated.
+            for sources in ([7, 7, 151], [9, 150, 9, 4]):
+                want = search._dijkstra(adj, g.n, sorted(set(sources)))
+                assert multi_source_distance(g, sources, direction).dist == want
+        # Five searches per direction; the first on each array adjacency is
+        # the probe, and undirected graphs share one for both directions.
+        assert passes == [True] * (10 - 1 - directed) * ring
+        assert ("full", "out") not in g._csr and ("full", "in") not in g._csr
+
+    def test_ring_full_falls_back_and_marks(self, monkeypatch):
+        # From the start of the twin path each step leaves a slot 1000
+        # ahead, so the pass outgrows its live slots and the search falls
+        # back to Dijkstra; the mark then keeps later searches off the ring.
+        monkeypatch.setattr(search, "_STEP_COST", 0)
+        g = _twin_path()
+        adj = g.adjacency("out")
+        assert search._use_ring(g, "out")
+        assert sssp(g, 0).dist == search._dijkstra(adj, g.n, [0])  # the probe
+        passes = _spy_ring(monkeypatch)
+        assert sssp(g, 1).dist == search._dijkstra(adj, g.n, [1])
+        assert passes == [True] and g._csr[("full", "out")]
+        assert multi_source_distance(g, [2, 3]).dist == search._dijkstra(adj, g.n, [2, 3])
+        assert passes == [True] and ("full", "in") not in g._csr
+
+    def test_rule_keeps_deep_graphs_on_list_searches(self, monkeypatch):
+        # After the probe, a search runs in the ring when 64 (D + W + 1)
+        # steps cost at most the list search's n + m scans: a directed
+        # 2000-cycle (D = 1999) and a 300-path (D = 299) stay on the list,
+        # and a random digraph with m = 6n, D = 6, runs in the ring.
+        passes = _spy_ring(monkeypatch)
+        for g, ring in ((cycle_graph(2000, directed=True), False), (path_graph(300), False),
+                        (random_strongly_connected(Random(0), 1000, 5000), True)):
+            key = search._key(g, "out")
+            first = sssp(g, 0).dist
+            assert g._csr[("depth", key)] == (max(first), len(set(first)))
+            # No batch built the arrays, which cost about one list search,
+            # so the search after the probe is a list search as well.
+            for s in (1, 2, 3):
+                assert sssp(g, s).dist == bellman_ford(g, s, "out")
+            assert g._csr[("single", key)] == ring and passes == [True, True] * ring
+            passes.clear()
+
+    def test_unit_weights_count_every_level(self):
+        # On unit weights K = D + 1, but a pass also settles the empty
+        # level after the last, so it is counted as D + W + 1 = D + 2 steps.
+        g = random_strongly_connected(Random(2), 1000, 5000)
+        depth = (g.n + g.m) // search._STEP_COST - 2
+        assert search._fits(g, "out", depth, depth + 1, 1)
+        assert not search._fits(g, "out", depth + 1, depth + 2, 1)
+
+    def test_one_search_after_the_probe_builds_no_arrays(self):
+        # st_3approx's two searches on an undirected graph: the first is the
+        # probe, and the second finds no arrays, so it builds none.
+        g = random_connected(Random(1), 600, 1800)
+        sssp(g, 3, "out")
+        sssp(g, 7, "in")
+        assert "out" not in g._csr and ("single", "out") not in g._csr
+        sssp(g, 9, "in")
+        assert g._csr[("single", "out")] and g._csr["out"] is not None
 
 
 class TestDegree3Blowup:
