@@ -2,9 +2,9 @@
 S-T Diameter, with generators for orthogonal-vectors hardness gadgets
 whose exactly known distance gaps serve as ground-truth fixtures."""
 
-from .graph import (UNREACHABLE, DistanceArray, Graph, GraphFormatError,
-                    Neighborhood, format_graph, load_graph, load_vertex_set,
-                    parse_graph, parse_vertex_set, save_graph)
+from .graph import (UNREACHABLE, Graph, GraphFormatError, Neighborhood,
+                    format_graph, load_graph, load_vertex_set, parse_graph,
+                    parse_vertex_set, save_graph)
 from .search import (apsp_matrix, degree3_blowup, eccentricities, eccentricity,
                      exact_diameter, exact_eccentricities, exact_radius,
                      exact_st_diameter, is_connected, is_strongly_connected,

@@ -268,7 +268,7 @@ def ecc_dense_53(g: Graph, seed: int = 0) -> EccEstimate:
     by_ecc = {}
     for a, e in zip(centers, eccentricities(g, centers)):
         by_ecc.setdefault(e, []).append(a)
-    near = [(e, multi_source_distance(g, group).dist) for e, group in by_ecc.items()]
+    near = [(e, multi_source_distance(g, group)) for e, group in by_ecc.items()]
 
     values = []
     for u in range(n):
@@ -278,18 +278,10 @@ def ecc_dense_53(g: Graph, seed: int = 0) -> EccEstimate:
 
 
 def approx_on_spanner(g: Graph, inner, seed: int = 0):
-    """Run any undirected-unweighted estimator on an additive-2 spanner.
+    """Run an undirected-unweighted diameter estimator on an additive-2 spanner.
 
     Builds the spanner H, evaluates ``inner(H)``, and subtracts 2 from the
     result (clamped at 0), turning a (p, q) guarantee on H into a
-    (p, q + 2) guarantee on g.  Scalar and per-vertex results both work.
+    (p, q + 2) guarantee on g.
     """
-    h = additive2_spanner(g, seed).graph
-    out = inner(h)
-    if isinstance(out, EccEstimate):
-        return EccEstimate([max(v - 2, 0) for v in out.values],
-                           f"{out.method}+spanner", out.seed,
-                           has_unreachable=out.has_unreachable)
-    if isinstance(out, (list, tuple)):
-        return type(out)(max(v - 2, 0) for v in out)
-    return max(out - 2, 0)
+    return max(inner(additive2_spanner(g, seed).graph) - 2, 0)

@@ -33,7 +33,7 @@ def diam_linear_lessthan2(g: Graph):
     """
     if g.n == 0:
         return 0
-    v = min(range(g.n), key=lambda x: (len(g.adj_out[x]) + len(g.adj_in[x]), x))
+    v = min(range(g.n), key=lambda x: (g.degree(x), x))
     around = {v}
     around.update(u for u, _ in g.adj_out[v])
     around.update(u for u, _ in g.adj_in[v])

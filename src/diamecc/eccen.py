@@ -97,7 +97,7 @@ def ecc_2approx(g: Graph, seed: int = 0) -> EccEstimate:
         return EccEstimate([], "ecc-2approx", seed)
     rng = Random(seed)
     sample = sorted(rng.sample(range(n), _sqrt_sample_size(n)))
-    d_from_s = multi_source_distance(g, sample, "out").dist
+    d_from_s = multi_source_distance(g, sample, "out")
     w = _argmax_min_id(d_from_s)
     near_w = k_closest(g, w, min(n, ceil_sqrt(n)), "in").vertices()
 
@@ -160,9 +160,9 @@ def ecc_2plusdelta(g: Graph, tau, seed: int = 0,
         if true_ecc is not None:
             assert all(true_ecc[v] <= bound for v in active)
         probe = sorted(rng.sample(active, min(len(active), _log_sample_size(n))))
-        d_from_a = multi_source_distance(g, probe, "out").dist
+        d_from_a = multi_source_distance(g, probe, "out")
         w = _argmax_min_id(d_from_a)
-        to_w = sssp(g, w, "in").dist
+        to_w = sssp(g, w, "in")
         ordered = sorted(active, key=lambda v: (to_w[v], v))
         half = (len(active) + 1) // 2
         near_w, far_w = ordered[:half], ordered[half:]
@@ -206,7 +206,7 @@ def ecc_folklore_3approx(g: Graph) -> EccEstimate:
         raise ValueError("ecc_folklore_3approx requires an undirected graph")
     if g.n == 0:
         return EccEstimate([], "ecc-folklore")
-    from_r = sssp(g, 0, "out").dist
+    from_r = sssp(g, 0, "out")
     if any(d == UNREACHABLE for d in from_r):
         raise ValueError("ecc_folklore_3approx requires a connected graph")
     ecc_r = max(from_r)

@@ -1,10 +1,10 @@
 """Compact immutable graph type and the edge-list text format.
 
 Graphs are stored as forward adjacency lists of ``(head, weight)`` pairs
-together with the mirrored reverse adjacency, so in-direction searches
-never need an explicit transpose.  Weights are nonnegative integers;
-unweighted graphs carry weight 1 everywhere, and weight 0 is permitted
-(it is used by the degree-3 blow-up gadget).
+together with the reverse adjacency, so in-direction searches never need
+an explicit transpose; an undirected graph's two are one list.  Weights
+are nonnegative integers; unweighted graphs carry weight 1 everywhere,
+and weight 0 is permitted (it is used by the degree-3 blow-up gadget).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ UNREACHABLE = math.inf
 # (n-1) * max_weight + 1 must stay below this; a 64-bit distance budget.
 _WEIGHT_BUDGET = 2**63
 
-# The largest vertex count parse_graph accepts.  A Graph holds two
+# The largest vertex count parse_graph accepts.  A directed Graph holds two
 # adjacency lists per vertex, about 128 bytes with their slots even when
 # empty, so this caps an edgeless file's graph at about 1.2 GiB.  A larger
 # header is rejected before anything is allocated for it.
@@ -39,9 +39,9 @@ class GraphFormatError(ValueError):
 class Graph:
     """Immutable adjacency-list graph with nonnegative integer weights.
 
-    For undirected graphs every edge appears once in ``edges`` but is
-    mirrored in both adjacency directions.  For directed graphs each entry
-    of ``edges`` is one arc.  Instances must not be mutated after
+    For undirected graphs every edge appears once in ``edges`` and twice
+    in one adjacency list, which serves as both ``adj_out`` and
+    ``adj_in``.  For directed graphs each entry of ``edges`` is one arc.  Instances must not be mutated after
     construction; all algorithms in this package treat them as read-only,
     which also makes every operation safe to call concurrently.  The one
     exception is ``_csr``, a cache that the ring searches, batched and
@@ -68,7 +68,7 @@ class Graph:
         self.directed = directed
         canon = []
         adj_out = [[] for _ in range(n)]
-        adj_in = [[] for _ in range(n)]
+        adj_in = [[] for _ in range(n)] if directed else adj_out
         max_w = 0
         unit = True
         zero_one = True
@@ -82,9 +82,6 @@ class Graph:
             canon.append((u, v, w))
             adj_out[u].append((v, w))
             adj_in[v].append((u, w))
-            if not directed:
-                adj_out[v].append((u, w))
-                adj_in[u].append((v, w))
             if w > max_w:
                 max_w = w
             if w != 1:
@@ -125,29 +122,6 @@ class Graph:
     def __repr__(self):
         kind = "directed" if self.directed else "undirected"
         return f"Graph(n={self.n}, m={self.m}, {kind})"
-
-
-@dataclass
-class DistanceArray:
-    """Per-vertex distances from a source vertex or source set.
-
-    ``dist[v]`` is a nonnegative integer or UNREACHABLE.  ``source`` is the
-    originating vertex (int) or vertex tuple; ``direction`` records whether
-    the entries mean d(source, v) ("out") or d(v, source) ("in").
-    """
-
-    dist: list
-    source: object
-    direction: str
-
-    def __getitem__(self, v):
-        return self.dist[v]
-
-    def __len__(self):
-        return len(self.dist)
-
-    def __iter__(self):
-        return iter(self.dist)
 
 
 @dataclass

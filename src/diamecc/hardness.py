@@ -492,25 +492,23 @@ def build_ecc_lb_undirected(inst: OVInstance, max_edges: int = DEFAULT_EDGE_CAP)
         raise ConstructionSizeError(s_size * (2 * k - 3), max_edges)
     edges = [(u, v, 1) for u, v, _ in core.edges]
     next_id = core.vertex_count
-    s_tail_end = []
-    for i in range(s_size):
-        prev = i
-        for _ in range(k - 2):
+
+    def tail(prev, length):
+        """Hang a path of ``length`` new vertices on ``prev``; return its far end."""
+        nonlocal next_id
+        for _ in range(length):
             edges.append((prev, next_id, 1))
             prev = next_id
             next_id += 1
-        s_tail_end.append(prev)
+        return prev
+
+    s_tail_end = [tail(i, k - 2) for i in range(s_size)]
     hub = next_id
     next_id += 1
-    for end in s_tail_end:
-        edges.append((end, hub, 1))
+    edges.extend((end, hub, 1) for end in s_tail_end)
     t_tail_lo = next_id
     for i in range(s_size):
-        prev = core.t_lo + i
-        for _ in range(k - 1):
-            edges.append((prev, next_id, 1))
-            prev = next_id
-            next_id += 1
+        tail(core.t_lo + i, k - 1)
 
     g = Graph(next_id, edges, directed=False)
     sets = dict(core.sets)

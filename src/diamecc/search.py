@@ -3,7 +3,8 @@
 Which kernel runs follows the weight class of the graph and, through
 the ring rule below, its depth:
 
-* single searches (sssp and multi_source_distance, and eccentricity and
+* single searches (sssp and multi_source_distance, which return the
+  distance row as a list, and eccentricity, is_connected and
   is_strongly_connected on them): one search from a source set.  When
   the ring rule admits it, it is one pass of the ring described next,
   with every source in bit 0, and each distance it settles writes that
@@ -101,7 +102,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import UNREACHABLE, DistanceArray, Graph, Neighborhood
+from .graph import UNREACHABLE, Graph, Neighborhood
 
 # Sources per batched search: one bit each in a uint64 word per vertex.
 _WORD = np.iinfo(np.uint64).bits
@@ -236,8 +237,7 @@ def _csr(g: Graph, direction: str):
     one.  On unit weights that is v.  A 0-weight arc has target v.
     Returns None, and builds no array, when the memory half of the ring
     rule fails, (k_w + 2) n > 16 (n + m).  Undirected graphs keep one copy
-    for both directions, since their reverse adjacency equals the forward
-    one.
+    for both directions, since their reverse adjacency is the forward one.
     """
     key = _key(g, direction)
     if key in g._csr:
@@ -296,12 +296,6 @@ def _slot_cap(g: Graph) -> int:
     return _RING_WORDS_PER_ITEM * (g.n + g.m) // g.n
 
 
-def _use_ring(g: Graph, direction: str) -> bool:
-    """The memory half of the ring rule, before a pass: the k_w x n block
-    and two slots must fit next to the graph."""
-    return _csr(g, direction) is not None
-
-
 def _ring_rule(g: Graph, srcs: list, direction: str):
     """The ring rule (see the module docstring) for a nonempty source list.
 
@@ -327,7 +321,9 @@ def _fits(g: Graph, direction: str, depth: int, distinct: int, left: int) -> boo
     # this is the lower estimate, so it is asked before the arrays are built.
     full, part = divmod(left, _WORD)
     keyed = full * min(deepest, distinct * _WORD) + min(deepest, distinct * part)
-    if not left or _STEP_COST * keyed > scans or not _use_ring(g, direction):
+    # The memory half: no arrays are built when the k_w x n block and two
+    # slots would not fit next to the graph.
+    if not left or _STEP_COST * keyed > scans or _csr(g, direction) is None:
         return False
     # Unit weights and the ring of weights 1..W step through every distance
     # up to the last.
@@ -649,21 +645,20 @@ def max_distances(g: Graph, sources, direction: str = "out") -> list:
             for d, m, f in zip(ring_far.tolist(), missed.tolist(), far)]
 
 
-def sssp(g: Graph, source: int, direction: str = "out") -> DistanceArray:
-    """Exact single-source shortest paths.
+def sssp(g: Graph, source: int, direction: str = "out") -> list:
+    """Exact single-source shortest paths, as a list indexed by vertex.
 
     ``direction="out"`` gives d(source, v); ``"in"`` gives d(v, source).
     Unreachable vertices get the UNREACHABLE sentinel.
     """
     if not 0 <= source < g.n:
         raise ValueError(f"source {source} out of range")
-    return DistanceArray(_distances(g, (source,), direction), source, direction)
+    return _distances(g, (source,), direction)
 
 
-def multi_source_distance(g: Graph, sources, direction: str = "out") -> DistanceArray:
+def multi_source_distance(g: Graph, sources, direction: str = "out") -> list:
     """dist[v] = min over s in sources of d(s, v) (out) or d(v, s) (in)."""
-    srcs = _source_set(g, sources)
-    return DistanceArray(_distances(g, srcs, direction), tuple(srcs), direction)
+    return _distances(g, _source_set(g, sources), direction)
 
 
 def _k_closest_levels(adj, v, s):
@@ -736,7 +731,7 @@ def k_closest(g: Graph, v: int, s: int, direction: str = "out") -> Neighborhood:
 
 def eccentricity(g: Graph, v: int, direction: str = "out"):
     """max over u of d(v, u) (out) or d(u, v) (in); UNREACHABLE if any is."""
-    return max(sssp(g, v, direction).dist, default=0)
+    return max(sssp(g, v, direction), default=0)
 
 
 def exact_eccentricities(g: Graph, direction: str = "out") -> list:
@@ -793,30 +788,17 @@ def is_connected(g: Graph) -> bool:
     """Undirected connectivity (ignores arc directions for directed input)."""
     if g.n <= 1:
         return True
-    seen = [False] * g.n
-    seen[0] = True
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for v, _ in g.adj_out[u]:
-            if not seen[v]:
-                seen[v] = True
-                stack.append(v)
-        for v, _ in g.adj_in[u]:
-            if not seen[v]:
-                seen[v] = True
-                stack.append(v)
-    return all(seen)
+    if g.directed:
+        g = Graph(g.n, g.edges, directed=False)
+    return UNREACHABLE not in _distances(g, (0,), "out")
 
 
 def is_strongly_connected(g: Graph) -> bool:
     if g.n <= 1:
         return True
-    for direction in ("out", "in"):
-        dist = _distances(g, (0,), direction)
-        if any(d == UNREACHABLE for d in dist):
-            return False
-    return True
+    # An undirected graph's two directions are one search.
+    return all(UNREACHABLE not in _distances(g, (0,), direction)
+               for direction in (("out", "in") if g.directed else ("out",)))
 
 
 @dataclass

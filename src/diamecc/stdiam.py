@@ -87,7 +87,7 @@ def _two_approx_sweep(g: Graph, S, T, rng: Random, z_size: int, extend_positive:
     """
     ports = ports or [1] * g.n
     sample = _sample(rng, ports)
-    min_from_x = multi_source_distance(g, sample).dist
+    min_from_x = multi_source_distance(g, sample)
     t_bar = max(T, key=lambda t: (min_from_x[t], -t))
     pivots = {t for t, _ in nearest(g, sample, T)} | {t_bar}
     near = _neighbourhood(g, t_bar, z_size, extend_positive, ports)
@@ -254,21 +254,28 @@ def _with_pendants(g: Graph, groups, w_scale: int):
     return Graph(next_id, edges, directed=False), pendant_ids
 
 
+def _one_side(g2: Graph, group, w_scale: int):
+    """Pendants on ``group`` only, or None when it has fewer than 2 vertices."""
+    return _with_pendants(g2, [group], w_scale)[0] if len(group) > 1 else None
+
+
 def build_equivalence_gadget(inst: STInstance) -> EquivalenceGadget:
     """Construct the reduction gadgets, computing the spans exactly."""
     g2, w_scale = _doubled(inst)
-    span_s = exact_st_diameter(g2, inst.S, inst.S) if len(inst.S) > 1 else 0
-    span_t = exact_st_diameter(g2, inst.T, inst.T) if len(inst.T) > 1 else 0
-    return _assemble_gadget(g2, inst.S, inst.T, w_scale, span_s, span_t)
+    S, T = inst.S, inst.T
+    span_s = exact_st_diameter(g2, S, S) if len(S) > 1 else 0
+    span_t = exact_st_diameter(g2, T, T) if len(T) > 1 else 0
+    return _assemble_gadget(g2, S, T, _one_side(g2, S, w_scale), _one_side(g2, T, w_scale),
+                            w_scale, span_s, span_t)
 
 
-def _assemble_gadget(g2, S, T, w_scale, span_s, span_t) -> EquivalenceGadget:
+def _assemble_gadget(g2, S, T, g_s, g_t, w_scale, span_s, span_t) -> EquivalenceGadget:
+    """The gadget from the one-side graphs g_s and g_t, which have pendants
+    on S only and on T only; the roles swap when span_t > span_s."""
     swapped = span_t > span_s
     if swapped:
-        S, T = T, S
+        S, T, g_s, g_t = T, S, g_t, g_s
         span_s, span_t = span_t, span_s
-    g_s = _with_pendants(g2, [S], w_scale)[0] if len(S) > 1 else None
-    g_t = _with_pendants(g2, [T], w_scale)[0] if len(T) > 1 else None
     g_st, (sp, tp) = _with_pendants(g2, [S, T], w_scale)
     # Split edges need span_s/2; doubling made every distance even.
     half = span_s // 2
@@ -297,11 +304,10 @@ def st_via_diameter(inst: STInstance, diameter_fn):
     """
     g2, w_scale = _doubled(inst)
     S, T = inst.S, inst.T
-    g_s = _with_pendants(g2, [S], w_scale)[0] if len(S) > 1 else None
-    g_t = _with_pendants(g2, [T], w_scale)[0] if len(T) > 1 else None
+    g_s, g_t = _one_side(g2, S, w_scale), _one_side(g2, T, w_scale)
     span_s = diameter_fn(g_s) - 2 * w_scale if g_s is not None else 0
     span_t = diameter_fn(g_t) - 2 * w_scale if g_t is not None else 0
-    gadget = _assemble_gadget(g2, S, T, w_scale, span_s, span_t)
+    gadget = _assemble_gadget(g2, S, T, g_s, g_t, w_scale, span_s, span_t)
     combined = diameter_fn(gadget.g_st) - 2 * w_scale
     if combined > gadget.span_s:
         return combined // 2

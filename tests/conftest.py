@@ -146,7 +146,7 @@ def reference_st_sweep(inst, mode: str, seeds) -> list:
 
     def dist_from(v):
         if v not in rows:
-            rows[v] = sssp(g, v).dist
+            rows[v] = sssp(g, v)
         return rows[v]
 
     out = []

@@ -18,7 +18,8 @@ from diamecc import search
 from diamecc.stdiam import STInstance, _assemble_gadget, _doubled, _with_pendants
 from diamecc import (UNREACHABLE, Graph, GraphFormatError, apsp_matrix,
                      degree3_blowup, eccentricities, exact_eccentricities,
-                     exact_st_diameter, format_graph, k_closest, max_distances,
+                     exact_st_diameter, format_graph, is_connected,
+                     is_strongly_connected, k_closest, max_distances,
                      multi_source_distance, nearest, parse_graph, parse_vertex_set, sssp)
 
 
@@ -28,12 +29,12 @@ class TestGraphType:
         g = random_graph(rng, 30, 80, directed=True, max_w=5)
         fwd = sorted((u, v, w) for u in range(g.n) for v, w in g.adj_out[u])
         rev = sorted((u, v, w) for v in range(g.n) for u, w in g.adj_in[v])
-        assert fwd == rev
+        assert fwd == rev and g.adj_in is not g.adj_out
 
     def test_undirected_companion_arcs(self):
         g = Graph(3, [(0, 1, 4), (1, 2, 1)])
         assert (0, 4) in g.adj_out[1] and (2, 1) in g.adj_out[1]
-        assert g.adj_out == g.adj_in
+        assert g.adj_in is g.adj_out and g.adjacency("in") is g.adjacency("out")
 
     def test_weight_classes(self):
         assert Graph(3, [(0, 1, 1), (1, 2, 1)]).unit_weights
@@ -55,7 +56,7 @@ class TestGraphType:
 class TestSSSP:
     def test_line_graph(self):
         g = path_graph(3)
-        assert sssp(g, 0, "out").dist == [0, 1, 2]
+        assert sssp(g, 0, "out") == [0, 1, 2]
 
     def test_weighted_triangle(self):
         g = Graph(3, [(0, 1, 5), (1, 2, 1), (0, 2, 10)])
@@ -70,14 +71,14 @@ class TestSSSP:
                              max_w=rng.choice([1, 1, 7]))
             src = rng.randrange(n)
             for direction in ("out", "in"):
-                assert sssp(g, src, direction).dist == bellman_ford(g, src, direction)
+                assert sssp(g, src, direction) == bellman_ford(g, src, direction)
 
     def test_triangle_inequality_and_tight_predecessor(self):
         rng = Random(2)
         for _ in range(20):
             n = rng.randint(2, 40)
             g = random_graph(rng, n, 3 * n, directed=True, max_w=4)
-            dist = sssp(g, 0, "out").dist
+            dist = sssp(g, 0, "out")
             for u, v, w in g.edges:
                 if dist[u] != UNREACHABLE:
                     assert dist[v] <= dist[u] + w
@@ -91,21 +92,28 @@ class TestSSSP:
         g = random_graph(rng, 25, 70, directed=True, max_w=3)
         gt = Graph(g.n, [(v, u, w) for u, v, w in g.edges], directed=True)
         for s in range(0, g.n, 5):
-            assert sssp(g, s, "in").dist == sssp(gt, s, "out").dist
+            assert sssp(g, s, "in") == sssp(gt, s, "out")
 
     def test_zero_one_weights(self):
         g = Graph(4, [(0, 1, 0), (1, 2, 1), (2, 3, 0)])
-        assert sssp(g, 0).dist == [0, 0, 1, 1]
+        assert sssp(g, 0) == [0, 0, 1, 1]
+
+    def test_rows_are_lists(self):
+        # Both the list search and the ring pass hand back a plain list.
+        g = random_strongly_connected(Random(2), 300, 1200)
+        for _ in range(4):
+            assert type(sssp(g, 0)) is list
+            assert type(multi_source_distance(g, [1, 2], "in")) is list
 
 
 class TestMultiSource:
     def test_all_vertices_gives_zero(self):
         g = path_graph(5)
-        assert multi_source_distance(g, range(5)).dist == [0] * 5
+        assert multi_source_distance(g, range(5)) == [0] * 5
 
     def test_two_ends_of_path(self):
         g = path_graph(4)
-        assert multi_source_distance(g, {0, 3}, "out").dist == [0, 1, 1, 0]
+        assert multi_source_distance(g, {0, 3}, "out") == [0, 1, 1, 0]
 
     def test_empty_sources_rejected(self):
         with pytest.raises(ValueError):
@@ -117,9 +125,46 @@ class TestMultiSource:
             n = rng.randint(3, 40)
             g = random_graph(rng, n, 2 * n, directed=True, max_w=5)
             sources = rng.sample(range(n), rng.randint(1, n))
-            got = multi_source_distance(g, sources, "in").dist
+            got = multi_source_distance(g, sources, "in")
             want = [min(sssp(g, s, "in")[v] for s in sources) for v in range(n)]
             assert got == want
+
+
+class TestConnectivity:
+    def test_directed_input_ignores_arc_directions(self):
+        weakly = Graph(3, [(0, 1, 1), (2, 1, 1)], directed=True)
+        assert is_connected(weakly) and not is_strongly_connected(weakly)
+        two_parts = Graph(4, [(0, 1, 1), (2, 3, 1), (3, 2, 1)], directed=True)
+        assert not is_connected(two_parts)
+
+    def test_matches_networkx(self):
+        nx = pytest.importorskip("networkx")
+        rng = Random(23)
+        seen = set()
+        for trial in range(120):
+            n = rng.randint(1, 30)
+            directed = trial % 2 == 0
+            g = random_graph(rng, n, rng.randint(0, 2 * n), directed,
+                             max_w=rng.choice([1, 0, 8]), loops=True)
+            nxg = nx.MultiDiGraph() if directed else nx.MultiGraph()
+            nxg.add_nodes_from(range(n))
+            nxg.add_edges_from((u, v) for u, v, _ in g.edges)
+            want = nx.is_weakly_connected(nxg) if directed else nx.is_connected(nxg)
+            assert is_connected(g) == want
+            if directed:
+                assert is_strongly_connected(g) == nx.is_strongly_connected(nxg)
+            seen.add(want)
+        assert seen == {True, False}
+
+    def test_undirected_strong_connectivity_is_one_search(self, monkeypatch):
+        calls = []
+        real = search._distances
+        monkeypatch.setattr(search, "_distances",
+                            lambda g, sources, direction: calls.append(direction)
+                            or real(g, sources, direction))
+        assert is_strongly_connected(path_graph(5)) and calls == ["out"]
+        calls.clear()
+        assert is_strongly_connected(cycle_graph(5, directed=True)) and calls == ["out", "in"]
 
 
 class TestKClosest:
@@ -141,7 +186,7 @@ class TestKClosest:
             v = rng.randrange(n)
             s = rng.randint(1, n)
             direction = rng.choice(["out", "in"])
-            full = sorted((d, u) for u, d in enumerate(sssp(g, v, direction).dist)
+            full = sorted((d, u) for u, d in enumerate(sssp(g, v, direction))
                           if d != UNREACHABLE)[:s]
             got = k_closest(g, v, s, direction).items
             assert got == [(u, d) for d, u in full]
@@ -163,7 +208,7 @@ class TestKClosest:
             for v in range(0, g.n, 3):
                 for s in sorted({1, 2, 5, g.n // 2, g.n}):
                     for direction in ("out", "in"):
-                        full = sorted((d, u) for u, d in enumerate(sssp(g, v, direction).dist)
+                        full = sorted((d, u) for u, d in enumerate(sssp(g, v, direction))
                                       if d != UNREACHABLE)[:s]
                         got = k_closest(g, v, s, direction).items
                         assert got == [(u, d) for d, u in full], (g, v, s, direction)
@@ -274,8 +319,9 @@ def _pendant_gadgets(rng, n):
     S, T = sorted(picked[:n // 10]), sorted(picked[n // 10:])
     g2, w_scale = _doubled(STInstance(g, S, T))
     span_s, span_t = exact_st_diameter(g2, S, S), exact_st_diameter(g2, T, T)
-    gadget = _assemble_gadget(g2, S, T, w_scale, span_s, span_t)
-    return _with_pendants(g2, [S], w_scale)[0], gadget.g_st, gadget.g_final
+    g_s, g_t = _with_pendants(g2, [S], w_scale)[0], _with_pendants(g2, [T], w_scale)[0]
+    gadget = _assemble_gadget(g2, S, T, g_s, g_t, w_scale, span_s, span_t)
+    return g_s, gadget.g_st, gadget.g_final
 
 
 def _twin_path(n=600):
@@ -294,7 +340,7 @@ class TestBatchedReductions:
         # Mostly connected, fragmented, and small enough that 130 sources repeat.
         for n, m in ((132, 400), (132, 80), (40, 120)):
             g = random_graph(rng, n, m, directed, max_w=hi, min_w=lo, loops=True)
-            assert search._use_ring(g, "out")
+            assert search._csr(g, "out") is not None
             for direction in ("out", "in"):
                 rows = {}
                 for count in (1, 63, 64, 65, 130):
@@ -351,7 +397,7 @@ class TestBatchedReductions:
         rng = Random(14)
         for directed in (True, False):
             g = random_graph(rng, 90, 270, directed, max_w=10**6, min_w=0, loops=True)
-            assert not search._use_ring(g, "out")
+            assert search._csr(g, "out") is None
             for direction in ("out", "in"):
                 rows = {}
                 _assert_reductions(g, range(g.n), direction, rows)
@@ -513,23 +559,25 @@ class TestRingRule:
     def test_memory_bound(self):
         rng = Random(16)
         # Weights 1..8 at m = 5n: (k_w + 2) n = 10 n words against 16 (n + m).
-        assert search._use_ring(random_graph(rng, 700, 3500, True, max_w=8), "out")
+        assert search._csr(random_graph(rng, 700, 3500, True, max_w=8), "out") is not None
         # Weights up to 10**6 are nearly all distinct: k_w is about m.
-        assert not search._use_ring(random_graph(rng, 700, 3500, True, max_w=10**6), "out")
+        assert search._csr(random_graph(rng, 700, 3500, True, max_w=10**6), "out") is None
         # Unit and 0/1 weights need at most 3 n words, which fit even with no edges.
-        assert search._use_ring(Graph(20, directed=True), "out")
-        assert search._use_ring(Graph(20, [(0, 1, 0)], directed=True), "out")
+        assert search._csr(Graph(20, directed=True), "out") is not None
+        assert search._csr(Graph(20, [(0, 1, 0)], directed=True), "out") is not None
         # The largest k_w that fits: (k_w + 2) n <= 16 (n + m) at n = 100 and
         # m = k_w arcs of distinct weights gives k_w = 16.
-        assert search._use_ring(Graph(100, [(0, 1, w) for w in range(1, 17)], directed=True), "out")
-        assert not search._use_ring(Graph(100, [(0, 1, w) for w in range(1, 18)], directed=True),
-                                    "out")
+        fits = Graph(100, [(0, 1, w) for w in range(1, 17)], directed=True)
+        assert search._csr(fits, "out") is not None
+        assert search._csr(Graph(100, [(0, 1, w) for w in range(1, 18)], directed=True),
+                           "out") is None
         # The bound counts distinct weights, not the largest one: the pendant
         # gadgets of st_via_diameter need (W + 1) n words far above 16 (n + m)
         # for a ring of W + 1 slots, but have k_w <= 4.
         for g in _pendant_gadgets(Random(21), 150):
             assert (g.max_weight + 1) * g.n > search._RING_WORDS_PER_ITEM * (g.n + g.m)
-            assert search._use_ring(g, "out") and len(search._csr(g, "out")[2]) <= 4
+            csr = search._csr(g, "out")
+            assert csr is not None and len(csr[2]) <= 4
 
     def test_depth_probe(self):
         rng = Random(17)
@@ -667,17 +715,17 @@ class TestSingleSearches:
         g = Graph(152, [(u, v, rng.choice(draws)) for u, v, _ in base], directed=directed)
         # The arrays are built up front, as a batch would, so no search
         # waits for them; weights up to 10**6 fail the memory half here.
-        assert [search._use_ring(g, d) for d in ("out", "in")] == [weights != "heavy"] * 2
+        assert [search._csr(g, d) is not None for d in ("out", "in")] == [weights != "heavy"] * 2
         assert weights != "distinct" or len(search._csr(g, "out")[2]) > 64
         passes = _spy_ring(monkeypatch)
         for direction in ("out", "in"):
             adj = g.adjacency(direction)
             for s in (0, 5, 151):  # 151 is isolated
-                assert sssp(g, s, direction).dist == search._dijkstra(adj, g.n, [s])
+                assert sssp(g, s, direction) == search._dijkstra(adj, g.n, [s])
             # Repeated sources, one of them isolated.
             for sources in ([7, 7, 151], [9, 150, 9, 4]):
                 want = search._dijkstra(adj, g.n, sorted(set(sources)))
-                assert multi_source_distance(g, sources, direction).dist == want
+                assert multi_source_distance(g, sources, direction) == want
         # Five searches per direction; the first on each array adjacency is
         # the probe, and undirected graphs share one for both directions.
         assert passes == [True] * (10 - 1 - directed) * ring
@@ -690,12 +738,12 @@ class TestSingleSearches:
         monkeypatch.setattr(search, "_STEP_COST", 0)
         g = _twin_path()
         adj = g.adjacency("out")
-        assert search._use_ring(g, "out")
-        assert sssp(g, 0).dist == search._dijkstra(adj, g.n, [0])  # the probe
+        assert search._csr(g, "out") is not None
+        assert sssp(g, 0) == search._dijkstra(adj, g.n, [0])  # the probe
         passes = _spy_ring(monkeypatch)
-        assert sssp(g, 1).dist == search._dijkstra(adj, g.n, [1])
+        assert sssp(g, 1) == search._dijkstra(adj, g.n, [1])
         assert passes == [True] and g._csr[("full", "out")]
-        assert multi_source_distance(g, [2, 3]).dist == search._dijkstra(adj, g.n, [2, 3])
+        assert multi_source_distance(g, [2, 3]) == search._dijkstra(adj, g.n, [2, 3])
         assert passes == [True] and ("full", "in") not in g._csr
 
     def test_rule_keeps_deep_graphs_on_list_searches(self, monkeypatch):
@@ -707,12 +755,12 @@ class TestSingleSearches:
         for g, ring in ((cycle_graph(2000, directed=True), False), (path_graph(300), False),
                         (random_strongly_connected(Random(0), 1000, 5000), True)):
             key = search._key(g, "out")
-            first = sssp(g, 0).dist
+            first = sssp(g, 0)
             assert g._csr[("depth", key)] == (max(first), len(set(first)))
             # No batch built the arrays, which cost about one list search,
             # so the search after the probe is a list search as well.
             for s in (1, 2, 3):
-                assert sssp(g, s).dist == bellman_ford(g, s, "out")
+                assert sssp(g, s) == bellman_ford(g, s, "out")
             assert g._csr[("single", key)] == ring and passes == [True, True] * ring
             passes.clear()
 
@@ -769,8 +817,8 @@ class TestDegree3Blowup:
             blown, bmap = degree3_blowup(g)
             assert all(len(blown.adj_out[v]) <= 3 for v in range(blown.n))
             for u in range(n):
-                du = sssp(g, u).dist
-                db = sssp(blown, bmap.rep[u]).dist
+                du = sssp(g, u)
+                db = sssp(blown, bmap.rep[u])
                 assert all(db[bmap.rep[v]] == du[v] for v in range(n))
 
     def test_rejects_directed(self):

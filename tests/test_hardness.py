@@ -60,7 +60,7 @@ class TestLayeredConstruction:
             out = build_kov_layered(gen_ov(k, 2, 3, "unsat", 0))
             S, T = (range(*out.sets[x]) for x in "ST")
             for s in S:
-                row = sssp(out.graph, s).dist
+                row = sssp(out.graph, s)
                 assert all(row[t] == k for t in T)
 
     def test_planted_witness(self):
@@ -80,7 +80,7 @@ class TestLayeredConstruction:
             n = inst.n
             beta = T_lo + ib * n + ic
             alpha = S_lo + ia * n + ib
-            alpha_row = sssp(out.graph, alpha).dist
+            alpha_row = sssp(out.graph, alpha)
             for other in range(n):
                 if other == ib:
                     continue
@@ -98,7 +98,7 @@ class TestLayeredConstruction:
         d = inst.d
         xsize = d ** 3
         for l1 in range(l1_lo, min(l1_lo + 40, l1_hi)):
-            row = sssp(g, l1).dist
+            row = sssp(g, l1)
             x_idx = (l1 - l1_lo) % xsize
             for l3 in range(l3_lo, l3_hi):
                 if (l3 - l3_lo) % xsize == x_idx:
@@ -108,7 +108,7 @@ class TestLayeredConstruction:
         out = build_kov_layered(gen_ov(3, 3, 4, "planted", 3))
         S, T = (range(*out.sets[x]) for x in "ST")
         for s in S:
-            row = sssp(out.graph, s).dist
+            row = sssp(out.graph, s)
             for t in T:
                 if row[t] != float("inf"):
                     assert row[t] % 2 == 3 % 2
@@ -193,7 +193,7 @@ class TestEccConstructions:
         inst = gen_ov(3, 3, 4, "unsat", 0)
         out = build_ecc_lb_undirected(inst)
         hub = out.sets["HUB"][0]
-        row = sssp(out.graph, hub).dist
+        row = sssp(out.graph, hub)
         assert all(row[s] == 2 for s in range(*out.sets["S"]))
 
     def test_undirected_gap(self):

@@ -208,7 +208,7 @@ class TestBlowupLifting:
             assert stdiam._sample(Random(trial), ports) == sorted({owner(b) for b in draws})
             z = min(blown.n, ceil_sqrt(max(blown.m, 1)))
             for t in range(n):
-                row = sssp(blown, bmap.rep[t]).dist
+                row = sssp(blown, bmap.rep[t])
                 near = sorted((b for b in range(blown.n) if row[b] != UNREACHABLE),
                               key=lambda b: (row[b], b))[:z]
                 near += [u for b in near for u, w in blown.adj_out[b] if w > 0]
@@ -280,7 +280,7 @@ class TestEquivalenceGadget:
             g2 = gadget.g_final
             w = gadget.w_scale
             for i, vi in enumerate(gadget.s_pendants):
-                row = sssp(g2, vi).dist
+                row = sssp(g2, vi)
                 si = gadget.s_order[i]
                 for j, uj in enumerate(gadget.t_pendants):
                     tj = gadget.t_order[j]
