@@ -74,14 +74,6 @@ def ceil_sqrt(n: int) -> int:
     return s if s * s == n else s + 1
 
 
-def _argmax_min_id(values, candidates=None):
-    best_v, best = None, None
-    for v in candidates if candidates is not None else range(len(values)):
-        if best is None or values[v] > best:
-            best, best_v = values[v], v
-    return best_v
-
-
 def ecc_2approx(g: Graph, seed: int = 0) -> EccEstimate:
     """2-approximate all out-eccentricities: ecc(v)/2 <= est(v) <= ecc(v).
 
@@ -98,7 +90,7 @@ def ecc_2approx(g: Graph, seed: int = 0) -> EccEstimate:
     rng = Random(seed)
     sample = sorted(rng.sample(range(n), _sqrt_sample_size(n)))
     d_from_s = multi_source_distance(g, sample, "out")
-    w = _argmax_min_id(d_from_s)
+    w = d_from_s.index(max(d_from_s))
     near_w = k_closest(g, w, min(n, ceil_sqrt(n)), "in").vertices()
 
     est = max_distances(g, set(sample) | {w}, "in")
@@ -161,9 +153,10 @@ def ecc_2plusdelta(g: Graph, tau, seed: int = 0,
             assert all(true_ecc[v] <= bound for v in active)
         probe = sorted(rng.sample(active, min(len(active), _log_sample_size(n))))
         d_from_a = multi_source_distance(g, probe, "out")
-        w = _argmax_min_id(d_from_a)
+        w = d_from_a.index(max(d_from_a))
         to_w = sssp(g, w, "in")
-        ordered = sorted(active, key=lambda v: (to_w[v], v))
+        # active is ascending and the sort stable, so ties keep id order.
+        ordered = sorted(active, key=to_w.__getitem__)
         half = (len(active) + 1) // 2
         near_w, far_w = ordered[:half], ordered[half:]
         if not set(probe) & set(near_w):

@@ -46,9 +46,10 @@ class Graph:
     which also makes every operation safe to call concurrently.  The one
     exception is ``_csr``, a cache that the ring searches, batched and
     single, fill on first use, per direction: the array adjacency, in
-    which a positive arc carries the rank of its weight among the graph's
-    distinct positive weights, or None when those weights are too many
-    for the ring's memory bound; the depth and the number of distinct
+    which an arc carries the rank of its weight among the graph's
+    distinct weights, or None when those weights are too many for the
+    ring's memory bound (a graph with a 0-weight arc builds none and
+    runs only list searches); the depth and the number of distinct
     distances of the ring rule's probe, the first list search run in that
     direction to decide a kernel (a batch's first source, or a single
     search); whether single searches run in the ring, and a mark that one

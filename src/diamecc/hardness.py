@@ -394,7 +394,6 @@ class _ArcBuilder:
     def __init__(self, start: int):
         self.arcs = []
         self.next_id = start
-        self.subdividers = []
 
     def arc(self, u, v):
         self.arcs.append((u, v, 1))
@@ -409,7 +408,6 @@ class _ArcBuilder:
         for _ in range(length - 1):
             mid = self.next_id
             self.next_id += 1
-            self.subdividers.append(mid)
             self.und(prev, mid)
             prev = mid
         self.und(prev, v)

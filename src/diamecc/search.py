@@ -24,19 +24,18 @@ the ring rule below, its depth:
   int64 CSR arrays.  Its n-word slots are keyed by distance: a slot
   exists only while bits are pending at its distance, and a pass steps
   only through those distances (nearest stops once every source has met
-  a member).  Each
-  step ORs its frontier's arc bits into a k_w x n block, k_w being the
-  number of distinct positive weights, and each row that gained bits
-  becomes the slot at d + w or is ORed into it.  Unit weights (k_w = 1)
-  keep one pending slot, which is a level-synchronous BFS with no weight
-  gather; 0/1 weights add a closure over the 0-weight arcs inside each
-  slot.  When the positive weights are exactly 1..W, the slots form a
-  ring of W + 1 indexed by d mod (W + 1) instead, which copies and merges
-  no rows: on weights 1..8 the merges cost about 8% of a pass.  Each
-  step costs the arcs of its frontier, in numpy, plus a fixed numpy
-  overhead of about what a list search spends on 64 vertices and arcs,
-  however few vertices settle there.  A single search's pass holds one
-  bit, so it sets the words at its arcs' heads instead of ORing into them.
+  a member).  Each step ORs its frontier's arc bits into a k_w x n
+  block, k_w being the number of distinct weights, and each row that
+  gained bits becomes the slot at d + w or is ORed into it.  Unit
+  weights (k_w = 1) keep one pending slot, which is a level-synchronous
+  BFS with no weight gather.  When the weights are exactly 1..W, the
+  slots form a ring of W + 1 indexed by d mod (W + 1) instead, which
+  copies and merges no rows: on weights 1..8 the merges cost about 8% of
+  a pass.  Each step costs the arcs of its frontier, in numpy, plus a
+  fixed numpy overhead of about what a list search spends on 64 vertices
+  and arcs, however few vertices settle there.  A single search's pass
+  holds one bit, so it sets the words at its arcs' heads instead of
+  ORing into them.
 
 The ring rule decides, for a call with k sources, which of them run in
 the ring, the others running one list search each; and for a single
@@ -49,20 +48,19 @@ adjacency lists take.
   its number of distinct finite distances; later calls reuse them.  For
   a many-source call that search is its first source's, on every weight
   class but unit weights (those batches skip the probe); for a single
-  search it is the search itself, on every weight class with no 0-weight
-  arc, unit weights included.  A pass of b sources over keyed slots
-  takes about min(D + W + 1, K b) steps, W being the largest weight, and
-  one over the ring of weights 1..W, or over unit weights, steps through
-  every distance, D + W + 1.  The k' sources left (k - 1 on that first
-  call, k after) run in the ring only when 64 times the steps of their
-  passes is at most k' (n + m), the list searches' scans; a single
-  search is one pass with k' = 1, whatever its sources.  Building the
-  arrays costs about one list search (rent or buy), so when no batch has
-  built them, the single search after the probe is a list search too and
-  the one after it asks the rule: the two searches of st_3approx on an
-  undirected graph build none.  The keyed estimate, never above the
-  ring's, is asked before the memory half, so a graph that fails it
-  builds no arrays.
+  search it is the search itself, unit weights included.  A pass of b
+  sources over keyed slots takes about min(D + W + 1, K b) steps, W
+  being the largest weight, and one over the ring of weights 1..W, or
+  over unit weights, steps through every distance, D + W + 1.  The k'
+  sources left (k - 1 on that first call, k after) run in the ring only
+  when 64 times the steps of their passes is at most k' (n + m), the
+  list searches' scans; a single search is one pass with k' = 1,
+  whatever its sources.  Building the arrays costs about one list search
+  (rent or buy), so when no batch has built them, the single search
+  after the probe is a list search too and the one after it asks the
+  rule: the two searches of st_3approx on an undirected graph build
+  none.  The keyed estimate, never above the ring's, is asked before the
+  memory half, so a graph that fails it builds no arrays.
   On a directed 320-cycle with weights 1..10, a step took about 12 us and
   a Dijkstra about 0.18 us per vertex or arc, and the ring took 19 times
   as long as 10 list searches and 3 times as long as 64; the rule sends
@@ -73,17 +71,17 @@ adjacency lists take.
   23 ms at n = 10**4; a directed 2000-cycle (D = 1999) and a 300-path
   keep the list search.
 * memory, before a pass: the k_w x n block and two slots must fit,
-  (k_w + 2) n <= 16 (n + m), or no CSR arrays are built.  Unit and 0/1
-  weights always pass; random weights up to 10**6, nearly all distinct,
-  fail.
+  (k_w + 2) n <= 16 (n + m), or no CSR arrays are built.  Unit weights
+  always pass; random weights up to 10**6, nearly all distinct, fail.
 * memory, during a pass: the live slots (the pending ones and the one
   settling) plus k_w may never exceed 16 (n + m) / n.  A pass that would
   go over stops before it allocates the slot; its batch and the rest of
   the call, or the single search, run as list searches, and the graph
   keeps a mark so that later calls in that direction skip the ring.
 
-Graphs with 0-weight arcs keep the list search for single searches,
-since the step estimate does not count the closure rounds inside a slot.
+The ring runs on positive weights only: a graph with a 0-weight arc
+builds no CSR arrays, so its searches, single and batched, are list
+searches.
 
 What stays slow on deep graphs: unit-weight batches skip the probe and
 always run in the ring, so a long path or cycle pays one step per level;
@@ -190,7 +188,7 @@ def _distances(g: Graph, sources, direction: str):
     """
     key = _key(g, direction)
     ring = g._csr.get(("single", key))
-    if ring is None and g.positive_weights:
+    if ring is None:
         (depth, distinct), rows = _depth(g, sources, direction)
         if rows:
             return rows[0]
@@ -211,12 +209,6 @@ def _distances(g: Graph, sources, direction: str):
     return _list_distances(g, sources, direction)
 
 
-def _csr_part(n: int, degree, targets):
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(degree, out=indptr[1:])
-    return indptr, degree, targets
-
-
 def _key(g: Graph, direction: str) -> str:
     """The cache key of a direction: undirected graphs share one for both."""
     return direction if g.directed else "out"
@@ -225,20 +217,22 @@ def _key(g: Graph, direction: str) -> str:
 def _csr(g: Graph, direction: str):
     """Array adjacency of one direction for the ring search, built on first use.
 
-    Returns ``(positive, zero, steps, ranks)``: (indptr, degree, targets)
-    int64 arrays over the positive arcs, the same over the 0-weight arcs
-    (None when there are none), ``steps``, the distinct positive weights
-    in increasing order as ints, and ``ranks``, an n x ceil(k_w / 64)
-    uint64 array in which bit r of u's row is set when u has a positive
-    arc of weight ``steps[r]`` (None when there is one weight, or when
-    the weights are exactly 1..W).  Such an arc u -> v has target r n + v:
-    v's word in row r of the k_w x n block, or, when the weights are
-    exactly 1..W and so r = w - 1, in the ring slot w - 1 past the next
-    one.  On unit weights that is v.  A 0-weight arc has target v.
-    Returns None, and builds no array, when the memory half of the ring
-    rule fails, (k_w + 2) n > 16 (n + m).  Undirected graphs keep one copy
-    for both directions, since their reverse adjacency is the forward one.
+    Returns ``((indptr, degree, targets), steps, ranks)``: int64 arrays
+    over the arcs, ``steps``, the distinct weights in increasing order as
+    ints, and ``ranks``, an n x ceil(k_w / 64) uint64 array in which bit
+    r of u's row is set when u has an arc of weight ``steps[r]`` (None
+    when there is one weight, or when the weights are exactly 1..W).
+    Such an arc u -> v has target r n + v: v's word in row r of the
+    k_w x n block, or, when the weights are exactly 1..W and so r = w - 1,
+    in the ring slot w - 1 past the next one.  On unit weights that is v.
+    Returns None, and builds no array, when the graph has a 0-weight arc,
+    so that its searches, single and batched, are list searches, or when
+    the memory half of the ring rule fails, (k_w + 2) n > 16 (n + m).
+    Undirected graphs keep one copy for both directions, since their
+    reverse adjacency is the forward one.
     """
+    if not g.positive_weights:
+        return None
     key = _key(g, direction)
     if key in g._csr:
         return g._csr[key]
@@ -247,27 +241,22 @@ def _csr(g: Graph, direction: str):
     degree = np.fromiter(map(len, adj), dtype=np.int64, count=n)
     count = int(degree.sum())
     if g.unit_weights:
-        heads = np.fromiter((v for row in adj for v, _ in row), dtype=np.int64, count=count)
-        csr = (_csr_part(n, degree, heads), None, [1], None)
+        steps, rank = np.ones(1, dtype=np.int64), 0
     else:
         weights = np.fromiter((w for row in adj for _, w in row), dtype=np.int64, count=count)
-        pos, zero = weights > 0, weights == 0
-        steps, rank = np.unique(weights[pos], return_inverse=True)
-        csr = None
-        if len(steps) + 2 <= _slot_cap(g):
-            rank = rank.reshape(-1)
-            heads = np.fromiter((v for row in adj for v, _ in row), dtype=np.int64,
-                                count=count)
-            owner = np.arange(n).repeat(degree)
-            ranks = None
-            if len(steps) > 1 and not _one_to_w(steps):
-                ranks = np.zeros((n, -(-len(steps) // _WORD)), dtype=np.uint64)
-                np.bitwise_or.at(ranks, (owner[pos], rank // _WORD),
-                                 np.left_shift(np.uint64(1), (rank % _WORD).astype(np.uint64)))
-            csr = (_csr_part(n, np.bincount(owner[pos], minlength=n), rank * n + heads[pos]),
-                   None if g.positive_weights else
-                   _csr_part(n, np.bincount(owner[zero], minlength=n), heads[zero]),
-                   steps.tolist(), ranks)
+        steps, rank = np.unique(weights, return_inverse=True)
+        rank = rank.reshape(-1)
+    csr = None
+    if len(steps) + 2 <= _slot_cap(g):
+        heads = np.fromiter((v for row in adj for v, _ in row), dtype=np.int64, count=count)
+        ranks = None
+        if len(steps) > 1 and not _one_to_w(steps):
+            ranks = np.zeros((n, -(-len(steps) // _WORD)), dtype=np.uint64)
+            np.bitwise_or.at(ranks, (np.arange(n).repeat(degree), rank // _WORD),
+                             np.left_shift(np.uint64(1), (rank % _WORD).astype(np.uint64)))
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(degree, out=indptr[1:])
+        csr = ((indptr, degree, rank * n + heads), steps.tolist(), ranks)
     g._csr[key] = csr
     return csr
 
@@ -322,12 +311,12 @@ def _fits(g: Graph, direction: str, depth: int, distinct: int, left: int) -> boo
     full, part = divmod(left, _WORD)
     keyed = full * min(deepest, distinct * _WORD) + min(deepest, distinct * part)
     # The memory half: no arrays are built when the k_w x n block and two
-    # slots would not fit next to the graph.
+    # slots would not fit next to the graph, or when it has a 0-weight arc.
     if not left or _STEP_COST * keyed > scans or _csr(g, direction) is None:
         return False
     # Unit weights and the ring of weights 1..W step through every distance
     # up to the last.
-    if g.unit_weights or _one_to_w(_csr(g, direction)[2]):
+    if g.unit_weights or _one_to_w(_csr(g, direction)[1]):
         return _STEP_COST * -(-left // _WORD) * deepest <= scans
     return True
 
@@ -358,16 +347,16 @@ class _RingFull(Exception):
 def _ring_bits(g: Graph, sources, direction: str, unseen, one_bit: bool = False):
     """Bit-parallel Dial search from up to 64 sources at once.
 
-    Bit i of a vertex's uint64 word stands for ``sources[i]``, so each arc
-    scan advances every search.  A dict keyed by distance holds one n-word
-    slot per distance at which bits are pending, and a heap the pending
-    distances; a pass steps through them in increasing order.  Settling
-    slot d masks out the bits seen before, closes the 0-weight arcs inside
-    it, and ORs every positive arc's bits into row r of a k_w x n block,
-    ``steps[r]`` being the arc's weight; each row that gained bits then
-    becomes slot d + steps[r] or is ORed into it.  When the weights are
-    exactly 1..k_w, the block and one more slot form a ring instead: slot
-    d mod (k_w + 1) holds distance d, and no row is copied or merged.
+    The graph's weights are positive (see _csr).  Bit i of a vertex's
+    uint64 word stands for ``sources[i]``, so each arc scan advances every
+    search.  A dict keyed by distance holds one n-word slot per distance
+    at which bits are pending, and a heap the pending distances; a pass
+    steps through them in increasing order.  Settling slot d masks out the
+    bits seen before and ORs every arc's bits into row r of a k_w x n
+    block, ``steps[r]`` being the arc's weight; each row that gained bits
+    then becomes slot d + steps[r] or is ORed into it.  When the weights
+    are exactly 1..k_w, the block and one more slot form a ring instead:
+    slot d mod (k_w + 1) holds distance d, and no row is copied or merged.
     For each distance d that something settles at, in increasing order,
     yields (d, vertices, bits): the vertices some source first reaches at
     d, and the bits that do so.  ``unseen`` (n words, all ones on entry)
@@ -376,7 +365,7 @@ def _ring_bits(g: Graph, sources, direction: str, unseen, one_bit: bool = False)
     set.  Raises _RingFull, before allocating the slot, when the live slots
     plus k_w would exceed the memory rule's 16 (n + m) / n.
     """
-    (indptr, degree, targets), zero, steps, ranks = _csr(g, direction)
+    (indptr, degree, targets), steps, ranks = _csr(g, direction)
     n, k = g.n, len(steps)
     seeds = np.zeros(n, dtype=np.uint64)
     np.bitwise_or.at(seeds, np.asarray(sources, dtype=np.int64),
@@ -391,7 +380,7 @@ def _ring_bits(g: Graph, sources, direction: str, unseen, one_bit: bool = False)
         flat = ring.reshape(-1)
         d = last = 0  # last: the largest tentative distance in the ring
         while d <= last:
-            frontier, bits = _settle(ring[d % (k + 1)], unseen, zero)
+            frontier, bits = _settle(ring[d % (k + 1)], unseen)
             if frontier.size:
                 yield d, frontier, bits
                 arcs, counts = _arcs(indptr, degree, frontier)
@@ -413,7 +402,7 @@ def _ring_bits(g: Graph, sources, direction: str, unseen, one_bit: bool = False)
     while pending:
         d = heapq.heappop(pending)
         slot = slots.pop(d)
-        frontier, bits = _settle(slot, unseen, zero)
+        frontier, bits = _settle(slot, unseen)
         if not frontier.size:
             continue
         yield d, frontier, bits
@@ -452,31 +441,13 @@ def _scatter(flat, heads, bits, counts, one_bit):
         np.bitwise_or.at(flat, heads, bits.repeat(counts))
 
 
-def _settle(slot, unseen, zero):
-    """Settle a slot: drop its seen bits, close its 0-weight arcs, and
-    return the vertices that hold bits and those bits."""
+def _settle(slot, unseen):
+    """Settle a slot: drop its seen bits, and return the vertices that
+    hold bits and those bits."""
     slot &= unseen
     unseen ^= slot
-    if zero is not None:
-        _zero_closure(zero, slot, unseen)
     frontier = (slot != 0).nonzero()[0]
     return frontier, slot[frontier]
-
-
-def _zero_closure(zero, level, unseen):
-    """OR into ``level`` the unseen bits that 0-weight arcs carry on from it."""
-    indptr, degree, heads = zero
-    new = level
-    while True:
-        frontier = (new != 0).nonzero()[0]
-        if not frontier.size:
-            return
-        arcs, counts = _arcs(indptr, degree, frontier)
-        new = np.zeros(level.size, dtype=np.uint64)
-        np.bitwise_or.at(new, heads[arcs], level[frontier].repeat(counts))
-        new &= unseen
-        unseen ^= new
-        level |= new
 
 
 def _each(g: Graph, srcs: list, direction: str, from_row, from_batch):
@@ -754,11 +725,11 @@ def exact_radius(g: Graph):
 
 
 def exact_st_diameter(g: Graph, S, T):
-    """max over s in S, t in T of d(s, t), by exact searches from S."""
-    S = sorted(set(S))
-    T = sorted(set(T))
-    if not S or not T:
-        raise ValueError("S and T must be nonempty")
+    """max over s in S, t in T of d(s, t), by exact searches from S.
+
+    ValueError when S or T is empty or holds an id out of range.
+    """
+    T = _source_set(g, T)
     far = max_distances(g, S, "out")
     return max(far[t] for t in T)
 

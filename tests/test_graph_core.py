@@ -266,8 +266,9 @@ class TestExactOracles:
         g = path_graph(3)
         assert exact_st_diameter(g, range(3), range(3)) == 2
         assert exact_st_diameter(g, {0}, {0}) == 0
-        with pytest.raises(ValueError):
-            exact_st_diameter(g, [], {0})
+        for S, T in (([], {0}), ([0], [-1]), ([0], [5]), ([5], [0])):
+            with pytest.raises(ValueError):
+                exact_st_diameter(g, S, T)
 
     def test_st_diameter_matches_apsp(self):
         rng = Random(7)
@@ -303,6 +304,14 @@ def _assert_reductions(g, sources, direction, rows=None):
     assert all(type(x) is int or x is math.inf for x in values)
 
 
+def _assert_single_searches(g, direction, rows):
+    """Check sssp from every vertex, and one multi-source search, against
+    the Bellman-Ford rows in ``rows``."""
+    assert [sssp(g, s, direction) for s in range(g.n)] == [rows[s] for s in range(g.n)]
+    want = [min(col) for col in zip(rows[0], rows[3], rows[g.n - 1])]
+    assert multi_source_distance(g, [3, 0, g.n - 1, 3], direction) == want
+
+
 def _messy_graph(rng, n, directed, max_w):
     """Random graph plus self-loops, parallel arcs and two isolated vertices."""
     base = random_graph(rng, n, 2 * n, directed, max_w)
@@ -330,8 +339,9 @@ def _twin_path(n=600):
 
 
 class TestBatchedReductions:
-    # Every weight class runs 64 sources per pass of the bucket ring, so
-    # each is checked at the counts around a word boundary.
+    # Every positive weight class runs 64 sources per pass of the bucket
+    # ring, so each is checked at the counts around a word boundary; with
+    # 0-weight arcs every source is a list search.
     @pytest.mark.parametrize("directed", [True, False])
     @pytest.mark.parametrize("lo, hi", [(1, 1), (0, 1), (1, 7), (0, 8)],
                              ids=["unit", "zero-one", "weighted", "zero-to-8"])
@@ -340,14 +350,15 @@ class TestBatchedReductions:
         # Mostly connected, fragmented, and small enough that 130 sources repeat.
         for n, m in ((132, 400), (132, 80), (40, 120)):
             g = random_graph(rng, n, m, directed, max_w=hi, min_w=lo, loops=True)
-            assert search._csr(g, "out") is not None
+            assert (search._csr(g, "out") is None) == (lo == 0)
             for direction in ("out", "in"):
                 rows = {}
                 for count in (1, 63, 64, 65, 130):
                     distinct = rng.sample(range(n), min(count, n))
                     with_repeats = [rng.randrange(n) for _ in range(count)]
-                    # These graphs are shallow enough that big batches run in the ring.
-                    assert search._ring_rule(g, distinct, direction)[0] or count == 1
+                    # These graphs are shallow enough that big batches of
+                    # positive weights run in the ring.
+                    assert search._ring_rule(g, distinct, direction)[0] == (lo > 0) or count == 1
                     _assert_reductions(g, distinct, direction, rows)
                     _assert_reductions(g, with_repeats, direction, rows)
 
@@ -360,10 +371,11 @@ class TestBatchedReductions:
                 _assert_reductions(g, range(g.n), direction)
                 _assert_reductions(g, [0, 0, 5, 69, 5], direction)
 
-    def test_zero_weight_cycles(self):
+    def test_zero_weight_cycles(self, monkeypatch):
         # The blow-up turns every vertex of degree >= 3 into a 0-weight
         # cycle; a directed graph gets 0-weight cycles through several
-        # vertices, reached at several distances.
+        # vertices, reached at several distances.  No ring pass starts.
+        passes = _spy_ring(monkeypatch)
         rng = Random(12)
         blown, _ = degree3_blowup(random_graph(rng, 30, 90, directed=False, max_w=3))
         ring = [(i, (i + 1) % 6, 0) for i in range(6)]
@@ -378,18 +390,26 @@ class TestBatchedReductions:
                 rows = {}
                 _assert_reductions(g, range(g.n), direction, rows)
                 _assert_reductions(g, [0, 3, 3, g.n - 1], direction, rows)
+                _assert_single_searches(g, direction, rows)
+                assert search._csr(g, direction) is None
+        assert passes == []
 
-    def test_all_zero_weights(self):
-        # One ring slot: every reachable vertex settles at distance 0.
+    def test_all_zero_weights(self, monkeypatch):
+        # Every reachable vertex is at distance 0, and no ring pass starts.
+        passes = _spy_ring(monkeypatch)
         rng = Random(13)
         for directed in (True, False):
             g = random_graph(rng, 70, 90, directed, max_w=0, min_w=0, loops=True)
             assert g.max_weight == 0
             for direction in ("out", "in"):
-                _assert_reductions(g, range(g.n), direction)
+                rows = {}
+                _assert_reductions(g, range(g.n), direction, rows)
+                _assert_single_searches(g, direction, rows)
+                assert search._csr(g, direction) is None
         g = Graph(3, [(0, 1, 0), (1, 2, 0)], directed=True)
         assert eccentricities(g, [0, 2]) == [0, UNREACHABLE]
         assert max_distances(g, [0], "out") == [0, 0, 0]
+        assert passes == []
 
     def test_weights_above_the_ring_bound(self):
         # A ring of 10**6 slots would dwarf the graph, so these run one
@@ -431,7 +451,7 @@ class TestBatchedReductions:
             pendants = [(20 + i, rng.randrange(20), 70 + 3 * i) for i in range(10)]
             arcs = dense.edges + pendants + [(v, u, w) for u, v, w in pendants]
             g = Graph(30, [(u, v, 2 * w) for u, v, w in arcs], directed=directed)
-            assert len(search._csr(g, "out")[2]) > 64 and search._csr(g, "out")[3] is not None
+            assert len(search._csr(g, "out")[1]) > 64 and search._csr(g, "out")[2] is not None
             for direction in ("out", "in"):
                 rows = {}
                 sources = [v % 30 for v in range(64)]
@@ -477,13 +497,13 @@ class TestBatchedReductions:
         # the second goes over.
         for n, overflows in ((44, False), (45, True)):
             g = _twin_path(n)
-            k = len(search._csr(g, "out")[2])
+            k = len(search._csr(g, "out")[1])
             assert search._slot_cap(g) - k == 45
             with pytest.raises(search._RingFull) if overflows else contextlib.nullcontext():
                 assert len(list(search._ring_bits(g, [0], "out", search._all_bits(n)))) == n
         # The pendant gadgets use a small part of their budget.
         for g in _pendant_gadgets(Random(20), 150):
-            k = len(search._csr(g, "out")[2])
+            k = len(search._csr(g, "out")[1])
             passes = search._ring_bits(g, range(64), "out", search._all_bits(g.n))
             for _ in passes:
                 assert len(passes.gi_frame.f_locals["slots"]) + 1 + k < search._slot_cap(g) // 4
@@ -562,9 +582,10 @@ class TestRingRule:
         assert search._csr(random_graph(rng, 700, 3500, True, max_w=8), "out") is not None
         # Weights up to 10**6 are nearly all distinct: k_w is about m.
         assert search._csr(random_graph(rng, 700, 3500, True, max_w=10**6), "out") is None
-        # Unit and 0/1 weights need at most 3 n words, which fit even with no edges.
+        # Unit weights need 3 n words, which fit even with no edges; a
+        # 0-weight arc builds no arrays at all.
         assert search._csr(Graph(20, directed=True), "out") is not None
-        assert search._csr(Graph(20, [(0, 1, 0)], directed=True), "out") is not None
+        assert search._csr(Graph(20, [(0, 1, 0)], directed=True), "out") is None
         # The largest k_w that fits: (k_w + 2) n <= 16 (n + m) at n = 100 and
         # m = k_w arcs of distinct weights gives k_w = 16.
         fits = Graph(100, [(0, 1, w) for w in range(1, 17)], directed=True)
@@ -577,7 +598,7 @@ class TestRingRule:
         for g in _pendant_gadgets(Random(21), 150):
             assert (g.max_weight + 1) * g.n > search._RING_WORDS_PER_ITEM * (g.n + g.m)
             csr = search._csr(g, "out")
-            assert csr is not None and len(csr[2]) <= 4
+            assert csr is not None and len(csr[1]) <= 4
 
     def test_depth_probe(self):
         rng = Random(17)
@@ -645,7 +666,7 @@ class TestRingRule:
         edges += [(v, v + 1, v) for v in range(1, 30)]
         g = Graph(n, edges, directed=True)
         ring, rows = search._ring_rule(g, [0, 5], "out")
-        assert g._csr[("depth", "out")] == (30, 2) and search._one_to_w(search._csr(g, "out")[2])
+        assert g._csr[("depth", "out")] == (30, 2) and search._one_to_w(search._csr(g, "out")[1])
         assert search._STEP_COST * 2 <= g.n + g.m < search._STEP_COST * 61
         assert not ring and len(rows) == 1
         assert search._ring_rule(g, list(range(64)), "out") == (True, [])
@@ -694,8 +715,8 @@ class TestSingleSearches:
     # Weight draws per class: the ring runs unit weights with one pending
     # slot, weights 1..W as a ring of W + 1, sparse and many distinct
     # weights over keyed slots (more than 64 need two rank words), while
-    # 0/1 weights and weights up to 10**6, which fail the memory half,
-    # keep the list search.
+    # 0/1 weights, which build no arrays, and weights up to 10**6, which
+    # fail the memory half, keep the list search.
     WEIGHTS = {"unit": ([1], True), "zero-one": ([0, 1], False), "one-to-w": (range(1, 9), True),
                "sparse": ([1, 7, 50], True), "distinct": (range(2, 162, 2), True),
                "heavy": (range(1, 10**6), False)}
@@ -714,9 +735,9 @@ class TestSingleSearches:
         base += rng.sample(base, 20)
         g = Graph(152, [(u, v, rng.choice(draws)) for u, v, _ in base], directed=directed)
         # The arrays are built up front, as a batch would, so no search
-        # waits for them; weights up to 10**6 fail the memory half here.
-        assert [search._csr(g, d) is not None for d in ("out", "in")] == [weights != "heavy"] * 2
-        assert weights != "distinct" or len(search._csr(g, "out")[2]) > 64
+        # waits for them; 0/1 weights and weights up to 10**6 get none.
+        assert [search._csr(g, d) is not None for d in ("out", "in")] == [ring] * 2
+        assert weights != "distinct" or len(search._csr(g, "out")[1]) > 64
         passes = _spy_ring(monkeypatch)
         for direction in ("out", "in"):
             adj = g.adjacency(direction)
