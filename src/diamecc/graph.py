@@ -5,12 +5,24 @@ together with the reverse adjacency, so in-direction searches never need
 an explicit transpose; an undirected graph's two are one list.  Weights
 are nonnegative integers; unweighted graphs carry weight 1 everywhere,
 and weight 0 is permitted (it is used by the degree-3 blow-up gadget).
+
+parse_graph reads a plain edge-list file (its header, then exactly m
+lines of ASCII digits and spaces) in one bulk numpy pass: a gate in C
+checks the characters and the tokens per line, np.fromstring reads the
+ints, and one stable argsort of the arc tails per direction gives both
+the adjacency lists and the arc arrays that the ring search would
+otherwise walk those lists for.  Every other text, and every malformed
+one, goes to the line parser, which reads comments, blank lines, CRLF
+and tabs and words each error with its line number; both give the same
+Graph as ``Graph(n, edges, directed)``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 UNREACHABLE = math.inf
 
@@ -55,7 +67,12 @@ class Graph:
     search); whether single searches run in the ring, and a mark that one
     has already waited for the arrays; and a mark when a ring pass
     outgrew its memory.  Filling it twice gives the same arrays.  The
-    rest only picks a kernel and never changes a result.
+    rest only picks a kernel and never changes a result.  A graph read by
+    parse_graph's bulk pass starts with one more entry per direction,
+    ``("arcs", key)``: its arcs in adjacency order as (degree, heads,
+    weights) int64 arrays, which the first ring array build takes
+    instead of walking the lists (positive weights only).  A graph built
+    by ``Graph(...)`` starts with an empty cache.
     """
 
     __slots__ = ("n", "directed", "edges", "adj_out", "adj_in",
@@ -148,11 +165,103 @@ def parse_graph(text: str) -> Graph:
 
     Header: ``n m <directed|undirected> <weighted|unweighted>``, then m
     lines ``u v`` (unweighted) or ``u v w`` (weighted) with 0-based ids.
-    ``#`` starts a comment line.
+    ``#`` starts a comment line.  A plain file is read in one bulk numpy
+    pass (see _parse_bulk); any other text, and every malformed one, by
+    the line parser, which words each error with its line number.
     """
-    header = None
+    g = _parse_bulk(text)
+    return _parse_lines(text) if g is None else g
+
+
+def _parse_bulk(text: str):
+    """The Graph of a plain file, or None to leave the text to the line parser.
+
+    A plain file is its header line and then exactly m lines of 2
+    (unweighted) or 3 (weighted) fields, all ids in range, the body using
+    only ASCII digits, spaces and newlines, no token of 19 or more digits
+    (which could overflow int64), and the weight budget kept.  Its gate
+    runs in C: ``bytes.translate`` checks the character set, and a
+    ``uint8`` view gives the token bounds and the tokens per line.  The
+    arrays it makes hold a byte per character, or an int64 per token or
+    line, never an int64 per character.  The line parser would read the
+    same Graph from a plain file, and an error from any other.
+    """
+    head, _, body = text.partition("\n")
+    fields = head.split()
+    if (len(fields) != 4 or not all(f.isascii() and f.isdigit() for f in fields[:2])
+            or fields[2] not in ("directed", "undirected")
+            or fields[3] not in ("weighted", "unweighted")):
+        return None
+    n, m = int(fields[0]), int(fields[1])
+    want = 3 if fields[3] == "weighted" else 2
+    if n > MAX_VERTICES or not body.isascii():
+        return None
+    data = body.encode("ascii")
+    if data.translate(None, b"0123456789 \n"):
+        return None
+    chars = np.frombuffer(data, dtype=np.uint8)
+    # Alternating starts and ends of the digit runs, the tokens.
+    bounds = np.flatnonzero(np.diff(chars > ord(" "), prepend=False, append=False))
+    starts, ends = bounds[::2], bounds[1::2]
+    newlines = np.flatnonzero(chars == ord("\n"))
+    lines = len(newlines) + (len(data) > 0 and data[-1] != ord("\n"))
+    if (lines != m or len(starts) != want * m
+            or (ends - starts).max(initial=0) >= 19
+            # Each newline must close a line of exactly ``want`` tokens.
+            or (np.searchsorted(starts, newlines) != want * np.arange(1, len(newlines) + 1)).any()):
+        return None
+    cols = np.fromstring(data, dtype=np.int64, sep=" ").reshape(m, want).T
+    u, v = cols[0], cols[1]
+    w = cols[2] if want == 3 else np.ones(m, dtype=np.int64)
+    max_w = int(w.max(initial=0))
+    if (m and max(u.max(), v.max()) >= n) or (n > 1 and (n - 1) * max_w + 1 >= _WEIGHT_BUDGET):
+        return None
+    return _from_columns(n, fields[2] == "directed", u, v, w)
+
+
+def _from_columns(n: int, directed: bool, u, v, w) -> Graph:
+    """``Graph(n, zip(u, v, w), directed)`` built from checked int64 edge
+    columns, with each direction's arc arrays seeded into ``_csr``."""
+    g = Graph.__new__(Graph)
+    g.n = n
+    g.directed = directed
+    g.edges = list(zip(u.tolist(), v.tolist(), w.tolist()))
+    g.max_weight = int(w.max(initial=0))
+    g.unit_weights = bool((w == 1).all())
+    g.zero_one_weights = bool((w <= 1).all())
+    g.positive_weights = bool((w > 0).all())
+    g._csr = {}
+    if directed:
+        g.adj_out = _adjacency(g, "out", u, v, w)
+        g.adj_in = _adjacency(g, "in", v, u, w)
+    else:
+        # Edge i gives arcs 2i (u -> v) and 2i + 1 (v -> u), in Graph's order.
+        g.adj_out = g.adj_in = _adjacency(g, "out", np.column_stack((u, v)).ravel(),
+                                          np.column_stack((v, u)).ravel(), w.repeat(2))
+    return g
+
+
+def _adjacency(g: Graph, key: str, tails, heads, weights) -> list:
+    """Per vertex, its ``(head, weight)`` arcs in input order: one stable
+    sort of the tails.  Seeds ``g._csr[("arcs", key)]`` with the sorted
+    arcs as (degree, heads, weights) int64 arrays when the weights are
+    positive, the only graphs whose ring arrays are built."""
+    order = np.argsort(tails, kind="stable")
+    heads, weights = heads[order], weights[order]
+    degree = np.bincount(tails, minlength=g.n)
+    if g.positive_weights:
+        g._csr[("arcs", key)] = degree, heads, weights
+    arcs = list(zip(heads.tolist(), weights.tolist()))
+    ends = degree.cumsum().tolist()
+    return [arcs[a:b] for a, b in zip([0] + ends, ends)]
+
+
+def _parse_lines(text: str) -> Graph:
+    """Parse the edge-list text format one line at a time: comments, blank
+    lines, CRLF and tabs, and the line number of every error."""
+    header = False
     edges = []
-    expected_m = 0
+    n = expected_m = 0
     directed = False
     weighted = False
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -160,7 +269,7 @@ def parse_graph(text: str) -> Graph:
         if not line or line.startswith("#"):
             continue
         fields = line.split()
-        if header is None:
+        if not header:
             if len(fields) != 4:
                 raise GraphFormatError(line_no, "header must be 'n m <directed|undirected> <weighted|unweighted>'")
             try:
@@ -179,7 +288,7 @@ def parse_graph(text: str) -> Graph:
                                                 f"{MAX_VERTICES} vertices")
             directed = fields[2] == "directed"
             weighted = fields[3] == "weighted"
-            header = (n, expected_m)
+            header = True
             continue
         want = 3 if weighted else 2
         if len(fields) != want:
@@ -192,10 +301,11 @@ def parse_graph(text: str) -> Graph:
             raise GraphFormatError(line_no, "edge fields must be integers") from None
         if w < 0:
             raise GraphFormatError(line_no, f"negative weight {w}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphFormatError(line_no, f"edge ({u},{v}) out of range for n={n}")
         edges.append((u, v, w))
-    if header is None:
+    if not header:
         raise GraphFormatError(0, "empty input: missing header")
-    n, expected_m = header
     if len(edges) != expected_m:
         raise GraphFormatError(0, f"header promises m={expected_m} edges, found {len(edges)}")
     try:

@@ -229,26 +229,31 @@ def _csr(g: Graph, direction: str):
     so that its searches, single and batched, are list searches, or when
     the memory half of the ring rule fails, (k_w + 2) n > 16 (n + m).
     Undirected graphs keep one copy for both directions, since their
-    reverse adjacency is the forward one.
+    reverse adjacency is the forward one.  The arcs come from the
+    adjacency lists, or from the arrays that parse_graph seeded under
+    ``("arcs", key)``, which the build takes out of the cache.
     """
     if not g.positive_weights:
         return None
     key = _key(g, direction)
     if key in g._csr:
         return g._csr[key]
+    arcs = g._csr.pop(("arcs", key), None)
     adj = g.adjacency(direction)
     n = g.n
-    degree = np.fromiter(map(len, adj), dtype=np.int64, count=n)
+    degree = arcs[0] if arcs else np.fromiter(map(len, adj), dtype=np.int64, count=n)
     count = int(degree.sum())
     if g.unit_weights:
         steps, rank = np.ones(1, dtype=np.int64), 0
     else:
-        weights = np.fromiter((w for row in adj for _, w in row), dtype=np.int64, count=count)
+        weights = arcs[2] if arcs else np.fromiter((w for row in adj for _, w in row),
+                                                   dtype=np.int64, count=count)
         steps, rank = np.unique(weights, return_inverse=True)
         rank = rank.reshape(-1)
     csr = None
     if len(steps) + 2 <= _slot_cap(g):
-        heads = np.fromiter((v for row in adj for v, _ in row), dtype=np.int64, count=count)
+        heads = arcs[1] if arcs else np.fromiter((v for row in adj for v, _ in row),
+                                                 dtype=np.int64, count=count)
         ranks = None
         if len(steps) > 1 and not _one_to_w(steps):
             ranks = np.zeros((n, -(-len(steps) // _WORD)), dtype=np.uint64)
@@ -596,12 +601,12 @@ def max_distances(g: Graph, sources, direction: str = "out") -> list:
     An entry is UNREACHABLE when some source and v are not connected that way.
     """
     srcs = _source_set(g, sources)
-    far = [0] * g.n
+    far = []  # per vertex, the largest distance of the list-search rows, if any ran
     ring_far = np.zeros(g.n, dtype=np.int64)
     missed = np.zeros(g.n, dtype=bool)
 
     def from_row(row):
-        far[:] = map(max, far, row)
+        far[:] = map(max, far, row) if far else row
 
     def from_batch(batch):
         unseen = _all_bits(g.n)
@@ -612,8 +617,12 @@ def max_distances(g: Graph, sources, direction: str = "out") -> list:
         missed[(unseen & np.uint64((1 << len(batch)) - 1)) != 0] = True
 
     _each(g, srcs, direction, from_row, from_batch)
-    return [UNREACHABLE if m else max(d, f)
-            for d, m, f in zip(ring_far.tolist(), missed.tolist(), far)]
+    out = ring_far.tolist()
+    if far:
+        out[:] = map(max, out, far)
+    for v in missed.nonzero()[0].tolist():
+        out[v] = UNREACHABLE
+    return out
 
 
 def sssp(g: Graph, source: int, direction: str = "out") -> list:

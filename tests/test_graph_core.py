@@ -866,6 +866,10 @@ class TestEdgeListFormat:
         with pytest.raises(GraphFormatError) as err:
             parse_graph("3 2 undirected unweighted\n0 1\n1 two\n")
         assert err.value.line_no == 3
+        # An out-of-range edge is reported at its own line, not the file's.
+        with pytest.raises(GraphFormatError, match=r"^line 3: edge \(0,5\) out of range for n=3$") as err:
+            parse_graph("3 2 directed unweighted\n0 1\n0 5\n")
+        assert err.value.line_no == 3
 
     def test_bad_header(self):
         with pytest.raises(GraphFormatError):
@@ -894,3 +898,136 @@ class TestEdgeListFormat:
         with pytest.raises(GraphFormatError, match=f"^{re.escape(str(path))}: line 2: ") as err:
             graph_module.load_vertex_set(path)
         assert (err.value.path, err.value.line_no) == (path, 2)
+
+
+_ATTRS = ("n", "directed", "edges", "adj_out", "adj_in", "max_weight",
+          "unit_weights", "zero_one_weights", "positive_weights")
+
+
+def _assert_same_graph(got: Graph, want: Graph):
+    """Equal in every attribute but the ``_csr`` cache, ids and weights as ints."""
+    for name in _ATTRS:
+        assert getattr(got, name) == getattr(want, name), name
+    assert (got.adj_in is got.adj_out) == (not got.directed)
+    assert all(type(x) is int for edge in got.edges for x in edge)
+    assert all(type(x) is int for row in got.adj_out + got.adj_in for arc in row for x in arc)
+
+
+@contextlib.contextmanager
+def _spy_lines():
+    """Record every text handed to the line parser."""
+    texts = []
+    parse_lines = graph_module._parse_lines
+
+    def spy(text):
+        texts.append(text)
+        return parse_lines(text)
+
+    graph_module._parse_lines = spy
+    try:
+        yield texts
+    finally:
+        graph_module._parse_lines = parse_lines
+
+
+def _outcome(parse, text):
+    """A parser's Graph attributes, or its error's line number and message."""
+    try:
+        g = parse(text)
+    except GraphFormatError as exc:
+        return exc.line_no, str(exc)
+    return [getattr(g, name) for name in _ATTRS]
+
+
+@st.composite
+def _edge_list_graphs(draw):
+    n = draw(st.integers(0, 12))
+    weights = draw(st.sampled_from([st.just(1), st.integers(0, 8), st.integers(0, 10**6)]))
+    edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), weights),
+                          max_size=40)) if n else []
+    return Graph(n, edges, directed=draw(st.booleans()))
+
+
+class TestBulkReader:
+    """parse_graph reads plain files in one numpy pass and leaves every
+    other text to the line parser, with the same Graph or error."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(g=_edge_list_graphs())
+    def test_round_trip_runs_the_bulk_reader(self, g):
+        with _spy_lines() as texts:
+            got = parse_graph(format_graph(g))
+        assert texts == []
+        _assert_same_graph(got, g)
+
+    @pytest.mark.parametrize("variant, plain", [
+        ("comment", False), ("blank line", False), ("crlf", False), ("tab", False),
+        ("no final newline", True), ("leading zeros", True)])
+    def test_variants_parse_equal(self, variant, plain):
+        g = random_graph(Random(5), 9, 20, directed=True, max_w=7)
+        text = format_graph(g)
+        text = {"comment": lambda t: "# a graph\n" + t,
+                "blank line": lambda t: t.replace("\n", "\n\n", 3),
+                "crlf": lambda t: t.replace("\n", "\r\n"),
+                "tab": lambda t: t.replace(" ", "\t", 5),
+                "no final newline": lambda t: t[:-1],
+                "leading zeros": lambda t: re.sub(r"(?m)^(\d+) ", r"00\1 ", t)}[variant](text)
+        with _spy_lines() as texts:
+            got = parse_graph(text)
+        assert texts == ([] if plain else [text])
+        _assert_same_graph(got, g)
+
+    # Texts the bulk reader must leave to the line parser: most are
+    # malformed, and the rest (a sign, non-ASCII digits, 19-digit tokens)
+    # are read by int() alone.
+    OTHER_TEXTS = {
+        "negative id": "3 2 directed unweighted\n0 1\n-1 2\n",
+        "plus sign": "3 2 directed unweighted\n0 1\n+1 2\n",
+        "decimal weight": "3 2 directed weighted\n0 1 1.5\n1 2 1\n",
+        "superscript n": "² 1 directed unweighted\n0 1\n",
+        "superscript m": "3 ² directed unweighted\n0 1\n",
+        "superscript id": "3 1 directed unweighted\n0 ²\n",
+        "arabic-indic n": "٣ 1 directed unweighted\n0 2\n",
+        "arabic-indic id": "3 1 directed unweighted\n٠ 2\n",
+        "19-digit weight over budget": "3 1 directed weighted\n0 1 9999999999999999999\n",
+        "19-digit weight past int64": "1 1 directed weighted\n0 0 9999999999999999999\n",
+        "19-digit weight": "3 1 directed weighted\n0 1 1000000000000000000\n",
+        "19-digit small weight": "3 1 directed weighted\n0 1 0000000000000000007\n",
+        "extra field": "3 1 directed unweighted\n0 1 2\n",
+        "missing field": "3 1 directed weighted\n0 1\n",
+        "too few edges": "3 2 directed unweighted\n0 1\n",
+        "too many edges": "3 1 directed unweighted\n0 1\n1 2\n",
+        "id out of range": "3 2 undirected unweighted\n0 1\n0 5\n",
+        "tail out of range": "3 2 undirected unweighted\n0 1\n3 0\n",
+        "weight over budget": "11 1 directed weighted\n0 1 999999999999999999\n",
+        "18-digit weight": "3 1 directed weighted\n0 1 999999999999999999\n",
+        "edge on no vertices": "0 1 directed unweighted\n0 0\n",
+        "header without newline": "3 1 directed unweighted",
+        "trailing blank line": "3 0 directed unweighted\n\n",
+        "bad flag": "3 1 sideways unweighted\n0 1\n",
+        "five header fields": "3 1 directed unweighted extra\n0 1\n",
+        "empty": "",
+    }
+
+    @pytest.mark.parametrize("text", OTHER_TEXTS.values(), ids=OTHER_TEXTS.keys())
+    def test_other_texts_match_the_line_parser(self, text):
+        assert _outcome(parse_graph, text) == _outcome(graph_module._parse_lines, text)
+
+    @pytest.mark.parametrize("directed", [False, True])
+    @pytest.mark.parametrize("max_w", [1, 8, 1000])
+    def test_seeds_the_ring_arrays(self, directed, max_w):
+        # 20 vertices and 1000 arcs leave room for about 800 distinct weights.
+        g = random_graph(Random(max_w), 20, 1000, directed=directed, max_w=max_w, loops=True)
+        parsed = parse_graph(format_graph(g))
+        for direction in ("out", "in"):
+            key = search._key(parsed, direction)
+            assert ("arcs", key) in parsed._csr or key in parsed._csr
+            (got, got_steps, got_ranks) = search._csr(parsed, direction)
+            (want, want_steps, want_ranks) = search._csr(g, direction)
+            assert ("arcs", key) not in parsed._csr
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+            assert got_steps == want_steps
+            assert (got_ranks is None) == (want_ranks is None)
+            if got_ranks is not None:
+                assert np.array_equal(got_ranks, want_ranks)
