@@ -15,7 +15,16 @@ smaller id), makes both set choices: the initial centers, which hit every
 ceil(1/p)-closest neighborhood, and the spanner's dominators, which hit
 the closed neighborhood of every heavy vertex.  The neighborhoods come
 from the level-truncated ``k_closest``, which scans only the arcs of the
-levels before the last, so the dense pipeline stays near-quadratic.
+levels before the last, so the dense pipeline stays near-quadratic.  The
+cover runs on flat (owner, member) arrays, with bincount coverage and an
+argmax per pick.
+
+The spanner is built on the graph's CSR arrays: the light edges by a
+degree mask over the arcs, the heavy vertices' closed neighborhoods as
+flat arrays, and one BFS tree per dominator from ``search._bfs_parents``.
+Its edges are the unique keys u n + v, u <= v, and ``_from_columns``
+builds the same Graph as ``Graph(n, sorted edges)``, its arc arrays
+already seeded for the searches that follow.
 
 The searches from the centers A are ``search``'s batched reductions:
 per tz_center round one ``nearest`` over all n vertices; in diam_dense_32
@@ -26,7 +35,6 @@ each, plus one multi-source search per distinct center eccentricity.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from random import Random
@@ -34,9 +42,9 @@ from random import Random
 import numpy as np
 
 from .eccen import EccEstimate, ceil_sqrt
-from .graph import Graph
-from .search import (eccentricities, is_connected, k_closest, max_distances,
-                     multi_source_distance, nearest)
+from .graph import Graph, _from_columns
+from .search import (_arcs, _bfs_parents, _csr, eccentricities, is_connected, k_closest,
+                     max_distances, multi_source_distance, nearest)
 
 
 @dataclass
@@ -66,59 +74,38 @@ def _check_dense_input(g: Graph, op: str):
         raise ValueError(f"{op} requires a connected graph")
 
 
-def _bfs_parents(g: Graph, root: int) -> dict:
-    """BFS-tree parent of every vertex reachable from root.
-
-    Each vertex maps to the vertex that first discovered it, scanning
-    levels in discovery order; root maps to itself.
-    """
-    parent = {root: root}
-    level = [root]
-    while level:
-        nxt = []
-        for x in level:
-            for v, _ in g.adj_out[x]:
-                if v not in parent:
-                    parent[v] = x
-                    nxt.append(v)
-        level = nxt
-    return parent
-
-
-def _greedy_hitting_set(sets, n: int) -> list:
+def _greedy_hitting_set(owners, members, n: int) -> list:
     """Greedy hitter of nonempty vertex lists over range(n), in pick order.
 
-    Each round picks the vertex with the largest coverage, the number of
-    unhit lists it occurs in (a vertex listed twice in one list counts
-    twice), ties to the smaller id, and marks every list holding it hit.
-    Coverage counts are kept and decremented as lists are hit, and the
-    maximum is found through a lazy max-heap whose stale entries are
-    re-pushed when popped, so the cost is O(L log n) for total list
-    length L.
+    The lists come flat, as int64 arrays: list i holds members[j] for each
+    j with owners[j] == i, and owners is nondecreasing.  Each round picks
+    the vertex with the largest coverage, the number of unhit lists it
+    occurs in (a vertex listed twice in one list counts twice), ties to
+    the smaller id, and marks every list holding it hit.  Coverage is a
+    bincount of the members, the pick its argmax (the first maximum, so
+    the smaller id), and the bincount of the members of the lists a pick
+    hits is taken off it.  One argsort of the members finds the lists
+    holding each vertex, so a round costs O(n) plus the lists it hits.
     """
-    count = [0] * n
-    member_of = [[] for _ in range(n)]
-    for i, members in enumerate(sets):
-        for v in members:
-            count[v] += 1
-            member_of[v].append(i)
-    heap = [(-c, v) for v, c in enumerate(count) if c]
-    heapq.heapify(heap)
-    hit = [False] * len(sets)
+    count = np.bincount(members, minlength=n)
+    size = np.bincount(owners)
+    start = np.cumsum(size) - size
+    # The owners of v's entries are lists_of[holds[v]:ends[v]].
+    lists_of = owners[np.argsort(members)]
+    ends = np.cumsum(count)
+    holds = ends - count
+    unhit = np.ones(len(size), dtype=bool)
     chosen = []
-    while heap:
-        c, v = heapq.heappop(heap)
-        if -c != count[v]:
-            if count[v]:
-                heapq.heappush(heap, (-count[v], v))
-            continue
+    while True:
+        v = int(count.argmax())
+        if not count[v]:
+            return chosen
         chosen.append(v)
-        for i in member_of[v]:
-            if not hit[i]:
-                hit[i] = True
-                for u in sets[i]:
-                    count[u] -= 1
-    return chosen
+        hit = np.zeros(len(size), dtype=bool)
+        hit[lists_of[holds[v]:ends[v]]] = True
+        hit &= unhit
+        unhit ^= hit
+        count -= np.bincount(members[_arcs(start, size, hit.nonzero()[0])[0]], minlength=n)
 
 
 def tz_center(g: Graph, p: float, seed: int = 0, *, op: str = "tz_center") -> CenterData:
@@ -140,7 +127,10 @@ def tz_center(g: Graph, p: float, seed: int = 0, *, op: str = "tz_center") -> Ce
     b = min(n, math.ceil(1 / p))
     # The b-closest neighborhoods; each round prunes them to the bunches.
     bunches = [k_closest(g, v, b, "out").items for v in range(n)]
-    centers = sorted(_greedy_hitting_set([[u for u, _ in items] for items in bunches], n))
+    sizes = [len(items) for items in bunches]
+    members = np.fromiter((u for items in bunches for u, _ in items), dtype=np.int64,
+                          count=sum(sizes))
+    centers = sorted(_greedy_hitting_set(np.arange(n).repeat(sizes), members, n))
 
     cap = 4.0 / p
     rng = Random(seed)
@@ -182,22 +172,34 @@ def additive2_spanner(g: Graph, seed: int = 0) -> Spanner:
     if not g.unit_weights:
         raise ValueError("additive2_spanner requires unit weights")
     n = g.n
+    if n == 0:
+        return Spanner(Graph(0), [])
     threshold = ceil_sqrt(n)
-    deg = [len(g.adj_out[v]) for v in range(n)]
-    kept = set()
-    for u, v, _ in g.edges:
-        if deg[u] < threshold or deg[v] < threshold:
-            kept.add((u, v) if u <= v else (v, u))
+    (_, degree, heads), _, _ = _csr(g, "out")
+    light = degree < threshold
+    # Edge u-v is kept as the key u n + v, u <= v: its arc from u.
+    tails = np.arange(n).repeat(degree)
+    kept = (light[tails] | light[heads]) & (tails <= heads)
+    keys = [tails[kept] * n + heads[kept]]
 
-    closed = [[v] + [u for u, _ in g.adj_out[v]] for v in range(n) if deg[v] >= threshold]
-    dominators = _greedy_hitting_set(closed, n)
+    # The closed neighborhood of each heavy vertex: itself, then its heads.
+    heavy = np.flatnonzero(~light)
+    size = degree[heavy] + 1
+    owners = heavy.repeat(size)
+    own = np.zeros(len(owners), dtype=bool)
+    own[np.cumsum(size) - size] = True
+    members = owners.copy()
+    members[~own] = heads[~light[tails]]
+    dominators = _greedy_hitting_set(owners, members, n)
 
     for root in dominators:
-        for v, u in _bfs_parents(g, root).items():
-            if v != root:
-                kept.add((u, v) if u <= v else (v, u))
-    edges = [(u, v, 1) for u, v in sorted(kept)]
-    return Spanner(Graph(n, edges, directed=False), dominators)
+        parent = _bfs_parents(g, root)
+        v = np.flatnonzero(parent >= 0)
+        u = parent[v]
+        tree = u != v
+        keys.append(np.minimum(u, v)[tree] * n + np.maximum(u, v)[tree])
+    u, v = np.divmod(np.unique(np.concatenate(keys)), n)
+    return Spanner(_from_columns(n, False, u, v, np.ones(len(u), dtype=np.int64)), dominators)
 
 
 def _cluster_matrix(g: Graph, cd: CenterData) -> np.ndarray:

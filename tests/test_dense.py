@@ -9,9 +9,9 @@ from random import Random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from conftest import complete_graph, path_graph, random_connected, star_graph
+from conftest import complete_graph, path_graph, random_connected, random_graph, star_graph
 from diamecc import (Graph, additive2_spanner, apsp_matrix, approx_on_spanner,
                      diam_dense_32, diam_folklore_2approx, ecc_dense_53,
                      exact_diameter, exact_eccentricities, tz_center,
@@ -19,7 +19,8 @@ from diamecc import (Graph, additive2_spanner, apsp_matrix, approx_on_spanner,
 from diamecc import dense as dense_module
 from diamecc.dense import _cluster_matrix, _greedy_hitting_set
 from diamecc.eccen import ceil_sqrt
-from diamecc.search import is_connected
+from diamecc.graph import format_graph, parse_graph
+from diamecc.search import _bfs_parents as tree_parents, _csr, is_connected
 
 
 def check_center_invariants(g, cd):
@@ -138,6 +139,21 @@ def scan_dominators(g) -> list:
     return dominators
 
 
+def flat_hitting_set(sets, n: int) -> list:
+    """_greedy_hitting_set on vertex lists, flattened to (owner, member) arrays."""
+    owners = np.arange(len(sets)).repeat([len(s) for s in sets])
+    members = np.array([v for s in sets for v in s], dtype=np.int64)
+    return _greedy_hitting_set(owners, members, n)
+
+
+@st.composite
+def vertex_lists(draw):
+    """Up to 20 nonempty lists of up to 6 vertices over range(n), n <= 12."""
+    n = draw(st.integers(1, 12))
+    lists = st.lists(st.integers(0, n - 1), min_size=1, max_size=6)
+    return draw(st.lists(lists, min_size=1, max_size=20)), n
+
+
 class TestGreedyHittingSet:
     def test_matches_recount_on_ties_and_duplicates(self):
         rng = Random(46)
@@ -145,11 +161,19 @@ class TestGreedyHittingSet:
             n = rng.randint(1, 15)
             sets = [[rng.randrange(n) for _ in range(rng.randint(1, 6))]
                     for _ in range(rng.randint(1, 30))]
-            assert _greedy_hitting_set(sets, n) == recount_hitting_set(sets, n)
+            assert flat_hitting_set(sets, n) == recount_hitting_set(sets, n)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=vertex_lists())
+    @example(case=([[2, 2, 0], [2], [0, 0], [1]], 4))  # vertex 3 is in no list
+    def test_matches_recount(self, case):
+        """Repeats inside one list, vertices in no list and one-element lists."""
+        sets, n = case
+        assert flat_hitting_set(sets, n) == recount_hitting_set(sets, n)
 
     def test_picks_hit_every_set(self):
         sets = [[0, 1], [1, 2], [2, 3], [3, 0], [4]]
-        picks = _greedy_hitting_set(sets, 5)
+        picks = flat_hitting_set(sets, 5)
         assert picks == [0, 2, 4]
         assert all(set(picks) & set(s) for s in sets)
 
@@ -164,6 +188,97 @@ class TestGreedyHittingSet:
                 edges += [(v, v, 1) for v in rng.sample(range(n), n // 3)]
             g = Graph(n, edges)
             assert additive2_spanner(g).dominators == scan_dominators(g)
+
+
+def list_bfs_parents(g: Graph, root: int) -> dict:
+    """``dense._bfs_parents`` as it was on the adjacency lists, verbatim."""
+    parent = {root: root}
+    level = [root]
+    while level:
+        nxt = []
+        for x in level:
+            for v, _ in g.adj_out[x]:
+                if v not in parent:
+                    parent[v] = x
+                    nxt.append(v)
+        level = nxt
+    return parent
+
+
+def reference_spanner(g):
+    """``additive2_spanner`` as it was on the adjacency lists: its body
+    verbatim, with recount_hitting_set as the hitting set.  Returns the
+    spanner graph and the dominators."""
+    n = g.n
+    threshold = ceil_sqrt(n)
+    deg = [len(g.adj_out[v]) for v in range(n)]
+    kept = set()
+    for u, v, _ in g.edges:
+        if deg[u] < threshold or deg[v] < threshold:
+            kept.add((u, v) if u <= v else (v, u))
+
+    closed = [[v] + [u for u, _ in g.adj_out[v]] for v in range(n) if deg[v] >= threshold]
+    dominators = recount_hitting_set(closed, n)
+
+    for root in dominators:
+        for v, u in list_bfs_parents(g, root).items():
+            if v != root:
+                kept.add((u, v) if u <= v else (v, u))
+    edges = [(u, v, 1) for u, v in sorted(kept)]
+    return Graph(n, edges, directed=False), dominators
+
+
+def lollipop(k: int, length: int) -> Graph:
+    """A k-clique with a path of ``length`` more vertices hanging off vertex k - 1."""
+    edges = [(u, v, 1) for u in range(k) for v in range(u + 1, k)]
+    return Graph(k + length, edges + [(i - 1, i, 1) for i in range(k, k + length)])
+
+
+class TestSpannerOnArrays:
+    """The array-built spanner against the list-built one, and its BFS trees."""
+
+    def corpus(self):
+        rng = Random(51)
+        for n in (0, 1, 2):
+            yield Graph(n)
+        yield Graph(1, [(0, 0, 1)])
+        yield Graph(2, [(0, 1, 1), (0, 1, 1), (1, 1, 1)])
+        for _ in range(12):
+            n = rng.randint(3, 70)
+            yield random_connected(rng, n, rng.randint(n * n // 8, n * n // 3))  # dense
+            yield random_connected(rng, n, rng.randint(0, n))  # sparse
+            yield random_connected(rng, n, 0)  # a tree
+            g = random_graph(rng, n, rng.randint(0, n * n // 3), directed=False, loops=True)
+            edges = g.edges + rng.choices(g.edges, k=len(g.edges) // 3) if g.edges else []
+            yield Graph(n, edges)  # parallel edges, self-loops, maybe disconnected
+        for n in (3, 64, 65, 300):
+            yield path_graph(n)
+        yield complete_graph(30)
+        # Both step kinds in one tree: numpy steps in the clique, scalar ones on the path.
+        yield lollipop(40, 300)
+        yield lollipop(60, 2000)
+
+    def test_matches_reference(self):
+        for g in self.corpus():
+            for source in (g, parse_graph(format_graph(g))):  # parsed: arcs seeded
+                sp = additive2_spanner(source)
+                h, dominators = reference_spanner(g)
+                assert sp.dominators == dominators
+                assert sp.graph.edges == h.edges
+                assert sp.graph.adj_out == h.adj_out
+                if g.n:
+                    got, want = _csr(sp.graph, "out"), _csr(Graph(g.n, h.edges), "out")
+                    assert all(np.array_equal(a, b) for a, b in zip(got[0], want[0]))
+                    assert got[1:] == want[1:]
+
+    def test_tree_parents_match_first_discovery(self):
+        rng = Random(52)
+        for g in self.corpus():
+            for root in rng.sample(range(g.n), min(g.n, 3)) + ([g.n - 1] if g.n else []):
+                want = np.full(g.n, -1)
+                for v, u in list_bfs_parents(g, root).items():
+                    want[v] = u
+                assert np.array_equal(tree_parents(g, root), want)
 
 
 class TestSpanner:
