@@ -2,18 +2,23 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from random import Random
 
 import numpy as np
 import pytest
 
-from conftest import (complete_graph, cycle_graph, path_graph,
+from conftest import (bellman_ford, complete_graph, cycle_graph, path_graph,
                       random_connected, random_strongly_connected, random_tree,
                       star_graph)
 from diamecc import (Graph, ecc_2approx, ecc_2plusdelta, ecc_folklore_3approx,
                      exact_eccentricities, exact_radius, source_radius)
-from diamecc.eccen import hitting_sample_ok
+from diamecc import eccen
+from diamecc.eccen import (TERMINAL_SIZE, EccEstimate, _log_sample_size,
+                           hitting_sample_ok)
+from diamecc.search import (eccentricities, is_strongly_connected, max_distances,
+                            multi_source_distance, sssp)
 
 
 class TestEcc2Approx:
@@ -113,6 +118,144 @@ class TestEcc2PlusDelta:
             ecc_2plusdelta(g, Fraction(3, 2))
 
 
+def _reference_2plusdelta(g: Graph, tau, seed: int = 0,
+                          check_bound_invariant: bool = False) -> EccEstimate:
+    """ecc_2plusdelta as it was before idle phases skipped their searches."""
+    tau = Fraction(tau)
+    if not 0 < tau < 1:
+        raise ValueError(f"tau must be in (0, 1), got {tau}")
+    if not is_strongly_connected(g):
+        raise ValueError("ecc_2plusdelta requires a strongly connected graph")
+    n = g.n
+    if n == 0:
+        return EccEstimate([], "ecc-2plusdelta", seed, rationals=[], phases=0)
+    rng = Random(seed)
+    decay = 1 - tau
+    bound = Fraction((n - 1) * g.max_weight)
+    active = list(range(n))
+    exact = [None] * n
+    phases = 0
+    misses = 0
+    true_ecc = eccentricities(g, range(n), "out") if check_bound_invariant else None
+
+    while len(active) > TERMINAL_SIZE and bound >= 1:
+        phases += 1
+        if true_ecc is not None:
+            assert all(true_ecc[v] <= bound for v in active)
+        probe = sorted(rng.sample(active, min(len(active), _log_sample_size(n))))
+        d_from_a = multi_source_distance(g, probe, "out")
+        w = d_from_a.index(max(d_from_a))
+        to_w = sssp(g, w, "in")
+        # active is ascending and the sort stable, so ties keep id order.
+        ordered = sorted(active, key=to_w.__getitem__)
+        half = (len(active) + 1) // 2
+        near_w, far_w = ordered[:half], ordered[half:]
+        if not set(probe) & set(near_w):
+            misses += 1
+        threshold = decay * bound / 2
+        if min(to_w[v] for v in far_w) >= threshold:
+            for v in far_w:
+                exact[v] = threshold
+            active = sorted(near_w)
+        else:
+            reach = max_distances(g, probe, "in")
+            # reach holds ints, so one integer cut replaces a Fraction compare per vertex.
+            cut = math.ceil(threshold)
+            survivors = []
+            for v in active:
+                if reach[v] >= cut:
+                    exact[v] = threshold
+                else:
+                    survivors.append(v)
+            active = survivors
+            bound = decay * bound
+
+    # Endgame: exact computation when few survive, 0 when the bound
+    # certifies ecc < 1 (integer weights make that ecc = 0).
+    ends = eccentricities(g, active, "out") if len(active) <= TERMINAL_SIZE else [0] * len(active)
+    for v, ecc in zip(active, ends):
+        exact[v] = Fraction(ecc)
+    values = [int(r.numerator // r.denominator) for r in exact]
+    return EccEstimate(values, "ecc-2plusdelta", seed, rationals=exact,
+                       phases=phases, sample_misses=misses)
+
+
+def _count_searches(monkeypatch) -> list:
+    """Count the searches that ecc_2plusdelta and its reference make."""
+    calls = []
+    for name in ("sssp", "multi_source_distance", "max_distances", "eccentricities"):
+        def counted(*args, _search=getattr(eccen, name), **kwargs):
+            calls.append(1)
+            return _search(*args, **kwargs)
+        monkeypatch.setattr(eccen, name, counted)
+        monkeypatch.setitem(globals(), name, counted)
+    return calls
+
+
+def _idle_phases(g: Graph, tau) -> int:
+    """Phases that peel nothing because no distance reaches their threshold.
+
+    The bound only falls, so these are the first phases, and the whole
+    vertex set is still active in them.
+    """
+    diam_ub = max(bellman_ford(g, 0, "in")) + max(bellman_ford(g, 0, "out"))
+    bound, idle = Fraction((g.n - 1) * g.max_weight), 0
+    while g.n > TERMINAL_SIZE and bound >= 1 and diam_ub < (1 - tau) * bound / 2:
+        bound *= 1 - tau
+        idle += 1
+    return idle
+
+
+class TestIdlePhases:
+    """A phase whose threshold exceeds every distance runs no search."""
+
+    def test_same_estimates_with_fewer_searches(self, monkeypatch):
+        calls = _count_searches(monkeypatch)
+        rng = Random(18)
+        taus = (Fraction(1, 8), Fraction(1, 4), Fraction(1, 2))
+        skipped = 0
+        for trial in range(150):
+            n = 1 + trial
+            directed = trial % 2 == 0
+            max_w = 10 if trial % 4 >= 2 else 1
+            g = (random_strongly_connected(rng, n, n, max_w) if directed
+                 else random_connected(rng, n, n // 2, max_w))
+            tau = taus[trial % 3]
+            calls.clear()
+            want = _reference_2plusdelta(g, tau, seed=trial)
+            # The reference's connectivity check is not a counted search.
+            ref_searches = len(calls)
+            calls.clear()
+            got = ecc_2plusdelta(g, tau, seed=trial)
+            assert (got.values, got.rationals, got.phases) == (want.values, want.rationals,
+                                                               want.phases)
+            assert got.sample_misses <= want.sample_misses
+            # An idle phase of the reference peels nothing, so it makes all
+            # three of its searches.
+            idle = _idle_phases(g, tau)
+            skipped += idle
+            assert len(calls) == (2 if directed else 1) + ref_searches - 3 * idle
+        assert skipped > 0
+
+    @pytest.mark.parametrize("c", [0.25, 0.05])
+    def test_missed_probe_certifies_every_failure(self, monkeypatch, c):
+        # With a smaller phase sample the probe misses often; a factor
+        # failure must still show up as a miss of some non-idle phase.
+        monkeypatch.setattr(eccen, "SAMPLE_C", c)
+        rng = Random(19)
+        failures = 0
+        for trial in range(150):
+            n = rng.randint(10, 100)
+            g = random_strongly_connected(rng, n, n, max_w=rng.choice([1, 10]))
+            ecc = exact_eccentricities(g)
+            for tau in (Fraction(1, 8), Fraction(1, 4), Fraction(1, 2)):
+                est = ecc_2plusdelta(g, tau, seed=trial)
+                if any((1 - tau) * ecc[v] / 2 > est.rationals[v] for v in range(n)):
+                    failures += 1
+                    assert est.sample_misses > 0
+        assert failures > 0
+
+
 class TestFolklore3Approx:
     def test_path_is_exact_here(self):
         est = ecc_folklore_3approx(path_graph(3))
@@ -201,8 +344,7 @@ class TestSparseScale:
         assert hitting_sample_ok(g, seed)
         est = np.array(ecc_2approx(g, seed).values)
         assert (est <= ecc).all() and (2 * est >= ecc).all()
-        # The factor is asserted outright.  Seed 1 records one phase sample
-        # miss (sample_misses = 1), so here it holds without its certificate.
+        # The factor is asserted outright, whatever sample_misses reads.
         tau = Fraction(1, 4)
         est = ecc_2plusdelta(g, tau, seed)
         assert all((1 - tau) * Fraction(int(e)) / 2 <= r <= int(e)

@@ -804,6 +804,76 @@ class TestSingleSearches:
         assert g._csr[("single", "out")] and g._csr["out"] is not None
 
 
+def _ring_stream(g, sources, direction, one_bit):
+    """Every (d, vertices, bits) of one ring pass, and the bits it left unseen."""
+    unseen = search._all_bits(g.n)
+    stream = [(d, frontier.tolist(), bits.tolist()) for d, frontier, bits
+              in search._ring_bits(g, sources, direction, unseen, one_bit=one_bit)]
+    return stream, unseen.tolist()
+
+
+def _spy_pulls(monkeypatch) -> list:
+    """Record every ring pass that pulls from now on: one entry at its
+    first pull step, when it takes the reverse arcs."""
+    pulls = []
+    reverse_arcs = search._reverse_arcs
+
+    def spy(*args):
+        pulls.append(args)
+        return reverse_arcs(*args)
+
+    monkeypatch.setattr(search, "_reverse_arcs", spy)
+    return pulls
+
+
+def _pull_graphs():
+    rng = Random(20)
+    # In-degree-0 vertex 40 feeds the graph, 38 and 39 are isolated, and
+    # self-loops and parallel arcs repeat tails within a vertex's group.
+    base = _messy_graph(rng, 38, True, 1)
+    edges = list(base.edges) + [(40, v, 1) for v in rng.sample(range(38), 6)]
+    yield Graph(41, edges, directed=True)
+    yield _messy_graph(rng, 60, False, 1)
+    yield random_connected(rng, 50, 50 * 50 // 4)
+    yield complete_graph(20, directed=True)
+    # One weight other than 1: the next slot is d + 3.
+    yield Graph(30, [(u, v, 3) for u, v, _ in random_graph(rng, 30, 150, True).edges],
+                directed=True)
+    yield Graph(1)
+    yield Graph(1, [(0, 0, 1)], directed=True)
+
+
+class TestPullSteps:
+    """A one-weight ring step whose frontier holds enough of the arcs pulls
+    over the reverse arcs instead of pushing over its own."""
+
+    @pytest.mark.parametrize("one_bit", [True, False])
+    @pytest.mark.parametrize("direction", ["out", "in"])
+    @pytest.mark.parametrize("count", [1, 17, 64])
+    def test_pull_and_push_yield_the_same_stream(self, monkeypatch, one_bit, direction, count):
+        pulls = _spy_pulls(monkeypatch)
+        rng = Random(count)
+        pulled = 0
+        for g in _pull_graphs():
+            sources = [rng.randrange(g.n) for _ in range(count)]
+            monkeypatch.setattr(search, "_PULL", 0)
+            push = _ring_stream(g, sources, direction, one_bit)
+            assert not pulls
+            monkeypatch.setattr(search, "_PULL", 10**9)
+            assert _ring_stream(g, sources, direction, one_bit) == push
+            pulled += len(pulls)
+            monkeypatch.setattr(search, "_PULL", 4)
+            assert _ring_stream(g, sources, direction, one_bit) == push
+            pulls.clear()
+        assert pulled
+
+    def test_dense_levels_pull_at_the_default_factor(self, monkeypatch):
+        pulls = _spy_pulls(monkeypatch)
+        g = random_connected(Random(21), 50, 50 * 50 // 4)
+        assert eccentricities(g, range(50)) == [max(bellman_ford(g, s)) for s in range(50)]
+        assert pulls
+
+
 class TestDegree3Blowup:
     def test_triangle(self):
         blown, bmap = degree3_blowup(complete_graph(3))
