@@ -16,7 +16,7 @@ from .diam import diam_folklore_2approx, diam_linear_lessthan2
 from .dense import approx_on_spanner, diam_dense_32, ecc_dense_53
 from .eccen import ecc_2approx, ecc_2plusdelta, ecc_folklore_3approx, source_radius
 from .graph import UNREACHABLE, GraphFormatError, load_graph, load_vertex_set
-from .hardness import (BUILDERS, ConstructionSizeError, MetadataError, gen_ov,
+from .hardness import (BUILDERS, ConstructionSizeError, MetadataError, check_size, gen_ov,
                        load_construction, save_construction, verify_construction)
 from .search import exact_diameter, exact_st_diameter
 from .stdiam import (STInstance, st_2approx_sqrt, st_2approx_true, st_2approx_weighted,
@@ -165,6 +165,7 @@ def _gen(args) -> int:
         print("error: ecc-dir needs --L", file=sys.stderr)
         return EXIT_USAGE
     try:
+        check_size(name, k, args.n, args.d, args.max_edges, args.L or 0)
         inst = gen_ov(k, args.n, args.d, args.mode, args.seed)
         if name == "ecc-dir":
             out = BUILDERS[name](inst, args.L, max_edges=args.max_edges)

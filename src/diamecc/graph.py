@@ -26,7 +26,8 @@ import numpy as np
 
 UNREACHABLE = math.inf
 
-# (n-1) * max_weight + 1 must stay below this; a 64-bit distance budget.
+# max(n-1, 1) * max_weight + 1 must stay below this, so that every distance
+# and every weight fits an int64, even on one vertex.
 _WEIGHT_BUDGET = 2**63
 
 # The largest vertex count parse_graph accepts.  A directed Graph holds two
@@ -62,11 +63,9 @@ class Graph:
     distinct weights, or None when those weights are too many for the
     ring's memory bound (a graph with a 0-weight arc builds none and
     runs only list searches); the depth and the number of distinct
-    distances of the ring rule's probe, the first list search run in that
-    direction to decide a kernel (a batch's first source, or a single
-    search); whether single searches run in the ring, and a mark that one
-    has already waited for the arrays; and a mark when a ring pass
-    outgrew its memory.  Filling it twice gives the same arrays.  The
+    distances of the ring rule's probe, the first search of the first
+    call in that direction; and a mark when a ring pass outgrew its
+    memory.  Filling it twice gives the same arrays.  The
     rest only picks a kernel and never changes a result.  A graph read by
     parse_graph's bulk pass starts with one more entry per direction,
     ``("arcs", key)``: its arcs in adjacency order as (degree, heads,
@@ -108,8 +107,8 @@ class Graph:
                 zero_one = False
             if w == 0:
                 positive = False
-        if n > 1 and (n - 1) * max_w + 1 >= _WEIGHT_BUDGET:
-            raise ValueError("weights too large: (n-1)*max_weight must fit 63 bits")
+        if max(n - 1, 1) * max_w + 1 >= _WEIGHT_BUDGET:
+            raise ValueError("weights too large: max(n-1, 1)*max_weight must fit 63 bits")
         self.edges = canon
         self.adj_out = adj_out
         self.adj_in = adj_in
@@ -214,7 +213,7 @@ def _parse_bulk(text: str):
     u, v = cols[0], cols[1]
     w = cols[2] if want == 3 else np.ones(m, dtype=np.int64)
     max_w = int(w.max(initial=0))
-    if (m and max(u.max(), v.max()) >= n) or (n > 1 and (n - 1) * max_w + 1 >= _WEIGHT_BUDGET):
+    if (m and max(u.max(), v.max()) >= n) or max(n - 1, 1) * max_w + 1 >= _WEIGHT_BUDGET:
         return None
     return _from_columns(n, fields[2] == "directed", u, v, w)
 

@@ -152,15 +152,32 @@ class _LayeredCore:
         return self.t_lo + _ridx(digits, [self.n] * (self.k - 1))
 
 
+def check_size(name: str, k: int, n: int, d: int, max_edges: int, L: int = 0) -> None:
+    """Raise ConstructionSizeError when BUILDERS[name] on k sets of n
+    vectors of dimension d (path length L for ecc-dir) would need more than
+    ``max_edges`` edges, by the layered graph's estimate but for ecc-dir.
+    It reads only the shape, so gen asks it before drawing the vectors; a
+    shape that gen_ov or the builder rejects passes."""
+    if min(k - 1, n, d - 1) < 1 or (name == "ecc-dir" and L < 1):
+        return
+    if name == "ecc-dir":
+        est = n * (L + 3) + n * d
+    else:
+        t = k - 2
+        s_size = n ** (k - 1)
+        mid_size = (n ** t) * (d ** (t + 1))
+        est = 2 * s_size + (t + 1) * mid_size + (t + 2) * s_size * (d ** (t + 1))
+    if est > max_edges:
+        raise ConstructionSizeError(est, max_edges)
+
+
 def _build_layered(inst: OVInstance, prune: bool = True,
                    max_edges: int = DEFAULT_EDGE_CAP) -> _LayeredCore:
     k, n, d = inst.k, inst.n, inst.d
+    check_size("kov", k, n, d, max_edges)
     t = k - 2
     s_size = n ** (k - 1)
     mid_size = (n ** t) * (d ** (t + 1))
-    est = 2 * s_size + (t + 1) * mid_size + (t + 2) * s_size * (d ** (t + 1))
-    if est > max_edges:
-        raise ConstructionSizeError(est, max_edges)
 
     masks = [[sum(1 << c for c in range(d) if vec[c]) for vec in inst.vectors[j]]
              for j in range(k)]
@@ -425,8 +442,6 @@ def _diam_gadget_directed(inst: OVInstance, name: str,
     k, n = inst.k, inst.n
     core = _build_layered(inst, max_edges=max_edges)
     s_size = n ** (k - 1)
-    if 4 * s_size * (k - 2) > max_edges:
-        raise ConstructionSizeError(4 * s_size * (k - 2), max_edges)
     s1 = core.vertex_count
     s2 = s1 + s_size
     t1 = s2 + n
@@ -486,8 +501,6 @@ def build_ecc_lb_undirected(inst: OVInstance, max_edges: int = DEFAULT_EDGE_CAP)
     k, n = inst.k, inst.n
     core = _build_layered(inst, max_edges=max_edges)
     s_size = n ** (k - 1)
-    if s_size * (2 * k - 3) + 1 > max_edges:
-        raise ConstructionSizeError(s_size * (2 * k - 3), max_edges)
     edges = [(u, v, 1) for u, v, _ in core.edges]
     next_id = core.vertex_count
 
@@ -536,9 +549,7 @@ def build_ecc_lb_directed(inst: OVInstance, L: int,
     if L < 1:
         raise ValueError("L must be at least 1")
     n, d = inst.n, inst.d
-    est = n * (L + 3) + n * d
-    if est > max_edges:
-        raise ConstructionSizeError(est, max_edges)
+    check_size("ecc-dir", 2, n, d, max_edges, L)
     used_coords = [c for c in range(d)
                    if any(inst.vectors[0][i][c] for i in range(n))]
     coord_id = {c: n + j for j, c in enumerate(used_coords)}

@@ -62,30 +62,26 @@ the ring rule below, its depth:
   keyed slots always push: a prototype per-(rank, head) pull made
   ecc_2plusdelta slower on weights 1..8 at n = 700 (60 against 53 ms).
 
-The ring rule decides, for a call with k sources, which of them run in
-the ring, the others running one list search each; and for a single
-search, whether its one pass runs.  Its words are counted against
+The ring rule decides, for a call of k searches (k = 1 for a single
+search, one per source for a batch), which run in the ring, the others
+running one list search each.  Its words are counted against
 16 (n + m), 128 bytes per vertex and edge, less than the graph's
 adjacency lists take.
 
-* depth: the first call on a graph in a direction runs a list search,
-  and that search's row gives D, its largest finite distance, and K,
-  its number of distinct finite distances; later calls reuse them.  For
-  a many-source call that search is its first source's, on every weight
-  class but unit weights (those batches skip the probe); for a single
-  search it is the search itself, unit weights included.  A pass of b
-  sources over keyed slots takes about min(D + W + 1, K b) steps, W
+* depth: unit weights with k > 1 run in the ring with no probe.  In any
+  other call, a single search or a batch of one source alike, the first
+  call on a graph in a direction runs its first search as a list search,
+  and that search's row gives D, its largest finite distance, and K, its
+  number of distinct finite distances; later calls reuse them.  A pass
+  of b sources over keyed slots takes about min(D + W + 1, K b) steps, W
   being the largest weight, and one over the ring of weights 1..W, or
   over unit weights, steps through every distance, D + W + 1.  The k'
-  sources left (k - 1 on that first call, k after) run in the ring only
+  searches left (k - 1 on that first call, k after) run in the ring only
   when 64 times the steps of their passes is at most k' (n + m), the
   list searches' scans; a single search is one pass with k' = 1,
-  whatever its sources.  Building the arrays costs about one list search
-  (rent or buy), so when no batch has built them, the single search
-  after the probe is a list search too and the one after it asks the
-  rule: the two searches of st_3approx on an undirected graph build
-  none.  The keyed estimate, never above the ring's, is asked before the
-  memory half, so a graph that fails it builds no arrays.
+  whatever its sources.  The keyed estimate, never above the ring's, is
+  asked before the memory half, so a graph that fails it builds no
+  arrays.
   On a directed 320-cycle with weights 1..10, a step took about 12 us and
   a Dijkstra about 0.18 us per vertex or arc, and the ring took 19 times
   as long as 10 list searches and 3 times as long as 64; the rule sends
@@ -108,10 +104,11 @@ The ring runs on positive weights only: a graph with a 0-weight arc
 builds no CSR arrays, so its searches, single and batched, are list
 searches.
 
-What stays slow on deep graphs: unit-weight batches skip the probe and
-always run in the ring, so a long path or cycle pays one step per level;
-and D and K come from one search, so a directed graph whose probe reaches
-only a shallow part can still let a deep batch or search into the ring.
+What stays slow on deep graphs: unit-weight batches of two or more
+sources skip the probe and always run in the ring, so a long path or
+cycle pays one step per level; and D and K come from one search, so a
+directed graph whose probe reaches only a shallow part can still let a
+deep batch or search into the ring.
 
 All tie-breaking is by (distance, vertex id) ascending, so every operation
 here is deterministic.
@@ -119,6 +116,7 @@ here is deterministic.
 
 from __future__ import annotations
 
+import contextlib
 import heapq
 from collections import deque
 from dataclasses import dataclass
@@ -212,28 +210,18 @@ def _distances(g: Graph, sources, direction: str):
     """The row of one search from a source set: per vertex, the distance
     from (``out``) or to (``in``) the nearest source.
 
-    Runs as one ring pass with every source in bit 0 when the ring rule
-    admits it, and as a list search otherwise (see the module docstring).
-    The rule's answer is kept per graph and direction.
+    A call of one search under the ring rule (see the module docstring):
+    the depth probe's row, one ring pass with every source in bit 0, or a
+    list search when the rule says no or the pass raises _RingFull.
     """
-    key = _key(g, direction)
-    ring = g._csr.get(("single", key))
-    if ring is None:
-        (depth, distinct), rows = _depth(g, sources, direction)
-        if rows:
-            return rows[0]
-        if key in g._csr or ("rented", key) in g._csr:
-            ring = g._csr[("single", key)] = _fits(g, direction, depth, distinct, 1)
-        else:
-            g._csr[("rented", key)] = True
-    if ring and not g._csr.get(("full", key)):
+    ring, rows = _ring_rule(g, sources, 1, direction)
+    if rows:
+        return rows[0]
+    if ring:
         dist = np.full(g.n, -1, dtype=np.int64)
-        try:
+        with contextlib.suppress(_RingFull):
             for d, frontier, _ in _ring_bits(g, sources, direction, _all_bits(g.n), one_bit=True):
                 dist[frontier] = d
-        except _RingFull:
-            g._csr[("full", key)] = True
-        else:
             row = dist.tolist()
             return row if dist.min() >= 0 else [UNREACHABLE if d < 0 else d for d in row]
     return _list_distances(g, sources, direction)
@@ -368,25 +356,24 @@ def _slot_cap(g: Graph) -> int:
     return _RING_WORDS_PER_ITEM * (g.n + g.m) // g.n
 
 
-def _ring_rule(g: Graph, srcs: list, direction: str):
-    """The ring rule (see the module docstring) for a nonempty source list.
+def _ring_rule(g: Graph, first, left: int, direction: str):
+    """The ring rule (see the module docstring) for a call of ``left``
+    searches, the first of them from the source set ``first``.
 
-    Returns (ring, rows): ``rows`` holds the list-search distance rows run
-    to decide, one per source from the start of ``srcs``, and ``ring``
-    says whether the sources after them run in the ring or as list
-    searches.
+    Returns (ring, rows): ``rows`` holds the depth probe's row, the first
+    search's answer, when this call ran the probe, and ``ring`` says
+    whether the searches after it run in the ring or as list searches.
     """
-    if g._csr.get(("full", _key(g, direction))):
-        return False, []
-    if g.unit_weights:
+    if g.unit_weights and left > 1:
         return True, []
-    (depth, distinct), rows = _depth(g, srcs[:1], direction)
-    return _fits(g, direction, depth, distinct, len(srcs) - len(rows)), rows
+    (depth, distinct), rows = _depth(g, first, direction)
+    return _fits(g, direction, depth, distinct, left - len(rows)), rows
 
 
 def _fits(g: Graph, direction: str, depth: int, distinct: int, left: int) -> bool:
     """The depth and memory halves of the ring rule for ``left`` sources,
-    one bit each, given the probe's D and K."""
+    one bit each, given the probe's D and K; False after a pass in this
+    direction raised _RingFull."""
     scans = left * (g.n + g.m)
     deepest = depth + g.max_weight + 1
     # Keyed slots step only through pending distances, at most K per source;
@@ -395,7 +382,8 @@ def _fits(g: Graph, direction: str, depth: int, distinct: int, left: int) -> boo
     keyed = full * min(deepest, distinct * _WORD) + min(deepest, distinct * part)
     # The memory half: no arrays are built when the k_w x n block and two
     # slots would not fit next to the graph, or when it has a 0-weight arc.
-    if not left or _STEP_COST * keyed > scans or _csr(g, direction) is None:
+    if (not left or g._csr.get(("full", _key(g, direction)))
+            or _STEP_COST * keyed > scans or _csr(g, direction) is None):
         return False
     # Unit weights and the ring of weights 1..W step through every distance
     # up to the last.
@@ -448,7 +436,8 @@ def _ring_bits(g: Graph, sources, direction: str, unseen, one_bit: bool = False)
     loses each bit at the vertices it reaches.  With ``one_bit`` every
     source is seeded in bit 0 instead, so the pass is one search from the
     set.  Raises _RingFull, before allocating the slot, when the live slots
-    plus k_w would exceed the memory rule's 16 (n + m) / n.
+    plus k_w would exceed the memory rule's 16 (n + m) / n, and marks the
+    graph and direction so that _fits keeps later calls off the ring.
     """
     (indptr, degree, targets), steps, ranks = _csr(g, direction)
     n, k = g.n, len(steps)
@@ -522,6 +511,7 @@ def _ring_bits(g: Graph, sources, direction: str, unseen, one_bit: bool = False)
                 if into is not None:
                     into |= rows[r]
                 elif len(slots) + 2 > cap:
+                    g._csr[("full", _key(g, direction))] = True
                     raise _RingFull
                 else:
                     slots[at] = rows[r].copy()
@@ -562,22 +552,19 @@ def _each(g: Graph, srcs: list, direction: str, from_row, from_batch):
 
     ``from_row`` takes the distance row of one list search, and
     ``from_batch`` runs one ring pass over up to 64 sources; it must keep
-    nothing from a pass that raises _RingFull.  Such a pass marks the
-    graph and direction, so later calls skip the ring, and its batch and
-    the rest run as list searches.
+    nothing from a pass that raises _RingFull, whose batch and the rest
+    then run as list searches.
     """
-    ring, rows = _ring_rule(g, srcs, direction)
+    ring, rows = _ring_rule(g, srcs[:1], len(srcs), direction)
     for row in rows:
         from_row(row)
     rest = srcs[len(rows):]
     lo = 0
     if ring:
-        try:
+        with contextlib.suppress(_RingFull):
             for lo in range(0, len(rest), _WORD):
                 from_batch(rest[lo:lo + _WORD])
             return
-        except _RingFull:
-            g._csr[("full", _key(g, direction))] = True
     for s in rest[lo:]:
         from_row(_list_distances(g, (s,), direction))
 

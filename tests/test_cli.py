@@ -108,6 +108,17 @@ class TestRun:
         code, _, err = run_cli(capsys, "run", "diam-folk", "--input", str(path))
         assert code == 3 and "line 1" in err and "10000000 vertices" in err
 
+    @pytest.mark.parametrize("kind", ["directed", "undirected"])
+    @pytest.mark.parametrize("method", ["ecc2", "ecc2d", "radius"])
+    def test_one_vertex_weight_over_the_budget(self, capsys, tmp_path, kind, method):
+        # 23-digit weights go to the line parser, which must apply the
+        # 63-bit budget on one vertex too, or the ring's int64 arrays overflow.
+        path = tmp_path / "one.txt"
+        path.write_text(f"1 70 {kind} weighted\n" + "0 0 10000000000000000000000\n" * 70)
+        code, out, err = run_cli(capsys, "run", method, "--input", str(path))
+        assert (code, out) == (3, "") and "weights too large" in err
+        assert "Traceback" not in err
+
     def test_precondition_exit_code(self, capsys, tmp_path):
         dag = tmp_path / "dag.txt"
         dag.write_text("3 2 directed unweighted\n0 1\n0 2\n")
@@ -201,6 +212,21 @@ class TestGenVerify:
                                "--k", "4", "--n", "40", "--d", "12",
                                "--out", str(tmp_path / "x"))
         assert code == 5 and "cap" in err
+
+    @pytest.mark.parametrize("construction, k", [("kov", "3"), ("5v8", "3"), ("6v10", "3"),
+                                                 ("3km4", "3"), ("8v13", "4"),
+                                                 ("ecc-und", "3"), ("ecc-dir", "2")])
+    def test_size_guard_draws_no_instance(self, capsys, tmp_path, monkeypatch, construction, k):
+        # The guard reads only k, n, d and L, so it refuses before gen_ov
+        # would draw k n d bits, billions of them here.
+        def drawn(*args):
+            raise AssertionError("gen_ov ran before the size guard")
+
+        monkeypatch.setattr(cli, "gen_ov", drawn)
+        code, out, err = run_cli(capsys, "gen", "--construction", construction, "--k", k,
+                                 "--n", "1000000", "--d", "1000", "--L", "5",
+                                 "--max-edges", "10", "--out", str(tmp_path / "x"))
+        assert (code, out) == (5, "") and err.startswith("size guard: ")
 
     def test_tampered_metadata_fails(self, capsys, tmp_path):
         prefix = str(tmp_path / "fix")

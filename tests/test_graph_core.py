@@ -51,6 +51,10 @@ class TestGraphType:
             Graph(2, [(0, 1, -1)])
         with pytest.raises(ValueError):
             Graph(3, [(0, 1, 2**63)])
+        # The weight itself must fit an int64 too, on one vertex as well.
+        for n in (1, 2):
+            with pytest.raises(ValueError):
+                Graph(n, [(0, 0, 2**63)])
 
 
 class TestSSSP:
@@ -358,7 +362,7 @@ class TestBatchedReductions:
                     with_repeats = [rng.randrange(n) for _ in range(count)]
                     # These graphs are shallow enough that big batches of
                     # positive weights run in the ring.
-                    assert search._ring_rule(g, distinct, direction)[0] == (lo > 0) or count == 1
+                    assert search._ring_rule(g, distinct[:1], count, direction)[0] == (lo > 0) or count == 1
                     _assert_reductions(g, distinct, direction, rows)
                     _assert_reductions(g, with_repeats, direction, rows)
 
@@ -435,7 +439,7 @@ class TestBatchedReductions:
                     rng = Random(count)
                     distinct = rng.sample(range(graph.n), count)
                     with_repeats = [rng.randrange(graph.n) for _ in range(count)]
-                    assert search._ring_rule(graph, distinct, direction)[0] or count == 1
+                    assert search._ring_rule(graph, distinct[:1], count, direction)[0] or count == 1
                     _assert_reductions(graph, distinct, direction, rows)
                     _assert_reductions(graph, with_repeats, direction, rows)
             assert ("full", "out") not in graph._csr
@@ -455,7 +459,7 @@ class TestBatchedReductions:
             for direction in ("out", "in"):
                 rows = {}
                 sources = [v % 30 for v in range(64)]
-                assert search._ring_rule(g, sources, direction)[0]
+                assert search._ring_rule(g, sources[:1], len(sources), direction)[0]
                 _assert_reductions(g, sources, direction, rows)
                 _assert_reductions(g, [4, 4, 17], direction, rows)
                 assert ("full", search._key(g, direction)) not in g._csr
@@ -466,12 +470,12 @@ class TestBatchedReductions:
         # its live slots long before it ends.
         sources = list(range(64))
         g = _twin_path()
-        assert search._ring_rule(g, sources, "out")[0]
+        assert search._ring_rule(g, sources[:1], len(sources), "out")[0]
         rows = {}
         _assert_reductions(g, sources, "out", rows)
         # It fell back to list searches, and later calls skip the ring.
         assert g._csr[("full", "out")]
-        assert search._ring_rule(g, sources, "out") == (False, [])
+        assert search._ring_rule(g, sources[:1], len(sources), "out") == (False, [])
         _assert_reductions(g, sources, "out", rows)
         # The in-direction has its own flag: from the far end its passes are
         # as deep, and they overflow too.
@@ -482,7 +486,7 @@ class TestBatchedReductions:
         # first pass and runs the second batch as list searches.
         g = _twin_path()
         mixed = [g.n - 1] * 65 + sources
-        assert search._ring_rule(g, mixed, "out")[0]
+        assert search._ring_rule(g, mixed[:1], len(mixed), "out")[0]
         _assert_reductions(g, mixed, "out", rows)
         assert g._csr[("full", "out")]
 
@@ -607,26 +611,30 @@ class TestRingRule:
         # searches, with that source's row reused.
         cycle = Graph(320, [(i, (i + 1) % 320, rng.randint(1, 10)) for i in range(320)],
                       directed=True)
-        ring, rows = search._ring_rule(cycle, list(range(64)), "out")
+        ring, rows = search._ring_rule(cycle, [0], 64, "out")
         assert not ring and rows == [bellman_ford(cycle, 0, "out")]
         # The depth is kept: a later call runs no probe.
-        assert search._ring_rule(cycle, [5, 6], "out") == (False, [])
+        assert search._ring_rule(cycle, [5], 2, "out") == (False, [])
         rows = {s: bellman_ford(cycle, s, "in") for s in range(0, 320, 5)}
         _assert_reductions(cycle, list(rows), "in", rows)
         # Weights 1..8 at m = 5n are shallow.  A lone first source is the
         # probe itself; once D is known, one source is enough for the ring.
         shallow = random_graph(rng, 700, 3500, True, max_w=8)
-        ring, rows = search._ring_rule(shallow, [3], "out")
+        ring, rows = search._ring_rule(shallow, [3], 1, "out")
         assert not ring and rows == [bellman_ford(shallow, 3, "out")]
-        assert search._ring_rule(shallow, [3], "out") == (True, [])
-        ring, rows = search._ring_rule(random_graph(rng, 700, 3500, True, max_w=8), [3, 1], "out")
+        assert search._ring_rule(shallow, [3], 1, "out") == (True, [])
+        ring, rows = search._ring_rule(random_graph(rng, 700, 3500, True, max_w=8), [3], 2, "out")
         assert ring and len(rows) == 1
-        # Unit weights skip the probe however deep the graph.
-        assert search._ring_rule(path_graph(300), [0], "out") == (True, [])
+        # Unit weights skip the probe however deep the graph, from two
+        # sources on; one source, a single search's call, probes like any.
+        path = path_graph(300)
+        assert search._ring_rule(path, [0], 2, "out") == (True, [])
+        assert search._ring_rule(path, [0], 1, "out") == (False, [bellman_ford(path, 0, "out")])
+        assert search._ring_rule(path, [5], 1, "out") == (False, [])
         # Random weights up to 10**6 settle nearly every vertex at its own
         # distance, and fail the depth half before the memory half is asked.
         heavy = random_graph(rng, 50, 100, True, max_w=10**6)
-        ring, rows = search._ring_rule(heavy, [0, 1], "out")
+        ring, rows = search._ring_rule(heavy, [0], 2, "out")
         assert not ring and rows == [bellman_ford(heavy, 0, "out")]
         assert "out" not in heavy._csr
         # A pass's steps are at most K per source, K being the number of
@@ -636,7 +644,7 @@ class TestRingRule:
         # 65 sources after the probe run in the ring; at D + W + 1 steps for
         # each of their two passes they would not.
         gadget = _pendant_gadgets(Random(22), 150)[1]
-        ring, rows = search._ring_rule(gadget, list(range(66)), "out")
+        ring, rows = search._ring_rule(gadget, [0], 66, "out")
         (depth, distinct), W = gadget._csr[("depth", "out")], gadget.max_weight
         assert ring and len(rows) == 1 and distinct * 64 < depth + W + 1
         assert search._STEP_COST * 2 * (depth + W + 1) > 65 * (gadget.n + gadget.m)
@@ -648,7 +656,7 @@ class TestRingRule:
         # the ring without building the CSR arrays or the rank masks.
         dense = random_graph(Random(23), 40, 4000, True, max_w=10**6)
         sources = list(range(40)) * 2
-        ring, rows = search._ring_rule(dense, sources, "out")
+        ring, rows = search._ring_rule(dense, sources[:1], len(sources), "out")
         distinct = dense._csr[("depth", "out")][1]
         assert search._STEP_COST * distinct * 79 <= 79 * (dense.n + dense.m)
         assert not ring and len(rows) == 1
@@ -665,11 +673,11 @@ class TestRingRule:
         edges = [(0, v, 30) for v in range(1, n)] + [(v, 0, 30) for v in range(1, n)]
         edges += [(v, v + 1, v) for v in range(1, 30)]
         g = Graph(n, edges, directed=True)
-        ring, rows = search._ring_rule(g, [0, 5], "out")
+        ring, rows = search._ring_rule(g, [0], 2, "out")
         assert g._csr[("depth", "out")] == (30, 2) and search._one_to_w(search._csr(g, "out")[1])
         assert search._STEP_COST * 2 <= g.n + g.m < search._STEP_COST * 61
         assert not ring and len(rows) == 1
-        assert search._ring_rule(g, list(range(64)), "out") == (True, [])
+        assert search._ring_rule(g, [0], 64, "out") == (True, [])
         _assert_reductions(g, [0, 5], "out")
         _assert_reductions(g, range(64), "out")
 
@@ -695,7 +703,44 @@ class TestRingRule:
                     "max_distances": [max(col) for col in zip(*rows)],
                     "nearest": [min((row[t], t) for t in members)[::-1] for row in rows]}
             assert run(g, srcs) == want[reduction]
-            assert search._ring_rule(g, srcs, "out") == (ring, [])
+            assert search._ring_rule(g, srcs[:1], len(srcs), "out") == (ring, [])
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 60), directed=st.booleans(),
+           shape=st.sampled_from(["random", "path", "cycle"]),
+           weights=st.sampled_from(["unit", "zero-one", "one-to-w", "sparse", "distinct",
+                                    "heavy"]))
+    def test_property_step_cost_changes_no_output(self, data, n, directed, shape, weights):
+        # The rule only picks a kernel: with _STEP_COST at 0 every search
+        # after the probe that the memory half admits runs in the ring, and
+        # at 10**9 only unit batches of two or more sources do, yet every
+        # reduction, single search and batch of one answers the same on a
+        # fresh copy of the graph.
+        if shape == "random":
+            pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                                       max_size=3 * n))
+        else:
+            pairs = [(v, (v + 1) % n) for v in range(n - (shape == "path"))]
+        draws = st.sampled_from(TestSingleSearches.WEIGHTS[weights][0])
+        ws = data.draw(st.lists(draws, min_size=len(pairs), max_size=len(pairs)))
+        edges = [(u, v, w) for (u, v), w in zip(pairs, ws)]
+        sources = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=70))
+        members = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=10))
+
+        def answers(cost):
+            saved, search._STEP_COST = search._STEP_COST, cost
+            try:
+                g = Graph(n, edges, directed=directed)
+                return [(sssp(g, sources[0], d), eccentricities(g, sources[-1:], d),
+                         eccentricities(g, sources, d), max_distances(g, sources, d),
+                         eccentricities(g, sources, d, targets=members),
+                         nearest(g, sources, members, d), multi_source_distance(g, sources, d),
+                         sssp(g, sources[-1], d))
+                        for d in ("out", "in")]
+            finally:
+                search._STEP_COST = saved
+
+        assert answers(0) == answers(10**9)
 
 
 def _spy_ring(monkeypatch) -> list:
@@ -755,35 +800,61 @@ class TestSingleSearches:
     def test_ring_full_falls_back_and_marks(self, monkeypatch):
         # From the start of the twin path each step leaves a slot 1000
         # ahead, so the pass outgrows its live slots and the search falls
-        # back to Dijkstra; the mark then keeps later searches off the ring.
+        # back to Dijkstra; the mark then keeps later single searches and
+        # batches in that direction off the ring.  The in-direction has its
+        # own mark, which a batch into the far end sets for later searches.
         monkeypatch.setattr(search, "_STEP_COST", 0)
         g = _twin_path()
-        adj = g.adjacency("out")
+        adj, rev = g.adjacency("out"), g.adjacency("in")
         assert search._csr(g, "out") is not None
         assert sssp(g, 0) == search._dijkstra(adj, g.n, [0])  # the probe
         passes = _spy_ring(monkeypatch)
         assert sssp(g, 1) == search._dijkstra(adj, g.n, [1])
         assert passes == [True] and g._csr[("full", "out")]
         assert multi_source_distance(g, [2, 3]) == search._dijkstra(adj, g.n, [2, 3])
+        assert eccentricities(g, range(64)) == [max(search._dijkstra(adj, g.n, [s]))
+                                                for s in range(64)]
         assert passes == [True] and ("full", "in") not in g._csr
+        far = list(range(g.n - 64, g.n))
+        assert eccentricities(g, far, "in") == [max(search._dijkstra(rev, g.n, [s])) for s in far]
+        assert passes == [True, False] and g._csr[("full", "in")]
+        assert sssp(g, g.n - 2, "in") == search._dijkstra(rev, g.n, [g.n - 2])
+        assert passes == [True, False]
 
     def test_rule_keeps_deep_graphs_on_list_searches(self, monkeypatch):
         # After the probe, a search runs in the ring when 64 (D + W + 1)
         # steps cost at most the list search's n + m scans: a directed
         # 2000-cycle (D = 1999) and a 300-path (D = 299) stay on the list,
-        # and a random digraph with m = 6n, D = 6, runs in the ring.
+        # and a random digraph with m = 6n, D = 6, runs in the ring from
+        # the first search after the probe on.
         passes = _spy_ring(monkeypatch)
         for g, ring in ((cycle_graph(2000, directed=True), False), (path_graph(300), False),
                         (random_strongly_connected(Random(0), 1000, 5000), True)):
             key = search._key(g, "out")
             first = sssp(g, 0)
             assert g._csr[("depth", key)] == (max(first), len(set(first)))
-            # No batch built the arrays, which cost about one list search,
-            # so the search after the probe is a list search as well.
             for s in (1, 2, 3):
                 assert sssp(g, s) == bellman_ford(g, s, "out")
-            assert g._csr[("single", key)] == ring and passes == [True, True] * ring
+            assert passes == [True] * 3 * ring
             passes.clear()
+
+    def test_a_batch_of_one_is_a_single_search(self, monkeypatch):
+        # A single search and a one-source batch are calls of one search
+        # under the same rule: whichever kind comes first is the probe, and
+        # each later call of either kind starts a ring pass exactly when
+        # the graph is shallow.
+        passes = _spy_ring(monkeypatch)
+        batch = lambda g, s: eccentricities(g, [s])
+        for make, ring in ((lambda: cycle_graph(2000, directed=True), False),
+                           (lambda: path_graph(300), False),
+                           (lambda: random_strongly_connected(Random(0), 1000, 5000), True)):
+            for kinds in ((sssp, batch), (batch, sssp)):
+                g, started = make(), []
+                for s in range(6):
+                    passes.clear()
+                    kinds[s % 2](g, s)
+                    started.append(len(passes))
+                assert started == [0] + [ring] * 5
 
     def test_unit_weights_count_every_level(self):
         # On unit weights K = D + 1, but a pass also settles the empty
@@ -793,15 +864,16 @@ class TestSingleSearches:
         assert search._fits(g, "out", depth, depth + 1, 1)
         assert not search._fits(g, "out", depth + 1, depth + 2, 1)
 
-    def test_one_search_after_the_probe_builds_no_arrays(self):
+    def test_search_after_the_probe_asks_the_rule(self, monkeypatch):
         # st_3approx's two searches on an undirected graph: the first is the
-        # probe, and the second finds no arrays, so it builds none.
+        # probe, and the second, in the other direction of the same arrays,
+        # asks the rule, which builds them and runs it in the ring.
+        passes = _spy_ring(monkeypatch)
         g = random_connected(Random(1), 600, 1800)
         sssp(g, 3, "out")
-        sssp(g, 7, "in")
-        assert "out" not in g._csr and ("single", "out") not in g._csr
-        sssp(g, 9, "in")
-        assert g._csr[("single", "out")] and g._csr["out"] is not None
+        assert "out" not in g._csr and passes == []
+        assert sssp(g, 7, "in") == bellman_ford(g, 7, "in")
+        assert g._csr["out"] is not None and passes == [True]
 
 
 def _ring_stream(g, sources, direction, one_bit):
