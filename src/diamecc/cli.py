@@ -1,7 +1,7 @@
 """Batch command line: run estimators, generate constructions, verify gaps.
 
 Exit codes: 0 ok, 2 usage, 3 parse/metadata error, 4 precondition
-violation, 5 construction size guard or an estimator out of memory.
+violation, 5 construction size guard or out of memory.
 """
 
 from __future__ import annotations
@@ -171,13 +171,16 @@ def _gen(args) -> int:
             out = BUILDERS[name](inst, args.L, max_edges=args.max_edges)
         else:
             out = BUILDERS[name](inst, max_edges=args.max_edges)
+        graph_path, meta_path = save_construction(out, args.out)
     except ConstructionSizeError as exc:
         print(f"size guard: {exc}", file=sys.stderr)
         return EXIT_SIZE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    graph_path, meta_path = save_construction(out, args.out)
+    except MemoryError:
+        print(f"out of memory: {name} at k={k}, n={args.n}, d={args.d}", file=sys.stderr)
+        return EXIT_SIZE
     print(f"wrote {graph_path} ({out.graph.n} vertices, {out.graph.m} edges) and {meta_path}")
     return 0
 
@@ -192,6 +195,9 @@ def _verify(args) -> int:
     except (MetadataError, json.JSONDecodeError) as exc:
         print(f"error: {args.meta}: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except MemoryError:
+        print(f"out of memory: verify on {args.graph}", file=sys.stderr)
+        return EXIT_SIZE
     ok = True
     for check in checks:
         status = "PASS" if check.passed else "FAIL"

@@ -11,26 +11,42 @@ The layered graph on k+1 levels is the common base: S holds all
 last k-1, and the middle levels carry partial tuples plus a coordinate
 tuple.  Without an orthogonal k-tuple every S-T distance is exactly k;
 with one, the witness pair is at distance at least 3k-2.
+
+Ids within a layer are mixed-radix: an S or T tuple is read in base n, a
+middle vertex as t = k-2 base-n vector digits followed by t+1 base-d
+coordinate digits.  So middle level j changes one digit, whose place value
+is n^(j-1) d^(t+1), and needs no tuple loops.  Pruning keeps a middle
+vertex exactly when it lies on some S-T path; S and T always stay.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 from random import Random
 
 from .graph import Graph, format_graph, load_graph
 from .search import UNREACHABLE, eccentricities, exact_diameter, nearest, sssp
 
 DEFAULT_EDGE_CAP = 2_000_000
+_SHOWN_BITS = 10_000
 
 
 class ConstructionSizeError(ValueError):
-    """Requested construction exceeds the configured size cap."""
+    """Requested construction exceeds the configured size cap.
 
-    def __init__(self, required: int, cap: int):
-        super().__init__(f"construction needs ~{required} edges, cap is {cap}")
+    ``required`` is the edge estimate, or None for a shape refused before
+    its estimate, of over _SHOWN_BITS bits, was formed.  Longer counts are
+    shown as powers of two, under Python's integer-string limit.
+    """
+
+    def __init__(self, required: int | None, cap: int):
+        def shown(x):
+            return str(x) if x.bit_length() <= _SHOWN_BITS else f"2^{x.bit_length() - 1}"
+
+        need = f"2^{_SHOWN_BITS} or more" if required is None else f"~{shown(required)}"
+        super().__init__(f"construction needs {need} edges, cap is {shown(cap)}")
         self.required = required
         self.cap = cap
 
@@ -162,6 +178,12 @@ def check_size(name: str, k: int, n: int, d: int, max_edges: int, L: int = 0) ->
         return
     if name == "ecc-dir":
         est = n * (L + 3) + n * d
+    elif (k - 1) * (n.bit_length() + d.bit_length() - 2) >= max(max_edges.bit_length(),
+                                                                _SHOWN_BITS):
+        # The estimate is at least (n d)^(k-1), whose bit length this bounds
+        # from below, so a shape this far past the cap is refused before the
+        # estimate, a number with millions of digits at k = 10^6, is formed.
+        raise ConstructionSizeError(None, max_edges)
     else:
         t = k - 2
         s_size = n ** (k - 1)
@@ -185,9 +207,7 @@ def _build_layered(inst: OVInstance, prune: bool = True,
                for j in range(k)]
 
     # Layer offsets: L0, then t+1 middle layers, then the last layer.
-    off = [0, s_size]
-    for _ in range(t + 1):
-        off.append(off[-1] + mid_size)
+    off = [0] + [s_size + j * mid_size for j in range(t + 2)]
     total = off[-1] + s_size
     off.append(total)
     mid_rad = [n] * t + [d] * (t + 1)
@@ -208,17 +228,15 @@ def _build_layered(inst: OVInstance, prune: bool = True,
             mid = off[1] + _ridx(prefix + xb, mid_rad)
             for last in ones_at[t][xb[0]]:
                 edges.append((off[0] + _ridx(prefix + (last,), s_rad), mid, 0))
-    # Middle: forget the last kept left-side vector, introduce the next
-    # right-side one; unconditional on coordinates.
+    # Middle level j: forget the last kept left-side vector, introduce the
+    # next right-side one; unconditional on coordinates.  That vector's digit
+    # has place value n^(j-1) d^(t+1) in the mid index.
     for j in range(1, t + 1):
-        for apart in product(range(n), repeat=t + 1 - j):
-            for bpart in product(range(n), repeat=j - 1):
-                for xb in product(range(d), repeat=t + 1):
-                    src = off[j] + _ridx(apart + bpart + xb, mid_rad)
-                    head = apart[:-1]
-                    for c in range(n):
-                        dst = off[j + 1] + _ridx(head + (c,) + bpart + xb, mid_rad)
-                        edges.append((src, dst, j))
+        place = n ** (j - 1) * d ** (t + 1)
+        steps = range(0, n * place, place)
+        for src in range(mid_size):
+            head = off[j + 1] + src - src // place % n * place
+            edges.extend((off[j] + src, head + step, j) for step in steps)
     # Right boundary: (b_1..b_{t+1}) -- (b_2..b_{t+1}, x) when each b_j is 1
     # on coordinates x_{t+1-j}..x_t.
     for bpart in product(range(n), repeat=t):
@@ -237,62 +255,25 @@ def _build_layered(inst: OVInstance, prune: bool = True,
 
     alive = [True] * total
     if prune:
-        _prune_to_fixpoint(edges, off, total, alive)
+        # Edges run layer by layer, so one sweep each way finds the middle
+        # vertices reached from S and those reaching T.
+        reached = [False] * total
+        reached[:s_size] = reached[off[-2]:] = [True] * s_size
+        reaching = reached[:]
+        for u, v, _ in edges:
+            if reached[u]:
+                reached[v] = True
+        for u, v, _ in reversed(edges):
+            if reaching[v]:
+                reaching[u] = True
+        alive = [a and b for a, b in zip(reached, reaching)]
 
-    remap = [-1] * total
-    alive_prefix = [0] * (total + 1)
-    nxt = 0
-    for v in range(total):
-        alive_prefix[v] = nxt
-        if alive[v]:
-            remap[v] = nxt
-            nxt += 1
-    alive_prefix[total] = nxt
-    kept = [(remap[u], remap[v], tag) for u, v, tag in edges if alive[u] and alive[v]]
-    sets = {}
-    bounds = [(alive_prefix[off[layer]], alive_prefix[off[layer + 1]])
-              for layer in range(k + 1)]
-    sets["S"] = bounds[0]
-    for layer in range(1, k):
-        sets[f"L{layer}"] = bounds[layer]
-    sets["T"] = bounds[k]
-    return _LayeredCore(k, n, d, nxt, kept, sets, bounds[k][0])
-
-
-def _prune_to_fixpoint(edges, off, total, alive):
-    """Drop middle vertices lacking a live neighbor on either side, cascading."""
-    last = len(off) - 2  # index of the final layer in off terms
-    layer_of = [0] * total
-    for layer in range(len(off) - 1):
-        for v in range(off[layer], off[layer + 1]):
-            layer_of[v] = layer
-    left_n = [[] for _ in range(total)]
-    right_n = [[] for _ in range(total)]
-    for u, v, _ in edges:
-        right_n[u].append(v)
-        left_n[v].append(u)
-    left_c = [len(left_n[v]) for v in range(total)]
-    right_c = [len(right_n[v]) for v in range(total)]
-
-    def internal(v):
-        return 0 < layer_of[v] < last
-
-    stack = [v for v in range(total)
-             if internal(v) and (left_c[v] == 0 or right_c[v] == 0)]
-    for v in stack:
-        alive[v] = False
-    while stack:
-        v = stack.pop()
-        for u in left_n[v]:
-            right_c[u] -= 1
-            if alive[u] and internal(u) and right_c[u] == 0:
-                alive[u] = False
-                stack.append(u)
-        for u in right_n[v]:
-            left_c[u] -= 1
-            if alive[u] and internal(u) and left_c[u] == 0:
-                alive[u] = False
-                stack.append(u)
+    new_id = list(accumulate(alive, initial=0))
+    kept = [(new_id[u], new_id[v], tag) for u, v, tag in edges if alive[u] and alive[v]]
+    bounds = [(new_id[off[layer]], new_id[off[layer + 1]]) for layer in range(k + 1)]
+    sets = {"S": bounds[0], **{f"L{layer}": bounds[layer] for layer in range(1, k)},
+            "T": bounds[k]}
+    return _LayeredCore(k, n, d, new_id[total], kept, sets, bounds[k][0])
 
 
 # ---------------------------------------------------------------------------
@@ -405,31 +386,6 @@ def build_diam_6v10(inst: OVInstance, max_edges: int = DEFAULT_EDGE_CAP) -> Cons
     return _diam_gadget_k3(inst, weighted=True, max_edges=max_edges)
 
 
-class _ArcBuilder:
-    """Incremental arc list for directed gadgets with path subdivision."""
-
-    def __init__(self, start: int):
-        self.arcs = []
-        self.next_id = start
-
-    def arc(self, u, v):
-        self.arcs.append((u, v, 1))
-
-    def und(self, u, v):
-        self.arcs.append((u, v, 1))
-        self.arcs.append((v, u, 1))
-
-    def und_path(self, u, v, length):
-        """Undirected path of `length` unit edges between u and v."""
-        prev = u
-        for _ in range(length - 1):
-            mid = self.next_id
-            self.next_id += 1
-            self.und(prev, mid)
-            prev = mid
-        self.und(prev, v)
-
-
 def _diam_gadget_directed(inst: OVInstance, name: str,
                           max_edges: int) -> ConstructionOutput:
     """Shared body of the 3k-4 vs 5k-7 and 8 vs 13 diameter constructions.
@@ -446,32 +402,47 @@ def _diam_gadget_directed(inst: OVInstance, name: str,
     s2 = s1 + s_size
     t1 = s2 + n
     t2 = t1 + s_size
-    rad = [n] * (k - 1)
-    ab = _ArcBuilder(t2 + n)
-    for u, v, _ in core.edges:
-        ab.und(u, v)
-    for i in range(s_size):
-        ab.und_path(i, s1 + i, k - 2)                       # S -- S' matching
-        ab.und_path(core.t_lo + i, t1 + i, k - 2)           # T -- T' matching
-    for a, a2 in combinations(range(n), 2):
-        ab.und(s2 + a, s2 + a2)
-        ab.und(t2 + a, t2 + a2)
-    for first in range(n):
-        for rest in product(range(n), repeat=k - 2):
-            digits = (first,) + rest
-            ab.und_path(s2 + first, core.s_id(digits), k - 2)   # hub spokes
-            ab.arc(s2 + first, s1 + _ridx(digits, rad))         # one-way shortcut
-            ab.und_path(t2 + first, core.t_id(rest + (first,)), k - 2)
-            ab.arc(t1 + _ridx(rest + (first,), rad), t2 + first)
+    arcs = []
+    next_id = t2 + n
 
-    g = Graph(ab.next_id, ab.arcs, directed=True)
+    def both(u, v):
+        arcs.append((u, v, 1))
+        arcs.append((v, u, 1))
+
+    def path(u, v):
+        """Undirected path of k-2 unit edges from u to v through new vertices."""
+        nonlocal next_id
+        for mid in range(next_id, next_id + k - 3):
+            both(u, mid)
+            u = mid
+        next_id += k - 3
+        both(u, v)
+
+    for u, v, _ in core.edges:
+        both(u, v)
+    for i in range(s_size):
+        path(i, s1 + i)                        # S -- S' matching
+        path(core.t_lo + i, t1 + i)            # T -- T' matching
+    for a, a2 in combinations(range(n), 2):
+        both(s2 + a, s2 + a2)
+        both(t2 + a, t2 + a2)
+    # The S tuple (a, rest...) and the T tuple (rest..., a), for each a.
+    rests = n ** (k - 2)
+    for a in range(n):
+        for r in range(rests):
+            path(s2 + a, a * rests + r)                  # hub spokes
+            arcs.append((s2 + a, s1 + a * rests + r, 1))  # one-way shortcut
+            path(t2 + a, core.t_lo + r * n + a)
+            arcs.append((t1 + r * n + a, t2 + a, 1))
+
+    g = Graph(next_id, arcs, directed=True)
     sets = dict(core.sets)
     sets.update({"S'": (s1, s1 + s_size), "S''": (s2, s2 + n),
                  "T'": (t1, t1 + s_size), "T''": (t2, t2 + n)})
     witness = None
     if inst.planted is not None:
-        witness = (s1 + _ridx(inst.planted[:k - 1], rad),
-                   t1 + _ridx(inst.planted[1:], rad))
+        witness = (s1 + core.s_id(inst.planted[:k - 1]),
+                   t1 + core.t_id(inst.planted[1:]) - core.t_lo)
     return ConstructionOutput(name, g, sets, 3 * k - 4, 5 * k - 7, witness,
                               "diameter", _params(inst))
 
@@ -527,8 +498,7 @@ def build_ecc_lb_undirected(inst: OVInstance, max_edges: int = DEFAULT_EDGE_CAP)
     sets["TTAILS"] = (t_tail_lo, next_id)
     witness = None
     if inst.planted is not None:
-        rad = [n] * (k - 1)
-        t_idx = _ridx(inst.planted[1:], rad)
+        t_idx = core.t_id(inst.planted[1:]) - core.t_lo
         witness = (core.s_id(inst.planted[:k - 1]),
                    t_tail_lo + t_idx * (k - 1) + (k - 2))
     return ConstructionOutput("ecc-und", g, sets, 2 * k - 1, 4 * k - 3, witness,

@@ -202,22 +202,23 @@ class EquivalenceGadget:
     All weights of the input are doubled up front (so the split weight
     half_span = span/2 is integral) and results must be halved back.
     ``w_scale`` strictly exceeds every finite distance of the doubled
-    graph.  ``g_final`` is only built when the combined gadget's diameter
-    collapses to the within-S diameter ``span`` (after the role swap that
-    enforces span = max(D_S, D_T)).
+    graph.  ``g_final``, ``x`` and ``y`` are always built; st_via_diameter
+    reads ``g_final`` only when the combined gadget's diameter collapses to
+    the within-S span (after the role swap that enforces
+    span_s = max(D_S, D_T)).
     """
 
     w_scale: int           # W: pendant edge weight
     g_s: Graph | None      # pendants on S only (None when |S| < 2)
     g_t: Graph | None
     g_st: Graph            # pendants on both S and T
-    g_final: Graph | None  # g_st plus x, y and the split edges
+    g_final: Graph         # g_st plus x, y and the split edges
     s_order: tuple         # original id of the i-th S-pendant
     t_order: tuple
     s_pendants: tuple      # pendant ids in g_st / g_final
     t_pendants: tuple
-    x: int | None
-    y: int | None
+    x: int
+    y: int
     span_s: int            # D_S of the doubled graph (after swap)
     span_t: int
     swapped: bool

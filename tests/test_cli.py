@@ -228,6 +228,48 @@ class TestGenVerify:
                                  "--max-edges", "10", "--out", str(tmp_path / "x"))
         assert (code, out) == (5, "") and err.startswith("size guard: ")
 
+    @pytest.mark.parametrize("argv", [
+        ("kov", "--k", "100000", "--n", "1000", "--d", "1000"),
+        ("kov", "--k", "1000000", "--n", "1000", "--d", "1000"),
+        ("kov", "--k", "3", "--n", "9" * 4000, "--d", "5"),
+        ("ecc-dir", "--n", "9" * 4000, "--d", "5", "--L", "9" * 4000),
+    ], ids=["k-1e5", "k-1e6", "n-4000-digits", "ecc-dir-n-and-L-4000-digits"])
+    def test_size_guard_on_huge_shapes(self, capsys, tmp_path, monkeypatch, argv):
+        # The message must not format a count past Python's 4300-digit string
+        # limit, and a huge k must be refused before its estimate is formed.
+        def drawn(*args):
+            raise AssertionError("gen_ov ran before the size guard")
+
+        monkeypatch.setattr(cli, "gen_ov", drawn)
+        code, out, err = run_cli(capsys, "gen", "--construction", *argv, "--max-edges", "10",
+                                 "--out", str(tmp_path / "x"))
+        assert (code, out) == (5, "") and err.startswith("size guard: ")
+        assert "Traceback" not in err and len(err) < 200
+
+    def test_gen_out_of_memory(self, capsys, tmp_path, monkeypatch):
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "gen_ov", exhausted)
+        code, out, err = run_cli(capsys, "gen", "--construction", "kov", "--k", "3",
+                                 "--n", "2", "--d", "3", "--out", str(tmp_path / "x"))
+        assert (code, out) == (5, "")
+        assert err == "out of memory: kov at k=3, n=2, d=3\n"
+
+    def test_verify_out_of_memory(self, capsys, tmp_path, monkeypatch):
+        prefix = str(tmp_path / "fix")
+        run_cli(capsys, "gen", "--construction", "kov", "--k", "2", "--n", "2",
+                "--d", "3", "--out", prefix)
+
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "verify_construction", exhausted)
+        code, out, err = run_cli(capsys, "verify", "--graph", prefix + ".graph",
+                                 "--meta", prefix + ".meta.json")
+        assert (code, out) == (5, "")
+        assert err == f"out of memory: verify on {prefix}.graph\n"
+
     def test_tampered_metadata_fails(self, capsys, tmp_path):
         prefix = str(tmp_path / "fix")
         run_cli(capsys, "gen", "--construction", "5v8", "--n", "2", "--d", "3",

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from itertools import product
 from random import Random
 
 import pytest
@@ -13,7 +14,143 @@ from diamecc import (ConstructionSizeError, OVInstance, build_diam_3km4,
                      build_kov_layered, gen_ov, load_construction,
                      ov_brute_force, save_construction, sssp,
                      verify_construction)
-from diamecc.hardness import MetadataError
+from diamecc import hardness
+from diamecc.hardness import DEFAULT_EDGE_CAP, MetadataError, _LayeredCore, check_size
+
+
+# The layered core as it was built before the place-value middle levels and
+# the two-sweep prune, kept verbatim as the oracle of TestLayeredReference.
+
+
+def _ridx(digits, radices) -> int:
+    idx = 0
+    for dig, rad in zip(digits, radices):
+        idx = idx * rad + dig
+    return idx
+
+
+def _build_layered(inst: OVInstance, prune: bool = True,
+                   max_edges: int = DEFAULT_EDGE_CAP) -> _LayeredCore:
+    k, n, d = inst.k, inst.n, inst.d
+    check_size("kov", k, n, d, max_edges)
+    t = k - 2
+    s_size = n ** (k - 1)
+    mid_size = (n ** t) * (d ** (t + 1))
+
+    masks = [[sum(1 << c for c in range(d) if vec[c]) for vec in inst.vectors[j]]
+             for j in range(k)]
+    ones_at = [[[i for i in range(n) if inst.vectors[j][i][x]] for x in range(d)]
+               for j in range(k)]
+
+    # Layer offsets: L0, then t+1 middle layers, then the last layer.
+    off = [0, s_size]
+    for _ in range(t + 1):
+        off.append(off[-1] + mid_size)
+    total = off[-1] + s_size
+    off.append(total)
+    mid_rad = [n] * t + [d] * (t + 1)
+    s_rad = [n] * (t + 1)
+
+    edges = []
+    # Left boundary: (a_0..a_t) -- (a_0..a_{t-1}, x) when each a_j is 1 on
+    # coordinates x_0..x_{t-j}.
+    for prefix in product(range(n), repeat=t):
+        for xb in product(range(d), repeat=t + 1):
+            cmask = []
+            acc = 0
+            for x in xb:
+                acc |= 1 << x
+                cmask.append(acc)
+            if any(masks[j][prefix[j]] & cmask[t - j] != cmask[t - j] for j in range(t)):
+                continue
+            mid = off[1] + _ridx(prefix + xb, mid_rad)
+            for last in ones_at[t][xb[0]]:
+                edges.append((off[0] + _ridx(prefix + (last,), s_rad), mid, 0))
+    # Middle: forget the last kept left-side vector, introduce the next
+    # right-side one; unconditional on coordinates.
+    for j in range(1, t + 1):
+        for apart in product(range(n), repeat=t + 1 - j):
+            for bpart in product(range(n), repeat=j - 1):
+                for xb in product(range(d), repeat=t + 1):
+                    src = off[j] + _ridx(apart + bpart + xb, mid_rad)
+                    head = apart[:-1]
+                    for c in range(n):
+                        dst = off[j + 1] + _ridx(head + (c,) + bpart + xb, mid_rad)
+                        edges.append((src, dst, j))
+    # Right boundary: (b_1..b_{t+1}) -- (b_2..b_{t+1}, x) when each b_j is 1
+    # on coordinates x_{t+1-j}..x_t.
+    for bpart in product(range(n), repeat=t):
+        for xb in product(range(d), repeat=t + 1):
+            smask = [0] * (t + 1)
+            acc = 0
+            for r in range(t, -1, -1):
+                acc |= 1 << xb[r]
+                smask[r] = acc
+            if any(masks[j][bpart[j - 2]] & smask[t + 1 - j] != smask[t + 1 - j]
+                   for j in range(2, t + 2)):
+                continue
+            mid = off[t + 1] + _ridx(bpart + xb, mid_rad)
+            for first in ones_at[1][xb[t]]:
+                edges.append((mid, off[t + 2] + _ridx((first,) + bpart, s_rad), t + 1))
+
+    alive = [True] * total
+    if prune:
+        _prune_to_fixpoint(edges, off, total, alive)
+
+    remap = [-1] * total
+    alive_prefix = [0] * (total + 1)
+    nxt = 0
+    for v in range(total):
+        alive_prefix[v] = nxt
+        if alive[v]:
+            remap[v] = nxt
+            nxt += 1
+    alive_prefix[total] = nxt
+    kept = [(remap[u], remap[v], tag) for u, v, tag in edges if alive[u] and alive[v]]
+    sets = {}
+    bounds = [(alive_prefix[off[layer]], alive_prefix[off[layer + 1]])
+              for layer in range(k + 1)]
+    sets["S"] = bounds[0]
+    for layer in range(1, k):
+        sets[f"L{layer}"] = bounds[layer]
+    sets["T"] = bounds[k]
+    return _LayeredCore(k, n, d, nxt, kept, sets, bounds[k][0])
+
+
+def _prune_to_fixpoint(edges, off, total, alive):
+    """Drop middle vertices lacking a live neighbor on either side, cascading."""
+    last = len(off) - 2  # index of the final layer in off terms
+    layer_of = [0] * total
+    for layer in range(len(off) - 1):
+        for v in range(off[layer], off[layer + 1]):
+            layer_of[v] = layer
+    left_n = [[] for _ in range(total)]
+    right_n = [[] for _ in range(total)]
+    for u, v, _ in edges:
+        right_n[u].append(v)
+        left_n[v].append(u)
+    left_c = [len(left_n[v]) for v in range(total)]
+    right_c = [len(right_n[v]) for v in range(total)]
+
+    def internal(v):
+        return 0 < layer_of[v] < last
+
+    stack = [v for v in range(total)
+             if internal(v) and (left_c[v] == 0 or right_c[v] == 0)]
+    for v in stack:
+        alive[v] = False
+    while stack:
+        v = stack.pop()
+        for u in left_n[v]:
+            right_c[u] -= 1
+            if alive[u] and internal(u) and right_c[u] == 0:
+                alive[u] = False
+                stack.append(u)
+        for u in right_n[v]:
+            left_c[u] -= 1
+            if alive[u] and internal(u) and left_c[u] == 0:
+                alive[u] = False
+                stack.append(u)
 
 
 class TestOVInstances:
@@ -127,6 +264,24 @@ class TestLayeredConstruction:
         inst = gen_ov(4, 40, 12, "unsat", 0)
         with pytest.raises(ConstructionSizeError):
             build_kov_layered(inst, max_edges=10_000)
+
+
+class TestLayeredReference:
+    # (n, d) shapes per k.
+    SHAPES = {2: [(n, d) for n in range(1, 5) for d in range(2, 6)],
+              3: [(n, d) for n in range(1, 4) for d in range(2, 5)],
+              4: [(1, 2), (1, 3), (2, 2), (2, 3), (2, 4), (3, 2), (3, 3)],
+              5: [(1, 2), (1, 3), (2, 2), (2, 3), (3, 2)]}
+
+    @pytest.mark.parametrize("k", sorted(SHAPES))
+    def test_matches_the_fixpoint_builder(self, k):
+        for (n, d), mode, seed, prune in product(self.SHAPES[k], ("unsat", "planted"),
+                                                 range(4), (True, False)):
+            inst = gen_ov(k, n, d, mode, seed)
+            got = hardness._build_layered(inst, prune=prune)
+            want = _build_layered(inst, prune=prune)
+            assert (got.vertex_count, got.edges, got.sets, got.t_lo) == \
+                   (want.vertex_count, want.edges, want.sets, want.t_lo), (n, d, mode, seed, prune)
 
 
 class TestDiameterGadgets:
