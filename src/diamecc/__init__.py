@@ -5,11 +5,11 @@ whose exactly known distance gaps serve as ground-truth fixtures."""
 from .graph import (UNREACHABLE, Graph, GraphFormatError, Neighborhood,
                     format_graph, load_graph, load_vertex_set, parse_graph,
                     parse_vertex_set, save_graph)
-from .search import (apsp_matrix, degree3_blowup, eccentricities, eccentricity,
-                     exact_diameter, exact_eccentricities, exact_radius,
-                     exact_st_diameter, is_connected, is_strongly_connected,
-                     k_closest, max_distances, multi_source_distance, nearest,
-                     sssp)
+from .search import (apsp_matrix, closest, degree3_blowup, eccentricities,
+                     eccentricity, exact_diameter, exact_eccentricities,
+                     exact_radius, exact_st_diameter, is_connected,
+                     is_strongly_connected, k_closest, max_distances,
+                     multi_source_distance, nearest, sssp)
 from .eccen import (EccEstimate, ecc_2approx, ecc_2plusdelta,
                     ecc_folklore_3approx, source_radius)
 from .stdiam import (EquivalenceGadget, STInstance, build_equivalence_gadget,

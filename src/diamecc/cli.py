@@ -1,6 +1,6 @@
 """Batch command line: run estimators, generate constructions, verify gaps.
 
-Exit codes: 0 ok, 2 usage, 3 parse/metadata error, 4 precondition
+Exit codes: 0 ok, 2 usage, 3 parse/metadata or file error, 4 precondition
 violation, 5 construction size guard or out of memory.
 """
 
@@ -178,6 +178,9 @@ def _gen(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     except MemoryError:
         print(f"out of memory: {name} at k={k}, n={args.n}, d={args.d}", file=sys.stderr)
         return EXIT_SIZE

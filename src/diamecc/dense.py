@@ -14,10 +14,14 @@ One greedy cover, ``_greedy_hitting_set`` (max coverage, ties to the
 smaller id), makes both set choices: the initial centers, which hit every
 ceil(1/p)-closest neighborhood, and the spanner's dominators, which hit
 the closed neighborhood of every heavy vertex.  The neighborhoods come
-from the level-truncated ``k_closest``, which scans only the arcs of the
-levels before the last, so the dense pipeline stays near-quadratic.  The
-cover runs on flat (owner, member) arrays, with bincount coverage and an
-argmax per pick.
+from ``search.closest``, 64 vertices' balls per ring pass, in which a
+source retires once its ball is full and the pass ends once all have, so
+it steps only as deep as its deepest ball.  They come as flat (owner,
+member, distance) arrays, and stay so: the cover runs on them, with
+bincount coverage and an argmax per pick, each round prunes them to the
+bunches with one mask, and the cluster sizes are a bincount of the
+members.  The bunch and cluster lists of CenterData are built once, on
+return.
 
 The spanner is built on the graph's CSR arrays: the light edges by a
 degree mask over the arcs, the heavy vertices' closed neighborhoods as
@@ -27,8 +31,9 @@ builds the same Graph as ``Graph(n, sorted edges)``, its arc arrays
 already seeded for the searches that follow.
 
 The searches from the centers A are ``search``'s batched reductions:
-per tz_center round one ``nearest`` over all n vertices; in diam_dense_32
-one ``eccentricities`` over A on the spanner; in ecc_dense_53 one
+one ``closest`` over all n vertices for the balls, and per tz_center
+round one ``nearest`` over them; in diam_dense_32 one
+``eccentricities`` over A on the spanner; in ecc_dense_53 one
 ``eccentricities`` and one ``max_distances`` over A on g, |A| sources
 each, plus one multi-source search per distinct center eccentricity.
 """
@@ -43,7 +48,7 @@ import numpy as np
 
 from .eccen import EccEstimate, ceil_sqrt
 from .graph import Graph, _from_columns
-from .search import (_arcs, _bfs_parents, _csr, eccentricities, is_connected, k_closest,
+from .search import (_arcs, _bfs_parents, _csr, closest, eccentricities, is_connected,
                      max_distances, multi_source_distance, nearest)
 
 
@@ -125,30 +130,38 @@ def tz_center(g: Graph, p: float, seed: int = 0, *, op: str = "tz_center") -> Ce
     if n == 0:
         return CenterData([], p, seed, [], [], [], [])
     b = min(n, math.ceil(1 / p))
-    # The b-closest neighborhoods; each round prunes them to the bunches.
-    bunches = [k_closest(g, v, b, "out").items for v in range(n)]
-    sizes = [len(items) for items in bunches]
-    members = np.fromiter((u for items in bunches for u, _ in items), dtype=np.int64,
-                          count=sum(sizes))
-    centers = sorted(_greedy_hitting_set(np.arange(n).repeat(sizes), members, n))
+    # The b-closest neighborhoods, flat; each round prunes them to the bunches.
+    owners, members, dists = closest(g, range(n), b)
+    centers = sorted(_greedy_hitting_set(owners, members, n))
 
     cap = 4.0 / p
     rng = Random(seed)
     while True:
         found = nearest(g, range(n), centers)
         dist = [d for _, d in found]
-        bunches = [[(u, du) for u, du in bunches[v] if du < dist[v]] for v in range(n)]
-        clusters = [[] for _ in range(n)]
-        for v in range(n):
-            for u, du in bunches[v]:
-                clusters[u].append((v, du))
-        oversized = [w for w in range(n) if len(clusters[w]) > cap]
+        keep = dists < np.asarray(dist, dtype=np.int64)[owners]
+        owners, members, dists = owners[keep], members[keep], dists[keep]
+        size = np.bincount(members, minlength=n)
+        oversized = np.flatnonzero(size > cap).tolist()
         if not oversized:
-            return CenterData(centers, p, seed, dist, [a for a, _ in found], bunches, clusters)
+            break
         drawn = []
         while not drawn:
             drawn = [w for w in oversized if rng.random() < p]
         centers = sorted(set(centers) | set(drawn))
+    # Each cluster lists its bunches' owners in id order: a stable sort by
+    # member keeps the owner-major order.
+    order = np.argsort(members, kind="stable")
+    bunches = _split(members, dists, np.bincount(owners, minlength=n))
+    clusters = _split(owners[order], dists[order], size)
+    return CenterData(centers, p, seed, dist, [a for a, _ in found], bunches, clusters)
+
+
+def _split(vertices, dists, sizes) -> list:
+    """Consecutive runs of (vertex, distance) pairs, one list per size."""
+    pairs = list(zip(vertices.tolist(), dists.tolist()))
+    ends = np.cumsum(sizes).tolist()
+    return [pairs[end - k:end] for k, end in zip(sizes.tolist(), ends)]
 
 
 @dataclass

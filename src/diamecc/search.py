@@ -12,7 +12,7 @@ the ring rule below, its depth:
   the Python adjacency lists one arc at a time: plain BFS when every
   weight is 1, a deque-based 0/1 search when weights are 0 or 1, and
   binary-heap Dijkstra otherwise.  k_closest is always a truncated list
-  search (see it).
+  search (see it); closest below batches the same balls.
 * BFS trees (_bfs_parents, one per dominator of dense.additive2_spanner):
   a level-synchronous unit-weight search that records each vertex's
   first discoverer.  A level whose arcs number at least _STEP_COST, the
@@ -27,17 +27,22 @@ the ring rule below, its depth:
 * many independent searches, reduced per source as they run:
   eccentricities (the largest distance, into every vertex or into a
   target set), max_distances (per vertex, the largest distance from the
-  sources) and nearest (the closest member of a set, ties to the smaller
-  id).  The exact oracles, the estimators' probe loops, the S-T sweeps
-  and the st scope of hardness.verify_construction are built on them.
+  sources), nearest (the closest member of a set, ties to the smaller
+  id) and closest (the s closest vertices, k_closest's ball, as flat
+  int64 (owner, member, distance) arrays).  The exact oracles, the
+  estimators' probe loops, the S-T sweeps, the st scope of
+  hardness.verify_construction and dense.tz_center's balls are built on
+  them.
   A bit-parallel bucket queue (Dial's, one bit per source in a uint64
   word per vertex; "the ring" below) runs up to 64 sources per pass over
   int64 CSR arrays.  Its n-word slots are keyed by distance: a slot
   exists only while bits are pending at its distance, and a pass steps
   only through those distances (nearest stops once every source has met
-  a member).  Each step ORs its frontier's arc bits into a k_w x n
-  block, k_w being the number of distinct weights, and each row that
-  gained bits becomes the slot at d + w or is ORed into it.  Unit
+  a member, closest once every ball is full: a full source's bit is
+  cleared from the unseen words, so the next level drops it).  Each step
+  ORs its frontier's arc bits into a k_w x n block, k_w being the number
+  of distinct weights, and each row that gained bits becomes the slot at
+  d + w or is ORed into it.  Unit
   weights (k_w = 1) keep one pending slot, which is a level-synchronous
   BFS with no weight gather.  When the weights are exactly 1..W, the
   slots form a ring of W + 1 indexed by d mod (W + 1) instead, which
@@ -712,6 +717,67 @@ def max_distances(g: Graph, sources, direction: str = "out") -> list:
     for v in missed.nonzero()[0].tolist():
         out[v] = UNREACHABLE
     return out
+
+
+def closest(g: Graph, sources, s: int, direction: str = "out"):
+    """Per listed source, its s closest vertices under (distance, id) order.
+
+    Returns flat int64 arrays ``(owner, member, distance)``, owner-major in
+    the order given: each source's entries are k_closest(g, source, s,
+    direction).items, fewer than s when fewer are reachable.  A ring pass
+    keeps, per level, each source's smallest ids up to what its ball still
+    needs; a full source retires, so its bit drops out at the next level,
+    and the pass ends once every source has retired.
+    """
+    if not 1 <= s <= g.n:
+        raise ValueError(f"s must be in [1, {g.n}], got {s}")
+    srcs = _listed(g, sources)
+    empty = np.zeros(0, dtype=np.int64)
+    members, dists, sizes = [empty], [empty], []
+
+    def from_row(row):
+        near = heapq.nsmallest(s, ((d, v) for v, d in enumerate(row) if d != UNREACHABLE))
+        members.append(np.array([v for _, v in near], dtype=np.int64))
+        dists.append(np.array([d for d, _ in near], dtype=np.int64))
+        sizes.append(len(near))
+
+    def from_batch(batch):
+        unseen = _all_bits(g.n)
+        need = np.zeros(_WORD, dtype=np.int64)
+        need[:len(batch)] = s
+        todo = (1 << len(batch)) - 1  # the sources whose balls are not full
+        cols = np.arange(_WORD)
+        levels = []
+        for d, frontier, bits in _ring_bits(g, batch, direction, unseen):
+            # Source i's run in ``at``: the frontier positions whose words
+            # hold bit i, ascending by id, each at i |frontier| + position.
+            # Its first need[i] are the smallest ids its ball still needs.
+            width = len(frontier)
+            hold = np.unpackbits(bits.astype("<u8", copy=False).view(np.uint8),
+                                 bitorder="little").view(bool)
+            at = np.flatnonzero(hold.reshape(width, _WORD).T)
+            runs = np.searchsorted(at, np.arange(_WORD + 1) * width)
+            took = np.minimum(np.diff(runs), need)
+            col = cols.repeat(took)
+            member = frontier[at[_arcs(runs, took, cols)[0]] - col * width]
+            levels.append((col, member, np.full(len(col), d, dtype=np.int64)))
+            need -= took
+            full = int(np.packbits(need == 0, bitorder="little").view("<u8")[0]) & todo
+            if full:
+                todo ^= full
+                if not todo:
+                    break
+                unseen &= ~np.uint64(full)
+        col, member, dist = map(np.concatenate, zip(*levels))
+        order = np.argsort(col, kind="stable")  # owner-major, levels kept in order
+        members.append(member[order])
+        dists.append(dist[order])
+        sizes.extend((s - need[:len(batch)]).tolist())
+
+    if srcs:
+        _each(g, srcs, direction, from_row, from_batch)
+    return (np.asarray(srcs, dtype=np.int64).repeat(sizes), np.concatenate(members),
+            np.concatenate(dists))
 
 
 def sssp(g: Graph, source: int, direction: str = "out") -> list:

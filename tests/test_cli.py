@@ -207,6 +207,14 @@ class TestGenVerify:
                                "--out", str(tmp_path / "x"))
         assert code == 2 and "k=4" in err
 
+    def test_out_in_missing_directory(self, capsys, tmp_path):
+        out = tmp_path / "missing-dir" / "x"
+        code, stdout, err = run_cli(capsys, "gen", "--construction", "kov", "--k", "2",
+                                    "--n", "2", "--d", "2", "--out", str(out))
+        assert (code, stdout) == (3, "") and err.startswith("error: ")
+        assert "missing-dir" in err and err.count("\n") == 1
+        assert "Traceback" not in err and not out.parent.exists()
+
     def test_size_guard_exit_code(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "gen", "--construction", "kov",
                                "--k", "4", "--n", "40", "--d", "12",

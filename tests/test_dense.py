@@ -17,10 +17,11 @@ from diamecc import (Graph, additive2_spanner, apsp_matrix, approx_on_spanner,
                      exact_diameter, exact_eccentricities, tz_center,
                      st_3approx, STInstance)
 from diamecc import dense as dense_module
-from diamecc.dense import _cluster_matrix, _greedy_hitting_set
+from diamecc.dense import (CenterData, _check_dense_input, _cluster_matrix,
+                           _greedy_hitting_set)
 from diamecc.eccen import ceil_sqrt
 from diamecc.graph import format_graph, parse_graph
-from diamecc.search import _bfs_parents as tree_parents, _csr, is_connected
+from diamecc.search import _bfs_parents as tree_parents, _csr, is_connected, k_closest, nearest
 
 
 def check_center_invariants(g, cd):
@@ -549,6 +550,41 @@ def reference_ecc_dense_53(g, cd, seed):
     return values, len(set(ecc_g.values()))
 
 
+def reference_tz_center(g: Graph, p: float, seed: int = 0, *, op: str = "tz_center"):
+    """``tz_center`` as it was with one ``k_closest`` per vertex, verbatim."""
+    _check_dense_input(g, op)
+    if not 0 < p <= 1:
+        raise ValueError(f"p must be in (0, 1], got {p}")
+    n = g.n
+    if n == 0:
+        return CenterData([], p, seed, [], [], [], [])
+    b = min(n, math.ceil(1 / p))
+    # The b-closest neighborhoods; each round prunes them to the bunches.
+    bunches = [k_closest(g, v, b, "out").items for v in range(n)]
+    sizes = [len(items) for items in bunches]
+    members = np.fromiter((u for items in bunches for u, _ in items), dtype=np.int64,
+                          count=sum(sizes))
+    centers = sorted(_greedy_hitting_set(np.arange(n).repeat(sizes), members, n))
+
+    cap = 4.0 / p
+    rng = Random(seed)
+    while True:
+        found = nearest(g, range(n), centers)
+        dist = [d for _, d in found]
+        bunches = [[(u, du) for u, du in bunches[v] if du < dist[v]] for v in range(n)]
+        clusters = [[] for _ in range(n)]
+        for v in range(n):
+            for u, du in bunches[v]:
+                clusters[u].append((v, du))
+        oversized = [w for w in range(n) if len(clusters[w]) > cap]
+        if not oversized:
+            return CenterData(centers, p, seed, dist, [a for a, _ in found], bunches, clusters)
+        drawn = []
+        while not drawn:
+            drawn = [w for w in oversized if rng.random() < p]
+        centers = sorted(set(centers) | set(drawn))
+
+
 class TestAgainstPerCenterSearches:
     """The batched reductions give the per-center searches' outputs exactly."""
 
@@ -580,6 +616,13 @@ class TestAgainstPerCenterSearches:
         assert len(spread) >= 100
         # e5 groups the centers by eccentricity; some cases need 3 groups.
         assert sum(k >= 3 for k in spread) >= 10
+
+    def test_centers_match_per_vertex_balls(self):
+        # The batched balls and the array pruning give the per-vertex
+        # k_closest builder's CenterData, field for field.
+        for seed, g in enumerate(self.corpus()):
+            for p in (1 / math.sqrt(g.n), 0.5, 0.15):
+                assert tz_center(g, p, seed) == reference_tz_center(g, p, seed), (seed, p)
 
 
 class TestSpannerComposition:

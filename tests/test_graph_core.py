@@ -946,6 +946,118 @@ class TestPullSteps:
         assert pulls
 
 
+def _assert_closest(g, sources, s, direction):
+    """closest against one k_closest per listed source, in order."""
+    got = search.closest(g, sources, s, direction)
+    assert all(col.dtype == np.int64 for col in got)
+    want = [(v, u, d) for v in sources for u, d in k_closest(g, v, s, direction).items]
+    assert list(zip(*(col.tolist() for col in got))) == want, (g, s, direction)
+    return got
+
+
+def _closest_graphs(rng):
+    """Dense, sparse, tree, path, cycle, star and clique graphs, undirected
+    and directed, some with vertices that reach fewer than s others."""
+    yield random_connected(rng, 90, 90 * 90 // 8)
+    yield random_graph(rng, 140, 200, directed=False)
+    yield random_graph(rng, 140, 300, directed=True)
+    yield random_strongly_connected(rng, 80, 240)
+    yield random_connected(rng, 100, 0)
+    yield path_graph(100)
+    yield path_graph(70, directed=True)
+    yield cycle_graph(70)
+    yield cycle_graph(66, directed=True)
+    yield star_graph(80)
+    yield Graph(81, [(0, v, 1) for v in range(1, 81)], directed=True)
+    yield complete_graph(30)
+    yield complete_graph(20, directed=True)
+    yield Graph(3)
+
+
+class TestClosest:
+    """The batched balls: per source, k_closest's (vertex, distance) pairs."""
+
+    # Unit weights, the ring of weights 1..W, keyed slots, and 0-weight arcs,
+    # which keep every source on a list search.
+    @pytest.mark.parametrize("weights", [(1,), (1, 2, 3), (2, 5, 9), (0, 1, 3)],
+                             ids=["unit", "one-to-w", "keyed", "zero"])
+    def test_matches_k_closest(self, weights):
+        rng = Random(sum(weights))
+        for base in _closest_graphs(rng):
+            g = Graph(base.n, [(u, v, rng.choice(weights)) for u, v, _ in base.edges],
+                      directed=base.directed)
+            assert (search._csr(g, "out") is None) == (0 in weights and g.m > 0)
+            shuffled = rng.choices(range(g.n), k=70)  # repeats, in no order
+            for direction in ("out", "in") if g.directed else ("out",):
+                for s in sorted({1, math.ceil(math.sqrt(g.n)), g.n}):
+                    _assert_closest(g, range(g.n), s, direction)
+                _assert_closest(g, shuffled, rng.randint(1, g.n), direction)
+
+    def test_fewer_than_s_reachable(self):
+        g = Graph(81, [(0, v, 1) for v in range(1, 81)], directed=True)
+        owner, member, dist = _assert_closest(g, range(81), 5, "out")
+        assert np.bincount(owner).tolist() == [5] + [1] * 80
+        owner, member, dist = _assert_closest(g, range(81), 81, "in")
+        assert np.bincount(owner).tolist() == [1] + [2] * 80
+
+    def test_empty_sources_and_checks(self):
+        g = path_graph(5)
+        assert [col.tolist() for col in search.closest(g, [], 2)] == [[], [], []]
+        for s in (0, 6):
+            with pytest.raises(ValueError):
+                search.closest(g, [0], s)
+        with pytest.raises(ValueError):
+            search.closest(g, [5], 2)
+
+    def test_live_slot_overflow_keeps_nothing_of_the_pass(self):
+        # Full balls on the twin path outgrow the live slots (see
+        # TestBatchedReductions); the batch that raised and the rest are
+        # list searches, and the batches before it stay.
+        g = _twin_path(200)
+        sources = [g.n - 1] * 65 + list(range(64))
+        _assert_closest(g, sources, g.n, "out")
+        assert g._csr[("full", "out")]
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), n=st.integers(1, 70), directed=st.booleans(),
+           weights=st.sampled_from([(1, 1), (1, 1), (3, 3), (1, 4), (0, 2)]))
+    def test_property_push_and_pull(self, monkeypatch, data, n, directed, weights):
+        # Sources retire under push-only and pull-only one-weight steps alike.
+        edges = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                                             st.integers(*weights)), max_size=4 * n))
+        sources = data.draw(st.lists(st.integers(0, n - 1), max_size=140))
+        s = data.draw(st.integers(1, n))
+        g = Graph(n, edges, directed=directed)
+        for pull in (0, 10**9):
+            monkeypatch.setattr(search, "_PULL", pull)
+            for direction in ("out", "in"):
+                _assert_closest(g, sources, s, direction)
+
+    def test_passes_end_when_every_ball_is_full(self, monkeypatch):
+        # On a 300-path a pass that kept stepping after its balls filled
+        # would walk the whole path.
+        passes = []
+        ring_bits = search._ring_bits
+
+        def spy(*args, **kwargs):
+            levels = []
+            passes.append(levels)
+            for level in ring_bits(*args, **kwargs):
+                levels.append(level[0])
+                yield level
+
+        monkeypatch.setattr(search, "_ring_bits", spy)
+        g = path_graph(300)
+        for s in (1, 18, 40):
+            passes.clear()
+            owner, _, dist = _assert_closest(g, range(300), s, "out")
+            assert len(passes) == 5
+            for i, levels in enumerate(passes):
+                deepest = dist[(owner >= 64 * i) & (owner < 64 * i + 64)].max()
+                assert len(levels) <= deepest + 2
+
+
 class TestDegree3Blowup:
     def test_triangle(self):
         blown, bmap = degree3_blowup(complete_graph(3))
