@@ -27,8 +27,8 @@ The spanner is built on the graph's CSR arrays: the light edges by a
 degree mask over the arcs, the heavy vertices' closed neighborhoods as
 flat arrays, and one BFS tree per dominator from ``search._bfs_parents``.
 Its edges are the unique keys u n + v, u <= v, and ``_from_columns``
-builds the same Graph as ``Graph(n, sorted edges)``, its arc arrays
-already seeded for the searches that follow.
+builds the same Graph as ``Graph(n, sorted edges)`` from their columns,
+with no edge tuples or adjacency lists: the searches on it read arrays.
 
 The searches from the centers A are ``search``'s batched reductions:
 one ``closest`` over all n vertices for the balls, and per tz_center

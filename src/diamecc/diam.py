@@ -33,10 +33,10 @@ def diam_linear_lessthan2(g: Graph):
     """
     if g.n == 0:
         return 0
-    v = min(range(g.n), key=lambda x: (g.degree(x), x))
-    around = {v}
-    around.update(u for u, _ in g.adj_out[v])
-    around.update(u for u, _ in g.adj_in[v])
+    # argmin takes the first minimum, so ties go to the smaller id.
+    v = int(g.degrees.argmin())
+    tails, heads, _ = g.columns
+    around = {v, *heads[tails == v].tolist(), *tails[heads == v].tolist()}
     best = max(eccentricities(g, around, "out"))
     if g.directed:
         best = max(best, *eccentricities(g, around, "in"))

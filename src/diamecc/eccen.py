@@ -130,8 +130,7 @@ def hitting_sample_ok(g: Graph, seed: int = 0) -> bool:
                for u in range(n))
 
 
-def ecc_2plusdelta(g: Graph, tau, seed: int = 0,
-                   check_bound_invariant: bool = False) -> EccEstimate:
+def ecc_2plusdelta(g: Graph, tau, seed: int = 0) -> EccEstimate:
     """(2 + delta)-style estimator: (1-tau)/2 * ecc(v) <= est(v) <= ecc(v).
 
     Maintains an active set S (initially V) and a bound D on the largest
@@ -140,9 +139,7 @@ def ecc_2plusdelta(g: Graph, tau, seed: int = 0,
     ecc <= (1-tau)D for the survivors and decays D.  The guarantee is on
     the exact rationals in ``rationals``; ``values`` floors them.
 
-    Requires a strongly connected graph.  ``check_bound_invariant``
-    recomputes all eccentricities up front and asserts ecc(v) <= D for
-    every active v at each phase (debug aid for small graphs only).
+    Requires a strongly connected graph.
     """
     tau = Fraction(tau)
     if not 0 < tau < 1:
@@ -163,12 +160,9 @@ def ecc_2plusdelta(g: Graph, tau, seed: int = 0,
     exact = [None] * n
     phases = 0
     misses = 0
-    true_ecc = eccentricities(g, range(n), "out") if check_bound_invariant else None
 
     while len(active) > TERMINAL_SIZE and bound >= 1:
         phases += 1
-        if true_ecc is not None:
-            assert all(true_ecc[v] <= bound for v in active)
         probe = sorted(rng.sample(active, min(len(active), _log_sample_size(n))))
         threshold = decay * bound / 2
         if diam_ub < threshold:

@@ -1,17 +1,16 @@
 """Compact immutable graph type and the edge-list text format.
 
-Graphs are stored as forward adjacency lists of ``(head, weight)`` pairs
-together with the reverse adjacency, so in-direction searches never need
-an explicit transpose; an undirected graph's two are one list.  Weights
-are nonnegative integers; unweighted graphs carry weight 1 everywhere,
-and weight 0 is permitted (it is used by the degree-3 blow-up gadget).
+A Graph keeps its m edges as int64 columns: tails, heads and weights,
+in input order.  Weights are nonnegative integers; unweighted graphs
+carry weight 1, and weight 0 is permitted (the degree-3 blow-up uses
+it).  Every other form is built from the columns on first use, so a
+graph that only the array kernels read holds no Python object per edge
+or per vertex.
 
 parse_graph reads a plain edge-list file (its header, then exactly m
-lines of ASCII digits and spaces) in one bulk numpy pass: a gate in C
-checks the characters and the tokens per line, np.fromstring reads the
-ints, and one stable argsort of the arc tails per direction gives both
-the adjacency lists and the arc arrays that the ring search would
-otherwise walk those lists for.  Every other text, and every malformed
+lines of ASCII digits and spaces) into the columns in one bulk numpy
+pass: a gate in C checks the characters and the tokens per line, and
+np.fromstring reads the ints.  Every other text, and every malformed
 one, goes to the line parser, which reads comments, blank lines, CRLF
 and tabs and words each error with its line number; both give the same
 Graph as ``Graph(n, edges, directed)``.
@@ -30,10 +29,11 @@ UNREACHABLE = math.inf
 # and every weight fits an int64, even on one vertex.
 _WEIGHT_BUDGET = 2**63
 
-# The largest vertex count parse_graph accepts.  A directed Graph holds two
-# adjacency lists per vertex, about 128 bytes with their slots even when
-# empty, so this caps an edgeless file's graph at about 1.2 GiB.  A larger
-# header is rejected before anything is allocated for it.
+# The largest vertex count parse_graph accepts.  A parsed graph holds
+# nothing per vertex, but the adjacency lists, once a list search builds
+# them, take about 64 bytes per vertex and direction even when empty: about
+# 1.2 GiB for an edgeless digraph at this cap.  A larger header is rejected
+# before anything is allocated for it.
 MAX_VERTICES = 10**7
 
 
@@ -50,95 +50,152 @@ class GraphFormatError(ValueError):
 
 
 class Graph:
-    """Immutable adjacency-list graph with nonnegative integer weights.
+    """Immutable graph with nonnegative integer weights, kept as edge columns.
 
-    For undirected graphs every edge appears once in ``edges`` and twice
-    in one adjacency list, which serves as both ``adj_out`` and
-    ``adj_in``.  For directed graphs each entry of ``edges`` is one arc.  Instances must not be mutated after
-    construction; all algorithms in this package treat them as read-only,
-    which also makes every operation safe to call concurrently.  The one
-    exception is ``_csr``, a cache that the ring searches, batched and
-    single, fill on first use, per direction: the array adjacency, in
-    which an arc carries the rank of its weight among the graph's
-    distinct weights, or None when those weights are too many for the
-    ring's memory bound (a graph with a 0-weight arc builds none and
-    runs only list searches); the depth and the number of distinct
-    distances of the ring rule's probe, the first search of the first
-    call in that direction; and a mark when a ring pass outgrew its
-    memory.  Filling it twice gives the same arrays.  The
-    rest only picks a kernel and never changes a result.  A graph read by
-    parse_graph's bulk pass starts with one more entry per direction,
-    ``("arcs", key)``: its arcs in adjacency order as (degree, heads,
-    weights) int64 arrays, which the first ring array build takes
-    instead of walking the lists (positive weights only).  A graph built
-    by ``Graph(...)`` starts with an empty cache.
+    ``columns`` holds the tails, heads and weights of the m edges as
+    read-only int64 arrays, in input order; a directed edge is one arc,
+    an undirected one an arc each way.  The views ``edges`` ((u, v, w)
+    tuples), ``adj_out`` and ``adj_in`` (per vertex its ``(head, weight)``
+    arcs in input order; for undirected graphs one list, which holds each
+    edge twice) and ``degrees`` are built on first access and cached, and
+    so are the ring searches' arrays and depth probe in ``_csr`` (see
+    search._csr and search._ring_rule).  Instances must not be mutated
+    after construction; all algorithms treat them as read-only, so every
+    operation is safe to call concurrently.  Filling a cache twice gives
+    equal values, and ``_csr`` only picks a kernel, never a result.
     """
 
-    __slots__ = ("n", "directed", "edges", "adj_out", "adj_in",
-                 "max_weight", "unit_weights", "zero_one_weights",
-                 "positive_weights", "_csr")
+    __slots__ = ("n", "directed", "columns", "max_weight", "unit_weights",
+                 "zero_one_weights", "positive_weights", "_views", "_csr")
 
     def __init__(self, n: int, edges=(), directed: bool = False):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        self.n = n
-        self.directed = directed
-        canon = []
-        adj_out = [[] for _ in range(n)]
-        adj_in = [[] for _ in range(n)] if directed else adj_out
-        max_w = 0
-        unit = True
-        zero_one = True
-        positive = True
-        for u, v, w in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-            if w < 0 or w != int(w):
-                raise ValueError(f"edge ({u},{v}) has invalid weight {w}")
-            w = int(w)
-            canon.append((u, v, w))
-            adj_out[u].append((v, w))
-            adj_in[v].append((u, w))
-            if w > max_w:
-                max_w = w
-            if w != 1:
-                unit = False
-            if w > 1:
-                zero_one = False
-            if w == 0:
-                positive = False
-        if max(n - 1, 1) * max_w + 1 >= _WEIGHT_BUDGET:
-            raise ValueError("weights too large: max(n-1, 1)*max_weight must fit 63 bits")
-        self.edges = canon
-        self.adj_out = adj_out
-        self.adj_in = adj_in
-        self.max_weight = max_w
-        self.unit_weights = unit
-        self.zero_one_weights = zero_one
-        self.positive_weights = positive
-        self._csr = {}
+        _from_columns(n, directed, *_edge_columns(n, edges), g=self)
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self.columns[0])
 
-    def adjacency(self, direction: str):
+    @property
+    def edges(self) -> list:
+        """The edges as (u, v, w) int tuples, in input order."""
+        return self._view("edges", lambda: list(zip(*(c.tolist() for c in self.columns))))
+
+    adj_out = property(lambda self: self.adjacency("out"))
+    adj_in = property(lambda self: self.adjacency("in"))
+
+    def adjacency(self, direction: str) -> list:
         """Forward adjacency for ``out``, reverse adjacency for ``in``."""
-        if direction == "out":
-            return self.adj_out
-        if direction == "in":
-            return self.adj_in
-        raise ValueError(f"direction must be 'out' or 'in', got {direction!r}")
+        if direction not in ("out", "in"):
+            raise ValueError(f"direction must be 'out' or 'in', got {direction!r}")
+        key = direction if self.directed else "out"
+        return self._view(key, lambda: _lists(*self._sorted_arcs(key)))
+
+    @property
+    def degrees(self):
+        """Per vertex, out-degree plus in-degree, as an int64 array: each
+        undirected edge counts once per end, so a self-loop counts twice."""
+        u, v, _ = self.columns
+        return self._view("degrees", lambda: np.bincount(u, minlength=self.n)
+                          + np.bincount(v, minlength=self.n))
 
     def degree(self, v: int) -> int:
         """Out-degree plus in-degree (each undirected edge counts once per side)."""
-        if self.directed:
-            return len(self.adj_out[v]) + len(self.adj_in[v])
-        return len(self.adj_out[v])
+        return int(self.degrees[v])
+
+    def _view(self, key, build):
+        """A derived view, built by ``build()`` on first use and cached."""
+        got = self._views.get(key)
+        if got is None:
+            got = self._views[key] = build()
+        return got
+
+    def _sorted_arcs(self, direction: str):
+        """The arcs of ``direction`` grouped by tail, each vertex's in input
+        order: (degree, heads, weights) int64 arrays, from one stable
+        argsort of the tails.  Not cached: the adjacency lists and the CSR
+        arrays each take it once."""
+        u, v, w = self.columns
+        if not self.directed:
+            # Edge i gives arcs 2i (u -> v) and 2i + 1 (v -> u).
+            u, v, w = np.column_stack((u, v)).ravel(), np.column_stack((v, u)).ravel(), w.repeat(2)
+        elif direction == "in":
+            u, v = v, u
+        order = np.argsort(u, kind="stable")
+        return np.bincount(u, minlength=self.n), v[order], w[order]
 
     def __repr__(self):
         kind = "directed" if self.directed else "undirected"
         return f"Graph(n={self.n}, m={self.m}, {kind})"
+
+
+def _from_columns(n: int, directed: bool, u, v, w, g: Graph | None = None) -> Graph:
+    """The Graph of checked int64 edge columns: ids in range(n), weights
+    nonnegative and within the weight budget.  Fills ``g`` when given
+    (Graph.__init__ does), else a new Graph."""
+    if g is None:
+        g = Graph.__new__(Graph)
+    for col in (u, v, w):
+        col.flags.writeable = False
+    g.n, g.directed, g.columns = n, directed, (u, v, w)
+    g.max_weight = int(w.max(initial=0))
+    g.unit_weights = bool((w == 1).all())
+    g.zero_one_weights = bool((w <= 1).all())
+    g.positive_weights = bool((w > 0).all())
+    g._views, g._csr = {}, {}
+    return g
+
+
+def _lists(degree, heads, weights) -> list:
+    """Per vertex, its ``(head, weight)`` arcs, from arcs grouped by tail."""
+    arcs = list(zip(heads.tolist(), weights.tolist()))
+    ends = degree.cumsum().tolist()
+    return [arcs[a:b] for a, b in zip([0] + ends, ends)]
+
+
+def _check_budget(n: int, max_w: int) -> None:
+    if max(n - 1, 1) * max_w + 1 >= _WEIGHT_BUDGET:
+        raise ValueError("weights too large: max(n-1, 1)*max_weight must fit 63 bits")
+
+
+def _edge_columns(n: int, edges):
+    """The checked int64 (u, v, w) columns of ``Graph(n, edges)``.
+
+    numpy checks an all-int table; any other (floats, ints past int64) is
+    checked one edge at a time first.  The first bad edge in input order
+    raises the ValueError that names it.
+    """
+    edges = list(edges)
+    try:
+        table = np.array(edges)
+    except ValueError:  # ragged: _checked_edge words the error
+        table = None
+    if table is None or table.dtype.kind != "i" or table.shape != (len(edges), 3):
+        table = [_checked_edge(n, edge) for edge in edges]
+        _check_budget(n, max((w for _, _, w in table), default=0))
+        table = np.array(table, dtype=np.int64).reshape(-1, 3)
+    u, v, w = np.ascontiguousarray(table.T, dtype=np.int64)
+    bad = (u < 0) | (u >= n) | (v < 0) | (v >= n) | (w < 0)
+    if bad.any():
+        _checked_edge(n, edges[int(bad.argmax())])
+    _check_budget(n, int(w.max(initial=0)))
+    return u, v, w
+
+
+def _checked_edge(n: int, edge) -> tuple:
+    """``edge`` as (u, v, w) ints, or the ValueError that names it: the ids
+    must be ints in range(n), and the weight a nonnegative integer value."""
+    u, v, w = edge
+    if not all(isinstance(x, (int, np.integer)) and 0 <= x < n for x in (u, v)):
+        raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+    try:
+        weight = int(w)
+    except (TypeError, ValueError, OverflowError):
+        weight = -1
+    if weight != w or weight < 0:
+        raise ValueError(f"edge ({u},{v}) has invalid weight {w}")
+    return int(u), int(v), weight
 
 
 @dataclass
@@ -209,50 +266,13 @@ def _parse_bulk(text: str):
             # Each newline must close a line of exactly ``want`` tokens.
             or (np.searchsorted(starts, newlines) != want * np.arange(1, len(newlines) + 1)).any()):
         return None
-    cols = np.fromstring(data, dtype=np.int64, sep=" ").reshape(m, want).T
+    cols = np.ascontiguousarray(np.fromstring(data, dtype=np.int64, sep=" ").reshape(m, want).T)
     u, v = cols[0], cols[1]
     w = cols[2] if want == 3 else np.ones(m, dtype=np.int64)
     max_w = int(w.max(initial=0))
     if (m and max(u.max(), v.max()) >= n) or max(n - 1, 1) * max_w + 1 >= _WEIGHT_BUDGET:
         return None
     return _from_columns(n, fields[2] == "directed", u, v, w)
-
-
-def _from_columns(n: int, directed: bool, u, v, w) -> Graph:
-    """``Graph(n, zip(u, v, w), directed)`` built from checked int64 edge
-    columns, with each direction's arc arrays seeded into ``_csr``."""
-    g = Graph.__new__(Graph)
-    g.n = n
-    g.directed = directed
-    g.edges = list(zip(u.tolist(), v.tolist(), w.tolist()))
-    g.max_weight = int(w.max(initial=0))
-    g.unit_weights = bool((w == 1).all())
-    g.zero_one_weights = bool((w <= 1).all())
-    g.positive_weights = bool((w > 0).all())
-    g._csr = {}
-    if directed:
-        g.adj_out = _adjacency(g, "out", u, v, w)
-        g.adj_in = _adjacency(g, "in", v, u, w)
-    else:
-        # Edge i gives arcs 2i (u -> v) and 2i + 1 (v -> u), in Graph's order.
-        g.adj_out = g.adj_in = _adjacency(g, "out", np.column_stack((u, v)).ravel(),
-                                          np.column_stack((v, u)).ravel(), w.repeat(2))
-    return g
-
-
-def _adjacency(g: Graph, key: str, tails, heads, weights) -> list:
-    """Per vertex, its ``(head, weight)`` arcs in input order: one stable
-    sort of the tails.  Seeds ``g._csr[("arcs", key)]`` with the sorted
-    arcs as (degree, heads, weights) int64 arrays when the weights are
-    positive, the only graphs whose ring arrays are built."""
-    order = np.argsort(tails, kind="stable")
-    heads, weights = heads[order], weights[order]
-    degree = np.bincount(tails, minlength=g.n)
-    if g.positive_weights:
-        g._csr[("arcs", key)] = degree, heads, weights
-    arcs = list(zip(heads.tolist(), weights.tolist()))
-    ends = degree.cumsum().tolist()
-    return [arcs[a:b] for a, b in zip([0] + ends, ends)]
 
 
 def _parse_lines(text: str) -> Graph:
@@ -318,10 +338,10 @@ def format_graph(g: Graph) -> str:
     weighted = not g.unit_weights
     kind = "directed" if g.directed else "undirected"
     wkind = "weighted" if weighted else "unweighted"
-    lines = [f"{g.n} {g.m} {kind} {wkind}"]
-    for u, v, w in g.edges:
-        lines.append(f"{u} {v} {w}" if weighted else f"{u} {v}")
-    return "\n".join(lines) + "\n"
+    cols = g.columns if weighted else g.columns[:2]
+    # One %-format over all the ids and weights, row-major.
+    rows = (" ".join(["%d"] * len(cols)) + "\n") * g.m
+    return f"{g.n} {g.m} {kind} {wkind}\n" + rows % tuple(np.column_stack(cols).ravel().tolist())
 
 
 def _load(parse, path):

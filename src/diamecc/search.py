@@ -71,7 +71,7 @@ The ring rule decides, for a call of k searches (k = 1 for a single
 search, one per source for a batch), which run in the ring, the others
 running one list search each.  Its words are counted against
 16 (n + m), 128 bytes per vertex and edge, less than the graph's
-adjacency lists take.
+adjacency lists take when they are built.
 
 * depth: unit weights with k > 1 run in the ring with no probe.  In any
   other call, a single search or a batch of one source alike, the first
@@ -128,7 +128,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import UNREACHABLE, Graph, Neighborhood
+from .graph import UNREACHABLE, Graph, Neighborhood, _from_columns
 
 # Sources per batched search: one bit each in a uint64 word per vertex.
 _WORD = np.iinfo(np.uint64).bits
@@ -252,31 +252,23 @@ def _csr(g: Graph, direction: str):
     so that its searches, single and batched, are list searches, or when
     the memory half of the ring rule fails, (k_w + 2) n > 16 (n + m).
     Undirected graphs keep one copy for both directions, since their
-    reverse adjacency is the forward one.  The arcs come from the
-    adjacency lists, or from the arrays that parse_graph seeded under
-    ``("arcs", key)``, which the build takes out of the cache.
+    reverse adjacency is the forward one.  The arcs come from the graph's
+    edge columns, sorted by tail (Graph._sorted_arcs).
     """
     if not g.positive_weights:
         return None
     key = _key(g, direction)
     if key in g._csr:
         return g._csr[key]
-    arcs = g._csr.pop(("arcs", key), None)
-    adj = g.adjacency(direction)
+    degree, heads, weights = g._sorted_arcs(direction)
     n = g.n
-    degree = arcs[0] if arcs else np.fromiter(map(len, adj), dtype=np.int64, count=n)
-    count = int(degree.sum())
     if g.unit_weights:
         steps, rank = np.ones(1, dtype=np.int64), 0
     else:
-        weights = arcs[2] if arcs else np.fromiter((w for row in adj for _, w in row),
-                                                   dtype=np.int64, count=count)
         steps, rank = np.unique(weights, return_inverse=True)
         rank = rank.reshape(-1)
     csr = None
     if len(steps) + 2 <= _slot_cap(g):
-        heads = arcs[1] if arcs else np.fromiter((v for row in adj for v, _ in row),
-                                                 dtype=np.int64, count=count)
         ranks = None
         if len(steps) > 1 and not _one_to_w(steps):
             ranks = np.zeros((n, -(-len(steps) // _WORD)), dtype=np.uint64)
@@ -909,11 +901,10 @@ def apsp_matrix(g: Graph) -> np.ndarray:
     if n == 0:
         return D
     np.fill_diagonal(D, 0.0)
-    for u, v, w in g.edges:
-        if w < D[u, v]:
-            D[u, v] = w
-        if not g.directed and w < D[v, u]:
-            D[v, u] = w
+    u, v, w = g.columns
+    np.minimum.at(D, (u, v), w)
+    if not g.directed:
+        np.minimum.at(D, (v, u), w)
     for k in range(n):
         np.minimum(D, D[:, k, None] + D[None, k, :], out=D)
     return D
@@ -924,7 +915,7 @@ def is_connected(g: Graph) -> bool:
     if g.n <= 1:
         return True
     if g.directed:
-        g = Graph(g.n, g.edges, directed=False)
+        g = _from_columns(g.n, False, *g.columns)
     return UNREACHABLE not in _distances(g, (0,), "out")
 
 

@@ -27,7 +27,7 @@ from itertools import accumulate
 from random import Random
 
 from .eccen import _sqrt_sample_size, ceil_sqrt
-from .graph import Graph
+from .graph import Graph, _check_budget, _from_columns
 from .search import (eccentricities, exact_st_diameter, is_connected, k_closest,
                      multi_source_distance, nearest, sssp)
 
@@ -168,9 +168,10 @@ def _blowup_ports(g: Graph):
     A vertex of degree >= 3 becomes a cycle of deg ports and deg 0-weight
     edges; any other vertex stays one node.
     """
-    if any(u == v for u, v, _ in g.edges):
+    u, v, _ = g.columns
+    if (u == v).any():
         raise ValueError("self-loops are not supported by degree3_blowup")
-    ports = [deg if deg >= 3 else 1 for deg in map(len, g.adj_out)]
+    ports = [deg if deg >= 3 else 1 for deg in g.degrees.tolist()]
     return ports, g.m + sum(p for p in ports if p >= 3)
 
 
@@ -232,7 +233,8 @@ def _doubled(inst: STInstance):
         raise ValueError("the equivalence reduction is for undirected graphs")
     if not is_connected(g):
         raise ValueError("the equivalence reduction requires a connected graph")
-    g2 = Graph(g.n, [(u, v, 2 * w) for u, v, w in g.edges], directed=False)
+    _check_budget(g.n, 2 * g.max_weight)
+    g2 = _from_columns(g.n, False, *g.columns[:2], 2 * g.columns[2])
     return g2, max(2, g2.max_weight) * g2.n
 
 
@@ -242,17 +244,11 @@ def _with_pendants(g: Graph, groups, w_scale: int):
     Returns the new graph plus, per group, the tuple of pendant ids
     (aligned with the group's order).
     """
-    edges = list(g.edges)
-    next_id = g.n
-    pendant_ids = []
-    for group in groups:
-        ids = []
-        for v in group:
-            edges.append((next_id, v, w_scale))
-            ids.append(next_id)
-            next_id += 1
-        pendant_ids.append(tuple(ids))
-    return Graph(next_id, edges, directed=False), pendant_ids
+    heads = [v for group in groups for v in group]
+    ends = list(accumulate(map(len, groups), initial=g.n))
+    edges = g.edges + [(g.n + i, v, w_scale) for i, v in enumerate(heads)]
+    return (Graph(ends[-1], edges, directed=False),
+            [tuple(range(lo, hi)) for lo, hi in zip(ends, ends[1:])])
 
 
 def _one_side(g2: Graph, group, w_scale: int):
@@ -282,13 +278,8 @@ def _assemble_gadget(g2, S, T, g_s, g_t, w_scale, span_s, span_t) -> Equivalence
     half = span_s // 2
     x = g_st.n
     y = g_st.n + 1
-    edges = list(g_st.edges)
-    edges.append((x, y, 2 * w_scale))
-    for v in sp:
-        edges.append((x, v, half))
-    for v in tp:
-        edges.append((y, v, half))
-    g_final = Graph(g_st.n + 2, edges, directed=False)
+    edges = [(x, y, 2 * w_scale)] + [(x, v, half) for v in sp] + [(y, v, half) for v in tp]
+    g_final = Graph(g_st.n + 2, g_st.edges + edges, directed=False)
     return EquivalenceGadget(w_scale, g_s, g_t, g_st, g_final,
                              tuple(S), tuple(T), sp, tp, x, y,
                              span_s, span_t, swapped)

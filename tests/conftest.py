@@ -81,6 +81,15 @@ def complete_graph(n: int, directed: bool = False) -> Graph:
     return Graph(n, edges, directed=directed)
 
 
+def band_graph(n: int, D: int) -> Graph:
+    """The path power on n vertices: i ~ j when 0 < |i - j| <= ceil((n - 1) / D).
+
+    Dense, with about n^2 / D edges, and still of diameter D.
+    """
+    k = -(-(n - 1) // D)
+    return Graph(n, [(i, j, 1) for i in range(n) for j in range(i + 1, min(n, i + k + 1))])
+
+
 def star_graph(n_leaves: int) -> Graph:
     return Graph(n_leaves + 1, [(0, i, 1) for i in range(1, n_leaves + 1)])
 

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import complete_graph, path_graph, random_connected, random_graph, star_graph
+from conftest import (band_graph, complete_graph, path_graph, random_connected, random_graph,
+                      star_graph)
 from diamecc import (Graph, additive2_spanner, apsp_matrix, approx_on_spanner,
                      diam_dense_32, diam_folklore_2approx, ecc_dense_53,
                      exact_diameter, exact_eccentricities, tz_center,
@@ -444,6 +445,51 @@ class TestDenseScale:
         est = np.array(ecc_dense_53(g, seed=0).values)
         assert (est <= ecc).all()
         assert (5 * (est + 1) >= 3 * ecc).all()
+
+
+class TestDenseBand:
+    """n = 800 on the band family (conftest.band_graph): m = n^2 / D or so,
+    and diameter D, where random dense graphs have diameter 2."""
+
+    @pytest.mark.parametrize("D", [10, 40])
+    def test_factors_against_scipy(self, D):
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.csgraph import shortest_path
+
+        g = band_graph(800, D)
+        u, v, _ = g.columns
+        adj = csr_matrix((np.ones(g.m), (u, v)), shape=(g.n, g.n))
+        ecc = shortest_path(adj, directed=False, unweighted=True).max(axis=1)
+        assert int(ecc.max()) == D
+        h, z = divmod(D, 3)
+        floor = 2 * h - 1 if z in (0, 1) else 2 * h
+        assert floor <= diam_dense_32(g, seed=0) <= D
+        est = np.array(ecc_dense_53(g, seed=0).values)
+        assert (est <= ecc).all()
+        assert (5 * (est + 1) >= 3 * ecc).all()
+
+    def test_builds_clusters_of_several_members(self):
+        # The dense estimators' centers at D = 40 leave clusters of two or
+        # more members, so _cluster_matrix writes blocks (at D = 10 none).
+        g = band_graph(800, 40)
+        cd = tz_center(g, 1 / math.sqrt(g.n), seed=0)
+        check_center_invariants(g, cd)
+        assert sum(len(c) >= 2 for c in cd.clusters) > 0
+
+
+class TestSpannerBuildsNoLists:
+    def test_diam_dense_32_reads_only_arrays_on_its_spanner(self, monkeypatch):
+        spanners = []
+
+        def spy(*args, **kwargs):
+            spanners.append(additive2_spanner(*args, **kwargs))
+            return spanners[-1]
+
+        monkeypatch.setattr(dense_module, "additive2_spanner", spy)
+        g = random_connected(Random(8), 300, 300 * 300 // 8)
+        diam_dense_32(g, seed=0)
+        h = spanners[0].graph
+        assert h.m < g.m and not h._views
 
 
 # The per-center searches that tz_center, diam_dense_32 and ecc_dense_53

@@ -105,7 +105,12 @@ class TestEcc2PlusDelta:
         rng = Random(14)
         for trial in range(10):
             g = random_strongly_connected(rng, rng.randint(5, 20), 15, max_w=3)
-            ecc_2plusdelta(g, Fraction(1, 4), seed=trial, check_bound_invariant=True)
+            # The reference asserts ecc(v) <= D for every active v in each
+            # phase, and the estimator gives its outputs (TestIdlePhases).
+            want = _reference_2plusdelta(g, Fraction(1, 4), seed=trial, check_bound_invariant=True)
+            got = ecc_2plusdelta(g, Fraction(1, 4), seed=trial)
+            assert (got.values, got.rationals, got.phases) == (want.values, want.rationals,
+                                                               want.phases)
 
     def test_rejects_not_strongly_connected(self):
         g = Graph(3, [(0, 1, 1), (1, 2, 1)], directed=True)

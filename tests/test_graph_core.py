@@ -56,6 +56,26 @@ class TestGraphType:
             with pytest.raises(ValueError):
                 Graph(n, [(0, 0, 2**63)])
 
+    @pytest.mark.parametrize("edge, message", [
+        ((0, 1, float("inf")), "edge (0,1) has invalid weight inf"),
+        ((0, 1, float("nan")), "edge (0,1) has invalid weight nan"),
+        ((0, 1, 2.5), "edge (0,1) has invalid weight 2.5"),
+        ((0, 1, -1), "edge (0,1) has invalid weight -1"),
+        ((0.0, 1, 1), "edge (0.0,1) out of range for n=2"),
+        ((1, 1.5, 1), "edge (1,1.5) out of range for n=2"),
+        ((0, 2, 1), "edge (0,2) out of range for n=2")])
+    def test_bad_numbers_name_the_edge(self, edge, message):
+        # The first bad edge in input order is named, whatever comes after.
+        for edges in ([edge], [(0, 1, 1), edge, (5, 5, -1)]):
+            with pytest.raises(ValueError) as err:
+                Graph(2, edges)
+            assert type(err.value) is ValueError and str(err.value) == message
+
+    def test_integral_numbers_are_ints(self):
+        g = Graph(3, [(np.int64(0), 1, 2.0), (1, np.int32(2), np.int64(3)), (True, 2, 1)])
+        assert g.edges == [(0, 1, 2), (1, 2, 3), (1, 2, 1)]
+        assert all(type(x) is int for edge in g.edges for x in edge)
+
 
 class TestSSSP:
     def test_line_graph(self):
@@ -1268,20 +1288,42 @@ class TestBulkReader:
         assert _outcome(parse_graph, text) == _outcome(graph_module._parse_lines, text)
 
     @pytest.mark.parametrize("directed", [False, True])
-    @pytest.mark.parametrize("max_w", [1, 8, 1000])
-    def test_seeds_the_ring_arrays(self, directed, max_w):
-        # 20 vertices and 1000 arcs leave room for about 800 distinct weights.
+    @pytest.mark.parametrize("max_w", [0, 1, 8, 1000])
+    def test_parse_gives_equal_arrays(self, directed, max_w):
+        # Weights 0..1 (no ring arrays), unit, exactly 1..8 (a ring of 9
+        # slots) and 1..1000 (keyed slots: 20 vertices and 1000 arcs leave
+        # room for about 800 distinct weights); with self-loops, parallel
+        # edges, no vertices and no edges.
         g = random_graph(Random(max_w), 20, 1000, directed=directed, max_w=max_w, loops=True)
-        parsed = parse_graph(format_graph(g))
-        for direction in ("out", "in"):
-            key = search._key(parsed, direction)
-            assert ("arcs", key) in parsed._csr or key in parsed._csr
-            (got, got_steps, got_ranks) = search._csr(parsed, direction)
-            (want, want_steps, want_ranks) = search._csr(g, direction)
-            assert ("arcs", key) not in parsed._csr
-            for a, b in zip(got, want):
-                assert a.dtype == b.dtype and np.array_equal(a, b)
-            assert got_steps == want_steps
-            assert (got_ranks is None) == (want_ranks is None)
-            if got_ranks is not None:
-                assert np.array_equal(got_ranks, want_ranks)
+        parallel = Graph(20, g.edges[:30] * 3 + [(4, 4, 1)] * 2, directed)
+        for want in (g, parallel, Graph(0, directed=directed), Graph(20, directed=directed)):
+            got = parse_graph(format_graph(want))
+            _assert_same_graph(got, want)
+            assert got.m == want.m and np.array_equal(got.degrees, want.degrees)
+            assert all(np.array_equal(a, b) for a, b in zip(got.columns, want.columns))
+            for direction in ("out", "in") if want.n else ():
+                csr = search._csr(got, direction)
+                assert (csr is None) == (not want.positive_weights)
+                if csr is not None:
+                    (got_arcs, got_steps, got_ranks) = csr
+                    (want_arcs, want_steps, want_ranks) = search._csr(want, direction)
+                    for a, b in zip(got_arcs, want_arcs):
+                        assert a.dtype == b.dtype and np.array_equal(a, b)
+                    assert got_steps == want_steps
+                    assert (got_ranks is None) == (want_ranks is None)
+                    assert got_ranks is None or np.array_equal(got_ranks, want_ranks)
+                    # Arc r n + v of weight steps[r]: the lists' arcs, in order.
+                    adj, (_, degree, targets) = got.adjacency(direction), got_arcs
+                    assert degree.tolist() == [len(row) for row in adj]
+                    assert [(t % got.n, got_steps[t // got.n]) for t in targets.tolist()] == \
+                           [arc for row in adj for arc in row]
+
+    def test_lists_wait_for_a_list_consumer(self):
+        built = random_connected(Random(3), 60, 120)
+        g = parse_graph(format_graph(built))
+        # Unit-weight batches run in the ring with no list probe.
+        assert exact_eccentricities(g) == [max(bellman_ford(built, v)) for v in range(60)]
+        assert "edges" not in g._views and "out" not in g._views
+        k_closest(g, 0, 5)
+        assert "out" in g._views and "edges" not in g._views
+        assert g.edges and "edges" in g._views
