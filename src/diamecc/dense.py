@@ -47,7 +47,7 @@ from random import Random
 import numpy as np
 
 from .eccen import EccEstimate, ceil_sqrt
-from .graph import Graph, _from_columns
+from .graph import Graph, _from_columns, _group_order
 from .search import (_arcs, _bfs_parents, _csr, closest, eccentricities, is_connected,
                      max_distances, multi_source_distance, nearest)
 
@@ -89,14 +89,14 @@ def _greedy_hitting_set(owners, members, n: int) -> list:
     the smaller id, and marks every list holding it hit.  Coverage is a
     bincount of the members, the pick its argmax (the first maximum, so
     the smaller id), and the bincount of the members of the lists a pick
-    hits is taken off it.  One argsort of the members finds the lists
+    hits is taken off it.  One grouping of the members finds the lists
     holding each vertex, so a round costs O(n) plus the lists it hits.
     """
     count = np.bincount(members, minlength=n)
     size = np.bincount(owners)
     start = np.cumsum(size) - size
     # The owners of v's entries are lists_of[holds[v]:ends[v]].
-    lists_of = owners[np.argsort(members)]
+    lists_of = owners[_group_order(members)]
     ends = np.cumsum(count)
     holds = ends - count
     unhit = np.ones(len(size), dtype=bool)
@@ -149,9 +149,9 @@ def tz_center(g: Graph, p: float, seed: int = 0, *, op: str = "tz_center") -> Ce
         while not drawn:
             drawn = [w for w in oversized if rng.random() < p]
         centers = sorted(set(centers) | set(drawn))
-    # Each cluster lists its bunches' owners in id order: a stable sort by
-    # member keeps the owner-major order.
-    order = np.argsort(members, kind="stable")
+    # Each cluster lists its bunches' owners in id order: a stable grouping
+    # by member keeps the owner-major order.
+    order = _group_order(members)
     bunches = _split(members, dists, np.bincount(owners, minlength=n))
     clusters = _split(owners[order], dists[order], size)
     return CenterData(centers, p, seed, dist, [a for a, _ in found], bunches, clusters)

@@ -128,7 +128,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import UNREACHABLE, Graph, Neighborhood, _from_columns
+from .graph import UNREACHABLE, Graph, Neighborhood, _from_columns, _group_order
 
 # Sources per batched search: one bit each in a uint64 word per vertex.
 _WORD = np.iinfo(np.uint64).bits
@@ -761,7 +761,7 @@ def closest(g: Graph, sources, s: int, direction: str = "out"):
                     break
                 unseen &= ~np.uint64(full)
         col, member, dist = map(np.concatenate, zip(*levels))
-        order = np.argsort(col, kind="stable")  # owner-major, levels kept in order
+        order = _group_order(col)  # owner-major, levels kept in order
         members.append(member[order])
         dists.append(dist[order])
         sizes.extend((s - need[:len(batch)]).tolist())

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from conftest import (bellman_ford, complete_graph, cycle_graph, path_graph, random_connected,
-                      random_graph, random_strongly_connected, star_graph)
+from conftest import (_arc_lists, bellman_ford, complete_graph, cycle_graph, path_graph,
+                      random_connected, random_graph, random_strongly_connected, star_graph)
 from diamecc import graph as graph_module
 from diamecc import search
 from diamecc.stdiam import STInstance, _assemble_gadget, _doubled, _with_pendants
@@ -75,6 +75,78 @@ class TestGraphType:
         g = Graph(3, [(np.int64(0), 1, 2.0), (1, np.int32(2), np.int64(3)), (True, 2, 1)])
         assert g.edges == [(0, 1, 2), (1, 2, 3), (1, 2, 1)]
         assert all(type(x) is int for edge in g.edges for x in edge)
+
+    def test_degree_names_a_bad_vertex(self):
+        g = Graph(3, [(0, 1, 1)])
+        assert [g.degree(v) for v in range(3)] == [1, 1, 0]
+        for v in (-1, 3):
+            with pytest.raises(ValueError, match=f"^vertex {v} out of range$"):
+                g.degree(v)
+
+
+def _old_lists(degree, heads, weights) -> list:
+    """Reference adjacency lists from arcs grouped by tail: one
+    (head, weight) tuple per arc, by zip."""
+    arcs = list(zip(heads.tolist(), weights.tolist()))
+    ends = degree.cumsum().tolist()
+    return [arcs[a:b] for a, b in zip([0] + ends, ends)]
+
+
+class TestArcGrouping:
+    @pytest.mark.parametrize("n", [1, 2**16 - 1, 2**16, 2**16 + 1, graph_module.MAX_VERTICES])
+    def test_group_order_is_the_stable_argsort(self, n):
+        rng = np.random.default_rng(n)
+        # Few distinct ids, so that equal ids test stability; they include
+        # both ends of range(n) and each side of the first 16-bit digit.
+        values = [v for v in (0, n - 1, 0xFFFF, 0x10000) if v < n] + rng.integers(0, n, 200).tolist()
+        for ids in (np.zeros(0, dtype=np.int64), rng.choice(values, 1), rng.choice(values, 5000)):
+            assert np.array_equal(graph_module._group_order(ids), np.argsort(ids, kind="stable"))
+
+    @pytest.mark.parametrize("directed", [True, False])
+    @pytest.mark.parametrize("max_w", [1, 5])
+    def test_views_across_the_second_digit(self, monkeypatch, directed, max_w):
+        # Ids straddle 0xFFFF / 0x10000, so _sorted_arcs takes two digit
+        # passes; no benchmark graph has that many vertices.
+        rng = np.random.default_rng(7)
+        n, m = 70_000, 30_000
+        near = rng.integers(0xFFFF - 50, 0x10000 + 50, size=(m // 2, 2))
+        far = rng.integers(0, n, size=(m - m // 2, 2))
+        ends = np.concatenate((near, far))
+        edges = [(u, v, w) for (u, v), w in zip(ends.tolist(), rng.integers(1, max_w + 1, m).tolist())]
+        views = {}
+        for old in (False, True):
+            if old:
+                monkeypatch.setattr(graph_module, "_group_order",
+                                    lambda ids: np.argsort(ids, kind="stable"))
+                monkeypatch.setattr(graph_module, "_lists", _old_lists)
+            g = Graph(n, edges, directed=directed)
+            views[old] = (g.adj_out, g.adj_in, search._csr(g, "out"), search._csr(g, "in"))
+        new, ref = views[False], views[True]
+        assert new[:2] == ref[:2]
+        for got, want in zip(new[2:], ref[2:]):
+            assert all(np.array_equal(a, b) for a, b in zip(got[0], want[0]))
+            assert got[1] == want[1]
+            assert (got[2] is None) == (want[2] is None)
+            assert got[2] is None or np.array_equal(got[2], want[2])
+
+    @pytest.mark.parametrize("directed, weights", [
+        (True, [1]), (True, [3]), (True, [0]), (True, [1, 2, 7]),
+        (False, [1]), (False, [4]), (False, [2, 9])])
+    def test_lists_match_per_arc_tuples(self, directed, weights):
+        rng = Random(11)
+        for trial in range(20):
+            n = rng.randint(1, 30)
+            # Self-loops, parallel arcs, and the last vertices left isolated.
+            edges = [(rng.randrange(max(n - 3, 1)), rng.randrange(max(n - 3, 1)), rng.choice(weights))
+                     for _ in range(rng.randint(0, 3 * n))]
+            edges += [(0, 0, weights[0])] * (trial % 2)
+            g = Graph(n, edges, directed=directed)
+            for direction in ("out", "in"):
+                adj = g.adjacency(direction)
+                assert adj == _arc_lists(g, direction)
+                assert all(type(arcs) is list for arcs in adj)
+                if len(weights) == 1:
+                    assert len({id(arc) for arcs in adj for arc in arcs}) <= n
 
 
 class TestSSSP:
