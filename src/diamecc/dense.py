@@ -25,7 +25,9 @@ return.
 
 The spanner is built on the graph's CSR arrays: the light edges by a
 degree mask over the arcs, the heavy vertices' closed neighborhoods as
-flat arrays, and one BFS tree per dominator from ``search._bfs_parents``.
+flat arrays, and one BFS tree per dominator from ``search._bfs_parents``,
+one numpy step per level.  So it reads no adjacency list of g, and in
+the estimators only ``is_connected``'s depth probe builds g's lists.
 Its edges are the unique keys u n + v, u <= v, and ``_from_columns``
 builds the same Graph as ``Graph(n, sorted edges)`` from their columns,
 with no edge tuples or adjacency lists: the searches on it read arrays.

@@ -16,11 +16,12 @@ def diam_folklore_2approx(g: Graph):
     """max(out-ecc, in-ecc) of vertex 0; D/2 <= out <= D.
 
     Returns UNREACHABLE when vertex 0 cannot reach (or be reached by)
-    some vertex.
+    some vertex.  On an undirected graph the two are one search.
     """
     if g.n == 0:
         return 0
-    return max(eccentricity(g, 0, "out"), eccentricity(g, 0, "in"))
+    out = eccentricity(g, 0, "out")
+    return max(out, eccentricity(g, 0, "in")) if g.directed else out
 
 
 def diam_linear_lessthan2(g: Graph):

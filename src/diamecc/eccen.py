@@ -32,8 +32,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 
+import numpy as np
+
 from .graph import UNREACHABLE, Graph
-from .search import (eccentricities, eccentricity, k_closest, max_distances,
+from .search import (closest, eccentricities, eccentricity, k_closest, max_distances,
                      multi_source_distance, sssp)
 
 # "end with |S| <= O(1)" cutoff for the threshold-decay estimator.
@@ -83,6 +85,12 @@ def _log_sample_size(n: int) -> int:
     return max(1, math.ceil(SAMPLE_C * math.log(n)))
 
 
+def _sqrt_sample(n: int, seed: int) -> list:
+    """ecc_2approx's sample S, ascending: _sqrt_sample_size(n) ids of V
+    drawn by Random(seed)."""
+    return sorted(Random(seed).sample(range(n), _sqrt_sample_size(n)))
+
+
 def ceil_sqrt(n: int) -> int:
     s = math.isqrt(n)
     return s if s * s == n else s + 1
@@ -101,8 +109,7 @@ def ecc_2approx(g: Graph, seed: int = 0) -> EccEstimate:
     n = g.n
     if n == 0:
         return EccEstimate([], "ecc-2approx", seed)
-    rng = Random(seed)
-    sample = sorted(rng.sample(range(n), _sqrt_sample_size(n)))
+    sample = _sqrt_sample(n, seed)
     d_from_s = multi_source_distance(g, sample, "out")
     w = d_from_s.index(max(d_from_s))
     near_w = k_closest(g, w, min(n, ceil_sqrt(n)), "in").vertices()
@@ -117,17 +124,17 @@ def ecc_2approx(g: Graph, seed: int = 0) -> EccEstimate:
 def hitting_sample_ok(g: Graph, seed: int = 0) -> bool:
     """Check whether ecc_2approx's sample hit every ceil(sqrt(n)) in-neighborhood.
 
-    Mirrors the sampling in ecc_2approx exactly (same seed, same draw), so
-    a guarantee failure can be attributed to a provably missed neighborhood.
+    Draws the same sample as ecc_2approx for ``seed``, so a guarantee
+    failure can be attributed to a provably missed neighborhood.  All n
+    in-balls come from one ``closest`` call.
     """
     n = g.n
     if n == 0:
         return True
-    rng = Random(seed)
-    sample = set(rng.sample(range(n), _sqrt_sample_size(n)))
-    size = min(n, ceil_sqrt(n))
-    return all(sample.intersection(k_closest(g, u, size, "in").vertices())
-               for u in range(n))
+    owner, member, _ = closest(g, range(n), min(n, ceil_sqrt(n)), "in")
+    sampled = np.zeros(n, dtype=bool)
+    sampled[_sqrt_sample(n, seed)] = True
+    return bool(np.bincount(owner[sampled[member]], minlength=n).all())
 
 
 def ecc_2plusdelta(g: Graph, tau, seed: int = 0) -> EccEstimate:

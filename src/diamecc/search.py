@@ -14,16 +14,16 @@ the ring rule below, its depth:
   binary-heap Dijkstra otherwise.  k_closest is always a truncated list
   search (see it); closest below batches the same balls.
 * BFS trees (_bfs_parents, one per dominator of dense.additive2_spanner):
-  a level-synchronous unit-weight search that records each vertex's
-  first discoverer.  A level whose arcs number at least _STEP_COST, the
-  ring step's fixed cost below, takes a numpy step over the CSR arrays,
-  in which np.minimum.at finds each new head's first arc; a smaller
-  level takes a scalar step over the adjacency lists.  This is the
-  frontier switch of direction-optimizing BFS (Beamer, Asanovic and
-  Patterson, SC 2012), so a long path costs about what a list BFS does
-  and a dense graph's wide levels run in numpy.  perfbench's tracer does
-  not wrap it, so its trees are not in ``search.calls``; their time is
-  in the spanner's.
+  a level-synchronous unit-weight search over the CSR arrays that records
+  each vertex's first discoverer.  Each level is one numpy step: _arcs
+  gathers the level's arcs, the parent row drops the heads already
+  found, and np.minimum.at finds each new head's first arc.  It reads no
+  adjacency list.  A step costs about 12 us plus its arcs, so a deep tree
+  pays per level: 23 ms on a 2000-vertex path, against 1.4 ms for a list
+  BFS over lists already built, while a dense graph's few wide levels
+  run in numpy (0.19 ms for a tree of random_connected(240, 7200)), on a
+  2-core Xeon.  perfbench's tracer does not wrap it, so its trees are not
+  in ``search.calls``; their time is in the spanner's.
 * many independent searches, reduced per source as they run:
   eccentricities (the largest distance, into every vertex or into a
   target set), max_distances (per vertex, the largest distance from the
@@ -300,47 +300,25 @@ def _bfs_parents(g: Graph, root: int):
     """Per vertex, the vertex that first discovers it in a BFS from ``root``
     over out-arcs, levels scanned in discovery order and arcs in adjacency
     order, as an int64 array: ``root`` for root, -1 when unreached.  Unit
-    weights only (the CSR targets are then the heads); its numpy and
-    scalar steps (see the module docstring) give the same tree.
+    weights only: the CSR targets are then the heads.
     """
     (indptr, degree, heads), _, _ = _csr(g, "out")
-    adj = g.adj_out
-    seen = bytearray(g.n)
-    marks = np.frombuffer(seen, dtype=np.uint8)  # a view: both steps mark seen
-    seen[root] = 1
     parent = np.full(g.n, -1, dtype=np.int64)
     parent[root] = root
-    kids, dads = [], []  # the scalar steps' discoveries, written at the end
-    level, arcs = [root], len(adj[root])
+    level = np.array([root], dtype=np.int64)
     while len(level):
-        if arcs >= _STEP_COST:
-            level = np.asarray(level, dtype=np.int64)
-            at, counts = _arcs(indptr, degree, level)
-            found = heads[at]
-            new = marks[found] == 0
-            found = found[new]
-            # Each new head's first arc, in arc order, discovers it.
-            order = np.arange(len(found))
-            first = np.full(g.n, len(found))
-            np.minimum.at(first, found, order)
-            first = first[found] == order
-            tails = level.repeat(counts)[new][first]
-            level = found[first]
-            marks[level] = 1
-            parent[level] = tails
-            arcs = int(degree[level].sum())
-            continue
-        nxt, arcs = [], 0
-        for x in level:
-            for v, _ in adj[x]:
-                if not seen[v]:
-                    seen[v] = 1
-                    nxt.append(v)
-                    dads.append(x)
-                    arcs += len(adj[v])
-        kids += nxt
-        level = nxt
-    parent[kids] = dads
+        at, counts = _arcs(indptr, degree, level)
+        found = heads[at]
+        new = parent[found] < 0
+        found = found[new]
+        # Each new head's first arc, in arc order, discovers it.
+        order = np.arange(len(found))
+        first = np.full(g.n, len(found))
+        np.minimum.at(first, found, order)
+        first = first[found] == order
+        tails = level.repeat(counts)[new][first]
+        level = found[first]
+        parent[level] = tails
     return parent
 
 

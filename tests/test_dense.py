@@ -14,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import (band_graph, complete_graph, path_graph, random_connected, random_graph,
                       star_graph)
 from diamecc import (Graph, additive2_spanner, apsp_matrix, approx_on_spanner,
-                     diam_dense_32, diam_folklore_2approx, ecc_dense_53,
+                     diam_dense_32, diam_folklore_2approx, diam_linear_lessthan2, ecc_dense_53,
                      exact_diameter, exact_eccentricities, tz_center,
                      st_3approx, STInstance)
 from diamecc import dense as dense_module
@@ -256,7 +256,8 @@ class TestSpannerOnArrays:
         for n in (3, 64, 65, 300):
             yield path_graph(n)
         yield complete_graph(30)
-        # Both step kinds in one tree: numpy steps in the clique, scalar ones on the path.
+        # Deep trees, one level step per tail vertex; the roots include g.n - 1,
+        # the far end of the tail.
         yield lollipop(40, 300)
         yield lollipop(60, 2000)
 
@@ -490,6 +491,11 @@ class TestSpannerBuildsNoLists:
         diam_dense_32(g, seed=0)
         h = spanners[0].graph
         assert h.m < g.m and not h._views
+
+    def test_spanner_compose_builds_no_lists_of_g(self):
+        g = parse_graph(format_graph(random_connected(Random(0), 240, 240 * 240 // 8)))
+        assert approx_on_spanner(g, diam_linear_lessthan2) >= 0
+        assert "out" not in g._views
 
 
 # The per-center searches that tz_center, diam_dense_32 and ecc_dense_53

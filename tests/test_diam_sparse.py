@@ -7,6 +7,7 @@ from random import Random
 from conftest import cycle_graph, path_graph, random_strongly_connected
 from diamecc import (Graph, diam_folklore_2approx, diam_linear_lessthan2,
                      exact_diameter)
+from diamecc import search
 
 
 class TestFolklore:
@@ -31,6 +32,21 @@ class TestFolklore:
         from diamecc import UNREACHABLE
         g = Graph(3, [(0, 1, 1)], directed=True)
         assert diam_folklore_2approx(g) == UNREACHABLE
+
+    def test_one_search_when_undirected(self, monkeypatch):
+        directions = []
+        distances = search._distances
+
+        def spy(g, sources, direction):
+            directions.append(direction)
+            return distances(g, sources, direction)
+
+        monkeypatch.setattr(search, "_distances", spy)
+        assert diam_folklore_2approx(path_graph(5)) == 4
+        assert directions == ["out"]
+        directions.clear()
+        assert diam_folklore_2approx(cycle_graph(9, directed=True)) == 8
+        assert directions == ["out", "in"]
 
 
 class TestLinearLessThan2:

@@ -10,15 +10,15 @@ import numpy as np
 import pytest
 
 from conftest import (bellman_ford, complete_graph, cycle_graph, path_graph,
-                      random_connected, random_strongly_connected, random_tree,
-                      star_graph)
+                      random_connected, random_graph, random_strongly_connected,
+                      random_tree, star_graph)
 from diamecc import (Graph, ecc_2approx, ecc_2plusdelta, ecc_folklore_3approx,
                      exact_eccentricities, exact_radius, source_radius)
 from diamecc import eccen
 from diamecc.eccen import (TERMINAL_SIZE, EccEstimate, _log_sample_size,
-                           hitting_sample_ok)
-from diamecc.search import (eccentricities, is_strongly_connected, max_distances,
-                            multi_source_distance, sssp)
+                           _sqrt_sample_size, ceil_sqrt, hitting_sample_ok)
+from diamecc.search import (eccentricities, is_strongly_connected, k_closest,
+                            max_distances, multi_source_distance, sssp)
 
 
 class TestEcc2Approx:
@@ -57,6 +57,42 @@ class TestEcc2Approx:
         g = Graph(3, [(0, 1, 1)], directed=True)
         est = ecc_2approx(g, seed=0)
         assert est.has_unreachable
+
+
+def per_vertex_hitting_sample_ok(g, seed: int = 0) -> bool:
+    """``eccen.hitting_sample_ok`` as it was, one k_closest per vertex, verbatim."""
+    n = g.n
+    if n == 0:
+        return True
+    rng = Random(seed)
+    sample = set(rng.sample(range(n), _sqrt_sample_size(n)))
+    size = min(n, ceil_sqrt(n))
+    return all(sample.intersection(k_closest(g, u, size, "in").vertices())
+               for u in range(n))
+
+
+class TestHittingSampleOnOneClosest:
+    @pytest.mark.parametrize("c", [2, 0.25, 0.05])
+    def test_matches_per_vertex_check(self, monkeypatch, c):
+        # Lowering SAMPLE_C shrinks the sample, so that some balls are missed.
+        monkeypatch.setattr(eccen, "SAMPLE_C", c)
+        rng = Random(23)
+        verdicts = []
+        for trial in range(60):
+            n = rng.randint(0, 80)
+            kind = trial % 4
+            if kind == 0:
+                g = random_strongly_connected(rng, n, 2 * n, max_w=rng.choice([1, 8]))
+            elif kind == 1:
+                g = random_connected(rng, n, n // 2)
+            elif kind == 2:  # 0/1 weights: the balls come from list searches
+                g = random_graph(rng, n, 2 * n, directed=True, max_w=0)
+            else:  # maybe unreachable parts, so some balls hold fewer than ceil(sqrt(n))
+                g = random_graph(rng, n, n, directed=True, max_w=3)
+            want = per_vertex_hitting_sample_ok(g, trial)
+            assert hitting_sample_ok(g, trial) is want
+            verdicts.append(want)
+        assert any(verdicts) and (c == 2 or not all(verdicts))
 
 
 class TestEcc2PlusDelta:
