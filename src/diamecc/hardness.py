@@ -14,19 +14,27 @@ with one, the witness pair is at distance at least 3k-2.
 
 Ids within a layer are mixed-radix: an S or T tuple is read in base n, a
 middle vertex as t = k-2 base-n vector digits followed by t+1 base-d
-coordinate digits.  So middle level j changes one digit, whose place value
-is n^(j-1) d^(t+1), and needs no tuple loops.  Pruning keeps a middle
-vertex exactly when it lies on some S-T path; S and T always stay.
+coordinate digits.  Each block of edges between adjacent layers is int64
+columns by index arithmetic over all mid indices at once: middle level j
+changes one digit, of place value n^(j-1) d^(t+1), and a boundary is a
+mask over the digits ANDed with the vectors' ones, whose np.nonzero in C
+order lists its edges.  Pruning keeps a middle vertex exactly when it
+lies on some S-T path, by one forward and one backward sweep over the
+blocks; S and T always stay, and one cumsum renumbers.  The builders
+add their gadget edges as arrays too and hand the columns to
+graph._from_columns, so no construction makes a tuple per edge.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import accumulate, combinations, product
+from itertools import product
 from random import Random
 
-from .graph import Graph, format_graph, load_graph
+import numpy as np
+
+from .graph import Graph, _from_columns, format_graph, load_graph
 from .search import UNREACHABLE, eccentricities, exact_diameter, nearest, sssp
 
 DEFAULT_EDGE_CAP = 2_000_000
@@ -137,19 +145,13 @@ def ov_brute_force(inst: OVInstance):
 # ---------------------------------------------------------------------------
 
 
-def _ridx(digits, radices) -> int:
-    idx = 0
-    for dig, rad in zip(digits, radices):
-        idx = idx * rad + dig
-    return idx
-
-
 @dataclass
 class _LayeredCore:
     """Pruned layered graph with tagged edges and id arithmetic.
 
-    Edge tags give the left layer index, which the weighted diameter
-    gadget needs to pick out the middle-level edges.  S occupies ids
+    ``columns`` holds the edges as int64 (u, v, left_layer) arrays; the
+    tag gives the left layer index, which the weighted diameter gadget
+    needs to pick out the middle-level edges.  S occupies ids
     [0, s_size); T occupies [t_lo, t_lo + s_size).
     """
 
@@ -157,15 +159,15 @@ class _LayeredCore:
     n: int
     d: int
     vertex_count: int
-    edges: list          # (u, v, left_layer)
+    columns: tuple       # (u, v, left_layer) int64 arrays
     sets: dict           # name -> (lo, hi)
     t_lo: int
 
     def s_id(self, digits) -> int:
-        return _ridx(digits, [self.n] * (self.k - 1))
+        return int(np.ravel_multi_index(digits, (self.n,) * (self.k - 1)))
 
     def t_id(self, digits) -> int:
-        return self.t_lo + _ridx(digits, [self.n] * (self.k - 1))
+        return self.t_lo + self.s_id(digits)
 
 
 def check_size(name: str, k: int, n: int, d: int, max_edges: int, L: int = 0) -> None:
@@ -199,81 +201,68 @@ def _build_layered(inst: OVInstance, prune: bool = True,
     check_size("kov", k, n, d, max_edges)
     t = k - 2
     s_size = n ** (k - 1)
-    mid_size = (n ** t) * (d ** (t + 1))
-
-    masks = [[sum(1 << c for c in range(d) if vec[c]) for vec in inst.vectors[j]]
-             for j in range(k)]
-    ones_at = [[[i for i in range(n) if inst.vectors[j][i][x]] for x in range(d)]
-               for j in range(k)]
+    x_size = d ** (t + 1)
+    mid_size = (n ** t) * x_size
+    # ones[j][i, c]: vector i of set j is 1 on coordinate c.
+    ones = [np.array(vecs, dtype=bool).reshape(n, d) for vecs in inst.vectors]
 
     # Layer offsets: L0, then t+1 middle layers, then the last layer.
     off = [0] + [s_size + j * mid_size for j in range(t + 2)]
-    total = off[-1] + s_size
-    off.append(total)
-    mid_rad = [n] * t + [d] * (t + 1)
-    s_rad = [n] * (t + 1)
+    off.append(off[-1] + s_size)
+    # The digits of every mid index: t base-n vector digits, then t+1
+    # base-d coordinates x_0..x_t.
+    mid = np.arange(mid_size, dtype=np.int64)
+    vec = [mid // (n ** (t - 1 - j) * x_size) % n for j in range(t)]
+    x = [mid // d ** (t - r) % d for r in range(t + 1)]
+    tuples = mid // x_size       # the vector digits as one base-n number
 
-    edges = []
     # Left boundary: (a_0..a_t) -- (a_0..a_{t-1}, x) when each a_j is 1 on
     # coordinates x_0..x_{t-j}.
-    for prefix in product(range(n), repeat=t):
-        for xb in product(range(d), repeat=t + 1):
-            cmask = []
-            acc = 0
-            for x in xb:
-                acc |= 1 << x
-                cmask.append(acc)
-            if any(masks[j][prefix[j]] & cmask[t - j] != cmask[t - j] for j in range(t)):
-                continue
-            mid = off[1] + _ridx(prefix + xb, mid_rad)
-            for last in ones_at[t][xb[0]]:
-                edges.append((off[0] + _ridx(prefix + (last,), s_rad), mid, 0))
+    ok = np.ones(mid_size, dtype=bool)
+    for j in range(t):
+        for r in range(t - j + 1):
+            ok &= ones[j][vec[j], x[r]]
+    at, last = np.nonzero(ones[t].T[x[0]] & ok[:, None])
+    blocks = [(off[0] + tuples[at] * n + last, off[1] + at)]
     # Middle level j: forget the last kept left-side vector, introduce the
     # next right-side one; unconditional on coordinates.  That vector's digit
     # has place value n^(j-1) d^(t+1) in the mid index.
     for j in range(1, t + 1):
-        place = n ** (j - 1) * d ** (t + 1)
-        steps = range(0, n * place, place)
-        for src in range(mid_size):
-            head = off[j + 1] + src - src // place % n * place
-            edges.extend((off[j] + src, head + step, j) for step in steps)
+        place = n ** (j - 1) * x_size
+        head = off[j + 1] + mid - mid // place % n * place
+        blocks.append(((off[j] + mid).repeat(n),
+                       (head[:, None] + np.arange(0, n * place, place)).ravel()))
     # Right boundary: (b_1..b_{t+1}) -- (b_2..b_{t+1}, x) when each b_j is 1
     # on coordinates x_{t+1-j}..x_t.
-    for bpart in product(range(n), repeat=t):
-        for xb in product(range(d), repeat=t + 1):
-            smask = [0] * (t + 1)
-            acc = 0
-            for r in range(t, -1, -1):
-                acc |= 1 << xb[r]
-                smask[r] = acc
-            if any(masks[j][bpart[j - 2]] & smask[t + 1 - j] != smask[t + 1 - j]
-                   for j in range(2, t + 2)):
-                continue
-            mid = off[t + 1] + _ridx(bpart + xb, mid_rad)
-            for first in ones_at[1][xb[t]]:
-                edges.append((mid, off[t + 2] + _ridx((first,) + bpart, s_rad), t + 1))
+    ok = np.ones(mid_size, dtype=bool)
+    for j in range(2, t + 2):
+        for r in range(t + 1 - j, t + 1):
+            ok &= ones[j][vec[j - 2], x[r]]
+    at, first = np.nonzero(ones[1].T[x[t]] & ok[:, None])
+    blocks.append((off[t + 1] + at, off[t + 2] + first * n ** t + tuples[at]))
 
-    alive = [True] * total
+    alive = np.ones(off[-1], dtype=bool)
     if prune:
-        # Edges run layer by layer, so one sweep each way finds the middle
-        # vertices reached from S and those reaching T.
-        reached = [False] * total
-        reached[:s_size] = reached[off[-2]:] = [True] * s_size
-        reaching = reached[:]
-        for u, v, _ in edges:
-            if reached[u]:
-                reached[v] = True
-        for u, v, _ in reversed(edges):
-            if reaching[v]:
-                reaching[u] = True
-        alive = [a and b for a, b in zip(reached, reaching)]
+        # Each block runs from one layer to the next, so one sweep each way
+        # finds the middle vertices reached from S and those reaching T.
+        reached = np.zeros(off[-1], dtype=bool)
+        reached[:off[1]] = reached[off[-2]:] = True
+        reaching = reached.copy()
+        for u, v in blocks:
+            reached[v[reached[u]]] = True
+        for u, v in reversed(blocks):
+            reaching[u[reaching[v]]] = True
+        alive = reached & reaching
+        keep = [alive[u] & alive[v] for u, v in blocks]
+        blocks = [(u[kept], v[kept]) for (u, v), kept in zip(blocks, keep)]
 
-    new_id = list(accumulate(alive, initial=0))
-    kept = [(new_id[u], new_id[v], tag) for u, v, tag in edges if alive[u] and alive[v]]
-    bounds = [(new_id[off[layer]], new_id[off[layer + 1]]) for layer in range(k + 1)]
+    new_id = np.concatenate(([0], alive.cumsum()))
+    tags = np.arange(t + 2).repeat([len(u) for u, _ in blocks])
+    u, v = (new_id[np.concatenate(col)] for col in zip(*blocks))
+    bounds = [(int(new_id[off[layer]]), int(new_id[off[layer + 1]])) for layer in range(k + 1)]
     sets = {"S": bounds[0], **{f"L{layer}": bounds[layer] for layer in range(1, k)},
             "T": bounds[k]}
-    return _LayeredCore(k, n, d, new_id[total], kept, sets, bounds[k][0])
+    return _LayeredCore(k, n, d, int(new_id[-1]), (u, v, tags), sets, bounds[k][0])
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +305,34 @@ class ConstructionOutput:
         }
 
 
+def _join(*blocks) -> tuple:
+    """The (u, v, w) columns of the edges of ``blocks`` in turn, each a
+    (u, v, w) triple whose scalars broadcast over its edges."""
+    return tuple(np.concatenate(col)
+                 for col in zip(*(np.broadcast_arrays(*block) for block in blocks)))
+
+
+def _turns(*ids):
+    """The entries of equal-length id arrays in turn: the first of each,
+    then the second of each, and so on."""
+    return np.column_stack(ids).ravel()
+
+
+def _chains(start, first: int, length: int, *end):
+    """One row per entry of ``start``: that vertex, ``length`` new vertices
+    (row p takes first + p*length onward), then ``end``'s entry if given."""
+    new = first + np.arange(len(start) * length).reshape(len(start), length)
+    return np.column_stack((start, new, *end))
+
+
+def _both_ways(chain) -> tuple:
+    """The arcs of the undirected paths along ``chain``'s rows, each edge as
+    its forward then its backward arc: (tails, heads), one row per path."""
+    a, b = chain[:, :-1], chain[:, 1:]
+    shape = (len(chain), 2 * a.shape[1])
+    return np.stack((a, b), axis=2).reshape(shape), np.stack((b, a), axis=2).reshape(shape)
+
+
 def build_kov_layered(inst: OVInstance, max_edges: int = DEFAULT_EDGE_CAP,
                       prune: bool = True) -> ConstructionOutput:
     """The bare layered graph: S-T distance gap k versus 3k-2."""
@@ -324,7 +341,8 @@ def build_kov_layered(inst: OVInstance, max_edges: int = DEFAULT_EDGE_CAP,
     witness = None
     if inst.planted is not None:
         witness = (core.s_id(inst.planted[:k - 1]), core.t_id(inst.planted[1:]))
-    g = Graph(core.vertex_count, [(u, v, 1) for u, v, _ in core.edges], directed=False)
+    u, v, _ = core.columns
+    g = _from_columns(core.vertex_count, False, u, v, np.ones_like(u))
     return ConstructionOutput("kov", g, dict(core.sets), k, 3 * k - 2, witness, "st",
                               _params(inst))
 
@@ -350,19 +368,15 @@ def _diam_gadget_k3(inst: OVInstance, weighted: bool,
     t2 = t1 + n * n                 # clique, one vertex per last-set vector
     total = t2 + n
 
-    edges = [(u, v, heavy if tag == 1 else 1) for u, v, tag in core.edges]
-    for i in range(n * n):
-        edges.append((core.s_id(divmod(i, n)), s1 + i, 1))
-        edges.append((core.t_id(divmod(i, n)), t1 + i, 1))
-    for a, a2 in combinations(range(n), 2):
-        edges.append((s2 + a, s2 + a2, heavy))
-        edges.append((t2 + a, t2 + a2, heavy))
-    for a in range(n):
-        for b in range(n):
-            edges.append((s2 + a, core.s_id((a, b)), 1))
-            edges.append((t2 + a, core.t_id((b, a)), 1))
-
-    g = Graph(total, edges, directed=False)
+    u, v, tag = core.columns
+    i = np.arange(n * n)            # the S tuple (a, b) and the T tuple (b, a)
+    a, b = np.divmod(i, n)
+    lo, hi = np.triu_indices(n, 1)
+    g = _from_columns(total, False, *_join(
+        (u, v, np.where(tag == 1, heavy, 1)),
+        (_turns(i, core.t_lo + i), _turns(s1 + i, t1 + i), 1),
+        (_turns(s2 + lo, t2 + lo), _turns(s2 + hi, t2 + hi), heavy),
+        (_turns(s2 + a, t2 + a), _turns(i, core.t_lo + b * n + a), 1)))
     sets = dict(core.sets)
     sets.update({"S'": (s1, s1 + n * n), "S''": (s2, s2 + n),
                  "T'": (t1, t1 + n * n), "T''": (t2, t2 + n)})
@@ -393,7 +407,9 @@ def _diam_gadget_directed(inst: OVInstance, name: str,
     One-way shortcuts leave the clique towards the matched copy S' and, on
     the other side, run from T' into the clique; pointing them at S itself
     would let a path re-enter S two edges after leaving it and collapse
-    the planted gap to 4k-4 once k > 3.
+    the planted gap to 4k-4 once k > 3.  Every other edge is undirected,
+    an arc each way, and the matchings and hub spokes are paths of k-2
+    edges whose k-3 inner vertices are numbered path by path.
     """
     k, n = inst.k, inst.n
     core = _build_layered(inst, max_edges=max_edges)
@@ -402,40 +418,31 @@ def _diam_gadget_directed(inst: OVInstance, name: str,
     s2 = s1 + s_size
     t1 = s2 + n
     t2 = t1 + s_size
-    arcs = []
-    next_id = t2 + n
+    inner = k - 3
+    paths_lo = t2 + n
 
-    def both(u, v):
-        arcs.append((u, v, 1))
-        arcs.append((v, u, 1))
+    def paths(start, end, first):
+        return _both_ways(_chains(start, first, inner, end))
 
-    def path(u, v):
-        """Undirected path of k-2 unit edges from u to v through new vertices."""
-        nonlocal next_id
-        for mid in range(next_id, next_id + k - 3):
-            both(u, mid)
-            u = mid
-        next_id += k - 3
-        both(u, v)
-
-    for u, v, _ in core.edges:
-        both(u, v)
-    for i in range(s_size):
-        path(i, s1 + i)                        # S -- S' matching
-        path(core.t_lo + i, t1 + i)            # T -- T' matching
-    for a, a2 in combinations(range(n), 2):
-        both(s2 + a, s2 + a2)
-        both(t2 + a, t2 + a2)
-    # The S tuple (a, rest...) and the T tuple (rest..., a), for each a.
-    rests = n ** (k - 2)
-    for a in range(n):
-        for r in range(rests):
-            path(s2 + a, a * rests + r)                  # hub spokes
-            arcs.append((s2 + a, s1 + a * rests + r, 1))  # one-way shortcut
-            path(t2 + a, core.t_lo + r * n + a)
-            arcs.append((t1 + r * n + a, t2 + a, 1))
-
-    g = Graph(next_id, arcs, directed=True)
+    u, v, _ = core.columns
+    i = np.arange(s_size)
+    lo, hi = np.triu_indices(n, 1)
+    layered = _both_ways(np.column_stack((u, v)))
+    # The S -- S' and T -- T' matchings, in turn.
+    matched = paths(_turns(i, core.t_lo + i), _turns(s1 + i, t1 + i), paths_lo)
+    cliques = _both_ways(np.column_stack((_turns(s2 + lo, t2 + lo), _turns(s2 + hi, t2 + hi))))
+    # For each a, the S tuple (a, rest...) = i and the T tuple (rest..., a):
+    # a hub spoke and a one-way shortcut on each side.
+    a, rest = np.divmod(i, n ** (k - 2))
+    t_tuple = rest * n + a
+    spoke_lo = paths_lo + 2 * s_size * inner
+    tails, heads = (arcs.reshape(s_size, 2, -1) for arcs in paths(
+        _turns(s2 + a, t2 + a), _turns(i, core.t_lo + t_tuple), spoke_lo))
+    spokes = (np.column_stack((tails[:, 0], s2 + a, tails[:, 1], t1 + t_tuple)),
+              np.column_stack((heads[:, 0], s1 + i, heads[:, 1], t2 + a)))
+    u, v = (np.concatenate([arcs[side].ravel() for arcs in (layered, matched, cliques, spokes)])
+            for side in (0, 1))
+    g = _from_columns(paths_lo + 4 * s_size * inner, True, u, v, np.ones_like(u))
     sets = dict(core.sets)
     sets.update({"S'": (s1, s1 + s_size), "S''": (s2, s2 + n),
                  "T'": (t1, t1 + s_size), "T''": (t2, t2 + n)})
@@ -472,30 +479,21 @@ def build_ecc_lb_undirected(inst: OVInstance, max_edges: int = DEFAULT_EDGE_CAP)
     k, n = inst.k, inst.n
     core = _build_layered(inst, max_edges=max_edges)
     s_size = n ** (k - 1)
-    edges = [(u, v, 1) for u, v, _ in core.edges]
-    next_id = core.vertex_count
+    i = np.arange(s_size)
+    s_tails = _chains(i, core.vertex_count, k - 2)
+    hub = core.vertex_count + s_size * (k - 2)
+    t_tail_lo = hub + 1
+    t_tails = _chains(core.t_lo + i, t_tail_lo, k - 1)
+    total = t_tail_lo + s_size * (k - 1)
+    g = _from_columns(total, False, *_join(
+        core.columns[:2] + (1,),
+        (s_tails[:, :-1].ravel(), s_tails[:, 1:].ravel(), 1),
+        (s_tails[:, -1], hub, 1),
+        (t_tails[:, :-1].ravel(), t_tails[:, 1:].ravel(), 1)))
 
-    def tail(prev, length):
-        """Hang a path of ``length`` new vertices on ``prev``; return its far end."""
-        nonlocal next_id
-        for _ in range(length):
-            edges.append((prev, next_id, 1))
-            prev = next_id
-            next_id += 1
-        return prev
-
-    s_tail_end = [tail(i, k - 2) for i in range(s_size)]
-    hub = next_id
-    next_id += 1
-    edges.extend((end, hub, 1) for end in s_tail_end)
-    t_tail_lo = next_id
-    for i in range(s_size):
-        tail(core.t_lo + i, k - 1)
-
-    g = Graph(next_id, edges, directed=False)
     sets = dict(core.sets)
     sets["HUB"] = (hub, hub + 1)
-    sets["TTAILS"] = (t_tail_lo, next_id)
+    sets["TTAILS"] = (t_tail_lo, total)
     witness = None
     if inst.planted is not None:
         t_idx = core.t_id(inst.planted[1:]) - core.t_lo
@@ -520,31 +518,30 @@ def build_ecc_lb_directed(inst: OVInstance, L: int,
         raise ValueError("L must be at least 1")
     n, d = inst.n, inst.d
     check_size("ecc-dir", 2, n, d, max_edges, L)
-    used_coords = [c for c in range(d)
-                   if any(inst.vectors[0][i][c] for i in range(n))]
-    coord_id = {c: n + j for j, c in enumerate(used_coords)}
-    vpath_lo = n + len(used_coords)
+    first, second = (np.array(vecs, dtype=bool).reshape(n, d) for vecs in inst.vectors)
+    used = first.any(axis=0)
+    coords = n + np.arange(used.sum())
+    vpath_lo = n + len(coords)
     x_lo = vpath_lo + n * (L + 1)
     total = x_lo + L
 
-    arcs = []
-    for i in range(n):
-        arcs.append((i, x_lo, 1))
-        arcs.append((x_lo + L - 1, i, 1))
-        for c in used_coords:
-            if inst.vectors[0][i][c]:
-                arcs.append((i, coord_id[c], 1))
-    for j in range(L - 1):
-        arcs.append((x_lo + j, x_lo + j + 1, 1))
-    for i in range(n):
-        base = vpath_lo + i * (L + 1)
-        for c in used_coords:
-            if inst.vectors[1][i][c]:
-                arcs.append((coord_id[c], base, 1))
-        for j in range(L):
-            arcs.append((base + j, base + j + 1, 1))
-
-    g = Graph(total, arcs, directed=True)
+    # Row i holds the arcs of U vertex i (i -> X, X's end -> i, then i -> each
+    # coordinate it sets), then of second-set vector i (each coordinate it
+    # sets -> its path's start, then the path); the masks keep the arcs.
+    i = np.arange(n)[:, None]
+    row = np.broadcast_to(coords, (n, len(coords)))
+    u_arcs = np.column_stack((np.ones((n, 2), dtype=bool), first[:, used]))
+    u_tails = np.column_stack((i, np.full(n, x_lo + L - 1), np.broadcast_to(i, row.shape)))
+    u_heads = np.column_stack((np.full(n, x_lo), i, row))
+    path = vpath_lo + (L + 1) * i + np.arange(L + 1)
+    v_arcs = np.column_stack((second[:, used], np.ones((n, L), dtype=bool)))
+    v_tails = np.column_stack((row, path[:, :-1]))
+    v_heads = np.column_stack((np.broadcast_to(path[:, :1], row.shape), path[:, 1:]))
+    x_path = x_lo + np.arange(L)
+    g = _from_columns(total, True, *_join(
+        (u_tails[u_arcs], u_heads[u_arcs], 1),
+        (x_path[:-1], x_path[1:], 1),
+        (v_tails[v_arcs], v_heads[v_arcs], 1)))
     sets = {"U": (0, n), "C": (n, vpath_lo), "VPATHS": (vpath_lo, x_lo),
             "X": (x_lo, total)}
     witness = None

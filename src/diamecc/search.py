@@ -17,13 +17,13 @@ the ring rule below, its depth:
   a level-synchronous unit-weight search over the CSR arrays that records
   each vertex's first discoverer.  Each level is one numpy step: _arcs
   gathers the level's arcs, the parent row drops the heads already
-  found, and np.minimum.at finds each new head's first arc.  It reads no
-  adjacency list.  A step costs about 12 us plus its arcs, so a deep tree
-  pays per level: 23 ms on a 2000-vertex path, against 1.4 ms for a list
-  BFS over lists already built, while a dense graph's few wide levels
-  run in numpy (0.19 ms for a tree of random_connected(240, 7200)), on a
-  2-core Xeon.  perfbench's tracer does not wrap it, so its trees are not
-  in ``search.calls``; their time is in the spanner's.
+  found, and np.minimum.at finds each new head's first arc in a table
+  made once per tree.  It reads no adjacency list.  A step costs about
+  10 us plus its arcs: 19 ms for a parsed 2000-vertex path, against
+  1.4 ms for a list BFS over built lists, and 0.19 ms for the few wide
+  levels of a tree of random_connected(240, 7200), on a 2-core Xeon.
+  perfbench's tracer does not wrap it: its trees are not in
+  ``search.calls``, and their time is in the spanner's.
 * many independent searches, reduced per source as they run:
   eccentricities (the largest distance, into every vertex or into a
   target set), max_distances (per vertex, the largest distance from the
@@ -306,18 +306,20 @@ def _bfs_parents(g: Graph, root: int):
     parent = np.full(g.n, -1, dtype=np.int64)
     parent[root] = root
     level = np.array([root], dtype=np.int64)
+    first = np.empty(g.n, dtype=np.int64)
     while len(level):
         at, counts = _arcs(indptr, degree, level)
         found = heads[at]
         new = parent[found] < 0
         found = found[new]
-        # Each new head's first arc, in arc order, discovers it.
+        # Each new head's first arc, in arc order, discovers it.  Only the
+        # level's heads are read, so only they are reset.
         order = np.arange(len(found))
-        first = np.full(g.n, len(found))
+        first[found] = len(found)
         np.minimum.at(first, found, order)
-        first = first[found] == order
-        tails = level.repeat(counts)[new][first]
-        level = found[first]
+        discovers = first[found] == order
+        tails = level.repeat(counts)[new][discovers]
+        level = found[discovers]
         parent[level] = tails
     return parent
 

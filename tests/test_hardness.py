@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 from itertools import product
 from random import Random
 
+import numpy as np
 import pytest
 
 from conftest import ov_brute_force_by_coordinates
@@ -15,11 +18,13 @@ from diamecc import (ConstructionSizeError, OVInstance, build_diam_3km4,
                      ov_brute_force, save_construction, sssp,
                      verify_construction)
 from diamecc import hardness
-from diamecc.hardness import DEFAULT_EDGE_CAP, MetadataError, _LayeredCore, check_size
+from diamecc.graph import format_graph, parse_graph
+from diamecc.hardness import DEFAULT_EDGE_CAP, MetadataError, check_size
 
 
 # The layered core as it was built before the place-value middle levels and
-# the two-sweep prune, kept verbatim as the oracle of TestLayeredReference.
+# the two-sweep prune, kept verbatim as the oracle of TestLayeredReference,
+# but for returning (vertex_count, edges, sets, t_lo) as a plain tuple.
 
 
 def _ridx(digits, radices) -> int:
@@ -30,7 +35,7 @@ def _ridx(digits, radices) -> int:
 
 
 def _build_layered(inst: OVInstance, prune: bool = True,
-                   max_edges: int = DEFAULT_EDGE_CAP) -> _LayeredCore:
+                   max_edges: int = DEFAULT_EDGE_CAP) -> tuple:
     k, n, d = inst.k, inst.n, inst.d
     check_size("kov", k, n, d, max_edges)
     t = k - 2
@@ -114,7 +119,7 @@ def _build_layered(inst: OVInstance, prune: bool = True,
     for layer in range(1, k):
         sets[f"L{layer}"] = bounds[layer]
     sets["T"] = bounds[k]
-    return _LayeredCore(k, n, d, nxt, kept, sets, bounds[k][0])
+    return nxt, kept, sets, bounds[k][0]
 
 
 def _prune_to_fixpoint(edges, off, total, alive):
@@ -278,10 +283,95 @@ class TestLayeredReference:
         for (n, d), mode, seed, prune in product(self.SHAPES[k], ("unsat", "planted"),
                                                  range(4), (True, False)):
             inst = gen_ov(k, n, d, mode, seed)
-            got = hardness._build_layered(inst, prune=prune)
-            want = _build_layered(inst, prune=prune)
-            assert (got.vertex_count, got.edges, got.sets, got.t_lo) == \
-                   (want.vertex_count, want.edges, want.sets, want.t_lo), (n, d, mode, seed, prune)
+            self.check(inst, prune, (n, d, mode, seed, prune))
+
+    @staticmethod
+    def check(inst, prune, case):
+        got = hardness._build_layered(inst, prune=prune)
+        edges = list(zip(*(col.tolist() for col in got.columns)))
+        assert (got.vertex_count, edges, got.sets, got.t_lo) == \
+               _build_layered(inst, prune=prune), case
+
+    @pytest.mark.parametrize("k", sorted(SHAPES))
+    def test_an_all_zero_end_set_empties_its_boundary(self, k):
+        # An all-zero first (last) set leaves the left (right) boundary
+        # without edges, so the prune empties every middle level.
+        for side, prune in product((0, k - 1), (True, False)):
+            inst = gen_ov(k, 2, 3, "unsat", side)
+            vectors = list(inst.vectors)
+            vectors[side] = ((0, 0, 0),) * 2
+            inst = OVInstance(k, 2, 3, tuple(vectors))
+            self.check(inst, prune, (side, prune))
+            if prune:
+                core = hardness._build_layered(inst)
+                assert core.vertex_count == 2 * 2 ** (k - 1)
+
+    def test_unpruned_wide_k5(self):
+        for mode, seed in product(("unsat", "planted"), range(2)):
+            self.check(gen_ov(5, 2, 4, mode, seed), False, (mode, seed))
+
+
+class TestPinnedBytes:
+    """Every construction at the shapes the ov-fixtures benchmark builds,
+    pinned by the sha256 (first 16 hex digits) of its graph text and of its
+    sorted metadata JSON, both recorded before the builders moved to edge
+    columns."""
+
+    # construction -> (k, n, d, L); L is ecc-dir's path length.
+    SHAPES = {"kov": (3, 10, 5, 0), "5v8": (3, 10, 5, 0), "6v10": (3, 8, 5, 0),
+              "3km4": (3, 10, 5, 0), "ecc-und": (3, 10, 5, 0), "8v13": (4, 3, 4, 0),
+              "ecc-dir": (2, 120, 10, 8)}
+    PINS = {
+        ("kov", "unsat", 0): ("c68482f3d0ad788d", "d20e4eafd8828b31"),
+        ("kov", "unsat", 1): ("a1eef3b6e80da8be", "6bc5637fe184a775"),
+        ("kov", "planted", 0): ("1ffe02b868ad74f6", "dd329e671eb56d16"),
+        ("kov", "planted", 1): ("55bfff6360174b5a", "6d887fef7a2f34e8"),
+        ("5v8", "unsat", 0): ("740f1d6dd6cb322b", "6eb97c1b4af50f68"),
+        ("5v8", "unsat", 1): ("5a68871e813ff07e", "f0c3c773898f6280"),
+        ("5v8", "planted", 0): ("24c42433edecfc55", "25d642a397dc431e"),
+        ("5v8", "planted", 1): ("51b9e84bda045ab9", "8990400e4b434519"),
+        ("6v10", "unsat", 0): ("28ca280bba3b4217", "2fc78a420a88f043"),
+        ("6v10", "unsat", 1): ("62474adc86488d94", "a74d440f85d10044"),
+        ("6v10", "planted", 0): ("25dcb43da0b62cf1", "16abd3c1f9009040"),
+        ("6v10", "planted", 1): ("e63d168143ea9072", "5e1c0815e2c760c1"),
+        ("3km4", "unsat", 0): ("282d77a625e6db97", "ac7833855e0a76d2"),
+        ("3km4", "unsat", 1): ("4ca004af20b623e5", "f5fc0327969c0e56"),
+        ("3km4", "planted", 0): ("275f31f1ebe03950", "e1053f72279b794a"),
+        ("3km4", "planted", 1): ("8d878d3525cea149", "527dc5d165f3f830"),
+        ("ecc-und", "unsat", 0): ("21aff374ea16b267", "d1d18031d0033af4"),
+        ("ecc-und", "unsat", 1): ("28aaa53c3ece8251", "89e2094e97029a45"),
+        ("ecc-und", "planted", 0): ("5e502e3da8922542", "c312d612ae3fc7ba"),
+        ("ecc-und", "planted", 1): ("95461f46cb746c84", "084e5f4ab8b6e863"),
+        ("8v13", "unsat", 0): ("9ee0d4c4b85d926a", "033823d279ca2e04"),
+        ("8v13", "unsat", 1): ("4eefc6c8af613f7b", "c89503eef4425a3f"),
+        ("8v13", "planted", 0): ("f96295e830169a8f", "1e6d7476bd74b0e0"),
+        ("8v13", "planted", 1): ("5a2b23d8391e9870", "8bb0aca0cd10952a"),
+        ("ecc-dir", "unsat", 0): ("8159d91c30c98613", "0d06c2d85ba72cb7"),
+        ("ecc-dir", "unsat", 1): ("9b0a8edd2c9cfdb5", "ca20814f9d2fde47"),
+        ("ecc-dir", "planted", 0): ("b2878d449ada6ce2", "b4a07d9701a46489"),
+        ("ecc-dir", "planted", 1): ("f2f082f5f1ab53dd", "51333121c8ef144b"),
+    }
+
+    @staticmethod
+    def _sha(text: str) -> str:
+        return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+    @pytest.mark.parametrize("name", sorted(SHAPES))
+    def test_outputs_keep_their_bytes(self, name):
+        k, n, d, L = self.SHAPES[name]
+        for mode, seed in product(("unsat", "planted"), (0, 1)):
+            inst = gen_ov(k, n, d, mode, seed)
+            out = hardness.BUILDERS[name](inst, L) if L else hardness.BUILDERS[name](inst)
+            g = out.graph
+            text = format_graph(g)
+            assert (self._sha(text), self._sha(json.dumps(out.meta(), sort_keys=True))) == \
+                   self.PINS[name, mode, seed], (name, mode, seed)
+            # The builders hand their columns to _from_columns, which checks
+            # nothing: the parsed text must give the same ids and weights.
+            back = parse_graph(text)
+            assert (back.n, back.directed) == (g.n, g.directed)
+            for got, want in zip(g.columns, back.columns):
+                assert got.dtype == np.int64 and np.array_equal(got, want)
 
 
 class TestDiameterGadgets:
