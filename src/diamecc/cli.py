@@ -11,6 +11,7 @@ import json
 import sys
 import time
 from fractions import Fraction
+from functools import cache
 
 from .diam import diam_folklore_2approx, diam_linear_lessthan2
 from .dense import approx_on_spanner, diam_dense_32, ecc_dense_53
@@ -209,6 +210,8 @@ def _verify(args) -> int:
     return 0 if ok else 1
 
 
+# Built once per process: parse_args keeps no state and gives each call a new Namespace.
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="diamecc",

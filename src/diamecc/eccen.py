@@ -7,10 +7,11 @@ Three estimators, all one-sided (never above the true eccentricity):
 * ecc_folklore_3approx -- single search from a root, factor 3, undirected.
 
 Estimates are realized distances or exactly computed eccentricities, so
-``estimate <= eccentricity`` holds unconditionally; the multiplicative
-lower-bound guarantees hold whenever the sampled hitting sets do their
-job (always, for the sample sizes used here, up to the usual with-high-
-probability caveat).
+``estimate <= eccentricity`` holds unconditionally.  A sampling
+estimator's factor holds whenever its sample hits the one set the proof
+needs, and ``EccEstimate.certified`` reports that hit: S meeting near_w
+in ecc_2approx (its docstring has the proof), no ``sample_misses`` in
+ecc_2plusdelta.
 
 ecc_2plusdelta's bound starts at (n - 1) W, far above the diameter, and
 decays by 1 - tau per phase.  Its connectivity check is two searches
@@ -32,10 +33,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 
-import numpy as np
-
 from .graph import UNREACHABLE, Graph
-from .search import (closest, eccentricities, eccentricity, k_closest, max_distances,
+from .search import (eccentricities, eccentricity, k_closest, max_distances,
                      multi_source_distance, sssp)
 
 # "end with |S| <= O(1)" cutoff for the threshold-decay estimator.
@@ -57,7 +56,10 @@ class EccEstimate:
 
     ``values`` are integers (or UNREACHABLE where flagged).  For the
     threshold-decay method ``rationals`` carries the exact pre-floor
-    values and ``phases`` the number of peeling phases run.
+    values and ``phases`` the number of peeling phases run.  ``certified``
+    says the sample hit the one set the factor's proof needs, so the factor
+    holds for this run (ecc_2approx: S meets near_w, proof in its
+    docstring; ecc_2plusdelta: no sample_misses; folklore: no sample).
     """
 
     values: list
@@ -66,11 +68,11 @@ class EccEstimate:
     rationals: list | None = None
     phases: int | None = None
     has_unreachable: bool = False
-    # Non-idle phases whose sample provably missed the half-set it must hit;
-    # the multiplicative guarantee is proven whenever this stays 0.  Idle
-    # phases (see the module docstring) run no search, so they count no
-    # miss: their survivors' bound rests on diam_ub, not on the probe.
+    # Non-idle phases whose probe missed the half-set it must hit; 0 certifies
+    # ecc_2plusdelta.  Idle phases (see the module docstring) run no search
+    # and count no miss: their survivors' bound rests on diam_ub, not a probe.
     sample_misses: int = 0
+    certified: bool = True
 
 
 def _sqrt_sample_size(n: int) -> int:
@@ -85,12 +87,6 @@ def _log_sample_size(n: int) -> int:
     return max(1, math.ceil(SAMPLE_C * math.log(n)))
 
 
-def _sqrt_sample(n: int, seed: int) -> list:
-    """ecc_2approx's sample S, ascending: _sqrt_sample_size(n) ids of V
-    drawn by Random(seed)."""
-    return sorted(Random(seed).sample(range(n), _sqrt_sample_size(n)))
-
-
 def ceil_sqrt(n: int) -> int:
     s = math.isqrt(n)
     return s if s * s == n else s + 1
@@ -100,16 +96,18 @@ def ecc_2approx(g: Graph, seed: int = 0) -> EccEstimate:
     """2-approximate all out-eccentricities: ecc(v)/2 <= est(v) <= ecc(v).
 
     Steps: sample S of size ~2 sqrt(n) ln n; take w maximizing d(S, w);
-    compute exact eccentricities inside the ceil(sqrt(n)) closest
+    compute exact eccentricities inside near_w, the ceil(sqrt(n)) closest
     in-neighborhood of w; estimate everything else by the largest realized
-    distance into S union {w}.  The lower-bound guarantee needs S to hit
-    every ceil(sqrt(n))-sized in-neighborhood, which the sample size makes
-    overwhelmingly likely.
+    distance into S union {w}.  ``certified`` is S meeting near_w, the one
+    hit the factor needs: for v outside near_w, with r its radius, x the
+    vertex farthest from v and s* the sample vertex nearest to x,
+    ecc(v) <= d(v, s*) + d(S, x) <= est(v) + d(S, w) <= est(v) + r <= 2 est(v),
+    as d(S, w) <= r by the hit and est(v) >= d(v, w) >= r.
     """
     n = g.n
     if n == 0:
         return EccEstimate([], "ecc-2approx", seed)
-    sample = _sqrt_sample(n, seed)
+    sample = sorted(Random(seed).sample(range(n), _sqrt_sample_size(n)))
     d_from_s = multi_source_distance(g, sample, "out")
     w = d_from_s.index(max(d_from_s))
     near_w = k_closest(g, w, min(n, ceil_sqrt(n)), "in").vertices()
@@ -118,23 +116,8 @@ def ecc_2approx(g: Graph, seed: int = 0) -> EccEstimate:
     for v, ecc in zip(near_w, eccentricities(g, near_w, "out")):
         est[v] = ecc
     flagged = any(x == UNREACHABLE for x in est)
-    return EccEstimate(est, "ecc-2approx", seed, has_unreachable=flagged)
-
-
-def hitting_sample_ok(g: Graph, seed: int = 0) -> bool:
-    """Check whether ecc_2approx's sample hit every ceil(sqrt(n)) in-neighborhood.
-
-    Draws the same sample as ecc_2approx for ``seed``, so a guarantee
-    failure can be attributed to a provably missed neighborhood.  All n
-    in-balls come from one ``closest`` call.
-    """
-    n = g.n
-    if n == 0:
-        return True
-    owner, member, _ = closest(g, range(n), min(n, ceil_sqrt(n)), "in")
-    sampled = np.zeros(n, dtype=bool)
-    sampled[_sqrt_sample(n, seed)] = True
-    return bool(np.bincount(owner[sampled[member]], minlength=n).all())
+    return EccEstimate(est, "ecc-2approx", seed, has_unreachable=flagged,
+                       certified=not set(sample).isdisjoint(near_w))
 
 
 def ecc_2plusdelta(g: Graph, tau, seed: int = 0) -> EccEstimate:
@@ -210,7 +193,7 @@ def ecc_2plusdelta(g: Graph, tau, seed: int = 0) -> EccEstimate:
         exact[v] = Fraction(ecc)
     values = [int(r.numerator // r.denominator) for r in exact]
     return EccEstimate(values, "ecc-2plusdelta", seed, rationals=exact,
-                       phases=phases, sample_misses=misses)
+                       phases=phases, sample_misses=misses, certified=misses == 0)
 
 
 def ecc_folklore_3approx(g: Graph) -> EccEstimate:

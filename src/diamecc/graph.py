@@ -71,9 +71,9 @@ class Graph:
                  "zero_one_weights", "positive_weights", "_views", "_csr")
 
     def __init__(self, n: int, edges=(), directed: bool = False):
-        if n < 0:
-            raise ValueError("vertex count must be nonnegative")
-        _from_columns(n, directed, *_edge_columns(n, edges), g=self)
+        if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 0:
+            raise ValueError(f"vertex count n must be a nonnegative int, got {n!r}")
+        _from_columns(int(n), directed, *_edge_columns(n, edges), g=self)
 
     @property
     def m(self) -> int:

@@ -34,7 +34,7 @@ from random import Random
 
 import numpy as np
 
-from .graph import Graph, _from_columns, format_graph, load_graph
+from .graph import Graph, _from_columns, load_graph, save_graph
 from .search import UNREACHABLE, eccentricities, exact_diameter, nearest, sssp
 
 DEFAULT_EDGE_CAP = 2_000_000
@@ -561,8 +561,7 @@ def save_construction(out: ConstructionOutput, prefix: str):
     """Write PREFIX.graph (edge list) and PREFIX.meta.json; returns the paths."""
     graph_path = f"{prefix}.graph"
     meta_path = f"{prefix}.meta.json"
-    with open(graph_path, "w", encoding="utf-8") as fh:
-        fh.write(format_graph(out.graph))
+    save_graph(out.graph, graph_path)
     with open(meta_path, "w", encoding="utf-8") as fh:
         json.dump(out.meta(), fh, indent=2, sort_keys=True)
         fh.write("\n")

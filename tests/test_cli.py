@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 
 import pytest
@@ -381,3 +382,25 @@ class TestGenVerify:
         assert "Traceback" not in err
         good = tmp_path / ("fix.meta.json" if bad == "graph" else "fix.graph")
         assert err.startswith(f"error: {path}: ") and str(good) not in err
+
+
+class TestParser:
+    def test_built_once_per_process(self, capsys, p5, monkeypatch):
+        run_cli(capsys, "run", "diam-folk", "--input", p5)
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        code, out, _ = run_cli(capsys, "run", "diam-folk", "--input", p5, "--json")
+        assert code == 0 and json.loads(out)["estimate"] == 4
+        # Each call parses into a new Namespace: --json does not carry over.
+        code, out, _ = run_cli(capsys, "run", "diam-folk", "--input", p5)
+        assert code == 0 and "estimate=4" in out
+        assert built == []
+        cli._build_parser.cache_clear()  # the spy sees a build once there is one
+        run_cli(capsys, "run", "diam-folk", "--input", p5)
+        assert built

@@ -8,6 +8,7 @@ from random import Random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (bellman_ford, complete_graph, cycle_graph, path_graph,
                       random_connected, random_graph, random_strongly_connected,
@@ -16,7 +17,7 @@ from diamecc import (Graph, ecc_2approx, ecc_2plusdelta, ecc_folklore_3approx,
                      exact_eccentricities, exact_radius, source_radius)
 from diamecc import eccen
 from diamecc.eccen import (TERMINAL_SIZE, EccEstimate, _log_sample_size,
-                           _sqrt_sample_size, ceil_sqrt, hitting_sample_ok)
+                           _sqrt_sample_size, ceil_sqrt)
 from diamecc.search import (eccentricities, is_strongly_connected, k_closest,
                             max_distances, multi_source_distance, sssp)
 
@@ -40,10 +41,9 @@ class TestEcc2Approx:
             ok = all(2 * est.values[v] >= ecc[v] and est.values[v] <= ecc[v]
                      for v in range(n))
             if not ok:
-                # The guarantee is conditioned on the sample hitting every
-                # in-neighborhood; a miss must be demonstrable and a
-                # reseeded run must recover.
-                assert not hitting_sample_ok(g, seed=trial)
+                # The guarantee is conditioned on the sample meeting near_w;
+                # the run must say it missed, and a reseeded run recover.
+                assert not est.certified
                 est = ecc_2approx(g, seed=trial + 1000)
                 assert all(2 * est.values[v] >= ecc[v] and est.values[v] <= ecc[v]
                            for v in range(n))
@@ -60,7 +60,9 @@ class TestEcc2Approx:
 
 
 def per_vertex_hitting_sample_ok(g, seed: int = 0) -> bool:
-    """``eccen.hitting_sample_ok`` as it was, one k_closest per vertex, verbatim."""
+    """Whether ecc_2approx's sample hits every ceil(sqrt(n)) in-ball, one
+    k_closest per vertex: the old all-balls check, verbatim, kept as the
+    oracle that the one-ball certificate must be implied by."""
     n = g.n
     if n == 0:
         return True
@@ -71,13 +73,13 @@ def per_vertex_hitting_sample_ok(g, seed: int = 0) -> bool:
                for u in range(n))
 
 
-class TestHittingSampleOnOneClosest:
+class TestCertificate:
     @pytest.mark.parametrize("c", [2, 0.25, 0.05])
-    def test_matches_per_vertex_check(self, monkeypatch, c):
-        # Lowering SAMPLE_C shrinks the sample, so that some balls are missed.
+    def test_certified_runs_keep_the_factor(self, monkeypatch, c):
+        # Lowering SAMPLE_C shrinks the sample, so that near_w is missed.
         monkeypatch.setattr(eccen, "SAMPLE_C", c)
         rng = Random(23)
-        verdicts = []
+        certified, failures = [], 0
         for trial in range(60):
             n = rng.randint(0, 80)
             kind = trial % 4
@@ -85,14 +87,22 @@ class TestHittingSampleOnOneClosest:
                 g = random_strongly_connected(rng, n, 2 * n, max_w=rng.choice([1, 8]))
             elif kind == 1:
                 g = random_connected(rng, n, n // 2)
-            elif kind == 2:  # 0/1 weights: the balls come from list searches
+            elif kind == 2:  # 0/1 weights
                 g = random_graph(rng, n, 2 * n, directed=True, max_w=0)
             else:  # maybe unreachable parts, so some balls hold fewer than ceil(sqrt(n))
                 g = random_graph(rng, n, n, directed=True, max_w=3)
-            want = per_vertex_hitting_sample_ok(g, trial)
-            assert hitting_sample_ok(g, trial) is want
-            verdicts.append(want)
-        assert any(verdicts) and (c == 2 or not all(verdicts))
+            ecc = exact_eccentricities(g)
+            for seed in range(10 * trial, 10 * trial + 10):
+                est = ecc_2approx(g, seed)
+                if not all(e <= x <= 2 * e for e, x in zip(est.values, ecc)):
+                    failures += 1
+                    assert not est.certified
+                # A sample that hits every in-ball hits near_w.
+                if per_vertex_hitting_sample_ok(g, seed):
+                    assert est.certified
+                certified.append(est.certified)
+        assert any(certified) and (c == 2 or not all(certified))
+        assert c != 0.05 or failures > 0
 
 
 class TestEcc2PlusDelta:
@@ -297,6 +307,49 @@ class TestIdlePhases:
         assert failures > 0
 
 
+@st.composite
+def _digraphs(draw):
+    """A digraph on n <= 30 vertices with unit, 1..8 or 0/1 weights, and the
+    same digraph with a Hamilton cycle added, so strongly connected."""
+    n = draw(st.integers(1, 30))
+    weights = draw(st.sampled_from([st.just(1), st.integers(1, 8), st.integers(0, 1)]))
+    edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), weights),
+                          max_size=3 * n))
+    cycle = [(v, (v + 1) % n, draw(weights)) for v in range(n)] if n > 1 else []
+    return Graph(n, edges, directed=True), Graph(n, edges + cycle, directed=True)
+
+
+def _out_eccentricities(g):
+    return [max(bellman_ford(g, v, "out")) for v in range(g.n)]
+
+
+class TestSamplingProperties:
+    """Both sampling estimators are one-sided and seed-deterministic, and a
+    certified run keeps its factor, at every sample size."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(graphs=_digraphs(), seed=st.integers(0, 2**16),
+           c=st.sampled_from([2, 0.25, 0.05]),
+           tau=st.sampled_from([Fraction(1, 8), Fraction(1, 4), Fraction(1, 2)]))
+    def test_one_sided_deterministic_and_certified(self, graphs, seed, c, tau):
+        g, strong = graphs
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(eccen, "SAMPLE_C", c)
+            est = ecc_2approx(g, seed)
+            assert est == ecc_2approx(g, seed)
+            ecc = _out_eccentricities(g)
+            assert all(x <= e for x, e in zip(est.values, ecc))
+            assert not est.certified or all(e <= 2 * x for x, e in zip(est.values, ecc))
+
+            est = ecc_2plusdelta(strong, tau, seed)
+            assert est == ecc_2plusdelta(strong, tau, seed)
+            assert est.certified is (est.sample_misses == 0)
+            ecc = _out_eccentricities(strong)
+            assert all(r <= e for r, e in zip(est.rationals, ecc))
+            assert not est.certified or all((1 - tau) * e / 2 <= r
+                                            for r, e in zip(est.rationals, ecc))
+
+
 class TestFolklore3Approx:
     def test_path_is_exact_here(self):
         est = ecc_folklore_3approx(path_graph(3))
@@ -342,7 +395,7 @@ class TestSourceRadius:
             g = random_strongly_connected(rng, n, 2 * n)
             radius = exact_radius(g)
             _, v2 = source_radius(g, "2approx", seed=trial)
-            assert radius <= v2 <= 2 * radius or not hitting_sample_ok(g, trial)
+            assert radius <= v2 <= 2 * radius or not ecc_2approx(g, trial).certified
             _, v2d = source_radius(g, "2plusdelta", seed=trial, tau=Fraction(1, 4))
             assert radius <= v2d
             assert Fraction(3, 8) * v2d <= radius  # value <= (8/3) R
@@ -382,8 +435,9 @@ class TestSparseScale:
         g = random_strongly_connected(Random(seed), 2000, 8000)
         ecc = _scipy_eccentricities(g)
         assert np.isfinite(ecc).all()
-        assert hitting_sample_ok(g, seed)
-        est = np.array(ecc_2approx(g, seed).values)
+        est = ecc_2approx(g, seed)
+        assert est.certified
+        est = np.array(est.values)
         assert (est <= ecc).all() and (2 * est >= ecc).all()
         # The factor is asserted outright, whatever sample_misses reads.
         tau = Fraction(1, 4)

@@ -71,6 +71,15 @@ class TestGraphType:
                 Graph(2, edges)
             assert type(err.value) is ValueError and str(err.value) == message
 
+    @pytest.mark.parametrize("n", [2.5, "3", True, np.bool_(True), None, -1])
+    def test_rejects_a_bad_vertex_count(self, n):
+        with pytest.raises(ValueError, match="^vertex count n must be a nonnegative int, got "):
+            Graph(n, [(0, 1, 1)])
+
+    def test_numpy_vertex_count_is_an_int(self):
+        g = Graph(np.int64(3), [(0, 1, 1)])
+        assert type(g.n) is int and sssp(g, 0, "out") == [0, 1, UNREACHABLE]
+
     def test_integral_numbers_are_ints(self):
         g = Graph(3, [(np.int64(0), 1, 2.0), (1, np.int32(2), np.int64(3)), (True, 2, 1)])
         assert g.edges == [(0, 1, 2), (1, 2, 3), (1, 2, 1)]
