@@ -23,11 +23,11 @@ bunches with one mask, and the cluster sizes are a bincount of the
 members.  The bunch and cluster lists of CenterData are built once, on
 return.
 
-The spanner is built on the graph's CSR arrays: the light edges by a
-degree mask over the arcs, the heavy vertices' closed neighborhoods as
-flat arrays, and one BFS tree per dominator from ``search._bfs_parents``,
-one numpy step per level.  So it reads no adjacency list of g, and in
-the estimators only ``is_connected``'s depth probe builds g's lists.
+The spanner is built on the graph's out-arc view (``Graph.arcs``): the
+light edges by a degree mask over the arcs, the heavy vertices' closed
+neighborhoods as flat arrays, and one BFS tree per dominator from
+``search._bfs_parents``, one numpy step per level.  So it reads no
+adjacency list of g, and only ``is_connected``'s depth probe builds them.
 Its edges are the unique keys u n + v, u <= v, and ``_from_columns``
 builds the same Graph as ``Graph(n, sorted edges)`` from their columns,
 with no edge tuples or adjacency lists: the searches on it read arrays.
@@ -50,7 +50,7 @@ import numpy as np
 
 from .eccen import EccEstimate, ceil_sqrt
 from .graph import Graph, _from_columns, _group_order
-from .search import (_arcs, _bfs_parents, _csr, closest, eccentricities, is_connected,
+from .search import (_arcs, _bfs_parents, closest, eccentricities, is_connected,
                      max_distances, multi_source_distance, nearest)
 
 
@@ -190,7 +190,7 @@ def additive2_spanner(g: Graph, seed: int = 0) -> Spanner:
     if n == 0:
         return Spanner(Graph(0), [])
     threshold = ceil_sqrt(n)
-    (_, degree, heads), _, _ = _csr(g, "out")
+    _, degree, heads, _ = g.arcs("out")
     light = degree < threshold
     # Edge u-v is kept as the key u n + v, u <= v: its arc from u.
     tails = np.arange(n).repeat(degree)

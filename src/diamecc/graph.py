@@ -30,12 +30,12 @@ UNREACHABLE = math.inf
 _WEIGHT_BUDGET = 2**63
 
 # The largest vertex count parse_graph accepts.  A parsed graph holds
-# nothing per vertex, but the adjacency lists, once a list search builds
-# them, take about 64 bytes per vertex and direction even when empty: about
-# 1.2 GiB for an edgeless digraph at this cap.  Each arc adds about 95
-# bytes, or about 6 when all arcs have one weight and outnumber the
-# vertices, which then take about 160 (tracemalloc, n = 10**4, m = 5n and
-# 10n).  A larger header is rejected before anything is allocated for it.
+# nothing per vertex.  Per direction, the arc view takes 16 bytes per vertex
+# and per arc, 0.3 GiB for an edgeless digraph at this cap, and the lists a
+# list search builds about 64 per vertex, 1.2 GiB here, and 95 per arc, or
+# about 6 when all arcs have one weight and outnumber the vertices, which
+# then take about 160 (tracemalloc, n = 10**4, m = 5n and 10n).  A larger
+# header is rejected before anything is allocated for it.
 MAX_VERTICES = 10**7
 
 
@@ -57,14 +57,16 @@ class Graph:
     ``columns`` holds the tails, heads and weights of the m edges as
     read-only int64 arrays, in input order; a directed edge is one arc,
     an undirected one an arc each way.  The views ``edges`` ((u, v, w)
-    tuples), ``adj_out`` and ``adj_in`` (per vertex its ``(head, weight)``
-    arcs in input order; for undirected graphs one list, which holds each
-    edge twice) and ``degrees`` are built on first access and cached, and
-    so are the ring searches' arrays and depth probe in ``_csr`` (see
-    search._csr and search._ring_rule).  Instances must not be mutated
-    after construction; all algorithms treat them as read-only, so every
-    operation is safe to call concurrently.  Filling a cache twice gives
-    equal values, and ``_csr`` only picks a kernel, never a result.
+    tuples), ``arcs`` (per direction, int64 arrays that every search
+    reads, 16 bytes per vertex and 16 per arc), ``adj_out`` and ``adj_in``
+    (per vertex its ``(head, weight)`` arcs, which only list searches
+    build, about 64 bytes per vertex and 95 per arc; an undirected graph
+    has one of each for both directions) and ``degrees`` are built on
+    first access and cached, and so are the ring's arrays and depth probe
+    in ``_csr`` (see search._csr and search._ring_rule).  Instances must
+    not be mutated after construction; all algorithms treat them as
+    read-only, so every operation is safe to call concurrently.  Filling a
+    cache twice gives equal values, and ``_csr`` only picks a kernel.
     """
 
     __slots__ = ("n", "directed", "columns", "max_weight", "unit_weights",
@@ -88,11 +90,35 @@ class Graph:
     adj_in = property(lambda self: self.adjacency("in"))
 
     def adjacency(self, direction: str) -> list:
-        """Forward adjacency for ``out``, reverse adjacency for ``in``."""
+        """Per vertex its ``(head, weight)`` arcs of ``direction``, as in ``arcs``."""
+        return self._view(self._key(direction), lambda: _lists(*self.arcs(direction)[1:]))
+
+    def arcs(self, direction: str):
+        """The arcs of ``direction`` (the reverse arcs for ``in``) grouped
+        by tail: read-only int64 arrays ``(indptr, degree, heads,
+        weights)``, u's arcs at indptr[u]:indptr[u + 1], in the tails'
+        _group_order, so each vertex's in input order.  Built on first use;
+        an undirected graph keeps one copy for both directions."""
+        key = ("arcs", self._key(direction))
+        if key not in self._views:
+            u, v, w = self.columns
+            if not self.directed:
+                # Edge i gives arcs 2i (u -> v) and 2i + 1 (v -> u).
+                u, v, w = np.column_stack((u, v)).ravel(), np.column_stack((v, u)).ravel(), w.repeat(2)
+            elif direction == "in":
+                u, v = v, u
+            order, degree = _group_order(u), np.bincount(u, minlength=self.n)
+            view = np.concatenate(([0], degree.cumsum())), degree, v[order], w[order]
+            for a in view:
+                a.flags.writeable = False
+            self._views[key] = view
+        return self._views[key]
+
+    def _key(self, direction: str) -> str:
+        """A checked direction's cache key: undirected graphs share one."""
         if direction not in ("out", "in"):
             raise ValueError(f"direction must be 'out' or 'in', got {direction!r}")
-        key = direction if self.directed else "out"
-        return self._view(key, lambda: _lists(*self._sorted_arcs(key)))
+        return direction if self.directed else "out"
 
     @property
     def degrees(self):
@@ -114,20 +140,6 @@ class Graph:
         if got is None:
             got = self._views[key] = build()
         return got
-
-    def _sorted_arcs(self, direction: str):
-        """The arcs of ``direction`` grouped by tail, each vertex's in input
-        order: (degree, heads, weights) int64 arrays, in the tails'
-        _group_order.  Not cached: the adjacency lists and the CSR arrays
-        each take it once."""
-        u, v, w = self.columns
-        if not self.directed:
-            # Edge i gives arcs 2i (u -> v) and 2i + 1 (v -> u).
-            u, v, w = np.column_stack((u, v)).ravel(), np.column_stack((v, u)).ravel(), w.repeat(2)
-        elif direction == "in":
-            u, v = v, u
-        order = _group_order(u)
-        return np.bincount(u, minlength=self.n), v[order], w[order]
 
     def __repr__(self):
         kind = "directed" if self.directed else "undirected"

@@ -11,12 +11,13 @@ the ring rule below, its depth:
   row entry for its vertices.  Otherwise it is a list search that walks
   the Python adjacency lists one arc at a time: plain BFS when every
   weight is 1, a deque-based 0/1 search when weights are 0 or 1, and
-  binary-heap Dijkstra otherwise.  k_closest is always a truncated list
-  search (see it); closest below batches the same balls.
+  binary-heap Dijkstra otherwise; only they build the lists, from the
+  arc view.  k_closest is a truncated search over the arc view (see it);
+  closest below batches the same balls.
 * BFS trees (_bfs_parents, one per dominator of dense.additive2_spanner):
-  a level-synchronous unit-weight search over the CSR arrays that records
-  each vertex's first discoverer.  Each level is one numpy step: _arcs
-  gathers the level's arcs, the parent row drops the heads already
+  a level-synchronous unit-weight search over the out-arc view that
+  records each vertex's first discoverer.  Each level is one numpy step:
+  _arcs gathers the level's arcs, the parent row drops the heads already
   found, and np.minimum.at finds each new head's first arc in a table
   made once per tree.  It reads no adjacency list.  A step costs about
   10 us plus its arcs: 19 ms for a parsed 2000-vertex path, against
@@ -35,14 +36,14 @@ the ring rule below, its depth:
   them.
   A bit-parallel bucket queue (Dial's, one bit per source in a uint64
   word per vertex; "the ring" below) runs up to 64 sources per pass over
-  int64 CSR arrays.  Its n-word slots are keyed by distance: a slot
-  exists only while bits are pending at its distance, and a pass steps
-  only through those distances (nearest stops once every source has met
-  a member, closest once every ball is full: a full source's bit is
-  cleared from the unseen words, so the next level drops it).  Each step
-  ORs its frontier's arc bits into a k_w x n block, k_w being the number
-  of distinct weights, and each row that gained bits becomes the slot at
-  d + w or is ORed into it.  Unit
+  the arc view and the ring's int64 targets (_csr).  Its n-word slots
+  are keyed by distance: a slot exists only while bits are pending at
+  its distance, and a pass steps only through those distances (nearest
+  stops once every source has met a member, closest once every ball is
+  full: a full source's bit is cleared from the unseen words, so the
+  next level drops it).  Each step ORs its frontier's arc bits into a
+  k_w x n block, k_w being the number of distinct weights, and each row
+  that gained bits becomes the slot at d + w or is ORed into it.  Unit
   weights (k_w = 1) keep one pending slot, which is a level-synchronous
   BFS with no weight gather.  When the weights are exactly 1..W, the
   slots form a ring of W + 1 indexed by d mod (W + 1) instead, which
@@ -55,8 +56,8 @@ the ring rule below, its depth:
   A one-weight step pulls instead of pushing when _PULL times its
   frontier's arcs reach the graph's m arcs: every vertex ORs its
   in-neighbours' settled words (its out-neighbours' in an in-search)
-  with one gather and one np.bitwise_or.reduceat over the reverse CSR
-  arrays, with no ufunc.at and no repeat.  This is the pull half of
+  with one gather and one np.bitwise_or.reduceat over the reverse arc
+  view, with no ufunc.at and no repeat.  This is the pull half of
   direction-optimizing BFS, which MS-BFS (Then et al., PVLDB 8(4), 2014)
   uses for bit-parallel sources.  With _PULL = 4, a 64-source pass on
   random_strongly_connected(n, 4 n) took 0.27 ms against 0.62 ms for
@@ -70,8 +71,9 @@ the ring rule below, its depth:
 The ring rule decides, for a call of k searches (k = 1 for a single
 search, one per source for a batch), which run in the ring, the others
 running one list search each.  Its words are counted against
-16 (n + m), 128 bytes per vertex and edge, less than the graph's
-adjacency lists take when they are built.
+16 (n + m), 128 bytes per vertex and edge: the arc view it reads takes
+16 per vertex and per arc (the targets 8 more per arc off one weight),
+and the lists a list search builds about 64 and 95 (see Graph).
 
 * depth: unit weights with k > 1 run in the ring with no probe.  In any
   other call, a single search or a batch of one source alike, the first
@@ -86,7 +88,7 @@ adjacency lists take when they are built.
   list searches' scans; a single search is one pass with k' = 1,
   whatever its sources.  The keyed estimate, never above the ring's, is
   asked before the memory half, so a graph that fails it builds no
-  arrays.
+  ring encoding.
   On a directed 320-cycle with weights 1..10, a step took about 12 us and
   a Dijkstra about 0.18 us per vertex or arc, and the ring took 19 times
   as long as 10 list searches and 3 times as long as 64; the rule sends
@@ -97,7 +99,7 @@ adjacency lists take when they are built.
   23 ms at n = 10**4; a directed 2000-cycle (D = 1999) and a 300-path
   keep the list search.
 * memory, before a pass: the k_w x n block and two slots must fit,
-  (k_w + 2) n <= 16 (n + m), or no CSR arrays are built.  Unit weights
+  (k_w + 2) n <= 16 (n + m), or no ring encoding is built.  Unit weights
   always pass; random weights up to 10**6, nearly all distinct, fail.
 * memory, during a pass: the live slots (the pending ones and the one
   settling) plus k_w may never exceed 16 (n + m) / n.  A pass that would
@@ -106,7 +108,7 @@ adjacency lists take when they are built.
   keeps a mark so that later calls in that direction skip the ring.
 
 The ring runs on positive weights only: a graph with a 0-weight arc
-builds no CSR arrays, so its searches, single and batched, are list
+builds no ring encoding, so its searches, single and batched, are list
 searches.
 
 What stays slow on deep graphs: unit-weight batches of two or more
@@ -232,35 +234,28 @@ def _distances(g: Graph, sources, direction: str):
     return _list_distances(g, sources, direction)
 
 
-def _key(g: Graph, direction: str) -> str:
-    """The cache key of a direction: undirected graphs share one for both."""
-    return direction if g.directed else "out"
-
-
 def _csr(g: Graph, direction: str):
-    """Array adjacency of one direction for the ring search, built on first use.
+    """The ring search's encoding of one direction's arcs, built on first use.
 
-    Returns ``((indptr, degree, targets), steps, ranks)``: int64 arrays
-    over the arcs, ``steps``, the distinct weights in increasing order as
-    ints, and ``ranks``, an n x ceil(k_w / 64) uint64 array in which bit
-    r of u's row is set when u has an arc of weight ``steps[r]`` (None
-    when there is one weight, or when the weights are exactly 1..W).
-    Such an arc u -> v has target r n + v: v's word in row r of the
-    k_w x n block, or, when the weights are exactly 1..W and so r = w - 1,
-    in the ring slot w - 1 past the next one.  On unit weights that is v.
-    Returns None, and builds no array, when the graph has a 0-weight arc,
-    so that its searches, single and batched, are list searches, or when
+    Returns ``(targets, steps, ranks)``: ``targets``, an int64 array over
+    the arcs of ``g.arcs(direction)``, ``steps``, the distinct weights in
+    increasing order as ints, and ``ranks``, an n x ceil(k_w / 64) uint64
+    array in which bit r of u's row is set when u has an arc of weight
+    ``steps[r]`` (None when there is one weight, or when the weights are
+    exactly 1..W).  Such an arc u -> v has target r n + v: v's word in row
+    r of the k_w x n block, or, when the weights are exactly 1..W and so
+    r = w - 1, in the ring slot w - 1 past the next one.  On one weight
+    that is v, and ``targets`` is the view's own heads array.  Returns
+    None, and builds nothing, when the graph has a 0-weight arc, so that
+    its searches, single and batched, are list searches; and None when
     the memory half of the ring rule fails, (k_w + 2) n > 16 (n + m).
-    Undirected graphs keep one copy for both directions, since their
-    reverse adjacency is the forward one.  The arcs come from the graph's
-    edge columns, sorted by tail (Graph._sorted_arcs).
     """
     if not g.positive_weights:
         return None
-    key = _key(g, direction)
+    key = g._key(direction)
     if key in g._csr:
         return g._csr[key]
-    degree, heads, weights = g._sorted_arcs(direction)
+    _, degree, heads, weights = g.arcs(direction)
     n = g.n
     if g.unit_weights:
         steps, rank = np.ones(1, dtype=np.int64), 0
@@ -274,9 +269,7 @@ def _csr(g: Graph, direction: str):
             ranks = np.zeros((n, -(-len(steps) // _WORD)), dtype=np.uint64)
             np.bitwise_or.at(ranks, (np.arange(n).repeat(degree), rank // _WORD),
                              np.left_shift(np.uint64(1), (rank % _WORD).astype(np.uint64)))
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(degree, out=indptr[1:])
-        csr = ((indptr, degree, rank * n + heads), steps.tolist(), ranks)
+        csr = (heads if len(steps) == 1 else rank * n + heads, steps.tolist(), ranks)
     g._csr[key] = csr
     return csr
 
@@ -299,10 +292,10 @@ def _arcs(indptr, degree, frontier):
 def _bfs_parents(g: Graph, root: int):
     """Per vertex, the vertex that first discovers it in a BFS from ``root``
     over out-arcs, levels scanned in discovery order and arcs in adjacency
-    order, as an int64 array: ``root`` for root, -1 when unreached.  Unit
-    weights only: the CSR targets are then the heads.
+    order, as an int64 array: ``root`` for root, -1 when unreached.  It
+    reads the heads of the out-arc view; weights are not read.
     """
-    (indptr, degree, heads), _, _ = _csr(g, "out")
+    indptr, degree, heads, _ = g.arcs("out")
     parent = np.full(g.n, -1, dtype=np.int64)
     parent[root] = root
     level = np.array([root], dtype=np.int64)
@@ -357,9 +350,9 @@ def _fits(g: Graph, direction: str, depth: int, distinct: int, left: int) -> boo
     # this is the lower estimate, so it is asked before the arrays are built.
     full, part = divmod(left, _WORD)
     keyed = full * min(deepest, distinct * _WORD) + min(deepest, distinct * part)
-    # The memory half: no arrays are built when the k_w x n block and two
-    # slots would not fit next to the graph, or when it has a 0-weight arc.
-    if (not left or g._csr.get(("full", _key(g, direction)))
+    # The memory half: no ring encoding is built when the k_w x n block and
+    # two slots would not fit next to the graph, or when it has a 0-weight arc.
+    if (not left or g._csr.get(("full", g._key(direction)))
             or _STEP_COST * keyed > scans or _csr(g, direction) is None):
         return False
     # Unit weights and the ring of weights 1..W step through every distance
@@ -378,7 +371,7 @@ def _depth(g: Graph, sources, direction: str):
     return no rows.  They only pick a kernel, so which search measured
     them never changes a result.
     """
-    key = ("depth", _key(g, direction))
+    key = ("depth", g._key(direction))
     depth = g._csr.get(key)
     if depth is not None:
         return depth, []
@@ -416,7 +409,7 @@ def _ring_bits(g: Graph, sources, direction: str, unseen, one_bit: bool = False)
     plus k_w would exceed the memory rule's 16 (n + m) / n, and marks the
     graph and direction so that _fits keeps later calls off the ring.
     """
-    (indptr, degree, targets), steps, ranks = _csr(g, direction)
+    (indptr, degree, _, _), (targets, steps, ranks) = g.arcs(direction), _csr(g, direction)
     n, k = g.n, len(steps)
     seeds = np.zeros(n, dtype=np.uint64)
     np.bitwise_or.at(seeds, np.asarray(sources, dtype=np.int64),
@@ -488,7 +481,7 @@ def _ring_bits(g: Graph, sources, direction: str, unseen, one_bit: bool = False)
                 if into is not None:
                     into |= rows[r]
                 elif len(slots) + 2 > cap:
-                    g._csr[("full", _key(g, direction))] = True
+                    g._csr[("full", g._key(direction))] = True
                     raise _RingFull
                 else:
                     slots[at] = rows[r].copy()
@@ -496,12 +489,11 @@ def _ring_bits(g: Graph, sources, direction: str, unseen, one_bit: bool = False)
 
 
 def _reverse_arcs(g: Graph, direction: str):
-    """The reverse arcs of a one-weight ring search: ``(tails, starts,
-    heads)``, where ``tails`` lists each vertex's in-neighbours (its
-    out-neighbours for an ``in`` search) grouped by vertex, and ``starts``
-    are the offsets of the nonempty groups, which belong to the vertices
-    ``heads``.  An undirected graph reads its one copy of the arrays."""
-    (indptr, degree, tails), _, _ = _csr(g, "in" if direction == "out" else "out")
+    """The reverse arcs of a one-weight ring search, ``(tails, starts,
+    heads)``: the other direction's arc view, whose heads ``tails`` list
+    each vertex's in-neighbours (out-neighbours in an ``in`` search), and
+    the offsets ``starts`` of its nonempty groups, those of ``heads``."""
+    indptr, degree, tails, _ = g.arcs("in" if direction == "out" else "out")
     heads = degree.nonzero()[0]
     return tails, indptr[heads], heads
 
@@ -768,26 +760,6 @@ def multi_source_distance(g: Graph, sources, direction: str = "out") -> list:
     return _distances(g, _source_set(g, sources), direction)
 
 
-def _k_closest_levels(adj, v, s):
-    """Unit weights: whole BFS levels, each sorted by id, cut at s vertices."""
-    items = [(v, 0)]
-    seen = {v}
-    level = [v]
-    d = 0
-    while level and len(items) < s:
-        d += 1
-        nxt = []
-        for u in level:
-            for x, _ in adj[u]:
-                if x not in seen:
-                    seen.add(x)
-                    nxt.append(x)
-        nxt.sort()
-        items.extend((x, d) for x in nxt[:s - len(items)])
-        level = nxt
-    return items
-
-
 def k_closest(g: Graph, v: int, s: int, direction: str = "out") -> Neighborhood:
     """The s closest vertices to v under (distance, id) order.
 
@@ -810,9 +782,21 @@ def k_closest(g: Graph, v: int, s: int, direction: str = "out") -> Neighborhood:
         raise ValueError(f"s must be in [1, {g.n}], got {s}")
     if not 0 <= v < g.n:
         raise ValueError(f"vertex {v} out of range")
-    adj = g.adjacency(direction)
+    indptr, degree, heads, weights = g.arcs(direction)
     if g.unit_weights:
-        return Neighborhood(v, direction, _k_closest_levels(adj, v, s))
+        items, d = [(v, 0)], 0
+        seen = np.zeros(g.n, dtype=bool)
+        seen[v] = True
+        level = np.array([v], dtype=np.int64)
+        while len(level) and len(items) < s:
+            d += 1
+            # Sorted and deduplicated by hand: a process's first plain
+            # np.unique imports numpy.ma, about 16 ms on numpy 2.4.
+            found = np.sort(heads[_arcs(indptr, degree, level)[0]])
+            level = found[(np.diff(found, prepend=-1) != 0) & ~seen[found]]
+            seen[level] = True
+            items.extend((x, d) for x in level[:s - len(items)].tolist())
+        return Neighborhood(v, direction, items)
     tentative = {v: 0}
     heap = [(0, v)]
     settled = {}
@@ -827,7 +811,8 @@ def k_closest(g: Graph, v: int, s: int, direction: str = "out") -> Neighborhood:
         if len(settled) == s and g.positive_weights:
             break
         last_level = d
-        for x, w in adj[u]:
+        lo, hi = indptr[u:u + 2].tolist()
+        for x, w in zip(heads[lo:hi].tolist(), weights[lo:hi].tolist()):
             nd = d + w
             if x not in settled and nd < tentative.get(x, UNREACHABLE):
                 tentative[x] = nd

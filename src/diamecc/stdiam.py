@@ -111,14 +111,17 @@ def _neighbourhood(g: Graph, t_bar: int, z_size: int, extend_positive: bool, por
     every positive-weight edge a kept id carries: a vertex of one id
     carries all its edges, and port i of any other carries its i-th edge.
     """
+    indptr, _, heads, weights = g.arcs("out")
     near = set()
     left = z_size
     for v in k_closest(g, t_bar, min(g.n, z_size), "out").vertices():
         near.add(v)
         kept = min(ports[v], left)
         if extend_positive:
-            arcs = g.adj_out[v] if kept == ports[v] else g.adj_out[v][:kept]
-            near.update(u for u, w in arcs if w > 0)
+            lo, hi = indptr[v:v + 2].tolist()
+            hi = hi if kept == ports[v] else lo + kept
+            far = heads[lo:hi] if g.positive_weights else heads[lo:hi][weights[lo:hi] > 0]
+            near.update(far.tolist())
         left -= kept
         if not left:
             break

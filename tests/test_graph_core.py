@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import math
 import re
+import sys
 from random import Random
 
 import numpy as np
@@ -16,11 +17,12 @@ from conftest import (_arc_lists, bellman_ford, complete_graph, cycle_graph, pat
 from diamecc import graph as graph_module
 from diamecc import search
 from diamecc.stdiam import STInstance, _assemble_gadget, _doubled, _with_pendants
-from diamecc import (UNREACHABLE, Graph, GraphFormatError, apsp_matrix,
-                     degree3_blowup, eccentricities, exact_eccentricities,
-                     exact_st_diameter, format_graph, is_connected,
+from diamecc import (UNREACHABLE, Graph, GraphFormatError, apsp_matrix, closest,
+                     degree3_blowup, ecc_2approx, eccentricities, eccentricity,
+                     exact_eccentricities, exact_st_diameter, format_graph, is_connected,
                      is_strongly_connected, k_closest, max_distances,
-                     multi_source_distance, nearest, parse_graph, parse_vertex_set, sssp)
+                     multi_source_distance, nearest, parse_graph, parse_vertex_set, sssp,
+                     st_2approx_true, st_2approx_weighted)
 
 
 class TestGraphType:
@@ -114,8 +116,8 @@ class TestArcGrouping:
     @pytest.mark.parametrize("directed", [True, False])
     @pytest.mark.parametrize("max_w", [1, 5])
     def test_views_across_the_second_digit(self, monkeypatch, directed, max_w):
-        # Ids straddle 0xFFFF / 0x10000, so _sorted_arcs takes two digit
-        # passes; no benchmark graph has that many vertices.
+        # Ids straddle 0xFFFF / 0x10000, so the arc view's grouping takes two
+        # digit passes; no benchmark graph has that many vertices.
         rng = np.random.default_rng(7)
         n, m = 70_000, 30_000
         near = rng.integers(0xFFFF - 50, 0x10000 + 50, size=(m // 2, 2))
@@ -129,12 +131,14 @@ class TestArcGrouping:
                                     lambda ids: np.argsort(ids, kind="stable"))
                 monkeypatch.setattr(graph_module, "_lists", _old_lists)
             g = Graph(n, edges, directed=directed)
-            views[old] = (g.adj_out, g.adj_in, search._csr(g, "out"), search._csr(g, "in"))
+            views[old] = (g.adj_out, g.adj_in, g.arcs("out"), g.arcs("in"),
+                          search._csr(g, "out"), search._csr(g, "in"))
         new, ref = views[False], views[True]
         assert new[:2] == ref[:2]
-        for got, want in zip(new[2:], ref[2:]):
-            assert all(np.array_equal(a, b) for a, b in zip(got[0], want[0]))
-            assert got[1] == want[1]
+        for got, want in zip(new[2:4], ref[2:4]):
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        for got, want in zip(new[4:], ref[4:]):
+            assert np.array_equal(got[0], want[0]) and got[1] == want[1]
             assert (got[2] is None) == (want[2] is None)
             assert got[2] is None or np.array_equal(got[2], want[2])
 
@@ -150,12 +154,24 @@ class TestArcGrouping:
                      for _ in range(rng.randint(0, 3 * n))]
             edges += [(0, 0, weights[0])] * (trial % 2)
             g = Graph(n, edges, directed=directed)
+            assert (g.arcs("in") is g.arcs("out")) == (not directed)
             for direction in ("out", "in"):
+                want = _arc_lists(g, direction)
+                # The arc view, 0 weights included: u's arcs at indptr[u]:indptr[u + 1].
+                indptr, degree, heads, arc_weights = view = g.arcs(direction)
+                assert all(a.dtype == np.int64 and not a.flags.writeable for a in view)
+                assert indptr.tolist() == [0] + degree.cumsum().tolist()
+                assert [list(zip(heads[a:b].tolist(), arc_weights[a:b].tolist()))
+                        for a, b in zip(indptr.tolist(), indptr[1:].tolist())] == want
                 adj = g.adjacency(direction)
-                assert adj == _arc_lists(g, direction)
+                assert adj == want
                 assert all(type(arcs) is list for arcs in adj)
                 if len(weights) == 1:
                     assert len({id(arc) for arcs in adj for arc in arcs}) <= n
+                    # On one weight the ring's targets are the view's heads.
+                    csr = search._csr(g, direction)
+                    assert (csr is None) == (weights == [0])
+                    assert csr is None or not g.m or np.shares_memory(csr[0], heads)
 
 
 class TestSSSP:
@@ -347,6 +363,83 @@ class TestKClosest:
         # neighborhood must still come back in (distance, id) order.
         g = Graph(5, [(0, 4, 0), (0, 3, 0), (4, 1, 1), (3, 2, 1)])
         assert k_closest(g, 0, 3).items == [(0, 0), (3, 0), (4, 0)]
+
+
+class TestDirectionCheck:
+    # Every public function that takes a direction rejects any other string
+    # before it searches or caches anything, on the ring path (many sources,
+    # unit weights, no probe) as on the list and probe paths.
+    CALLS = {
+        "eccentricities": lambda g, d: eccentricities(g, range(0, g.n, 3), d),
+        "eccentricities into targets": lambda g, d: eccentricities(g, [0, 5], d, targets=[1, 2]),
+        "nearest": lambda g, d: nearest(g, range(0, g.n, 3), [1, 2], d),
+        "max_distances": lambda g, d: max_distances(g, range(0, g.n, 3), d),
+        "closest": lambda g, d: closest(g, range(0, g.n, 3), 4, d),
+        "sssp": lambda g, d: sssp(g, 0, d),
+        "multi_source_distance": lambda g, d: multi_source_distance(g, [0, 5], d),
+        "k_closest": lambda g, d: k_closest(g, 0, 4, d),
+        "eccentricity": lambda g, d: eccentricity(g, 0, d),
+        "exact_eccentricities": lambda g, d: exact_eccentricities(g, d),
+    }
+
+    @pytest.mark.parametrize("name", CALLS)
+    @pytest.mark.parametrize("directed", [True, False])
+    @pytest.mark.parametrize("max_w", [1, 7])
+    def test_invalid_direction_raises_and_caches_nothing(self, name, directed, max_w):
+        rng = Random(0)
+        g = (random_strongly_connected(rng, 300, 1200, max_w) if directed
+             else random_connected(rng, 300, 1200, max_w))
+        for bad in ("bogus", "OUT", None):
+            with pytest.raises(ValueError, match="direction must be 'out' or 'in'"):
+                self.CALLS[name](g, bad)
+            assert not g._csr and not g._views
+
+
+def _list_builders(monkeypatch) -> list:
+    """Record the caller of every Graph.adjacency call: (module, function)."""
+    calls = []
+    adjacency = Graph.adjacency
+
+    def spy(g, direction):
+        caller = sys._getframe(1)
+        calls.append((caller.f_globals["__name__"], caller.f_code.co_name))
+        return adjacency(g, direction)
+
+    monkeypatch.setattr(Graph, "adjacency", spy)
+    return calls
+
+
+class TestOnlyListSearchesBuildLists:
+    LIST_SEARCH = ("diamecc.search", "_list_distances")
+
+    @pytest.mark.parametrize("max_w", [1, 7, 0])
+    def test_k_closest_reads_the_arc_view(self, monkeypatch, max_w):
+        calls = _list_builders(monkeypatch)
+        rng = Random(max_w)
+        for directed in (True, False):
+            built = random_graph(rng, 200, 800, directed, max_w=max_w)
+            g = parse_graph(format_graph(built))
+            for v in (0, 7, 199):
+                for direction in ("out", "in"):
+                    row = bellman_ford(built, v, direction)
+                    order = sorted((d, u) for u, d in enumerate(row) if d != UNREACHABLE)
+                    for s in (1, 15, 200):
+                        assert k_closest(g, v, s, direction).items == [(u, d) for d, u in order[:s]]
+        assert calls == []
+
+    def test_estimators_build_lists_only_for_list_searches(self, monkeypatch):
+        calls = _list_builders(monkeypatch)
+        rng = Random(4)
+        g = parse_graph(format_graph(random_strongly_connected(rng, 400, 1600)))
+        ecc_2approx(g, seed=1)
+        # The depth probe of the sample's out-search is the only list search.
+        assert "in" not in g._views and "out" in g._views
+        unit = parse_graph(format_graph(random_connected(rng, 300, 900)))
+        st_2approx_true(STInstance(unit, range(0, 300, 7), range(3, 300, 11)), seed=2)
+        weighted = parse_graph(format_graph(random_connected(rng, 300, 900, max_w=6)))
+        st_2approx_weighted(STInstance(weighted, range(0, 300, 5), range(1, 300, 13)),
+                            seed=3, true_mode=True)
+        assert calls and set(calls) == {self.LIST_SEARCH}
 
 
 class TestExactOracles:
@@ -563,7 +656,7 @@ class TestBatchedReductions:
                 assert search._ring_rule(g, sources[:1], len(sources), direction)[0]
                 _assert_reductions(g, sources, direction, rows)
                 _assert_reductions(g, [4, 4, 17], direction, rows)
-                assert ("full", search._key(g, direction)) not in g._csr
+                assert ("full", g._key(direction)) not in g._csr
 
     def test_live_slot_overflow_falls_back(self):
         # A weight-1 path whose every arc has a weight-1000 twin: each step
@@ -931,7 +1024,7 @@ class TestSingleSearches:
         passes = _spy_ring(monkeypatch)
         for g, ring in ((cycle_graph(2000, directed=True), False), (path_graph(300), False),
                         (random_strongly_connected(Random(0), 1000, 5000), True)):
-            key = search._key(g, "out")
+            key = g._key("out")
             first = sssp(g, 0)
             assert g._csr[("depth", key)] == (max(first), len(set(first)))
             for s in (1, 2, 3):
@@ -1383,20 +1476,22 @@ class TestBulkReader:
             assert got.m == want.m and np.array_equal(got.degrees, want.degrees)
             assert all(np.array_equal(a, b) for a, b in zip(got.columns, want.columns))
             for direction in ("out", "in") if want.n else ():
+                for a, b in zip(got.arcs(direction), want.arcs(direction)):
+                    assert a.dtype == b.dtype and np.array_equal(a, b)
                 csr = search._csr(got, direction)
                 assert (csr is None) == (not want.positive_weights)
                 if csr is not None:
-                    (got_arcs, got_steps, got_ranks) = csr
-                    (want_arcs, want_steps, want_ranks) = search._csr(want, direction)
-                    for a, b in zip(got_arcs, want_arcs):
-                        assert a.dtype == b.dtype and np.array_equal(a, b)
+                    (got_targets, got_steps, got_ranks) = csr
+                    (want_targets, want_steps, want_ranks) = search._csr(want, direction)
+                    assert got_targets.dtype == want_targets.dtype
+                    assert np.array_equal(got_targets, want_targets)
                     assert got_steps == want_steps
                     assert (got_ranks is None) == (want_ranks is None)
                     assert got_ranks is None or np.array_equal(got_ranks, want_ranks)
                     # Arc r n + v of weight steps[r]: the lists' arcs, in order.
-                    adj, (_, degree, targets) = got.adjacency(direction), got_arcs
+                    adj, degree = got.adjacency(direction), got.arcs(direction)[1]
                     assert degree.tolist() == [len(row) for row in adj]
-                    assert [(t % got.n, got_steps[t // got.n]) for t in targets.tolist()] == \
+                    assert [(t % got.n, got_steps[t // got.n]) for t in got_targets.tolist()] == \
                            [arc for row in adj for arc in row]
 
     def test_lists_wait_for_a_list_consumer(self):
@@ -1405,6 +1500,7 @@ class TestBulkReader:
         # Unit-weight batches run in the ring with no list probe.
         assert exact_eccentricities(g) == [max(bellman_ford(built, v)) for v in range(60)]
         assert "edges" not in g._views and "out" not in g._views
-        k_closest(g, 0, 5)
+        # A single search's depth probe is a list search.
+        assert sssp(g, 0) == bellman_ford(built, 0)
         assert "out" in g._views and "edges" not in g._views
         assert g.edges and "edges" in g._views
