@@ -56,7 +56,7 @@ def main():
     worst = min(est5.values[v] - (3 * ecc[v] / 5 - 1) for v in range(n))
     print(f"eccentricities: estimates within [3e/5 - 1, e]; tightest slack {worst:.2f}")
 
-    composed = approx_on_spanner(g, diam_folklore_2approx, seed=0)
+    composed = approx_on_spanner(g, diam_folklore_2approx)
     print(f"\nfolklore 2-approx run on the spanner, minus the additive slack: "
           f"{composed} (guaranteed in [D/2 - 2, D] = [{D / 2 - 2:.1f}, {D}])")
 

@@ -109,7 +109,7 @@ METHODS = {
     "st-equiv": (True, False, lambda g, inst, a: {
         "estimate": st_via_diameter(inst, exact_diameter)}),
     "spanner-compose": (False, True, lambda g, inst, a: {
-        "estimate": approx_on_spanner(g, DIAMETERS[a.inner], a.seed), "inner": a.inner}),
+        "estimate": approx_on_spanner(g, DIAMETERS[a.inner]), "inner": a.inner}),
 }
 RUN_METHODS = tuple(METHODS)
 SET_METHODS = tuple(name for name, (needs_sets, _, _) in METHODS.items() if needs_sets)

@@ -5,10 +5,13 @@ The center computation returns a set A such that every bunch
 B(v) = {u : d(v,u) < d(v,A)} has at most ceil(1/p) members and every
 cluster C(w) = {v : w in B(v)} has at most 4/p members.  Pairs sharing a
 cluster get their exact distance; pairs with disjoint bunches get the
-certified lower bound d(u,A) + d(v,A) - 1.  For the diameter a spanner
-sweep covers the remaining slack; for the eccentricities exact searches
-from A do, and no spanner is built.  All inputs here are undirected,
-connected, unit weight.
+certified lower bound d(u,A) + d(v,A) - 1.  The cluster matrix holds
+both in one int32 n x n array, 4 n^2 bytes: it starts as that bound and
+takes the minimum with each cluster's block, since u in C(w) means
+d(u,w) < d(u,A), so every block entry lies below the bound.  For the
+diameter a spanner sweep covers the remaining slack; for the
+eccentricities exact searches from A do, and no spanner is built.  All
+inputs here are undirected, connected, unit weight.
 
 One greedy cover, ``_greedy_hitting_set`` (max coverage, ties to the
 smaller id), makes both set choices: the initial centers, which hit every
@@ -50,8 +53,8 @@ import numpy as np
 
 from .eccen import EccEstimate, ceil_sqrt
 from .graph import Graph, _from_columns, _group_order
-from .search import (_arcs, _bfs_parents, closest, eccentricities, is_connected,
-                     max_distances, multi_source_distance, nearest)
+from .search import (_arcs, _bfs_parents, _sorted_unique, closest, eccentricities,
+                     is_connected, max_distances, multi_source_distance, nearest)
 
 
 @dataclass
@@ -174,13 +177,13 @@ class Spanner:
     dominators: list
 
 
-def additive2_spanner(g: Graph, seed: int = 0) -> Spanner:
+def additive2_spanner(g: Graph) -> Spanner:
     """Degree-threshold additive-2 spanner.
 
     Keeps every edge incident to a vertex of degree < ceil(sqrt(n)), then
     greedily picks dominators covering the closed neighborhoods of the
     heavy vertices and adds one full BFS tree per dominator.  Construction
-    is deterministic; ``seed`` is accepted for interface uniformity.
+    is deterministic.
     """
     if g.directed:
         raise ValueError("additive2_spanner requires an undirected graph")
@@ -213,32 +216,26 @@ def additive2_spanner(g: Graph, seed: int = 0) -> Spanner:
         u = parent[v]
         tree = u != v
         keys.append(np.minimum(u, v)[tree] * n + np.maximum(u, v)[tree])
-    u, v = np.divmod(np.unique(np.concatenate(keys)), n)
+    u, v = np.divmod(_sorted_unique(np.concatenate(keys)), n)
     return Spanner(_from_columns(n, False, u, v, np.ones(len(u), dtype=np.int64)), dominators)
 
 
-def _cluster_matrix(g: Graph, cd: CenterData) -> np.ndarray:
-    """The estimate matrix M: exact distances for pairs sharing a cluster,
-    d(u,A) + d(v,A) - 1 for the rest, 0 on the diagonal.
+def _cluster_matrix(cd: CenterData) -> np.ndarray:
+    """The estimate matrix M, int32: exact distances for pairs sharing a
+    cluster, d(u,A) + d(v,A) - 1 for the rest, 0 on the diagonal.
 
-    The diagonal and both fallback operands stay strictly below n for
-    connected unit-weight input, so n doubles as the unset sentinel.
+    M starts as the fallback and takes the minimum with each cluster's
+    block, which is exact: u in C(w) means d(u,w) < d(u,A), so each block
+    entry d(u,w) + d(w,v) <= d(u,A) + d(v,A) - 2 is below the fallback.
+    Every entry is below 2n, so the one n x n array is 4 n^2 bytes.
     """
-    n = g.n
-    M = np.full((n, n), n, dtype=np.int64)
-    for w in range(n):
-        members = cd.clusters[w]
-        if len(members) < 2:
-            continue
-        idx = np.fromiter((v for v, _ in members), dtype=np.int64, count=len(members))
-        dv = np.fromiter((d for _, d in members), dtype=np.int64, count=len(members))
-        block = dv[:, None] + dv[None, :]
-        sub = np.ix_(idx, idx)
-        M[sub] = np.minimum(M[sub], block)
-    dA = np.asarray(cd.dist, dtype=np.int64)
-    fallback = dA[:, None] + dA[None, :] - 1
-    unset = M == n
-    M[unset] = fallback[unset]
+    dA = np.asarray(cd.dist, dtype=np.int32)
+    M = np.add.outer(dA - 1, dA)
+    for members in cd.clusters:
+        if len(members) > 1:
+            idx, dv = np.array(members, dtype=np.int32).T
+            sub = np.ix_(idx, idx)
+            M[sub] = np.minimum(M[sub], np.add.outer(dv, dv))
     np.fill_diagonal(M, 0)
     return M
 
@@ -254,8 +251,8 @@ def diam_dense_32(g: Graph, seed: int = 0):
         _check_dense_input(g, "diam_dense_32")
         return 0
     cd = tz_center(g, 1 / math.sqrt(n), seed, op="diam_dense_32")
-    h = additive2_spanner(g, seed).graph
-    return max(int(_cluster_matrix(g, cd).max()), max(eccentricities(h, cd.centers)) - 2)
+    h = additive2_spanner(g).graph
+    return max(int(_cluster_matrix(cd).max()), max(eccentricities(h, cd.centers)) - 2)
 
 
 def ecc_dense_53(g: Graph, seed: int = 0) -> EccEstimate:
@@ -270,7 +267,7 @@ def ecc_dense_53(g: Graph, seed: int = 0) -> EccEstimate:
         _check_dense_input(g, "ecc_dense_53")
         return EccEstimate([0] * n, "ecc-dense-53", seed)
     cd = tz_center(g, 1 / math.sqrt(n), seed, op="ecc_dense_53")
-    row_max = _cluster_matrix(g, cd).max(axis=1)
+    row_max = _cluster_matrix(cd).max(axis=1)
 
     # No spanner is needed: any additive-2 spanner H of g has d_H <= d_g + 2,
     # so its probes max_a d_H(a, u) - 2 and ecc_H(pivot(u)) - d(u, A) - 2 can
@@ -285,20 +282,16 @@ def ecc_dense_53(g: Graph, seed: int = 0) -> EccEstimate:
     by_ecc = {}
     for a, e in zip(centers, eccentricities(g, centers)):
         by_ecc.setdefault(e, []).append(a)
-    near = [(e, multi_source_distance(g, group)) for e, group in by_ecc.items()]
-
-    values = []
-    for u in range(n):
-        e5 = max(e - dist[u] for e, dist in near)
-        values.append(max(int(row_max[u]), far[u], e5, 0))
-    return EccEstimate(values, "ecc-dense-53", seed)
+    near = [e - np.asarray(multi_source_distance(g, group)) for e, group in by_ecc.items()]
+    values = np.max([row_max, far, np.zeros(n, dtype=np.int64), *near], axis=0)
+    return EccEstimate(values.tolist(), "ecc-dense-53", seed)
 
 
-def approx_on_spanner(g: Graph, inner, seed: int = 0):
+def approx_on_spanner(g: Graph, inner):
     """Run an undirected-unweighted diameter estimator on an additive-2 spanner.
 
     Builds the spanner H, evaluates ``inner(H)``, and subtracts 2 from the
     result (clamped at 0), turning a (p, q) guarantee on H into a
     (p, q + 2) guarantee on g.
     """
-    return max(inner(additive2_spanner(g, seed).graph) - 2, 0)
+    return max(inner(additive2_spanner(g).graph) - 2, 0)

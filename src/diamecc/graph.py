@@ -31,7 +31,7 @@ _WEIGHT_BUDGET = 2**63
 
 # The largest vertex count parse_graph accepts.  A parsed graph holds
 # nothing per vertex.  Per direction, the arc view takes 16 bytes per vertex
-# and per arc, 0.3 GiB for an edgeless digraph at this cap, and the lists a
+# and 8-16 per arc, 0.3 GiB for an edgeless digraph at this cap, and the lists a
 # list search builds about 64 per vertex, 1.2 GiB here, and 95 per arc, or
 # about 6 when all arcs have one weight and outnumber the vertices, which
 # then take about 160 (tracemalloc, n = 10**4, m = 5n and 10n).  A larger
@@ -58,7 +58,7 @@ class Graph:
     read-only int64 arrays, in input order; a directed edge is one arc,
     an undirected one an arc each way.  The views ``edges`` ((u, v, w)
     tuples), ``arcs`` (per direction, int64 arrays that every search
-    reads, 16 bytes per vertex and 16 per arc), ``adj_out`` and ``adj_in``
+    reads, 16 bytes per vertex and 8-16 per arc), ``adj_out`` and ``adj_in``
     (per vertex its ``(head, weight)`` arcs, which only list searches
     build, about 64 bytes per vertex and 95 per arc; an undirected graph
     has one of each for both directions) and ``degrees`` are built on
@@ -97,8 +97,9 @@ class Graph:
         """The arcs of ``direction`` (the reverse arcs for ``in``) grouped
         by tail: read-only int64 arrays ``(indptr, degree, heads,
         weights)``, u's arcs at indptr[u]:indptr[u + 1], in the tails'
-        _group_order, so each vertex's in input order.  Built on first use;
-        an undirected graph keeps one copy for both directions."""
+        _group_order, so each vertex's in input order; one weight is kept
+        once, broadcast at stride 0.  Built on first use; an undirected
+        graph keeps one copy for both directions."""
         key = ("arcs", self._key(direction))
         if key not in self._views:
             u, v, w = self.columns
@@ -108,7 +109,8 @@ class Graph:
             elif direction == "in":
                 u, v = v, u
             order, degree = _group_order(u), np.bincount(u, minlength=self.n)
-            view = np.concatenate(([0], degree.cumsum())), degree, v[order], w[order]
+            weights = np.broadcast_to(w[:1], len(v)) if (w == self.max_weight).all() else w[order]
+            view = np.concatenate(([0], degree.cumsum())), degree, v[order], weights
             for a in view:
                 a.flags.writeable = False
             self._views[key] = view

@@ -71,9 +71,9 @@ the ring rule below, its depth:
 The ring rule decides, for a call of k searches (k = 1 for a single
 search, one per source for a batch), which run in the ring, the others
 running one list search each.  Its words are counted against
-16 (n + m), 128 bytes per vertex and edge: the arc view it reads takes
-16 per vertex and per arc (the targets 8 more per arc off one weight),
-and the lists a list search builds about 64 and 95 (see Graph).
+16 (n + m), 128 bytes per vertex and edge: the arc view and the ring's
+targets take 16 per vertex and 8 per arc on one weight, 24 off it, and
+the lists a list search builds about 64 and 95 (see Graph).
 
 * depth: unit weights with k > 1 run in the ring with no probe.  In any
   other call, a single search or a batch of one source alike, the first
@@ -287,6 +287,13 @@ def _arcs(indptr, degree, frontier):
     arcs = np.arange(ends[-1])
     arcs += (indptr[frontier] - ends + counts).repeat(counts)
     return arcs, counts
+
+
+def _sorted_unique(keys):
+    """np.unique of nonnegative keys, without the numpy.ma import that a
+    process's first plain np.unique does (about 16 ms on numpy 2.4)."""
+    keys = np.sort(keys)
+    return keys[np.diff(keys, prepend=-1) != 0]
 
 
 def _bfs_parents(g: Graph, root: int):
@@ -790,10 +797,8 @@ def k_closest(g: Graph, v: int, s: int, direction: str = "out") -> Neighborhood:
         level = np.array([v], dtype=np.int64)
         while len(level) and len(items) < s:
             d += 1
-            # Sorted and deduplicated by hand: a process's first plain
-            # np.unique imports numpy.ma, about 16 ms on numpy 2.4.
-            found = np.sort(heads[_arcs(indptr, degree, level)[0]])
-            level = found[(np.diff(found, prepend=-1) != 0) & ~seen[found]]
+            found = _sorted_unique(heads[_arcs(indptr, degree, level)[0]])
+            level = found[~seen[found]]
             seen[level] = True
             items.extend((x, d) for x in level[:s - len(items)].tolist())
         return Neighborhood(v, direction, items)

@@ -90,6 +90,16 @@ def band_graph(n: int, D: int) -> Graph:
     return Graph(n, [(i, j, 1) for i in range(n) for j in range(i + 1, min(n, i + k + 1))])
 
 
+def center_corpus(seed: int) -> list:
+    """50 connected graphs, 4 to 200 vertices and up to 3n random edges."""
+    rng = Random(seed)
+    corpus = []
+    for _ in range(50):
+        n = rng.randint(4, 200)
+        corpus.append(random_connected(rng, n, rng.randint(0, 3 * n)))
+    return corpus
+
+
 def star_graph(n_leaves: int) -> Graph:
     return Graph(n_leaves + 1, [(0, i, 1) for i in range(1, n_leaves + 1)])
 

@@ -17,7 +17,7 @@ from random import Random
 
 import numpy as np
 
-from conftest import complete_graph, random_connected, random_strongly_connected
+from conftest import center_corpus, complete_graph, random_connected, random_strongly_connected
 from diamecc import (Graph, STInstance, additive2_spanner, apsp_matrix,
                      build_diam_3km4, build_diam_5v8, build_diam_6v10,
                      build_diam_8v13, build_ecc_lb_directed,
@@ -167,18 +167,9 @@ def test_c06_linear_even_diameter():
     _report(6, "less-than-2 diameter on even-diameter digraphs (100 graphs)", t0, 30)
 
 
-def _center_corpus(seed):
-    rng = Random(seed)
-    corpus = []
-    for _ in range(50):
-        n = rng.randint(4, 200)
-        corpus.append(random_connected(rng, n, rng.randint(0, 3 * n)))
-    return corpus
-
-
 def test_c07_center_termination_and_caps():
     t0 = time.perf_counter()
-    for idx, g in enumerate(_center_corpus(107)):
+    for idx, g in enumerate(center_corpus(107)):
         n = g.n
         for p in (0.5, 0.25, 1 / math.ceil(math.sqrt(n))):
             cd = tz_center(g, p, seed=idx)
@@ -191,12 +182,12 @@ def test_c07_center_termination_and_caps():
 
 def test_c08_cluster_matrix_lemmas():
     t0 = time.perf_counter()
-    for idx, g in enumerate(_center_corpus(107)):
+    for idx, g in enumerate(center_corpus(107)):
         n = g.n
         D = apsp_matrix(g)
         for p in (0.5, 0.25, 1 / math.ceil(math.sqrt(n))):
             cd = tz_center(g, p, seed=idx)
-            M = _cluster_matrix(g, cd)
+            M = _cluster_matrix(cd)
             masks = [0] * n
             for v in range(n):
                 for u, _ in cd.bunches[v]:

@@ -4,6 +4,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+from random import Random
 
 import pytest
 
@@ -11,7 +16,7 @@ from diamecc import format_graph
 from diamecc import cli
 from diamecc import graph as graph_module
 from diamecc.cli import main
-from conftest import cycle_graph, path_graph
+from conftest import cycle_graph, path_graph, random_connected
 
 
 @pytest.fixture
@@ -404,3 +409,21 @@ class TestParser:
         cli._build_parser.cache_clear()  # the spy sees a build once there is one
         run_cli(capsys, "run", "diam-folk", "--input", p5)
         assert built
+
+
+def test_dense_runs_leave_numpy_ma_unloaded(tmp_path):
+    # A process's first plain np.unique imports numpy.ma (about 16 ms on
+    # numpy 2.4), which each fresh run of a dense method would pay.
+    path = tmp_path / "dense.txt"
+    path.write_text(format_graph(random_connected(Random(0), 60, 60 * 60 // 8)))
+    script = ("import sys\n"
+              "from diamecc import cli\n"
+              "for method in ('diam-dense', 'ecc-dense', 'spanner-compose'):\n"
+              f"    assert cli.main(['run', method, '--input', {str(path)!r}]) == 0\n"
+              "sys.exit('numpy.ma' in sys.modules)\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import tracemalloc
 from collections import deque
 from random import Random
 
@@ -11,8 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import (band_graph, complete_graph, path_graph, random_connected, random_graph,
-                      star_graph)
+from conftest import (band_graph, center_corpus, complete_graph, path_graph, random_connected,
+                      random_graph, star_graph)
 from diamecc import (Graph, additive2_spanner, apsp_matrix, approx_on_spanner,
                      diam_dense_32, diam_folklore_2approx, diam_linear_lessthan2, ecc_dense_53,
                      exact_diameter, exact_eccentricities, tz_center,
@@ -309,14 +310,60 @@ class TestSpanner:
             assert h.m <= 8 * n ** 1.5 * max(math.log(n), 1)
 
 
+def sentinel_cluster_matrix(g: Graph, cd: CenterData) -> np.ndarray:
+    """``_cluster_matrix`` as it was with the n sentinel and a second n x n
+    fallback matrix, verbatim."""
+    n = g.n
+    M = np.full((n, n), n, dtype=np.int64)
+    for w in range(n):
+        members = cd.clusters[w]
+        if len(members) < 2:
+            continue
+        idx = np.fromiter((v for v, _ in members), dtype=np.int64, count=len(members))
+        dv = np.fromiter((d for _, d in members), dtype=np.int64, count=len(members))
+        block = dv[:, None] + dv[None, :]
+        sub = np.ix_(idx, idx)
+        M[sub] = np.minimum(M[sub], block)
+    dA = np.asarray(cd.dist, dtype=np.int64)
+    fallback = dA[:, None] + dA[None, :] - 1
+    unset = M == n
+    M[unset] = fallback[unset]
+    np.fill_diagonal(M, 0)
+    return M
+
+
 class TestClusterMatrix:
+    def test_matches_sentinel_construction(self):
+        cases = list(enumerate(center_corpus(107))) + [(0, band_graph(800, D)) for D in (10, 40)]
+        blocks = 0
+        for seed, g in cases:
+            for p in (0.5, 0.25, 1 / math.ceil(math.sqrt(g.n))):
+                cd = tz_center(g, p, seed)
+                M = _cluster_matrix(cd)
+                assert M.dtype == np.int32
+                assert np.array_equal(M, sentinel_cluster_matrix(g, cd)), (seed, g.n, p)
+                blocks += sum(len(c) >= 2 for c in cd.clusters)
+        assert blocks > 0
+
+    def test_peak_is_one_int32_matrix(self):
+        g = random_connected(Random(0), 600, 600 * 600 // 8)
+        cd = tz_center(g, 1 / math.sqrt(g.n), 0)
+        tracemalloc.start()
+        try:
+            _cluster_matrix(cd)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The sentinel construction peaked at about 25 n^2 bytes.
+        assert peak <= 4.5 * g.n ** 2
+
     def test_intersecting_bunches_give_exact_distance(self):
         rng = Random(44)
         for trial in range(12):
             n = rng.randint(4, 50)
             g = random_connected(rng, n, rng.randint(0, 2 * n))
             cd = tz_center(g, 1 / math.sqrt(n), seed=trial)
-            M = _cluster_matrix(g, cd)
+            M = _cluster_matrix(cd)
             D = apsp_matrix(g)
             bunch_sets = [frozenset(u for u, _ in cd.bunches[v]) for v in range(n)]
             for u in range(n):
@@ -331,7 +378,7 @@ class TestClusterMatrix:
         rng = Random(45)
         g = random_connected(rng, 40, 60)
         cd = tz_center(g, 0.2, seed=1)
-        M = _cluster_matrix(g, cd)
+        M = _cluster_matrix(cd)
         D = apsp_matrix(g)
         assert (M <= D).all()
 
@@ -566,16 +613,16 @@ def _bfs_parents(g: Graph, root: int, radius=math.inf) -> dict:
 
 def reference_diam_dense_32(g, cd, seed):
     n = g.n
-    h = additive2_spanner(g, seed).graph
+    h = additive2_spanner(g).graph
     d2 = max(max(_bfs(h.adj_out, n, (a,))) for a in cd.centers)
-    return max(int(_cluster_matrix(g, cd).max()), d2 - 2)
+    return max(int(_cluster_matrix(cd).max()), d2 - 2)
 
 
 def reference_ecc_dense_53(g, cd, seed):
     """The estimates, and the number of distinct center eccentricities."""
     n = g.n
-    M = _cluster_matrix(g, cd)
-    spanner = additive2_spanner(g, seed)
+    M = _cluster_matrix(cd)
+    spanner = additive2_spanner(g)
 
     aug = {(u, v) if u <= v else (v, u) for u, v, _ in spanner.graph.edges}
     for u in range(n):
@@ -682,7 +729,7 @@ class TestAgainstPerCenterSearches:
 class TestSpannerComposition:
     def test_exact_inner_on_path(self):
         g = path_graph(8)
-        value = approx_on_spanner(g, exact_diameter, seed=0)
+        value = approx_on_spanner(g, exact_diameter)
         assert value == 5  # spanner of a path is the path; 7 - 2
 
     def test_st3_inner(self):
@@ -695,7 +742,7 @@ class TestSpannerComposition:
             def inner(h):
                 return st_3approx(STInstance(h, range(h.n), range(h.n)))[0]
 
-            value = approx_on_spanner(g, inner, seed=trial)
+            value = approx_on_spanner(g, inner)
             assert value <= D
             assert 3 * value >= D - 6  # D/3 - 2 <= value
 
@@ -705,6 +752,6 @@ class TestSpannerComposition:
             n = rng.randint(2, 40)
             g = random_connected(rng, n, rng.randint(0, 2 * n))
             D = exact_diameter(g)
-            value = approx_on_spanner(g, diam_folklore_2approx, seed=trial)
+            value = approx_on_spanner(g, diam_folklore_2approx)
             assert value <= D
             assert 2 * value >= D - 4  # D/2 - 2 <= value

@@ -163,6 +163,9 @@ class TestArcGrouping:
                 assert indptr.tolist() == [0] + degree.cumsum().tolist()
                 assert [list(zip(heads[a:b].tolist(), arc_weights[a:b].tolist()))
                         for a, b in zip(indptr.tolist(), indptr[1:].tolist())] == want
+                # One weight (or none) is stored once: every arc reads it at
+                # stride 0.  Small trials may draw one of several weights.
+                assert (arc_weights.strides == (0,)) == (len(set(g.columns[2].tolist())) <= 1)
                 adj = g.adjacency(direction)
                 assert adj == want
                 assert all(type(arcs) is list for arcs in adj)
