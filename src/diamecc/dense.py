@@ -29,8 +29,10 @@ return.
 The spanner is built on the graph's out-arc view (``Graph.arcs``): the
 light edges by a degree mask over the arcs, the heavy vertices' closed
 neighborhoods as flat arrays, and one BFS tree per dominator from
-``search._bfs_parents``, one numpy step per level.  So it reads no
-adjacency list of g, and only ``is_connected``'s depth probe builds them.
+``search._bfs_parents``, one numpy step per level, which stops once
+every vertex has a parent.  So it reads no adjacency list of g, and on a
+dense graph ``is_connected``'s depth probe is a ring pass: nothing builds
+them.
 Its edges are the unique keys u n + v, u <= v, and ``_from_columns``
 builds the same Graph as ``Graph(n, sorted edges)`` from their columns,
 with no edge tuples or adjacency lists: the searches on it read arrays.

@@ -32,7 +32,8 @@ _WEIGHT_BUDGET = 2**63
 # The largest vertex count parse_graph accepts.  A parsed graph holds
 # nothing per vertex.  Per direction, the arc view takes 16 bytes per vertex
 # and 8-16 per arc, 0.3 GiB for an edgeless digraph at this cap, and the lists a
-# list search builds about 64 per vertex, 1.2 GiB here, and 95 per arc, or
+# list search builds (only weighted, 0/1-weight and deep unit graphs run one)
+# about 64 per vertex, 1.2 GiB here, and 95 per arc, or
 # about 6 when all arcs have one weight and outnumber the vertices, which
 # then take about 160 (tracemalloc, n = 10**4, m = 5n and 10n).  A larger
 # header is rejected before anything is allocated for it.
@@ -60,8 +61,9 @@ class Graph:
     tuples), ``arcs`` (per direction, int64 arrays that every search
     reads, 16 bytes per vertex and 8-16 per arc), ``adj_out`` and ``adj_in``
     (per vertex its ``(head, weight)`` arcs, which only list searches
-    build, about 64 bytes per vertex and 95 per arc; an undirected graph
-    has one of each for both directions) and ``degrees`` are built on
+    build, so only weighted, 0/1-weight and deep unit graphs get them,
+    about 64 bytes per vertex and 95 per arc; an undirected graph has one
+    of each for both directions) and ``degrees`` are built on
     first access and cached, and so are the ring's arrays and depth probe
     in ``_csr`` (see search._csr and search._ring_rule).  Instances must
     not be mutated after construction; all algorithms treat them as

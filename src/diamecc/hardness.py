@@ -104,7 +104,8 @@ def gen_ov(k: int, n: int, d: int, mode: str = "unsat", seed: int = 0) -> OVInst
     if n < 1:
         raise ValueError("n must be at least 1")
     rng = Random(seed)
-    vecs = [[[rng.randint(0, 1) for _ in range(d)] for _ in range(n)] for _ in range(k)]
+    bits = _random_bits(rng, k * n * d)
+    vecs = [[bits[(i * n + j) * d:(i * n + j + 1) * d] for j in range(n)] for i in range(k)]
     planted = None
     if mode == "unsat":
         for i in range(k):
@@ -125,6 +126,24 @@ def gen_ov(k: int, n: int, d: int, mode: str = "unsat", seed: int = 0) -> OVInst
         assert _tuple_is_orthogonal(inst, planted)
         assert ov_brute_force(inst) is not None
     return inst
+
+
+def _random_bits(rng: Random, count: int) -> list:
+    """``count`` draws of ``rng.randint(0, 1)``, from the same words.
+
+    CPython's randint(0, 1) keeps the top 2 bits of one 32-bit word, and
+    draws again while they read 2 or 3.  So each round draws one word per
+    bit still needed, in one getrandbits whose first word is its least
+    significant, and keeps the words whose top bits read 0 or 1; no word
+    past the last bit is drawn, so ``rng`` goes on as after the randints.
+    """
+    bits = []
+    while len(bits) < count:
+        need = count - len(bits)
+        words = rng.getrandbits(32 * need).to_bytes(4 * need, "little")
+        top = np.frombuffer(words, dtype="<u4") >> 30
+        bits += top[top < 2].tolist()
+    return bits
 
 
 def _tuple_is_orthogonal(inst: OVInstance, idxs) -> bool:

@@ -8,21 +8,25 @@ the ring rule below, its depth:
   is_strongly_connected on them): one search from a source set.  When
   the ring rule admits it, it is one pass of the ring described next,
   with every source in bit 0, and each distance it settles writes that
-  row entry for its vertices.  Otherwise it is a list search that walks
-  the Python adjacency lists one arc at a time: plain BFS when every
-  weight is 1, a deque-based 0/1 search when weights are 0 or 1, and
-  binary-heap Dijkstra otherwise; only they build the lists, from the
-  arc view.  k_closest is a truncated search over the arc view (see it);
-  closest below batches the same balls.
+  row entry for its vertices.  The pass stops once every vertex is
+  settled, so a search that reaches them all never scans its last
+  level's arcs (on a dense graph, a pull over all m).  Otherwise it is a
+  list search that walks the Python adjacency lists one arc at a time:
+  plain BFS when every weight is 1, a deque-based 0/1 search when
+  weights are 0 or 1, and binary-heap Dijkstra otherwise; only they
+  build the lists, from the arc view.  k_closest is a truncated search
+  over the arc view (see it); closest below batches the same balls.
 * BFS trees (_bfs_parents, one per dominator of dense.additive2_spanner):
   a level-synchronous unit-weight search over the out-arc view that
   records each vertex's first discoverer.  Each level is one numpy step:
   _arcs gathers the level's arcs, the parent row drops the heads already
   found, and np.minimum.at finds each new head's first arc in a table
-  made once per tree.  It reads no adjacency list.  A step costs about
-  10 us plus its arcs: 19 ms for a parsed 2000-vertex path, against
-  1.4 ms for a list BFS over built lists, and 0.19 ms for the few wide
-  levels of a tree of random_connected(240, 7200), on a 2-core Xeon.
+  made once per tree.  It stops once every vertex has a parent, so a
+  spanning tree never scans its last level's arcs, and it reads no
+  adjacency list.  A step costs about 10 us plus its arcs: 19-25 ms for
+  a parsed 2000-vertex path, against 1.4 ms for a list BFS over built
+  lists, and 0.07-0.11 ms for the few wide levels of a tree of
+  random_connected(240, 7200), on a 2-core Xeon.
   perfbench's tracer does not wrap it: its trees are not in
   ``search.calls``, and their time is in the spanner's.
 * many independent searches, reduced per source as they run:
@@ -77,12 +81,18 @@ the lists a list search builds about 64 and 95 (see Graph).
 
 * depth: unit weights with k > 1 run in the ring with no probe.  In any
   other call, a single search or a batch of one source alike, the first
-  call on a graph in a direction runs its first search as a list search,
-  and that search's row gives D, its largest finite distance, and K, its
-  number of distinct finite distances; later calls reuse them.  A pass
-  of b sources over keyed slots takes about min(D + W + 1, K b) steps, W
-  being the largest weight, and one over the ring of weights 1..W, or
-  over unit weights, steps through every distance, D + W + 1.  The k'
+  call on a graph in a direction runs its first search as the depth
+  probe, and that search's row gives D, its largest finite distance, and
+  K, its number of distinct finite distances; later calls reuse them.
+  Off unit weights the probe is a list search.  On unit weights it is a
+  one-bit ring pass, which gives up for a list search at the first level
+  d where 64 (d + 2) > n + m, past which the rule refuses a single
+  search, or where its settles have scanned d n > 64 (n + m) words (see
+  _ring_row).  So D, K and every later choice are a list probe's, and a
+  shallow unit graph builds no adjacency lists.  A pass of b sources
+  over keyed slots takes about min(D + W + 1, K b) steps, W being the
+  largest weight, and one over the ring of weights 1..W, or over unit
+  weights, steps through every distance, D + W + 1.  The k'
   searches left (k - 1 on that first call, k after) run in the ring only
   when 64 times the steps of their passes is at most k' (n + m), the
   list searches' scans; a single search is one pass with k' = 1,
@@ -115,7 +125,18 @@ What stays slow on deep graphs: unit-weight batches of two or more
 sources skip the probe and always run in the ring, so a long path or
 cycle pays one step per level; and D and K come from one search, so a
 directed graph whose probe reaches only a shallow part can still let a
-deep batch or search into the ring.
+deep batch or search into the ring.  A deep unit graph's first search
+pays for the probe's ring pass up to where it gives up and then for the
+list search.  The first sssp took 1.6-1.8 ms against 0.84-0.88 ms for a
+list probe on a parsed directed 2000-cycle (62 levels), 13-14 ms against
+9.6-9.8 ms on a directed 20000-cycle (130 levels, the settle bound),
+0.29-0.32 ms against 0.24-0.26 ms on a 300-path (9 levels), and 0.15
+against 0.10 s on a directed 10**5-cycle, on a 2-core Xeon.  Without the
+settle bound the last would take 0.5 s, and 6.4 s against 0.34 s at
+3 * 10**5 vertices: every step settles all n words.  A scalar step for
+narrow frontiers would remove this cost.  The same n-word settle is
+missing from the rule's step cost, so on a large graph the ring can
+take a single search at a depth where it is slower than a list search.
 
 All tie-breaking is by (distance, vertex id) ascending, so every operation
 here is deterministic.
@@ -139,6 +160,10 @@ _WORD = np.iinfo(np.uint64).bits
 # and edge, and a ring step's fixed cost in list-search vertex and arc scans.
 _RING_WORDS_PER_ITEM = 16
 _STEP_COST = 64
+
+# Each ring step also settles all n words of its slot; the unit-weight depth
+# probe counts this many of them as one list-search scan (see _ring_row).
+_SETTLE_WORDS = 64
 
 # A one-weight ring step pulls over the reverse arcs when _PULL times its
 # frontier's arcs reach the graph's arcs, and a one-bit step, whose push
@@ -225,13 +250,33 @@ def _distances(g: Graph, sources, direction: str):
     if rows:
         return rows[0]
     if ring:
-        dist = np.full(g.n, -1, dtype=np.int64)
         with contextlib.suppress(_RingFull):
-            for d, frontier, _ in _ring_bits(g, sources, direction, _all_bits(g.n), one_bit=True):
-                dist[frontier] = d
-            row = dist.tolist()
-            return row if dist.min() >= 0 else [UNREACHABLE if d < 0 else d for d in row]
+            return _ring_row(g, sources, direction)
     return _list_distances(g, sources, direction)
+
+
+def _ring_row(g: Graph, sources, direction: str, probe: bool = False):
+    """The row of one ring pass with every source in bit 0, which stops
+    once every vertex is settled.
+
+    With ``probe`` (unit weights) the pass gives up and returns None at
+    the first level d where _STEP_COST (d + 2) > n + m, the depth at which
+    the ring rule sends a single search to the list, or where its settles
+    have scanned d n > _SETTLE_WORDS (n + m) words, which comes first
+    once n is above about 4000 and keeps a deep graph's give-up linear.
+    """
+    n, scans = g.n, g.n + g.m
+    dist = np.full(n, -1, dtype=np.int64)
+    left = n
+    for d, frontier, _ in _ring_bits(g, sources, direction, _all_bits(n), one_bit=True):
+        if probe and (_STEP_COST * (d + 2) > scans or d * n > _SETTLE_WORDS * scans):
+            return None
+        dist[frontier] = d
+        left -= len(frontier)
+        if not left:
+            break
+    row = dist.tolist()
+    return row if not left else [UNREACHABLE if d < 0 else d for d in row]
 
 
 def _csr(g: Graph, direction: str):
@@ -307,7 +352,8 @@ def _bfs_parents(g: Graph, root: int):
     parent[root] = root
     level = np.array([root], dtype=np.int64)
     first = np.empty(g.n, dtype=np.int64)
-    while len(level):
+    left = g.n - 1  # the vertices with no parent yet
+    while left and len(level):
         at, counts = _arcs(indptr, degree, level)
         found = heads[at]
         new = parent[found] < 0
@@ -321,6 +367,7 @@ def _bfs_parents(g: Graph, root: int):
         tails = level.repeat(counts)[new][discovers]
         level = found[discovers]
         parent[level] = tails
+        left -= len(level)
     return parent
 
 
@@ -382,7 +429,9 @@ def _depth(g: Graph, sources, direction: str):
     depth = g._csr.get(key)
     if depth is not None:
         return depth, []
-    row = _list_distances(g, sources, direction)
+    row = _ring_row(g, sources, direction, probe=True) if g.unit_weights else None
+    if row is None:
+        row = _list_distances(g, sources, direction)
     finite = {d for d in row if d != UNREACHABLE}
     depth = g._csr[key] = max(finite, default=0), len(finite)
     return depth, [row]

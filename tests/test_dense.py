@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import sys
 import tracemalloc
 from collections import deque
 from random import Random
@@ -12,13 +13,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import (band_graph, center_corpus, complete_graph, path_graph, random_connected,
-                      random_graph, star_graph)
+from conftest import (band_graph, bellman_ford, center_corpus, complete_graph, path_graph,
+                      random_connected, random_graph, star_graph)
 from diamecc import (Graph, additive2_spanner, apsp_matrix, approx_on_spanner,
                      diam_dense_32, diam_folklore_2approx, diam_linear_lessthan2, ecc_dense_53,
                      exact_diameter, exact_eccentricities, tz_center,
                      st_3approx, STInstance)
 from diamecc import dense as dense_module
+from diamecc import search as search_module
 from diamecc.dense import (CenterData, _check_dense_input, _cluster_matrix,
                            _greedy_hitting_set)
 from diamecc.eccen import ceil_sqrt
@@ -284,6 +286,33 @@ class TestSpannerOnArrays:
                 for v, u in list_bfs_parents(g, root).items():
                     want[v] = u
                 assert np.array_equal(tree_parents(g, root), want)
+
+    def test_trees_skip_their_last_level(self, monkeypatch):
+        # On a connected graph every vertex has a parent once a tree's last
+        # level is found, so each tree scans the arcs of its levels 0..D - 1
+        # and never those of level D.
+        frontiers, trees = [], []
+        arcs = search_module._arcs
+
+        def spy_arcs(indptr, degree, frontier):
+            if sys._getframe(1).f_code.co_name == "_bfs_parents":
+                frontiers.append(sorted(frontier.tolist()))
+            return arcs(indptr, degree, frontier)
+
+        def spy_tree(g, root):
+            start = len(frontiers)
+            parent = tree_parents(g, root)
+            trees.append((root, frontiers[start:]))
+            return parent
+
+        monkeypatch.setattr(search_module, "_arcs", spy_arcs)
+        monkeypatch.setattr(dense_module, "_bfs_parents", spy_tree)
+        g = random_connected(Random(53), 240, 240 * 240 // 8)
+        sp = additive2_spanner(g)
+        assert sp.dominators and [root for root, _ in trees] == sp.dominators
+        for root, scanned in trees:
+            row = bellman_ford(g, root)
+            assert scanned == [[v for v in range(g.n) if row[v] == d] for d in range(max(row))]
 
 
 class TestSpanner:

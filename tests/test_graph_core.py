@@ -17,12 +17,14 @@ from conftest import (_arc_lists, bellman_ford, complete_graph, cycle_graph, pat
 from diamecc import graph as graph_module
 from diamecc import search
 from diamecc.stdiam import STInstance, _assemble_gadget, _doubled, _with_pendants
-from diamecc import (UNREACHABLE, Graph, GraphFormatError, apsp_matrix, closest,
-                     degree3_blowup, ecc_2approx, eccentricities, eccentricity,
-                     exact_eccentricities, exact_st_diameter, format_graph, is_connected,
-                     is_strongly_connected, k_closest, max_distances,
-                     multi_source_distance, nearest, parse_graph, parse_vertex_set, sssp,
-                     st_2approx_true, st_2approx_weighted)
+from diamecc import (UNREACHABLE, Graph, GraphFormatError, apsp_matrix, approx_on_spanner,
+                     closest, degree3_blowup, diam_dense_32, diam_folklore_2approx,
+                     diam_linear_lessthan2, ecc_2approx, ecc_2plusdelta, ecc_dense_53,
+                     eccentricities, eccentricity, exact_eccentricities, exact_st_diameter,
+                     format_graph, is_connected, is_strongly_connected, k_closest,
+                     max_distances, multi_source_distance, nearest, parse_graph,
+                     parse_vertex_set, source_radius, sssp, st_2approx_true,
+                     st_2approx_weighted, st_3approx)
 
 
 class TestGraphType:
@@ -435,14 +437,42 @@ class TestOnlyListSearchesBuildLists:
         rng = Random(4)
         g = parse_graph(format_graph(random_strongly_connected(rng, 400, 1600)))
         ecc_2approx(g, seed=1)
-        # The depth probe of the sample's out-search is the only list search.
-        assert "in" not in g._views and "out" in g._views
+        # The depth probe of the sample's out-search is a ring pass on this
+        # shallow unit digraph, so no list search runs in either direction.
+        assert "in" not in g._views and "out" not in g._views and calls == []
         unit = parse_graph(format_graph(random_connected(rng, 300, 900)))
         st_2approx_true(STInstance(unit, range(0, 300, 7), range(3, 300, 11)), seed=2)
+        assert calls == []
+        # A weighted probe is a Dijkstra, and a deep unit graph's probe gives
+        # up its ring pass for a BFS: both are list searches.
         weighted = parse_graph(format_graph(random_connected(rng, 300, 900, max_w=6)))
         st_2approx_weighted(STInstance(weighted, range(0, 300, 5), range(1, 300, 13)),
                             seed=3, true_mode=True)
         assert calls and set(calls) == {self.LIST_SEARCH}
+        calls.clear()
+        sssp(parse_graph(format_graph(cycle_graph(2000, directed=True))), 0)
+        assert calls == [self.LIST_SEARCH]
+
+    def test_shallow_unit_graphs_build_no_lists(self, monkeypatch):
+        # Every probe on these parsed shallow unit graphs is a ring pass, so
+        # no estimator built on the searches calls Graph.adjacency.
+        calls = _list_builders(monkeypatch)
+        rng = Random(5)
+        fresh = lambda g: parse_graph(format_graph(g))
+        sparse = random_strongly_connected(rng, 500, 2000)
+        undirected = random_connected(rng, 400, 1600)
+        dense = random_connected(rng, 150, 150 * 150 // 8)
+        for g in (sparse, undirected):
+            ecc_2approx(fresh(g), seed=1)
+            ecc_2plusdelta(fresh(g), 0.25, seed=2)
+            source_radius(fresh(g), seed=3)
+            diam_folklore_2approx(fresh(g))
+            diam_linear_lessthan2(fresh(g))
+            st_3approx(STInstance(fresh(g), range(0, g.n, 7), range(3, g.n, 11)))
+        diam_dense_32(fresh(dense), seed=4)
+        ecc_dense_53(fresh(dense), seed=5)
+        approx_on_spanner(fresh(dense), diam_linear_lessthan2)
+        assert calls == []
 
 
 class TestExactOracles:
@@ -989,9 +1019,12 @@ class TestSingleSearches:
             for sources in ([7, 7, 151], [9, 150, 9, 4]):
                 want = search._dijkstra(adj, g.n, sorted(set(sources)))
                 assert multi_source_distance(g, sources, direction) == want
-        # Five searches per direction; the first on each array adjacency is
-        # the probe, and undirected graphs share one for both directions.
-        assert passes == [True] * (10 - 1 - directed) * ring
+        # Five searches per direction.  Off unit weights the first on each
+        # arc view is the probe, a list search, and undirected graphs share
+        # one view for both directions; on unit weights the probe is a ring
+        # pass too.
+        probes = 0 if weights == "unit" else 1 + directed
+        assert passes == [True] * (10 - probes) * ring
         assert ("full", "out") not in g._csr and ("full", "in") not in g._csr
 
     def test_ring_full_falls_back_and_marks(self, monkeypatch):
@@ -1023,23 +1056,27 @@ class TestSingleSearches:
         # steps cost at most the list search's n + m scans: a directed
         # 2000-cycle (D = 1999) and a 300-path (D = 299) stay on the list,
         # and a random digraph with m = 6n, D = 6, runs in the ring from
-        # the first search after the probe on.
+        # the first search after the probe on.  The unit-weight probe is a
+        # ring pass of its own, which on the deep graphs gives up at that
+        # depth and falls back to a list search.
         passes = _spy_ring(monkeypatch)
         for g, ring in ((cycle_graph(2000, directed=True), False), (path_graph(300), False),
                         (random_strongly_connected(Random(0), 1000, 5000), True)):
             key = g._key("out")
             first = sssp(g, 0)
+            assert first == bellman_ford(g, 0, "out")
             assert g._csr[("depth", key)] == (max(first), len(set(first)))
             for s in (1, 2, 3):
                 assert sssp(g, s) == bellman_ford(g, s, "out")
-            assert passes == [True] * 3 * ring
+            assert passes == [True] * (1 + 3 * ring)
             passes.clear()
 
     def test_a_batch_of_one_is_a_single_search(self, monkeypatch):
         # A single search and a one-source batch are calls of one search
-        # under the same rule: whichever kind comes first is the probe, and
-        # each later call of either kind starts a ring pass exactly when
-        # the graph is shallow.
+        # under the same rule: whichever kind comes first is the probe, a
+        # ring pass on unit weights, which on the deep graphs gives up for a
+        # list search; each later call of either kind starts a ring pass
+        # exactly when the graph is shallow.
         passes = _spy_ring(monkeypatch)
         batch = lambda g, s: eccentricities(g, [s])
         for make, ring in ((lambda: cycle_graph(2000, directed=True), False),
@@ -1051,7 +1088,7 @@ class TestSingleSearches:
                     passes.clear()
                     kinds[s % 2](g, s)
                     started.append(len(passes))
-                assert started == [0] + [ring] * 5
+                assert started == [1] + [ring] * 5
 
     def test_unit_weights_count_every_level(self):
         # On unit weights K = D + 1, but a pass also settles the empty
@@ -1064,13 +1101,76 @@ class TestSingleSearches:
     def test_search_after_the_probe_asks_the_rule(self, monkeypatch):
         # st_3approx's two searches on an undirected graph: the first is the
         # probe, and the second, in the other direction of the same arrays,
-        # asks the rule, which builds them and runs it in the ring.
+        # asks the rule, which runs it in the ring.  On unit weights the
+        # probe is a ring pass that builds the arrays and answers the first
+        # search; a weighted probe is a Dijkstra, so the rule builds them.
         passes = _spy_ring(monkeypatch)
         g = random_connected(Random(1), 600, 1800)
-        sssp(g, 3, "out")
+        assert sssp(g, 3, "out") == bellman_ford(g, 3, "out")
+        assert g._csr["out"] is not None and passes == [True]
+        assert sssp(g, 7, "in") == bellman_ford(g, 7, "in")
+        assert passes == [True, True]
+        passes.clear()
+        g = random_connected(Random(1), 600, 1800, max_w=6)
+        assert sssp(g, 3, "out") == bellman_ford(g, 3, "out")
         assert "out" not in g._csr and passes == []
         assert sssp(g, 7, "in") == bellman_ford(g, 7, "in")
         assert g._csr["out"] is not None and passes == [True]
+
+    @pytest.mark.parametrize("n, last", [(2000, 61), (20000, 129)])
+    def test_deep_probe_gives_up_at_the_refused_depth(self, monkeypatch, n, last):
+        # A directed 2000-cycle has n + m = 4000, and 64 (d + 2) first
+        # exceeds it at d = 61: the probe's ring pass settles levels 0..61,
+        # gives up there, and the first search is answered by a list BFS.
+        # On a directed 20000-cycle the rule would refuse only at d = 623,
+        # but the settles' d n words first exceed 64 (n + m) at d = 129.
+        levels, bfs = [], []
+        ring_bits, list_bfs = search._ring_bits, search._bfs
+
+        def spy_ring(*args, **kwargs):
+            for level in ring_bits(*args, **kwargs):
+                levels.append(level[0])
+                yield level
+
+        def spy_bfs(*args):
+            bfs.append(args[2])
+            return list_bfs(*args)
+
+        monkeypatch.setattr(search, "_ring_bits", spy_ring)
+        monkeypatch.setattr(search, "_bfs", spy_bfs)
+        g = cycle_graph(n, directed=True)
+        scans = g.n + g.m
+        assert (search._STEP_COST * (last + 2) > scans or last * n > search._SETTLE_WORDS * scans)
+        assert (search._STEP_COST * (last + 1) <= scans
+                and (last - 1) * n <= search._SETTLE_WORDS * scans)
+        assert sssp(g, 0) == bellman_ford(g, 0, "out")
+        assert levels == list(range(last + 1)) and bfs == [(0,)]
+        assert g._csr[("depth", "out")] == (n - 1, n)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 80), directed=st.booleans(),
+           shape=st.sampled_from(["random", "path", "cycle"]),
+           cost=st.sampled_from([1, 4, 64]), direction=st.sampled_from(["out", "in"]))
+    def test_property_unit_probe_depth(self, data, n, directed, shape, cost, direction):
+        # The unit-weight probe caches (D, K), the largest finite distance
+        # and the number of distinct ones, of the row it answers with,
+        # whether its ring pass runs to the end or gives up for a list BFS;
+        # a smaller step cost lets deeper graphs finish in the ring.
+        if shape == "random":
+            pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                                       max_size=3 * n))
+        else:
+            pairs = [(v, (v + 1) % n) for v in range(n - (shape == "path"))]
+        g = Graph(n, [(u, v, 1) for u, v in pairs], directed=directed)
+        source = data.draw(st.integers(0, n - 1))
+        want = bellman_ford(g, source, direction)
+        finite = [d for d in want if d != UNREACHABLE]
+        saved, search._STEP_COST = search._STEP_COST, cost
+        try:
+            assert sssp(g, source, direction) == want
+        finally:
+            search._STEP_COST = saved
+        assert g._csr[("depth", g._key(direction))] == (max(finite), len(set(finite)))
 
 
 def _ring_stream(g, sources, direction, one_bit):

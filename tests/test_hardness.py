@@ -183,6 +183,18 @@ class TestOVInstances:
         inst = OVInstance(3, 1, 3, ((zero,), (zero,), (zero,)))
         assert ov_brute_force(inst) == (0, 0, 0)
 
+    @pytest.mark.parametrize("length", [1, 2, 5, 64, 333, 2000])
+    def test_bits_match_randint(self, length):
+        # gen_ov's bit draw takes one getrandbits per round in place of a
+        # randint(0, 1) per bit, which rests on CPython's retry rule in
+        # _randbelow_with_getrandbits: the bits and the generator's next
+        # draw must both be those of the randints.
+        for seed in range(50):
+            fast, slow = Random(seed), Random(seed)
+            assert hardness._random_bits(fast, length) == [slow.randint(0, 1)
+                                                           for _ in range(length)]
+            assert fast.random() == slow.random()
+
     def test_agrees_with_coordinate_filter_oracle(self):
         rng = Random(50)
         for _ in range(40):
