@@ -37,9 +37,11 @@ Its edges are the unique keys u n + v, u <= v, and ``_from_columns``
 builds the same Graph as ``Graph(n, sorted edges)`` from their columns,
 with no edge tuples or adjacency lists: the searches on it read arrays.
 
-The searches from the centers A are ``search``'s batched reductions:
+The searches from the centers A are ``search``'s reductions:
 one ``closest`` over all n vertices for the balls, and per tz_center
-round one ``nearest`` over them; in diam_dense_32 one
+round one ``nearest``, a single search from A that labels every vertex
+with its pivot p(v) as it settles d(v, A), as Thorup and Zwick compute
+them; in diam_dense_32 one
 ``eccentricities`` over A on the spanner; in ecc_dense_53 one
 ``eccentricities`` and one ``max_distances`` over A on g, |A| sources
 each, plus one multi-source search per distinct center eccentricity.

@@ -32,9 +32,8 @@ the ring rule below, its depth:
 * many independent searches, reduced per source as they run:
   eccentricities (the largest distance, into every vertex or into a
   target set), max_distances (per vertex, the largest distance from the
-  sources), nearest (the closest member of a set, ties to the smaller
-  id) and closest (the s closest vertices, k_closest's ball, as flat
-  int64 (owner, member, distance) arrays).  The exact oracles, the
+  sources) and closest (the s closest vertices, k_closest's ball, as
+  flat int64 (owner, member, distance) arrays).  The exact oracles, the
   estimators' probe loops, the S-T sweeps, the st scope of
   hardness.verify_construction and dense.tz_center's balls are built on
   them.
@@ -42,19 +41,20 @@ the ring rule below, its depth:
   word per vertex; "the ring" below) runs up to 64 sources per pass over
   the arc view and the ring's int64 targets (_csr).  Its n-word slots
   are keyed by distance: a slot exists only while bits are pending at
-  its distance, and a pass steps only through those distances (nearest
-  stops once every source has met a member, closest once every ball is
-  full: a full source's bit is cleared from the unseen words, so the
-  next level drops it).  Each step ORs its frontier's arc bits into a
-  k_w x n block, k_w being the number of distinct weights, and each row
-  that gained bits becomes the slot at d + w or is ORed into it.  Unit
-  weights (k_w = 1) keep one pending slot, which is a level-synchronous
-  BFS with no weight gather.  When the weights are exactly 1..W, the
-  slots form a ring of W + 1 indexed by d mod (W + 1) instead, which
-  copies and merges no rows: on weights 1..8 the merges cost about 8% of
-  a pass.  Each step costs the arcs of its frontier, in numpy, plus a
-  fixed numpy overhead of about what a list search spends on 64 vertices
-  and arcs, however few vertices settle there.  A single search's pass
+  its distance, and a pass steps only through those distances (closest
+  stops once every ball is full: a full source's bit is cleared from the
+  unseen words, so the next level drops it; eccentricities into targets
+  once no target word holds an unseen bit of the batch).  Each step ORs
+  its frontier's arc bits into a k_w x n block, k_w being the number of
+  distinct weights, and each row that gained bits becomes the slot at
+  d + w or is ORed into it.  Unit weights (k_w = 1) keep one pending
+  slot, which is a level-synchronous BFS with no weight gather.  When
+  the weights are exactly 1..W, the slots form a ring of W + 1 indexed by
+  d mod (W + 1) instead, which copies and merges no rows: on weights
+  1..8 the merges cost about 8% of a pass.  Each step costs the arcs of
+  its frontier, in numpy, plus a fixed numpy overhead of about what a
+  list search spends on 64 vertices and arcs, however few vertices
+  settle there.  A single search's pass
   holds one bit, so it sets the words at its arcs' heads instead of
   ORing into them.
   A one-weight step pulls instead of pushing when _PULL times its
@@ -71,6 +71,18 @@ the ring rule below, its depth:
   one-bit step pulls at _PULL / 2.  The ring of weights 1..W and the
   keyed slots always push: a prototype per-(rank, head) pull made
   ecc_2plusdelta slower on weights 1..8 at n = 700 (60 against 53 ms).
+* nearest (per source, the closest member of a set, ties to the smaller
+  id): on positive weights one search from the members over the reverse
+  arcs, under the single-search ring rule, which labels each level's
+  vertices with the smallest label among their tight neighbours (a
+  member's is its own id) and stops once every source is settled (see
+  _label_levels); with a 0-weight arc, one list search per source.  From
+  the S-T sweep's sample to n / 10 members of random_connected(n, 3 n),
+  a call took 0.12 against 0.19-0.28 ms for 64-source passes at n = 150,
+  and 0.36 against 1.0-1.7 ms at n = 240 with weights 1..6, on a 2-core
+  Xeon.  A list search's row is labelled one distance at a time, so on
+  nearly distinct weights a call of a few sources can cost more than
+  their own list searches.
 
 The ring rule decides, for a call of k searches (k = 1 for a single
 search, one per source for a batch), which run in the ring, the others
@@ -616,10 +628,12 @@ def eccentricities(g: Graph, sources, direction: str = "out", targets=None) -> l
         return []
     cols = range(g.n) if targets is None else _source_set(g, targets)
     picked = None if targets is None else _mask(g, cols)
+    into = None if targets is None else np.asarray(cols, dtype=np.int64)
     out = []
 
     def from_batch(batch):
         unseen = _all_bits(g.n)
+        batch_bits = (1 << len(batch)) - 1
         # (d, the bits that reach some target first at d)
         levels = []
         for d, frontier, bits in _ring_bits(g, batch, direction, unseen):
@@ -627,10 +641,14 @@ def eccentricities(g: Graph, sources, direction: str = "out", targets=None) -> l
                 bits = bits[picked[frontier]]
             if bits.size:
                 levels.append((d, int(np.bitwise_or.reduce(bits))))
+                # A pass into targets ends once no target word holds an
+                # unseen bit of the batch; only the target words are read.
+                if into is not None and not int(np.bitwise_or.reduce(unseen[into])) & batch_bits:
+                    break
         ecc = [UNREACHABLE] * len(batch)
         # The sources that reach every target.
-        missed = unseen if picked is None else unseen[picked]
-        todo = ~int(np.bitwise_or.reduce(missed)) & ((1 << len(batch)) - 1)
+        missed = unseen if into is None else unseen[into]
+        todo = ~int(np.bitwise_or.reduce(missed)) & batch_bits
         for d, word in reversed(levels):
             hit = word & todo
             todo ^= hit
@@ -648,39 +666,74 @@ def nearest(g: Graph, sources, members, direction: str = "out") -> list:
     Entry i is (t, d) for the t in ``members`` with the smallest
     (d(sources[i], t), t) ("out") or (d(t, sources[i]), t) ("in"), so ties
     go to the smaller id; (the smallest member, UNREACHABLE) when no
-    member is reachable.  A ring pass stops once each of its sources has
-    met a member.
+    member is reachable.
+
+    On positive weights it is one search from the members, over the
+    reverse arcs, under the ring rule as in _distances, labelled by
+    _label_levels; it stops once every source is settled.  A graph with a
+    0-weight arc runs one list search per source instead.
     """
     srcs = _listed(g, sources)
     cols = _source_set(g, members)
     if not srcs:
         return []
-    picked = _mask(g, cols)
-    out = []
+    if not g.positive_weights:
+        return [_nearest_in_row(_list_distances(g, (s,), direction), cols) for s in srcs]
+    g._key(direction)  # a bad direction raises before anything is cached
+    back = "in" if direction == "out" else "out"
+    ring, rows = _ring_rule(g, cols, 1, back)
+    if ring:
+        with contextlib.suppress(_RingFull):
+            levels = _ring_bits(g, cols, back, _all_bits(g.n), one_bit=True)
+            return _label_levels(g, srcs, cols, direction, ((d, at) for d, at, _ in levels))
+    row = rows[0] if rows else _list_distances(g, cols, back)
+    return _label_levels(g, srcs, cols, direction, _row_levels(row))
 
-    def from_batch(batch):
-        found = [(cols[0], UNREACHABLE)] * len(batch)
-        todo = np.uint64((1 << len(batch)) - 1)
-        for d, frontier, bits in _ring_bits(g, batch, direction, _all_bits(g.n)):
-            hit = picked[frontier]
-            if not hit.any():
-                continue
-            # Members arrive in id order, so the first to carry a bit is
-            # that source's nearest: bit i is new at the member where the
-            # running OR first gains it.
-            first = np.bitwise_or.accumulate(bits[hit] & todo)
-            new = first.copy()
-            new[1:] ^= first[:-1]
-            for v, word in zip(frontier[hit][new != 0].tolist(), new[new != 0].tolist()):
-                for i in _bit_indices(word):
-                    found[i] = (v, d)
-            todo &= ~first[-1]
-            if not todo:
-                break
-        out.extend(found)
 
-    _each(g, srcs, direction, lambda row: out.append(_nearest_in_row(row, cols)), from_batch)
-    return out
+def _label_levels(g: Graph, srcs: list, cols: list, direction: str, levels) -> list:
+    """nearest's answer from one search from the members ``cols``, given
+    as its levels (d, vertices) in increasing d, which it stops reading
+    once every source is settled.
+
+    A member's label is its own id.  A vertex v settled at d > 0 takes
+    the smallest label among its tight neighbours: the heads u of its
+    arcs v -> u in ``direction`` with d(u) + w(v -> u) = d.  Weights are
+    positive, so every tight neighbour settled at a smaller distance and
+    is labelled already, and v's label is its smallest-id nearest member.
+    """
+    indptr, degree, heads, weights = g.arcs(direction)
+    dist = np.full(g.n, -1, dtype=np.int64)
+    label = np.zeros(g.n, dtype=np.int64)
+    wanted = _mask(g, srcs)
+    left = int(wanted.sum())
+    for d, level in levels:
+        dist[level] = d
+        if d:
+            arcs, counts = _arcs(indptr, degree, level)
+            to = heads[arcs]
+            near = dist[to]
+            tight = near == d - 1 if g.unit_weights else (near >= 0) & (near == d - weights[arcs])
+            # Every vertex of the level has a tight arc, so no run is empty.
+            label[level] = np.minimum.reduceat(np.where(tight, label[to], g.n),
+                                               counts.cumsum() - counts)
+        else:
+            label[level] = level
+        left -= int(wanted[level].sum())
+        if not left:
+            break
+    return [(t, d) if d >= 0 else (cols[0], UNREACHABLE)
+            for t, d in zip(label[srcs].tolist(), dist[srcs].tolist())]
+
+
+def _row_levels(row):
+    """The levels (d, vertices) of a distance row, in increasing d."""
+    dist = np.fromiter((-1 if d == UNREACHABLE else d for d in row), dtype=np.int64,
+                       count=len(row))
+    order = np.argsort(dist)
+    order = order[dist[order] >= 0]
+    cuts = np.flatnonzero(np.diff(dist[order])) + 1
+    for at in np.split(order, cuts):
+        yield int(dist[at[0]]), at
 
 
 def _listed(g: Graph, sources) -> list:

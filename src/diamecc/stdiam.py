@@ -9,11 +9,13 @@ S-to-T distances, hence never exceed the true value:
 * st_2approx_weighted -- nonnegative weights; true_mode gives D/2 <= out <= D.
 
 The three sweeps share _two_approx_sweep, which runs the paper's
-O(sqrt(n) log n) single-source searches as a few batched reductions from
-search (multi_source_distance, nearest, and eccentricities into a target
-set).  st_2approx_true runs it on the original graph, lifted through the
-port counts of the degree-3 blow-up, whose distances are the original
-ones; the blown graph is never built.
+O(sqrt(n) log n) single-source searches as a few calls into search:
+multi_source_distance and nearest, one search each (nearest's from the
+member set, as Thorup and Zwick find pivots, labelled with each vertex's
+smallest-id nearest member), and eccentricities into a target set,
+batched 64 sources per pass.  st_2approx_true runs it on the original
+graph, lifted through the port counts of the degree-3 blow-up, whose
+distances are the original ones; the blown graph is never built.
 
 st_via_diameter computes the S-T Diameter *exactly* given any exact
 Diameter solver, via pendant-edge gadget graphs.
@@ -75,10 +77,11 @@ def _two_approx_sweep(g: Graph, S, T, rng: Random, z_size: int, extend_positive:
     x's nearest t_x in T, from t_bar (the vertex of T farthest from the
     sample), from each vertex y of t_bar's neighbourhood Y, and from each
     y's nearest s_y in S.  It needs only three reductions of those
-    searches, which run batched: the sample's multi-source distances,
-    the nearest member of a set under (distance, id), and the largest
-    distance into a set.  Returns the largest realized S-to-T distance
-    found: from t_bar and each t_x into S, and from each s_y into T.
+    searches: the sample's multi-source distances and the nearest member
+    of a set under (distance, id), one search each, and the largest
+    distance into a set, batched.  Returns the largest realized S-to-T
+    distance found: from t_bar and each t_x into S, and from each s_y
+    into T.
 
     ``ports`` lifts the sweep from a graph in which vertex v stands for
     ports[v] consecutive ids (1 each when None): the sample is drawn over

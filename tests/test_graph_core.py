@@ -806,6 +806,172 @@ class TestBatchedReductions:
             _assert_reductions(g, sources, direction)
 
 
+def _nearest_by_rows(g, sources, members, direction):
+    """nearest's answer from one Bellman-Ford row per source."""
+    rows = {s: bellman_ford(g, s, direction) for s in set(sources)}
+    return [min((rows[s][t], t) for t in members)[::-1] for s in sources]
+
+
+def _spy_searches(monkeypatch) -> list:
+    """Record every search started from now on: "ring" for a ring pass
+    (the unit-weight probe's included) and the sources of a list search."""
+    searches = []
+    ring_bits, list_distances = search._ring_bits, search._list_distances
+
+    def ring(*args, **kwargs):
+        searches.append("ring")
+        return ring_bits(*args, **kwargs)
+
+    def lists(g, sources, direction):
+        searches.append(tuple(sources))
+        return list_distances(g, sources, direction)
+
+    monkeypatch.setattr(search, "_ring_bits", ring)
+    monkeypatch.setattr(search, "_list_distances", lists)
+    return searches
+
+
+class TestNearest:
+    # On positive weights nearest is one search from the members over the
+    # reverse arcs, in the ring or as a list search, labelled level by
+    # level; a graph with a 0-weight arc runs one list search per source.
+    # _STEP_COST = 0 sends every search after the probe that the memory
+    # half admits to the ring, so both kinds of search are checked.
+    WEIGHTS = {"unit": [1], "one-to-w": range(1, 9), "keyed": [1, 7, 50]}
+
+    @pytest.mark.parametrize("cost", [0, search._STEP_COST])
+    @pytest.mark.parametrize("directed", [True, False])
+    @pytest.mark.parametrize("weights", list(WEIGHTS))
+    def test_matches_bellman_ford(self, monkeypatch, weights, directed, cost):
+        monkeypatch.setattr(search, "_STEP_COST", cost)
+        rng = Random(40 + directed)
+        # Mostly connected, fragmented, and small enough that sources repeat.
+        for n, m in ((150, 600), (150, 120), (40, 120)):
+            arcs = random_graph(rng, n, m, directed, loops=True).edges
+            g = Graph(n, [(u, v, rng.choice(self.WEIGHTS[weights])) for u, v, _ in arcs],
+                      directed=directed)
+            for direction in ("out", "in"):
+                for count in (1, 2, 65, 200):
+                    sources = [rng.randrange(n) for _ in range(count)]
+                    members = rng.sample(range(n), rng.choice([1, 3, n // 4]))
+                    want = _nearest_by_rows(g, sources, members, direction)
+                    assert nearest(g, sources, members, direction) == want
+
+    @pytest.mark.parametrize("cost", [0, search._STEP_COST])
+    @pytest.mark.parametrize("direction", ["out", "in"])
+    @pytest.mark.parametrize("arcs", [
+        # From 0, members 6 and 5 are both at 2, through 1 and 2: the first
+        # tight neighbour carries the larger label.  Member 4 sits behind
+        # 3, the closest neighbour, but 11 away, so 3 is not tight.
+        [(0, 1, 1), (0, 2, 1), (0, 3, 1), (1, 6, 1), (2, 5, 1), (3, 4, 10)],
+        # The same meeting at 4 through tight neighbours that settle at
+        # different distances of the search from the members, 1 and 3.
+        [(0, 1, 3), (0, 2, 1), (0, 3, 1), (1, 6, 1), (2, 5, 3), (3, 4, 10)],
+    ], ids=["equal-arcs", "mixed-arcs"])
+    def test_the_smaller_label_wins_a_tie(self, monkeypatch, arcs, direction, cost):
+        monkeypatch.setattr(search, "_STEP_COST", cost)
+        if direction == "in":
+            arcs = [(v, u, w) for u, v, w in arcs]
+        g = Graph(7, arcs, directed=True)
+        d = 4 if arcs[0][2] == 3 else 2
+        searches = _spy_searches(monkeypatch)
+        for _ in range(2):  # the probe's row, then the ring when it may run
+            assert nearest(g, [0, 0, 3], [6, 5, 4], direction) == [(5, d), (5, d), (4, 10)]
+            assert nearest(g, range(7), [6, 5, 4], direction) == _nearest_by_rows(
+                g, range(7), [6, 5, 4], direction)
+        assert ("ring" in searches) == (cost == 0)
+
+    @pytest.mark.parametrize("cost", [0, search._STEP_COST])
+    def test_sources_that_are_members_and_unreachable_members(self, monkeypatch, cost):
+        monkeypatch.setattr(search, "_STEP_COST", cost)
+        # A directed weighted path 0 -> 1 -> 2 -> 3, a pair 4 -> 5 and a lone 6.
+        g = Graph(7, [(0, 1, 2), (1, 2, 2), (2, 3, 1), (4, 5, 3)], directed=True)
+        for _ in range(2):
+            assert nearest(g, [2, 0, 5, 6, 4, 3], [5, 2]) == [
+                (2, 0), (2, 4), (5, 0), (2, UNREACHABLE), (5, 3), (2, UNREACHABLE)]
+            assert nearest(g, [2, 0, 5, 6, 4, 3], [5, 2], "in") == [
+                (2, 0), (2, UNREACHABLE), (5, 0), (2, UNREACHABLE), (2, UNREACHABLE), (2, 1)]
+            assert nearest(g, [6, 6], [3, 1]) == [(1, UNREACHABLE)] * 2
+        for direction in ("out", "in"):
+            want = _nearest_by_rows(g, range(7), [5, 2, 6], direction)
+            assert nearest(g, range(7), [5, 2, 6], direction) == want
+
+    def test_deep_weighted_cycle_labels_the_list_row(self, monkeypatch):
+        # The rule refuses the ring on a directed 320-cycle of weights
+        # 1..10 from the members too, so both calls per direction label the
+        # row of one list search: the probe's, then a new one.
+        rng = Random(17)
+        cycle = Graph(320, [(i, (i + 1) % 320, rng.randint(1, 10)) for i in range(320)],
+                      directed=True)
+        members = list(range(3, 320, 40))
+        sources = list(range(0, 320, 5)) * 2
+        searches = _spy_searches(monkeypatch)
+        for direction in ("out", "in"):
+            want = _nearest_by_rows(cycle, sources, members, direction)
+            assert nearest(cycle, sources, members, direction) == want
+            assert nearest(cycle, sources, members, direction) == want
+        assert searches == [tuple(members)] * 4
+        for back in ("out", "in"):
+            assert search._ring_rule(cycle, members, 1, back) == (False, [])
+
+    @pytest.mark.parametrize("max_w", [1, 8])
+    def test_ring_full_falls_back_to_the_list_row(self, monkeypatch, max_w):
+        # A pass that raises _RingFull after its first levels were labelled
+        # keeps nothing: the call answers from one list search.
+        monkeypatch.setattr(search, "_STEP_COST", 0)
+        ring_bits = search._ring_bits
+
+        def full_after_two(*args, **kwargs):
+            for i, level in enumerate(ring_bits(*args, **kwargs)):
+                if i == 2:
+                    raise search._RingFull
+                yield level
+
+        g = random_connected(Random(max_w), 200, 600, max_w)
+        sources, members = list(range(0, 200, 3)), [5, 17, 150]
+        want = _nearest_by_rows(g, sources, members, "out")
+        assert nearest(g, sources, members) == want  # the probe
+        monkeypatch.setattr(search, "_ring_bits", full_after_two)
+        searches = _spy_searches(monkeypatch)
+        assert nearest(g, sources, members) == want
+        assert searches == ["ring", tuple(members)]
+
+    def test_twin_path_overflows_and_marks(self, monkeypatch):
+        # From the start of the twin path each step leaves a slot 1000
+        # ahead, so a search from members there outgrows its live slots.
+        monkeypatch.setattr(search, "_STEP_COST", 0)
+        g = _twin_path()
+        sources, members = [599, 300, 2, 0], [0, 1]
+        want = _nearest_by_rows(g, sources, members, "in")
+        for _ in range(3):  # the probe's row, the overflow, then a list search
+            assert nearest(g, sources, members, "in") == want
+        assert g._csr[("full", "out")] and ("full", "in") not in g._csr
+
+    def test_zero_weights_run_one_list_search_per_source(self, monkeypatch):
+        g = random_graph(Random(44), 60, 150, True, max_w=3, min_w=0)
+        assert not g.positive_weights
+        searches = _spy_searches(monkeypatch)
+        sources, members = [5, 5, 7, 59, 0], [3, 30, 31]
+        for direction in ("out", "in"):
+            want = _nearest_by_rows(g, sources, members, direction)
+            assert nearest(g, sources, members, direction) == want
+        assert searches == [(s,) for s in sources] * 2
+
+    @pytest.mark.parametrize("directed", [True, False])
+    @pytest.mark.parametrize("max_w", [1, 6])
+    def test_one_search_whatever_the_sources(self, monkeypatch, max_w, directed):
+        searches = _spy_searches(monkeypatch)
+        rng = Random(45)
+        for count in (1, 2, 64, 65, 300):
+            g = (random_strongly_connected(rng, 300, 900, max_w) if directed
+                 else random_connected(rng, 300, 900, max_w))
+            for direction in ("out", "in"):
+                sources = [rng.randrange(300) for _ in range(count)]
+                searches.clear()
+                nearest(g, sources, [3, 100, 200], direction)
+                assert len(searches) == 1
+
+
 class TestRingRule:
     def test_memory_bound(self):
         rng = Random(16)
@@ -913,6 +1079,8 @@ class TestRingRule:
     def test_probe_row_is_the_first_answer(self, reduction):
         # The first call on a fresh weighted graph answers its first source
         # from the depth probe's row, on both sides of the depth rule.
+        # nearest searches from the members instead (see TestNearest), so
+        # for it only the Bellman-Ford answers are checked.
         rng = Random(18)
         deep = Graph(320, [(i, (i + 1) % 320, rng.randint(1, 10)) for i in range(320)],
                      directed=True)
@@ -930,7 +1098,8 @@ class TestRingRule:
                     "max_distances": [max(col) for col in zip(*rows)],
                     "nearest": [min((row[t], t) for t in members)[::-1] for row in rows]}
             assert run(g, srcs) == want[reduction]
-            assert search._ring_rule(g, srcs[:1], len(srcs), "out") == (ring, [])
+            if reduction != "nearest":
+                assert search._ring_rule(g, srcs[:1], len(srcs), "out") == (ring, [])
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), n=st.integers(1, 60), directed=st.booleans(),

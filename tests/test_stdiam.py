@@ -7,8 +7,10 @@ from random import Random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import path_graph, random_connected, random_graph, reference_st_sweep, star_graph
+from conftest import (bellman_ford, path_graph, random_connected, random_graph,
+                      reference_st_sweep, star_graph)
 from diamecc import search, stdiam
 from diamecc.eccen import _sqrt_sample_size, ceil_sqrt
 from diamecc import (UNREACHABLE, Graph, STInstance, build_equivalence_gadget, degree3_blowup,
@@ -346,3 +348,79 @@ class TestRealizedEstimates:
                           st_2approx_true(inst, trial),
                           st_2approx_weighted(inst, trial, true_mode=True)):
                 assert value <= D
+
+
+@st.composite
+def _connected_st_instances(draw, weights):
+    """A small connected undirected graph with no self-loops, a random
+    spanning tree plus extra edges, each weight drawn from ``weights``,
+    and nonempty S and T."""
+    n = draw(st.integers(1, 24))
+    pairs = [(v, draw(st.integers(0, v - 1))) for v in range(1, n)]
+    pairs += [(u, v) for u, v in draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                                         st.integers(0, n - 1)),
+                                               max_size=2 * n)) if u != v]
+    ws = draw(st.lists(st.sampled_from(weights), min_size=len(pairs), max_size=len(pairs)))
+    S = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n))
+    T = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n))
+    return STInstance(Graph(n, [(u, v, w) for (u, v), w in zip(pairs, ws)]), S, T)
+
+
+def _st_oracle(inst) -> int:
+    """D_{S,T} from one Bellman-Ford row per vertex of S."""
+    return max(bellman_ford(inst.graph, s)[t] for s in inst.S for t in inst.T)
+
+
+def _fresh(inst):
+    """The same instance on a new Graph, with nothing cached."""
+    g = inst.graph
+    return STInstance(Graph(g.n, g.edges), inst.S, inst.T)
+
+
+class TestSTProperties:
+    """The S-T estimators on small connected graphs, unit and weighted,
+    against a Bellman-Ford oracle: every estimate is at most D, the true
+    modes give at least D/2, and a seed fixes the output.  At these sizes
+    the sample holds every vertex, or, for st_2approx_true, at least four
+    fifths of the blow-up's ids; its lower bound then fails only when the
+    sample misses every one of the 9 or more ids of t_bar's neighbourhood,
+    below 10**-6 per draw."""
+
+    UNIT = {"st_3approx": lambda inst, seed: st_3approx(inst)[0],
+            "st_2approx_sqrt": st_2approx_sqrt, "st_2approx_true": st_2approx_true}
+    WEIGHTED = {"st_3approx": lambda inst, seed: st_3approx(inst)[0],
+                "weighted": st_2approx_weighted,
+                "weighted-true": lambda inst, seed: st_2approx_weighted(inst, seed, True)}
+    # The smallest estimate each guarantees, given D.
+    FLOOR = {"st_3approx": lambda D: -(-D // 3), "st_2approx_sqrt": lambda D: 2 * (D // 4),
+             "st_2approx_true": lambda D: -(-D // 2), "weighted": lambda D: 0,
+             "weighted-true": lambda D: -(-D // 2)}
+
+    @settings(max_examples=60, deadline=None)
+    @given(inst=_connected_st_instances([1]), seed=st.integers(0, 2**16))
+    def test_unit_estimates(self, inst, seed):
+        self._check(inst, seed, self.UNIT)
+
+    @settings(max_examples=60, deadline=None)
+    @given(inst=_connected_st_instances([0, 1, 2, 5, 9]), seed=st.integers(0, 2**16))
+    def test_weighted_estimates(self, inst, seed):
+        self._check(inst, seed, self.WEIGHTED)
+
+    def _check(self, inst, seed, estimators):
+        D = _st_oracle(inst)
+        for name, run in estimators.items():
+            value = run(inst, seed)
+            assert self.FLOOR[name](D) <= value <= D, name
+            assert run(_fresh(inst), seed) == value, name
+        value, (s, t) = st_3approx(inst)
+        assert s in inst.S and t in inst.T and bellman_ford(inst.graph, s)[t] == value
+
+    @settings(max_examples=60, deadline=None)
+    @given(inst=_connected_st_instances([0, 1, 3]))
+    def test_blowup_preserves_representative_distances(self, inst):
+        g = inst.graph
+        blown, bmap = degree3_blowup(g)
+        assert all(len(blown.adj_out[v]) <= 3 for v in range(blown.n))
+        for u in range(g.n):
+            row = bellman_ford(blown, bmap.rep[u])
+            assert [row[bmap.rep[v]] for v in range(g.n)] == bellman_ford(g, u)
