@@ -53,10 +53,10 @@ the ring rule below, its depth:
   d mod (W + 1) instead, which copies and merges no rows: on weights
   1..8 the merges cost about 8% of a pass.  Each step costs the arcs of
   its frontier, in numpy, plus a fixed numpy overhead of about what a
-  list search spends on 64 vertices and arcs, however few vertices
-  settle there.  A single search's pass
-  holds one bit, so it sets the words at its arcs' heads instead of
-  ORing into them.
+  list search spends on 64 vertices and arcs and the settle of all n
+  words of its slot, however few vertices settle there.  A single
+  search's pass holds one bit, so it sets the words at its arcs' heads
+  instead of ORing into them.
   A one-weight step pulls instead of pushing when _PULL times its
   frontier's arcs reach the graph's m arcs: every vertex ORs its
   in-neighbours' settled words (its out-neighbours' in an in-search)
@@ -91,26 +91,26 @@ running one list search each.  Its words are counted against
 targets take 16 per vertex and 8 per arc on one weight, 24 off it, and
 the lists a list search builds about 64 and 95 (see Graph).
 
-* depth: unit weights with k > 1 run in the ring with no probe.  In any
-  other call, a single search or a batch of one source alike, the first
-  call on a graph in a direction runs its first search as the depth
-  probe, and that search's row gives D, its largest finite distance, and
-  K, its number of distinct finite distances; later calls reuse them.
-  Off unit weights the probe is a list search.  On unit weights it is a
-  one-bit ring pass, which gives up for a list search at the first level
-  d where 64 (d + 2) > n + m, past which the rule refuses a single
-  search, or where its settles have scanned d n > 64 (n + m) words (see
-  _ring_row).  So D, K and every later choice are a list probe's, and a
-  shallow unit graph builds no adjacency lists.  A pass of b sources
-  over keyed slots takes about min(D + W + 1, K b) steps, W being the
-  largest weight, and one over the ring of weights 1..W, or over unit
-  weights, steps through every distance, D + W + 1.  The k'
+* depth: a ring step costs c = 64 + n // 64 list-search vertex and arc
+  scans (_step_cost): its fixed numpy overhead and its n-word settle.
+  Unit weights with k > 1 run in the ring with no probe.  In any other
+  call, a single search or a batch of one source alike, the first call
+  on a graph in a direction runs its first search as the depth probe,
+  whose row gives D, its largest finite distance, and K, its number of
+  distinct finite distances; later calls reuse them.  A pass of b
+  sources over keyed slots takes about min(D + W + 1, K b) steps, W
+  being the largest weight, and one over the ring of weights 1..W, or
+  over unit weights, steps through every distance, D + W + 1.  The k'
   searches left (k - 1 on that first call, k after) run in the ring only
-  when 64 times the steps of their passes is at most k' (n + m), the
-  list searches' scans; a single search is one pass with k' = 1,
-  whatever its sources.  The keyed estimate, never above the ring's, is
-  asked before the memory half, so a graph that fails it builds no
-  ring encoding.
+  when c times the steps of their passes is at most k' (n + m), the list
+  searches' scans; a single search is one pass with k' = 1, whatever its
+  sources.  The keyed estimate, never above the ring's, is asked before
+  the memory half, so a graph that fails it builds no ring encoding.
+  Off unit weights the probe is a list search.  On unit weights it is a
+  one-bit ring pass that gives up for a list search at the first level d
+  where c (d + W + 1) > n + m, from which the rule refuses a single
+  search (see _ring_row).  So D, K and every later choice are a list
+  probe's, and a shallow unit graph builds no adjacency lists.
   On a directed 320-cycle with weights 1..10, a step took about 12 us and
   a Dijkstra about 0.18 us per vertex or arc, and the ring took 19 times
   as long as 10 list searches and 3 times as long as 64; the rule sends
@@ -118,8 +118,10 @@ the lists a list search builds about 64 and 95 (see Graph).
   stdiam.st_via_diameter have W about 2 n but K below 10, so they run in
   the ring.  One search on random_strongly_connected(n, 4 n) took 0.3 ms
   in the ring against 1.1 ms as a BFS at n = 1500, and 1.1-2 ms against
-  23 ms at n = 10**4; a directed 2000-cycle (D = 1999) and a 300-path
-  keep the list search.
+  23 ms at n = 10**4.  A directed 2000-cycle (D = 1999), a 300-path and
+  a parsed 50 x 2000 grid (n = 10**5, D = 2048) keep the list search: a
+  search on the grid after the probe took 0.04-0.08 s as a BFS, against
+  0.17-0.41 s in the ring when the step cost left out the settle.
 * memory, before a pass: the k_w x n block and two slots must fit,
   (k_w + 2) n <= 16 (n + m), or no ring encoding is built.  Unit weights
   always pass; random weights up to 10**6, nearly all distinct, fail.
@@ -138,17 +140,11 @@ sources skip the probe and always run in the ring, so a long path or
 cycle pays one step per level; and D and K come from one search, so a
 directed graph whose probe reaches only a shallow part can still let a
 deep batch or search into the ring.  A deep unit graph's first search
-pays for the probe's ring pass up to where it gives up and then for the
-list search.  The first sssp took 1.6-1.8 ms against 0.84-0.88 ms for a
-list probe on a parsed directed 2000-cycle (62 levels), 13-14 ms against
-9.6-9.8 ms on a directed 20000-cycle (130 levels, the settle bound),
-0.29-0.32 ms against 0.24-0.26 ms on a 300-path (9 levels), and 0.15
-against 0.10 s on a directed 10**5-cycle, on a 2-core Xeon.  Without the
-settle bound the last would take 0.5 s, and 6.4 s against 0.34 s at
-3 * 10**5 vertices: every step settles all n words.  A scalar step for
-narrow frontiers would remove this cost.  The same n-word settle is
-missing from the rule's step cost, so on a large graph the ring can
-take a single search at a depth where it is slower than a list search.
+pays for the probe's ring pass, about (n + m) / c levels, and then for
+the list search: on parsed directed cycles of 2000, 20000 and 10**5
+vertices it took 1.2-1.4, 11-14 and 80-90 ms against 0.6, 6.5-8.6 and
+55-65 ms for a list probe alone, on a 2-core Xeon.  A scalar step for
+narrow frontiers would remove this cost.
 
 All tie-breaking is by (distance, vertex id) ascending, so every operation
 here is deterministic.
@@ -169,12 +165,11 @@ from .graph import UNREACHABLE, Graph, Neighborhood, _from_columns, _group_order
 _WORD = np.iinfo(np.uint64).bits
 
 # The ring rule (see the module docstring): ring words allowed per vertex
-# and edge, and a ring step's fixed cost in list-search vertex and arc scans.
+# and edge, and a ring step's cost in list-search vertex and arc scans: a
+# fixed _STEP_COST, plus the settle of all n words of its slot at
+# _SETTLE_WORDS words to a scan (see _step_cost).
 _RING_WORDS_PER_ITEM = 16
 _STEP_COST = 64
-
-# Each ring step also settles all n words of its slot; the unit-weight depth
-# probe counts this many of them as one list-search scan (see _ring_row).
 _SETTLE_WORDS = 64
 
 # A one-weight ring step pulls over the reverse arcs when _PULL times its
@@ -272,16 +267,16 @@ def _ring_row(g: Graph, sources, direction: str, probe: bool = False):
     once every vertex is settled.
 
     With ``probe`` (unit weights) the pass gives up and returns None at
-    the first level d where _STEP_COST (d + 2) > n + m, the depth at which
-    the ring rule sends a single search to the list, or where its settles
-    have scanned d n > _SETTLE_WORDS (n + m) words, which comes first
-    once n is above about 4000 and keeps a deep graph's give-up linear.
+    the first level d where _fits refuses a single search of depth d:
+    where d + W + 1 steps (W = 1, or 0 with no arcs) at _step_cost each,
+    the settle of all n words included, exceed a list search's n + m.
     """
     n, scans = g.n, g.n + g.m
+    cost = _step_cost(g) if probe else 0
     dist = np.full(n, -1, dtype=np.int64)
     left = n
     for d, frontier, _ in _ring_bits(g, sources, direction, _all_bits(n), one_bit=True):
-        if probe and (_STEP_COST * (d + 2) > scans or d * n > _SETTLE_WORDS * scans):
+        if cost * (d + g.max_weight + 1) > scans:
             return None
         dist[frontier] = d
         left -= len(frontier)
@@ -392,6 +387,11 @@ def _slot_cap(g: Graph) -> int:
     return _RING_WORDS_PER_ITEM * (g.n + g.m) // g.n
 
 
+def _step_cost(g: Graph) -> int:
+    """A ring step's cost in list-search scans, its n-word settle included."""
+    return _STEP_COST + g.n // _SETTLE_WORDS
+
+
 def _ring_rule(g: Graph, first, left: int, direction: str):
     """The ring rule (see the module docstring) for a call of ``left``
     searches, the first of them from the source set ``first``.
@@ -410,7 +410,7 @@ def _fits(g: Graph, direction: str, depth: int, distinct: int, left: int) -> boo
     """The depth and memory halves of the ring rule for ``left`` sources,
     one bit each, given the probe's D and K; False after a pass in this
     direction raised _RingFull."""
-    scans = left * (g.n + g.m)
+    scans, cost = left * (g.n + g.m), _step_cost(g)
     deepest = depth + g.max_weight + 1
     # Keyed slots step only through pending distances, at most K per source;
     # this is the lower estimate, so it is asked before the arrays are built.
@@ -419,23 +419,24 @@ def _fits(g: Graph, direction: str, depth: int, distinct: int, left: int) -> boo
     # The memory half: no ring encoding is built when the k_w x n block and
     # two slots would not fit next to the graph, or when it has a 0-weight arc.
     if (not left or g._csr.get(("full", g._key(direction)))
-            or _STEP_COST * keyed > scans or _csr(g, direction) is None):
+            or cost * keyed > scans or _csr(g, direction) is None):
         return False
     # Unit weights and the ring of weights 1..W step through every distance
     # up to the last.
     if g.unit_weights or _one_to_w(_csr(g, direction)[1]):
-        return _STEP_COST * -(-left // _WORD) * deepest <= scans
+        return cost * -(-left // _WORD) * deepest <= scans
     return True
 
 
 def _depth(g: Graph, sources, direction: str):
     """The ring rule's depth probe: ((D, K), rows), kept per graph and direction.
 
-    D is the largest finite distance of one list search and K the number
-    of distinct finite distances in it.  The first call runs that search
-    from ``sources`` and returns its row; later calls reuse (D, K) and
-    return no rows.  They only pick a kernel, so which search measured
-    them never changes a result.
+    D is the largest finite distance of one search and K the number of
+    distinct finite distances in it.  The first call runs that search from
+    ``sources``, a list search or on unit weights a one-bit ring pass that
+    gives up for one (see _ring_row), and returns its row; later calls
+    reuse (D, K) and return no rows.  They only pick a kernel, so which
+    search measured them never changes a result.
     """
     key = ("depth", g._key(direction))
     depth = g._csr.get(key)
@@ -1004,13 +1005,10 @@ class BlowupMap:
     """Vertex bookkeeping for degree3_blowup.
 
     ``rep[v]`` is the representative node of original vertex v; distances
-    between representatives equal original distances.  ``port[(v, e)]`` is
-    the cycle node of v that carries original edge index e.
+    between representatives equal original distances.
     """
 
     rep: list
-    port: dict
-    original_n: int
 
 
 def degree3_blowup(g: Graph):
@@ -1031,7 +1029,7 @@ def degree3_blowup(g: Graph):
         incident[v].append(e)
 
     rep = [0] * g.n
-    port = {}
+    port = {}  # (v, e): the node of v that carries original edge e
     new_edges = []
     next_id = 0
     for v in range(g.n):
@@ -1051,4 +1049,4 @@ def degree3_blowup(g: Graph):
             next_id += deg
     for e, (u, v, w) in enumerate(g.edges):
         new_edges.append((port[(u, e)], port[(v, e)], w))
-    return Graph(next_id, new_edges, directed=False), BlowupMap(rep, port, g.n)
+    return Graph(next_id, new_edges, directed=False), BlowupMap(rep)

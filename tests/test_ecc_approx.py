@@ -416,15 +416,16 @@ class TestOneSidedness:
             assert all(folk.values[v] <= eccu[v] for v in range(n))
 
 
-def _scipy_eccentricities(g):
-    """Exact out-eccentricities from scipy's BFS, independent of diamecc.search."""
+def _scipy_eccentricities(g, sources=None):
+    """Exact out-eccentricities of ``sources`` (every vertex when None) from
+    scipy's BFS, independent of diamecc.search."""
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import shortest_path
 
-    u, v, _ = np.array(g.edges).T
+    u, v, _ = g.columns
     adj = csr_matrix((np.ones(len(u)), (u, v)), shape=(g.n, g.n))
     # unweighted=True: parallel arcs summed by csr_matrix must not act as weight 2.
-    return shortest_path(adj, directed=True, unweighted=True).max(axis=1)
+    return shortest_path(adj, directed=True, unweighted=True, indices=sources).max(axis=1)
 
 
 class TestSparseScale:
@@ -444,3 +445,22 @@ class TestSparseScale:
         est = ecc_2plusdelta(g, tau, seed)
         assert all((1 - tau) * Fraction(int(e)) / 2 <= r <= int(e)
                    for e, r in zip(ecc, est.rationals))
+
+    def test_small_sample_against_scipy_sources(self):
+        # n = 2 * 10**4: the ceil(2 sqrt(n) ln n) sample is 2802 vertices,
+        # 14% of V.  scipy checks 200 sampled sources; each estimate is
+        # one-sided, and meets its factor wherever the run certifies its
+        # sample.
+        g = random_strongly_connected(Random(0), 20000, 80000)
+        picked = Random(0).sample(range(g.n), 200)
+        ecc = _scipy_eccentricities(g, picked)
+        assert np.isfinite(ecc).all()
+        ecc = ecc.astype(np.int64).tolist()
+        tau = Fraction(1, 4)
+        est = ecc_2approx(g, 0)
+        assert all(est.values[v] <= e for v, e in zip(picked, ecc))
+        assert not est.certified or all(2 * est.values[v] >= e for v, e in zip(picked, ecc))
+        est = ecc_2plusdelta(g, tau, 0)
+        assert all(est.rationals[v] <= e for v, e in zip(picked, ecc))
+        assert not est.certified or all((1 - tau) * e / 2 <= est.rationals[v]
+                                        for v, e in zip(picked, ecc))

@@ -694,9 +694,11 @@ class TestBatchedReductions:
     def test_live_slot_overflow_falls_back(self):
         # A weight-1 path whose every arc has a weight-1000 twin: each step
         # leaves a slot pending 1000 ahead, so a pass from the start outgrows
-        # its live slots long before it ends.
+        # its live slots long before it ends.  At 1000 vertices the rule
+        # admits its 63 sources after the probe, 79 (999 + 1001) step scans
+        # against 63 (n + m); at 600 it would not, 73 * 1600 > 63 * 1798.
         sources = list(range(64))
-        g = _twin_path()
+        g = _twin_path(1000)
         assert search._ring_rule(g, sources[:1], len(sources), "out")[0]
         rows = {}
         _assert_reductions(g, sources, "out", rows)
@@ -711,7 +713,7 @@ class TestBatchedReductions:
         assert g._csr[("full", "in")]
         # A call whose first pass fits and whose second overflows keeps the
         # first pass and runs the second batch as list searches.
-        g = _twin_path()
+        g = _twin_path(1000)
         mixed = [g.n - 1] * 65 + sources
         assert search._ring_rule(g, mixed[:1], len(mixed), "out")[0]
         _assert_reductions(g, mixed, "out", rows)
@@ -810,6 +812,12 @@ def _nearest_by_rows(g, sources, members, direction):
     """nearest's answer from one Bellman-Ford row per source."""
     rows = {s: bellman_ford(g, s, direction) for s in set(sources)}
     return [min((rows[s][t], t) for t in members)[::-1] for s in sources]
+
+
+def _free_steps(monkeypatch):
+    """Price a ring step at nothing, so that every search after the probe
+    that the memory half admits runs in the ring."""
+    monkeypatch.setattr(search, "_step_cost", lambda g: 0)
 
 
 def _spy_searches(monkeypatch) -> list:
@@ -939,7 +947,7 @@ class TestNearest:
     def test_twin_path_overflows_and_marks(self, monkeypatch):
         # From the start of the twin path each step leaves a slot 1000
         # ahead, so a search from members there outgrows its live slots.
-        monkeypatch.setattr(search, "_STEP_COST", 0)
+        _free_steps(monkeypatch)
         g = _twin_path()
         sources, members = [599, 300, 2, 0], [0, 1]
         want = _nearest_by_rows(g, sources, members, "in")
@@ -1040,7 +1048,7 @@ class TestRingRule:
         ring, rows = search._ring_rule(gadget, [0], 66, "out")
         (depth, distinct), W = gadget._csr[("depth", "out")], gadget.max_weight
         assert ring and len(rows) == 1 and distinct * 64 < depth + W + 1
-        assert search._STEP_COST * 2 * (depth + W + 1) > 65 * (gadget.n + gadget.m)
+        assert search._step_cost(gadget) * 2 * (depth + W + 1) > 65 * (gadget.n + gadget.m)
 
     def test_memory_half_builds_no_arrays(self):
         # A dense digraph of nearly all-distinct weights: the probe row holds
@@ -1051,7 +1059,7 @@ class TestRingRule:
         sources = list(range(40)) * 2
         ring, rows = search._ring_rule(dense, sources[:1], len(sources), "out")
         distinct = dense._csr[("depth", "out")][1]
-        assert search._STEP_COST * distinct * 79 <= 79 * (dense.n + dense.m)
+        assert search._step_cost(dense) * distinct * 79 <= 79 * (dense.n + dense.m)
         assert not ring and len(rows) == 1
         assert dense._csr == {("depth", "out"): dense._csr[("depth", "out")], "out": None}
         _assert_reductions(dense, sources, "out")
@@ -1060,7 +1068,7 @@ class TestRingRule:
         # Weights exactly 1..30 run as a ring, which steps through all
         # D + W + 1 = 61 distances of a pass, however few of them hold bits.
         # From vertex 0 every vertex is at 30, so K = 2 and a lone source
-        # passes the keyed estimate, but 64 * 61 > n + m sends it to a list
+        # passes the keyed estimate, but 71 * 61 > n + m sends it to a list
         # search.  64 sources pay for a ring pass.
         n = 500
         edges = [(0, v, 30) for v in range(1, n)] + [(v, 0, 30) for v in range(1, n)]
@@ -1068,7 +1076,7 @@ class TestRingRule:
         g = Graph(n, edges, directed=True)
         ring, rows = search._ring_rule(g, [0], 2, "out")
         assert g._csr[("depth", "out")] == (30, 2) and search._one_to_w(search._csr(g, "out")[1])
-        assert search._STEP_COST * 2 <= g.n + g.m < search._STEP_COST * 61
+        assert search._step_cost(g) * 2 <= g.n + g.m < search._step_cost(g) * 61
         assert not ring and len(rows) == 1
         assert search._ring_rule(g, [0], 64, "out") == (True, [])
         _assert_reductions(g, [0, 5], "out")
@@ -1152,6 +1160,27 @@ def _spy_ring(monkeypatch) -> list:
     return passes
 
 
+def _spy_probe(patch):
+    """Record, from now on, the sources of every ring pass and the level of
+    every step it settles, and the sources of every list BFS."""
+    passes, levels, bfs = [], [], []
+    ring_bits, list_bfs = search._ring_bits, search._bfs
+
+    def ring(*args, **kwargs):
+        passes.append(args[1])
+        for level in ring_bits(*args, **kwargs):
+            levels.append(level[0])
+            yield level
+
+    def lists(*args):
+        bfs.append(args[2])
+        return list_bfs(*args)
+
+    patch.setattr(search, "_ring_bits", ring)
+    patch.setattr(search, "_bfs", lists)
+    return passes, levels, bfs
+
+
 class TestSingleSearches:
     # Weight draws per class: the ring runs unit weights with one pending
     # slot, weights 1..W as a ring of W + 1, sparse and many distinct
@@ -1202,7 +1231,7 @@ class TestSingleSearches:
         # back to Dijkstra; the mark then keeps later single searches and
         # batches in that direction off the ring.  The in-direction has its
         # own mark, which a batch into the far end sets for later searches.
-        monkeypatch.setattr(search, "_STEP_COST", 0)
+        _free_steps(monkeypatch)
         g = _twin_path()
         adj, rev = g.adjacency("out"), g.adjacency("in")
         assert search._csr(g, "out") is not None
@@ -1263,7 +1292,7 @@ class TestSingleSearches:
         # On unit weights K = D + 1, but a pass also settles the empty
         # level after the last, so it is counted as D + W + 1 = D + 2 steps.
         g = random_strongly_connected(Random(2), 1000, 5000)
-        depth = (g.n + g.m) // search._STEP_COST - 2
+        depth = (g.n + g.m) // search._step_cost(g) - 2
         assert search._fits(g, "out", depth, depth + 1, 1)
         assert not search._fits(g, "out", depth + 1, depth + 2, 1)
 
@@ -1286,45 +1315,54 @@ class TestSingleSearches:
         assert sssp(g, 7, "in") == bellman_ford(g, 7, "in")
         assert g._csr["out"] is not None and passes == [True]
 
-    @pytest.mark.parametrize("n, last", [(2000, 61), (20000, 129)])
+    @pytest.mark.parametrize("n, last", [(2000, 41), (20000, 105)])
     def test_deep_probe_gives_up_at_the_refused_depth(self, monkeypatch, n, last):
-        # A directed 2000-cycle has n + m = 4000, and 64 (d + 2) first
-        # exceeds it at d = 61: the probe's ring pass settles levels 0..61,
-        # gives up there, and the first search is answered by a list BFS.
-        # On a directed 20000-cycle the rule would refuse only at d = 623,
-        # but the settles' d n words first exceed 64 (n + m) at d = 129.
-        levels, bfs = [], []
-        ring_bits, list_bfs = search._ring_bits, search._bfs
-
-        def spy_ring(*args, **kwargs):
-            for level in ring_bits(*args, **kwargs):
-                levels.append(level[0])
-                yield level
-
-        def spy_bfs(*args):
-            bfs.append(args[2])
-            return list_bfs(*args)
-
-        monkeypatch.setattr(search, "_ring_bits", spy_ring)
-        monkeypatch.setattr(search, "_bfs", spy_bfs)
+        # A ring step costs 64 + n // 64 list scans.  A directed 2000-cycle
+        # has n + m = 4000, and 95 (d + 2) first exceeds it at d = 41: the
+        # probe's ring pass settles levels 0..41, gives up there, and the
+        # first search is answered by a list BFS.  On a directed 20000-cycle
+        # 376 (d + 2) first exceeds 40000 at d = 105.
+        _, levels, bfs = _spy_probe(monkeypatch)
         g = cycle_graph(n, directed=True)
-        scans = g.n + g.m
-        assert (search._STEP_COST * (last + 2) > scans or last * n > search._SETTLE_WORDS * scans)
-        assert (search._STEP_COST * (last + 1) <= scans
-                and (last - 1) * n <= search._SETTLE_WORDS * scans)
+        scans, cost = g.n + g.m, search._step_cost(g)
+        assert cost * (last + 1) <= scans < cost * (last + 2)
+        assert search._fits(g, "out", last - 1, last, 1)
+        assert not search._fits(g, "out", last, last + 1, 1)
         assert sssp(g, 0) == bellman_ford(g, 0, "out")
         assert levels == list(range(last + 1)) and bfs == [(0,)]
         assert g._csr[("depth", "out")] == (n - 1, n)
 
+    def test_later_searches_on_a_deep_grid_are_list_searches(self, monkeypatch):
+        # A parsed 25 x 800 grid: n = 20000, m = 39175 and D = 823 from a
+        # corner.  A step costs 64 + 312 list scans, so the probe gives up
+        # at level 156 and the rule refuses the ring for the second search,
+        # 376 * 825 > n + m; counting only the fixed 64 scans it would take
+        # it, and run 825 ring steps that each settle 20000 words.
+        rows, cols = 25, 800
+        edges = [(v, v + 1, 1) for v in range(rows * cols) if (v + 1) % cols]
+        edges += [(v, v + cols, 1) for v in range((rows - 1) * cols)]
+        g = parse_graph(format_graph(Graph(rows * cols, edges)))
+        passes, levels, bfs = _spy_probe(monkeypatch)
+        r, c = np.divmod(np.arange(g.n), cols)
+        for source in (0, g.n - 1):
+            manhattan = np.abs(r - source // cols) + np.abs(c - source % cols)
+            assert sssp(g, source) == manhattan.tolist()
+        assert g._csr[("depth", "out")] == (823, 824)
+        assert passes == [(0,)] and levels == list(range(157))
+        assert bfs == [(0,), (g.n - 1,)]
+
     @settings(max_examples=80, deadline=None)
     @given(data=st.data(), n=st.integers(1, 80), directed=st.booleans(),
            shape=st.sampled_from(["random", "path", "cycle"]),
-           cost=st.sampled_from([1, 4, 64]), direction=st.sampled_from(["out", "in"]))
-    def test_property_unit_probe_depth(self, data, n, directed, shape, cost, direction):
+           cost=st.sampled_from([0, 1, 4, 64]), settle=st.integers(1, 16),
+           direction=st.sampled_from(["out", "in"]))
+    def test_property_unit_probe_depth(self, data, n, directed, shape, cost, settle,
+                                       direction):
         # The unit-weight probe caches (D, K), the largest finite distance
         # and the number of distinct ones, of the row it answers with,
-        # whether its ring pass runs to the end or gives up for a list BFS;
-        # a smaller step cost lets deeper graphs finish in the ring.
+        # whether its ring pass runs to the end or gives up for a list BFS.
+        # It gives up at the first level L where _fits refuses a single
+        # search of depth L, and nowhere else, whatever the step costs.
         if shape == "random":
             pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
                                        max_size=3 * n))
@@ -1334,12 +1372,15 @@ class TestSingleSearches:
         source = data.draw(st.integers(0, n - 1))
         want = bellman_ford(g, source, direction)
         finite = [d for d in want if d != UNREACHABLE]
-        saved, search._STEP_COST = search._STEP_COST, cost
-        try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(search, "_STEP_COST", cost)
+            patch.setattr(search, "_SETTLE_WORDS", settle)
+            _, levels, bfs = _spy_probe(patch)
             assert sssp(g, source, direction) == want
-        finally:
-            search._STEP_COST = saved
+            fits = [search._fits(g, direction, d, d + 1, 1) for d in levels]
         assert g._csr[("depth", g._key(direction))] == (max(finite), len(set(finite)))
+        assert levels == list(range(len(levels))) and len(bfs) <= 1
+        assert fits == [True] * (len(levels) - len(bfs)) + [False] * len(bfs)
 
 
 def _ring_stream(g, sources, direction, one_bit):
