@@ -108,7 +108,7 @@ METHODS = {
     "st2true": (True, True, lambda g, inst, a: {"estimate": _st2(inst, a.seed, True)}),
     "st-equiv": (True, False, lambda g, inst, a: {
         "estimate": st_via_diameter(inst, exact_diameter)}),
-    "spanner-compose": (False, True, lambda g, inst, a: {
+    "spanner-compose": (False, False, lambda g, inst, a: {
         "estimate": approx_on_spanner(g, DIAMETERS[a.inner]), "inner": a.inner}),
 }
 RUN_METHODS = tuple(METHODS)

@@ -14,8 +14,8 @@ the ring rule below, its depth:
   list search that walks the Python adjacency lists one arc at a time:
   plain BFS when every weight is 1, a deque-based 0/1 search when
   weights are 0 or 1, and binary-heap Dijkstra otherwise; only they
-  build the lists, from the arc view.  k_closest is a truncated search
-  over the arc view (see it); closest below batches the same balls.
+  build the lists, from the arc view.  k_closest is one truncated heap
+  search over the arc view (_ball); closest below batches the same balls.
 * BFS trees (_bfs_parents, one per dominator of dense.additive2_spanner):
   a level-synchronous unit-weight search over the out-arc view that
   records each vertex's first discoverer.  Each level is one numpy step:
@@ -36,7 +36,8 @@ the ring rule below, its depth:
   flat int64 (owner, member, distance) arrays).  The exact oracles, the
   estimators' probe loops, the S-T sweeps, the st scope of
   hardness.verify_construction and dense.tz_center's balls are built on
-  them.
+  them.  closest never consults the depth probe, which prices a full
+  search: it runs its ring passes whenever the encoding exists.
   A bit-parallel bucket queue (Dial's, one bit per source in a uint64
   word per vertex; "the ring" below) runs up to 64 sources per pass over
   the arc view and the ring's int64 targets (_csr).  Its n-word slots
@@ -85,11 +86,11 @@ the ring rule below, its depth:
   their own list searches.
 
 The ring rule decides, for a call of k searches (k = 1 for a single
-search, one per source for a batch), which run in the ring, the others
-running one list search each.  Its words are counted against
-16 (n + m), 128 bytes per vertex and edge: the arc view and the ring's
-targets take 16 per vertex and 8 per arc on one weight, 24 off it, and
-the lists a list search builds about 64 and 95 (see Graph).
+search, one per source for eccentricities and max_distances), which run
+in the ring, the others running one list search each.  Its words are
+counted against 16 (n + m), 128 bytes per vertex and edge: the arc view
+and the ring's targets take 16 per vertex and 8 per arc on one weight,
+24 off it, and the lists a list search builds about 64 and 95 (see Graph).
 
 * depth: a ring step costs c = 64 + n // 64 list-search vertex and arc
   scans (_step_cost): its fixed numpy overhead and its n-word settle.
@@ -133,18 +134,19 @@ the lists a list search builds about 64 and 95 (see Graph).
 
 The ring runs on positive weights only: a graph with a 0-weight arc
 builds no ring encoding, so its searches, single and batched, are list
-searches.
+searches, and its balls _ball's.
 
 What stays slow on deep graphs: unit-weight batches of two or more
-sources skip the probe and always run in the ring, so a long path or
-cycle pays one step per level; and D and K come from one search, so a
-directed graph whose probe reaches only a shallow part can still let a
-deep batch or search into the ring.  A deep unit graph's first search
-pays for the probe's ring pass, about (n + m) / c levels, and then for
-the list search: on parsed directed cycles of 2000, 20000 and 10**5
-vertices it took 1.2-1.4, 11-14 and 80-90 ms against 0.6, 6.5-8.6 and
-55-65 ms for a list probe alone, on a 2-core Xeon.  A scalar step for
-narrow frontiers would remove this cost.
+sources, and closest's balls on positive weights, skip the probe and
+always run in the ring, so a long path or cycle pays one step per level
+(no caller asks closest for balls of nearly n); and D and K come from
+one search, so a directed graph whose probe reaches only a shallow part
+can still let a deep batch or search into the ring.  A deep unit graph's
+first search pays for the probe's ring pass, about (n + m) / c levels,
+and then for the list search: on parsed directed cycles of 2000, 20000
+and 10**5 vertices it took 1.2-1.4, 11-14 and 80-90 ms against 0.6,
+6.5-8.6 and 55-65 ms for a list probe alone, on a 2-core Xeon.  A scalar
+step for narrow frontiers would remove this cost.
 
 All tie-breaking is by (distance, vertex id) ascending, so every operation
 here is deterministic.
@@ -624,7 +626,7 @@ def eccentricities(g: Graph, sources, direction: str = "out", targets=None) -> l
     ("in"), v ranging over ``targets`` (every vertex when None), and
     UNREACHABLE when some such v is unreachable.
     """
-    srcs = _listed(g, sources)
+    srcs = _listed(g, sources, direction)
     if not srcs:
         return []
     cols = range(g.n) if targets is None else _source_set(g, targets)
@@ -674,13 +676,12 @@ def nearest(g: Graph, sources, members, direction: str = "out") -> list:
     _label_levels; it stops once every source is settled.  A graph with a
     0-weight arc runs one list search per source instead.
     """
-    srcs = _listed(g, sources)
+    srcs = _listed(g, sources, direction)
     cols = _source_set(g, members)
     if not srcs:
         return []
     if not g.positive_weights:
         return [_nearest_in_row(_list_distances(g, (s,), direction), cols) for s in srcs]
-    g._key(direction)  # a bad direction raises before anything is cached
     back = "in" if direction == "out" else "out"
     ring, rows = _ring_rule(g, cols, 1, back)
     if ring:
@@ -737,8 +738,10 @@ def _row_levels(row):
         yield int(dist[at[0]]), at
 
 
-def _listed(g: Graph, sources) -> list:
-    """The sources as a list, repeats kept; ValueError when one is out of range."""
+def _listed(g: Graph, sources, direction: str) -> list:
+    """The sources as a list, repeats kept; ValueError when one is out of
+    range or the direction is bad, before anything is searched or cached."""
+    g._key(direction)
     srcs = list(sources)
     if srcs and (min(srcs) < 0 or max(srcs) >= g.n):
         raise ValueError("source id out of range")
@@ -798,22 +801,19 @@ def closest(g: Graph, sources, s: int, direction: str = "out"):
 
     Returns flat int64 arrays ``(owner, member, distance)``, owner-major in
     the order given: each source's entries are k_closest(g, source, s,
-    direction).items, fewer than s when fewer are reachable.  A ring pass
-    keeps, per level, each source's smallest ids up to what its ball still
-    needs; a full source retires, so its bit drops out at the next level,
-    and the pass ends once every source has retired.
+    direction).items, fewer than s when fewer are reachable.  The sources
+    run in ring passes of up to 64 whenever the ring encoding exists and
+    no pass in this direction has raised _RingFull; the other balls, on a
+    graph with no encoding and from the batch that raised on, are _ball's.
+    A pass keeps, per level, each source's smallest ids up to what its
+    ball still needs; a full source retires, so its bit drops out at the
+    next level, and the pass ends once every source has retired.
     """
     if not 1 <= s <= g.n:
         raise ValueError(f"s must be in [1, {g.n}], got {s}")
-    srcs = _listed(g, sources)
+    srcs = _listed(g, sources, direction)
     empty = np.zeros(0, dtype=np.int64)
-    members, dists, sizes = [empty], [empty], []
-
-    def from_row(row):
-        near = heapq.nsmallest(s, ((d, v) for v, d in enumerate(row) if d != UNREACHABLE))
-        members.append(np.array([v for _, v in near], dtype=np.int64))
-        dists.append(np.array([d for d, _ in near], dtype=np.int64))
-        sizes.append(len(near))
+    parts, sizes = [(empty, empty)], []  # (members, distances) per batch or ball
 
     def from_batch(batch):
         unseen = _all_bits(g.n)
@@ -844,14 +844,20 @@ def closest(g: Graph, sources, s: int, direction: str = "out"):
                 unseen &= ~np.uint64(full)
         col, member, dist = map(np.concatenate, zip(*levels))
         order = _group_order(col)  # owner-major, levels kept in order
-        members.append(member[order])
-        dists.append(dist[order])
+        parts.append((member[order], dist[order]))
         sizes.extend((s - need[:len(batch)]).tolist())
 
-    if srcs:
-        _each(g, srcs, direction, from_row, from_batch)
-    return (np.asarray(srcs, dtype=np.int64).repeat(sizes), np.concatenate(members),
-            np.concatenate(dists))
+    lo = 0
+    if srcs and not g._csr.get(("full", g._key(direction))) and _csr(g, direction) is not None:
+        with contextlib.suppress(_RingFull):
+            for lo in range(0, len(srcs), _WORD):
+                from_batch(srcs[lo:lo + _WORD])
+            lo = len(srcs)
+    for v in srcs[lo:]:
+        parts.append(np.array(_ball(g, v, s, direction), dtype=np.int64).T)
+        sizes.append(len(parts[-1][0]))
+    member, dist = map(np.concatenate, zip(*parts))
+    return np.asarray(srcs, dtype=np.int64).repeat(sizes), member, dist
 
 
 def sssp(g: Graph, source: int, direction: str = "out") -> list:
@@ -871,40 +877,25 @@ def multi_source_distance(g: Graph, sources, direction: str = "out") -> list:
 
 
 def k_closest(g: Graph, v: int, s: int, direction: str = "out") -> Neighborhood:
-    """The s closest vertices to v under (distance, id) order.
-
-    Fewer than s come back when fewer are reachable.  The search is
-    truncated, and the rule follows the weight class, like sssp's kernel:
-
-    * unit weights: a level-synchronous BFS.  It expands whole distance
-      levels until they hold s vertices, sorts each level by id and cuts
-      the last one to fit.  It scans the arcs of every level before the
-      last one and never those of the last level.
-    * other positive weights: a heap search that stops at the s-th pop.
-      Every vertex at distance d is pushed at d before the first pop at
-      d, so the pops come in exact (distance, id) order.  It scans the
-      arcs of the first s - 1 vertices.
-    * with 0-weight edges: the same heap search, but a vertex at distance
-      d can then be pushed by another one popped at d, so it settles the
-      whole level of the s-th closest vertex, scans its arcs, and sorts.
-    """
+    """The s closest vertices to v under (distance, id) order, fewer when
+    fewer are reachable: one truncated heap search, _ball."""
     if not 1 <= s <= g.n:
         raise ValueError(f"s must be in [1, {g.n}], got {s}")
     if not 0 <= v < g.n:
         raise ValueError(f"vertex {v} out of range")
-    indptr, degree, heads, weights = g.arcs(direction)
-    if g.unit_weights:
-        items, d = [(v, 0)], 0
-        seen = np.zeros(g.n, dtype=bool)
-        seen[v] = True
-        level = np.array([v], dtype=np.int64)
-        while len(level) and len(items) < s:
-            d += 1
-            found = _sorted_unique(heads[_arcs(indptr, degree, level)[0]])
-            level = found[~seen[found]]
-            seen[level] = True
-            items.extend((x, d) for x in level[:s - len(items)].tolist())
-        return Neighborhood(v, direction, items)
+    return Neighborhood(v, direction, _ball(g, v, s, direction))
+
+
+def _ball(g: Graph, v: int, s: int, direction: str) -> list:
+    """k_closest's ball as (vertex, distance) pairs, from a heap search
+    over the arc view.  On positive weights it stops at the s-th pop:
+    every vertex at distance d is pushed at d before the first pop at d,
+    so the pops come in exact (distance, id) order, and it scans the arcs
+    of the first s - 1 vertices.  With 0-weight edges a vertex at distance
+    d can be pushed by another one popped at d, so it settles the whole
+    level of the s-th closest vertex, scans its arcs, and sorts.
+    """
+    indptr, _, heads, weights = g.arcs(direction)
     tentative = {v: 0}
     heap = [(0, v)]
     settled = {}
@@ -925,8 +916,7 @@ def k_closest(g: Graph, v: int, s: int, direction: str = "out") -> Neighborhood:
             if x not in settled and nd < tentative.get(x, UNREACHABLE):
                 tentative[x] = nd
                 heapq.heappush(heap, (nd, x))
-    items = sorted(((d, u) for u, d in settled.items()))[:s]
-    return Neighborhood(v, direction, [(u, d) for d, u in items])
+    return [(u, d) for d, u in sorted((d, u) for u, d in settled.items())[:s]]
 
 
 def eccentricity(g: Graph, v: int, direction: str = "out"):

@@ -385,6 +385,9 @@ class TestDirectionCheck:
         "k_closest": lambda g, d: k_closest(g, 0, 4, d),
         "eccentricity": lambda g, d: eccentricity(g, 0, d),
         "exact_eccentricities": lambda g, d: exact_eccentricities(g, d),
+        "eccentricities of no sources": lambda g, d: eccentricities(g, [], d),
+        "nearest of no sources": lambda g, d: nearest(g, [], [1, 2], d),
+        "closest of no sources": lambda g, d: closest(g, [], 4, d),
     }
 
     @pytest.mark.parametrize("name", CALLS)
@@ -452,6 +455,28 @@ class TestOnlyListSearchesBuildLists:
         calls.clear()
         sssp(parse_graph(format_graph(cycle_graph(2000, directed=True))), 0)
         assert calls == [self.LIST_SEARCH]
+
+    def test_ball_searches_build_no_lists_and_probe_nothing(self, monkeypatch):
+        # closest and k_closest read the arc view only, on every weight class
+        # and on weights up to 10**6, whose ring encoding fails the memory
+        # half, and closest never runs the depth probe, one source or many.
+        calls = _list_builders(monkeypatch)
+        probes = []
+        depth = search._depth
+
+        def spy(g, sources, direction):
+            probes.append(direction)
+            return depth(g, sources, direction)
+
+        monkeypatch.setattr(search, "_depth", spy)
+        rng = Random(6)
+        for max_w in (1, 7, 0, 10**6):
+            g = parse_graph(format_graph(random_graph(rng, 300, 1200, True, max_w=max_w)))
+            for direction in ("out", "in"):
+                closest(g, [5], 20, direction)
+                closest(g, range(0, 300, 3), 20, direction)
+                k_closest(g, 5, 20, direction)
+        assert calls == [] and probes == []
 
     def test_shallow_unit_graphs_build_no_lists(self, monkeypatch):
         # Every probe on these parsed shallow unit graphs is a ring pass, so
@@ -1454,10 +1479,13 @@ class TestPullSteps:
 
 
 def _assert_closest(g, sources, s, direction):
-    """closest against one k_closest per listed source, in order."""
+    """closest against each listed source's first s (distance, id) pairs
+    of its bellman_ford row, in order."""
     got = search.closest(g, sources, s, direction)
     assert all(col.dtype == np.int64 for col in got)
-    want = [(v, u, d) for v in sources for u, d in k_closest(g, v, s, direction).items]
+    balls = {v: sorted((d, u) for u, d in enumerate(bellman_ford(g, v, direction))
+                       if d != math.inf)[:s] for v in set(sources)}
+    want = [(v, u, d) for v in sources for d, u in balls[v]]
     assert list(zip(*(col.tolist() for col in got))) == want, (g, s, direction)
     return got
 
@@ -1482,10 +1510,10 @@ def _closest_graphs(rng):
 
 
 class TestClosest:
-    """The batched balls: per source, k_closest's (vertex, distance) pairs."""
+    """The batched balls: per source, its s closest (vertex, distance) pairs."""
 
     # Unit weights, the ring of weights 1..W, keyed slots, and 0-weight arcs,
-    # which keep every source on a list search.
+    # which send every source to _ball.
     @pytest.mark.parametrize("weights", [(1,), (1, 2, 3), (2, 5, 9), (0, 1, 3)],
                              ids=["unit", "one-to-w", "keyed", "zero"])
     def test_matches_k_closest(self, weights):
@@ -1499,6 +1527,13 @@ class TestClosest:
                 for s in sorted({1, math.ceil(math.sqrt(g.n)), g.n}):
                     _assert_closest(g, range(g.n), s, direction)
                 _assert_closest(g, shuffled, rng.randint(1, g.n), direction)
+
+    def test_memory_half_fails(self):
+        # Nearly distinct weights build no ring encoding: every ball is _ball's.
+        g = random_graph(Random(8), 700, 3500, True, max_w=10**6)
+        assert search._csr(g, "out") is None and search._csr(g, "in") is None
+        for direction in ("out", "in"):
+            _assert_closest(g, list(range(0, 700, 9)) + [3, 3], 27, direction)
 
     def test_fewer_than_s_reachable(self):
         g = Graph(81, [(0, v, 1) for v in range(1, 81)], directed=True)
