@@ -30,11 +30,12 @@ EXIT_SIZE = 5
 
 
 def _jsonable(x):
-    if x == UNREACHABLE:
-        return None
     if isinstance(x, (list, tuple)):
+        # A flat list with no UNREACHABLE dumps as it is.
+        if UNREACHABLE not in x and {list, tuple}.isdisjoint(map(type, x)):
+            return x
         return [_jsonable(v) for v in x]
-    return x
+    return None if x == UNREACHABLE else x
 
 
 def _render(report: dict, as_json: bool) -> str:

@@ -24,6 +24,12 @@ count in ``phases``, so ``phases`` counts bound decays and peels, while
 the searches are 2 (1 when undirected) plus 2 or 3 per non-idle phase
 and the endgame's.  On perfbench's sparse-ecc graphs at seed 1 and
 tau = 1/4, 12-14 of 21-25 phases were idle.
+
+A non-idle phase searches only as far as its decision reads.  The search
+from the probe A is full (w is the smallest id at its largest distance);
+the in-search from w stops once half + 1 active vertices are settled, all
+that near_w, the miss test and the peel test read; the reach pass, only
+compared with ceil(threshold), stops at its first level at or past it.
 """
 
 from __future__ import annotations
@@ -33,9 +39,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 
+import numpy as np
+
 from .graph import UNREACHABLE, Graph
-from .search import (eccentricities, eccentricity, k_closest, max_distances,
-                     multi_source_distance, sssp)
+from .search import (_distances, _mask, _max_row, eccentricities, eccentricity, k_closest,
+                     max_distances, multi_source_distance, sssp)
 
 # "end with |S| <= O(1)" cutoff for the threshold-decay estimator.
 TERMINAL_SIZE = 4
@@ -137,62 +145,64 @@ def ecc_2plusdelta(g: Graph, tau, seed: int = 0) -> EccEstimate:
     n = g.n
     if n == 0:
         return EccEstimate([], "ecc-2plusdelta", seed, rationals=[], phases=0)
-    from_0 = sssp(g, 0, "out")
-    to_0 = sssp(g, 0, "in") if g.directed else from_0
-    if UNREACHABLE in from_0 or UNREACHABLE in to_0:
+    from_0 = _distances(g, (0,), "out")
+    to_0 = _distances(g, (0,), "in") if g.directed else from_0
+    if from_0.min() < 0 or to_0.min() < 0:
         raise ValueError("ecc_2plusdelta requires a strongly connected graph")
     # d(v, u) <= d(v, 0) + d(0, u): no distance exceeds diam_ub.
-    diam_ub = max(to_0) + max(from_0)
+    diam_ub = int(to_0.max() + from_0.max())
     rng = Random(seed)
     decay = 1 - tau
     bound = Fraction((n - 1) * g.max_weight)
-    active = list(range(n))
-    exact = [None] * n
+    active = np.arange(n)  # ascending ids
+    # Per vertex, its entry of ``level``: a phase's threshold or an endgame value.
+    slot = np.full(n, -1, dtype=np.int64)
+    level = []
     phases = 0
     misses = 0
 
     while len(active) > TERMINAL_SIZE and bound >= 1:
         phases += 1
-        probe = sorted(rng.sample(active, min(len(active), _log_sample_size(n))))
+        # Sampling positions draws what sampling active itself would.
+        at = rng.sample(range(len(active)), min(len(active), _log_sample_size(n)))
+        probe = sorted(active[at].tolist())
         threshold = decay * bound / 2
         if diam_ub < threshold:
             # Idle: every to_w and reach value below is at most diam_ub, so
             # nothing would be peeled and the bound would just decay.
             bound = decay * bound
             continue
-        d_from_a = multi_source_distance(g, probe, "out")
-        w = d_from_a.index(max(d_from_a))
-        to_w = sssp(g, w, "in")
-        # active is ascending and the sort stable, so ties keep id order.
-        ordered = sorted(active, key=to_w.__getitem__)
+        d_from_a = _distances(g, probe, "out")
+        w = int(d_from_a.argmax())
         half = (len(active) + 1) // 2
+        # Only the half + 1 nearest active vertices are read, so the search
+        # stops once they are settled; the rest read -1, as uint64 the
+        # largest key, and sort after them (stable, so ties keep id order).
+        to_w = _distances(g, (w,), "in", (_mask(g, active), half + 1))
+        ordered = active[np.argsort(to_w[active].view(np.uint64), kind="stable")]
         near_w, far_w = ordered[:half], ordered[half:]
-        if not set(probe) & set(near_w):
+        if not _mask(g, near_w)[probe].any():
             misses += 1
-        if min(to_w[v] for v in far_w) >= threshold:
-            for v in far_w:
-                exact[v] = threshold
-            active = sorted(near_w)
+        level.append(threshold)
+        cut = math.ceil(threshold)  # to_w and reach hold ints
+        if to_w[far_w[0]] >= cut:
+            slot[far_w] = len(level) - 1
+            active = np.sort(near_w)
         else:
-            reach = max_distances(g, probe, "in")
-            # reach holds ints, so one integer cut replaces a Fraction compare per vertex.
-            cut = math.ceil(threshold)
-            survivors = []
-            for v in active:
-                if reach[v] >= cut:
-                    exact[v] = threshold
-                else:
-                    survivors.append(v)
-            active = survivors
+            peeled = _max_row(g, probe, "in", cut)[active] >= cut
+            slot[active[peeled]] = len(level) - 1
+            active = active[~peeled]
             bound = decay * bound
 
     # Endgame: exact computation when few survive, 0 when the bound
     # certifies ecc < 1 (integer weights make that ecc = 0).
-    ends = eccentricities(g, active, "out") if len(active) <= TERMINAL_SIZE else [0] * len(active)
-    for v, ecc in zip(active, ends):
-        exact[v] = Fraction(ecc)
-    values = [int(r.numerator // r.denominator) for r in exact]
-    return EccEstimate(values, "ecc-2plusdelta", seed, rationals=exact,
+    ends = ([0] * len(active) if len(active) > TERMINAL_SIZE
+            else eccentricities(g, active.tolist(), "out"))
+    slot[active] = len(level) + np.arange(len(active))
+    level += map(Fraction, ends)
+    floors = np.array([r.numerator // r.denominator for r in level], dtype=np.int64)
+    return EccEstimate(floors[slot].tolist(), "ecc-2plusdelta", seed,
+                       rationals=[level[i] for i in slot.tolist()],
                        phases=phases, sample_misses=misses, certified=misses == 0)
 
 
@@ -229,5 +239,6 @@ def source_radius(g: Graph, method: str = "2approx", seed: int = 0, tau=None):
         est = ecc_2plusdelta(g, tau if tau is not None else Fraction(1, 4), seed)
     else:
         raise ValueError(f"unknown method {method!r}")
-    center = min(range(g.n), key=lambda v: (est.values[v], v))
+    # index takes the first minimum, so ties go to the smaller id.
+    center = est.values.index(min(est.values))
     return center, eccentricity(g, center, "out")

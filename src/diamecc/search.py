@@ -3,19 +3,23 @@
 Which kernel runs follows the weight class of the graph and, through
 the ring rule below, its depth:
 
-* single searches (sssp and multi_source_distance, which return the
-  distance row as a list, and eccentricity, is_connected and
-  is_strongly_connected on them): one search from a source set.  When
-  the ring rule admits it, it is one pass of the ring described next,
-  with every source in bit 0, and each distance it settles writes that
-  row entry for its vertices.  The pass stops once every vertex is
-  settled, so a search that reaches them all never scans its last
-  level's arcs (on a dense graph, a pull over all m).  Otherwise it is a
-  list search that walks the Python adjacency lists one arc at a time:
-  plain BFS when every weight is 1, a deque-based 0/1 search when
-  weights are 0 or 1, and binary-heap Dijkstra otherwise; only they
-  build the lists, from the arc view.  k_closest is one truncated heap
-  search over the arc view (_ball); closest below batches the same balls.
+* single searches (_distances, whose row is an int64 array with -1 where
+  unreachable, under is_connected, is_strongly_connected and eccen; sssp
+  and multi_source_distance, and eccentricity on them, return it as a
+  list, a list search's own list unconverted): one search from a source
+  set.  When the ring rule admits it, it is one pass of the ring
+  described next, with every source in bit 0, and each distance it
+  settles writes that row entry for its vertices.  The pass stops once
+  every vertex is settled, so a search that reaches them all never scans
+  its last level's arcs (on a dense graph, a pull over all m), or, when
+  asked, once k marked vertices are settled, the rest left at -1
+  (ecc_2plusdelta reads only its half + 1 nearest active vertices).
+  Otherwise it is a list search that walks the Python adjacency lists one
+  arc at a time: plain BFS when every weight is 1, a deque-based 0/1
+  search when weights are 0 or 1, and binary-heap Dijkstra otherwise;
+  only they build the lists, from the arc view.  k_closest is one
+  truncated heap search over the arc view (_ball); closest below batches
+  the same balls.
 * BFS trees (_bfs_parents, one per dominator of dense.additive2_spanner):
   a level-synchronous unit-weight search over the out-arc view that
   records each vertex's first discoverer.  Each level is one numpy step:
@@ -32,7 +36,8 @@ the ring rule below, its depth:
 * many independent searches, reduced per source as they run:
   eccentricities (the largest distance, into every vertex or into a
   target set), max_distances (per vertex, the largest distance from the
-  sources) and closest (the s closest vertices, k_closest's ball, as
+  sources; its int64 core _max_row can cap it at a level, where each
+  pass stops) and closest (the s closest vertices, k_closest's ball, as
   flat int64 (owner, member, distance) arrays).  The exact oracles, the
   estimators' probe loops, the S-T sweeps, the st scope of
   hardness.verify_construction and dense.tz_center's balls are built on
@@ -247,45 +252,66 @@ def _list_distances(g: Graph, sources, direction: str):
     return _dijkstra(adj, g.n, sources)
 
 
-def _distances(g: Graph, sources, direction: str):
-    """The row of one search from a source set: per vertex, the distance
-    from (``out``) or to (``in``) the nearest source.
-
-    A call of one search under the ring rule (see the module docstring):
-    the depth probe's row, one ring pass with every source in bit 0, or a
-    list search when the rule says no or the pass raises _RingFull.
-    """
+def _row(g: Graph, sources, direction: str, until=None):
+    """_distances' row as its kernel made it, under the ring rule (see the
+    module docstring): the depth probe's row, a ring pass's array (see
+    _ring_row, which alone reads ``until``), or a list search's list, also
+    when the pass raises _RingFull."""
     ring, rows = _ring_rule(g, sources, 1, direction)
     if rows:
         return rows[0]
     if ring:
         with contextlib.suppress(_RingFull):
-            return _ring_row(g, sources, direction)
+            return _ring_row(g, sources, direction, until=until)
     return _list_distances(g, sources, direction)
 
 
-def _ring_row(g: Graph, sources, direction: str, probe: bool = False):
-    """The row of one ring pass with every source in bit 0, which stops
-    once every vertex is settled.
+def _distances(g: Graph, sources, direction: str, until=None):
+    """Per vertex, the distance from (``out``) or to (``in``) the nearest
+    source, as an int64 array with -1 where unreachable (see _row)."""
+    return _as_array(_row(g, sources, direction, until))
+
+
+def _as_array(row):
+    """A row as an int64 array, -1 where unreachable."""
+    if isinstance(row, list):
+        try:
+            row = np.array(row, dtype=np.int64)
+        except OverflowError:  # the row holds UNREACHABLE
+            row = np.array([-1 if d == UNREACHABLE else d for d in row], dtype=np.int64)
+    return row
+
+
+def _as_list(row) -> list:
+    """A row as a list, UNREACHABLE where unreachable."""
+    if isinstance(row, list):
+        return row
+    out = row.tolist()
+    return [UNREACHABLE if d < 0 else d for d in out] if (row < 0).any() else out
+
+
+def _ring_row(g: Graph, sources, direction: str, probe: bool = False, until=None):
+    """The row of one ring pass with every source in bit 0, as an int64
+    array with -1 where unreachable; the pass stops once every vertex is
+    settled, or with ``until = (picked, k)``, a bool mask and a count, once
+    k picked ones are, every -1 entry then being farther than the last level.
 
     With ``probe`` (unit weights) the pass gives up and returns None at
     the first level d where _fits refuses a single search of depth d:
     where d + W + 1 steps (W = 1, or 0 with no arcs) at _step_cost each,
     the settle of all n words included, exceed a list search's n + m.
     """
-    n, scans = g.n, g.n + g.m
     cost = _step_cost(g) if probe else 0
-    dist = np.full(n, -1, dtype=np.int64)
-    left = n
-    for d, frontier, _ in _ring_bits(g, sources, direction, _all_bits(n), one_bit=True):
-        if cost * (d + g.max_weight + 1) > scans:
+    dist = np.full(g.n, -1, dtype=np.int64)
+    picked, left = until or (None, g.n)
+    for d, frontier, _ in _ring_bits(g, sources, direction, _all_bits(g.n), one_bit=True):
+        if cost * (d + g.max_weight + 1) > g.n + g.m:
             return None
         dist[frontier] = d
-        left -= len(frontier)
-        if not left:
+        left -= len(frontier) if picked is None else int(np.count_nonzero(picked[frontier]))
+        if left <= 0:
             break
-    row = dist.tolist()
-    return row if not left else [UNREACHABLE if d < 0 else d for d in row]
+    return dist
 
 
 def _csr(g: Graph, direction: str):
@@ -447,8 +473,9 @@ def _depth(g: Graph, sources, direction: str):
     row = _ring_row(g, sources, direction, probe=True) if g.unit_weights else None
     if row is None:
         row = _list_distances(g, sources, direction)
-    finite = {d for d in row if d != UNREACHABLE}
-    depth = g._csr[key] = max(finite, default=0), len(finite)
+    # UNREACHABLE marks an unreached vertex in a list, -1 in an array.
+    finite = set(row if isinstance(row, list) else row.tolist()) - {UNREACHABLE, -1}
+    depth = g._csr[key] = max(finite), len(finite)
     return depth, [row]
 
 
@@ -659,7 +686,8 @@ def eccentricities(g: Graph, sources, direction: str = "out", targets=None) -> l
                 ecc[i] = d
         out.extend(ecc)
 
-    _each(g, srcs, direction, lambda row: out.append(max([row[v] for v in cols])), from_batch)
+    _each(g, srcs, direction, lambda row: out.append(max(map(_as_list(row).__getitem__, cols))),
+          from_batch)
     return out
 
 
@@ -729,8 +757,7 @@ def _label_levels(g: Graph, srcs: list, cols: list, direction: str, levels) -> l
 
 def _row_levels(row):
     """The levels (d, vertices) of a distance row, in increasing d."""
-    dist = np.fromiter((-1 if d == UNREACHABLE else d for d in row), dtype=np.int64,
-                       count=len(row))
+    dist = _as_array(row)
     order = np.argsort(dist)
     order = order[dist[order] >= 0]
     cuts = np.flatnonzero(np.diff(dist[order])) + 1
@@ -771,29 +798,36 @@ def max_distances(g: Graph, sources, direction: str = "out") -> list:
 
     An entry is UNREACHABLE when some source and v are not connected that way.
     """
+    return _as_list(_max_row(g, sources, direction))
+
+
+def _max_row(g: Graph, sources, direction: str, cap=None):
+    """max_distances as an int64 array, -1 where unreachable; with ``cap``,
+    min(max_distances, cap) with cap where unreachable, from ring passes
+    that stop at their first level >= cap."""
     srcs = _source_set(g, sources)
-    far = []  # per vertex, the largest distance of the list-search rows, if any ran
-    ring_far = np.zeros(g.n, dtype=np.int64)
+    far = np.zeros(g.n, dtype=np.int64)
     missed = np.zeros(g.n, dtype=bool)
 
     def from_row(row):
-        far[:] = map(max, far, row) if far else row
+        row = _as_array(row)
+        np.maximum(far, row, out=far)
+        missed[row < 0] = True
 
     def from_batch(batch):
         unseen = _all_bits(g.n)
         last = np.zeros(g.n, dtype=np.int64)  # the distance that last reached v
+        # _ring_bits settles a level before yielding it: record the stop's too.
         for d, frontier, _ in _ring_bits(g, batch, direction, unseen):
             last[frontier] = d
-        np.maximum(ring_far, last, out=ring_far)
+            if cap is not None and d >= cap:
+                break
+        np.maximum(far, last, out=far)
         missed[(unseen & np.uint64((1 << len(batch)) - 1)) != 0] = True
 
     _each(g, srcs, direction, from_row, from_batch)
-    out = ring_far.tolist()
-    if far:
-        out[:] = map(max, out, far)
-    for v in missed.nonzero()[0].tolist():
-        out[v] = UNREACHABLE
-    return out
+    far[missed] = -1 if cap is None else cap
+    return far if cap is None else np.minimum(far, cap, out=far)
 
 
 def closest(g: Graph, sources, s: int, direction: str = "out"):
@@ -868,12 +902,12 @@ def sssp(g: Graph, source: int, direction: str = "out") -> list:
     """
     if not 0 <= source < g.n:
         raise ValueError(f"source {source} out of range")
-    return _distances(g, (source,), direction)
+    return _as_list(_row(g, (source,), direction))
 
 
 def multi_source_distance(g: Graph, sources, direction: str = "out") -> list:
     """dist[v] = min over s in sources of d(s, v) (out) or d(v, s) (in)."""
-    return _distances(g, _source_set(g, sources), direction)
+    return _as_list(_row(g, _source_set(g, sources), direction))
 
 
 def k_closest(g: Graph, v: int, s: int, direction: str = "out") -> Neighborhood:
@@ -979,14 +1013,14 @@ def is_connected(g: Graph) -> bool:
         return True
     if g.directed:
         g = _from_columns(g.n, False, *g.columns)
-    return UNREACHABLE not in _distances(g, (0,), "out")
+    return bool(_distances(g, (0,), "out").min() >= 0)
 
 
 def is_strongly_connected(g: Graph) -> bool:
     if g.n <= 1:
         return True
     # An undirected graph's two directions are one search.
-    return all(UNREACHABLE not in _distances(g, (0,), direction)
+    return all(_distances(g, (0,), direction).min() >= 0
                for direction in (("out", "in") if g.directed else ("out",)))
 
 

@@ -34,14 +34,15 @@ class TestFolklore:
         assert diam_folklore_2approx(g) == UNREACHABLE
 
     def test_one_search_when_undirected(self, monkeypatch):
+        # sssp takes its row from _row, as the search made it.
         directions = []
-        distances = search._distances
+        row = search._row
 
         def spy(g, sources, direction):
             directions.append(direction)
-            return distances(g, sources, direction)
+            return row(g, sources, direction)
 
-        monkeypatch.setattr(search, "_distances", spy)
+        monkeypatch.setattr(search, "_row", spy)
         assert diam_folklore_2approx(path_graph(5)) == 4
         assert directions == ["out"]
         directions.clear()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from random import Random
@@ -158,6 +159,22 @@ class TestEcc2PlusDelta:
             assert (got.values, got.rationals, got.phases) == (want.values, want.rationals,
                                                                want.phases)
 
+    @pytest.mark.parametrize("n, max_w, directed, tau", [
+        (3000, 1, True, Fraction(1, 4)), (3000, 8, False, Fraction(2, 3)),
+        (2000, 100, True, Fraction(1, 8)), (1200, 1, False, Fraction(1, 8)),
+        (1200, 8, True, Fraction(2, 3)), (1200, 100, False, Fraction(1, 4)),
+        (400, 100, True, Fraction(2, 3)), (400, 8, False, Fraction(1, 8))])
+    def test_matches_reference_at_scale(self, n, max_w, directed, tau):
+        # The estimator's searches stop early and its bookkeeping is in
+        # arrays; the reference runs every search in full, on lists.
+        rng = Random(n + max_w)
+        g = (random_strongly_connected(rng, n, 4 * n, max_w) if directed
+             else random_connected(rng, n, 2 * n, max_w))
+        got = ecc_2plusdelta(g, tau, seed=n)
+        want = _reference_2plusdelta(g, tau, seed=n)
+        assert (got.values, got.rationals, got.phases) == (want.values, want.rationals,
+                                                           want.phases)
+
     def test_rejects_not_strongly_connected(self):
         g = Graph(3, [(0, 1, 1), (1, 2, 1)], directed=True)
         with pytest.raises(ValueError):
@@ -232,14 +249,17 @@ def _reference_2plusdelta(g: Graph, tau, seed: int = 0,
 
 
 def _count_searches(monkeypatch) -> list:
-    """Count the searches that ecc_2plusdelta and its reference make."""
+    """Count the searches that ecc_2plusdelta and its reference make: the
+    reference's public ones and the estimator's private rows alike."""
     calls = []
-    for name in ("sssp", "multi_source_distance", "max_distances", "eccentricities"):
+    for name in ("sssp", "multi_source_distance", "max_distances", "eccentricities",
+                 "_distances", "_max_row"):
         def counted(*args, _search=getattr(eccen, name), **kwargs):
             calls.append(1)
             return _search(*args, **kwargs)
         monkeypatch.setattr(eccen, name, counted)
-        monkeypatch.setitem(globals(), name, counted)
+        if name in globals():
+            monkeypatch.setitem(globals(), name, counted)
     return calls
 
 
@@ -305,6 +325,43 @@ class TestIdlePhases:
                     failures += 1
                     assert est.sample_misses > 0
         assert failures > 0
+
+
+@pytest.mark.scale
+class TestScaleOptIn:
+    """n = 10**5, where the ceil(2 sqrt(n) ln n) sample is 7.3% of V.  Opt-in
+    (pytest -m scale): each estimator is one-sided at 200 sampled sources,
+    against scipy, and meets its factor there whenever the run certifies
+    its sample; ``certified`` is printed and recorded as a property."""
+
+    @pytest.mark.parametrize("method", ["2approx", "2plusdelta"])
+    def test_against_scipy_sources(self, method, record_property):
+        g = _scale_graph()
+        picked = Random(1).sample(range(g.n), 200)
+        # 20 rows at a time keep scipy's float rows at 16 MB.
+        ecc = np.concatenate([_scipy_eccentricities(g, picked[i:i + 20])
+                              for i in range(0, len(picked), 20)])
+        assert np.isfinite(ecc).all()
+        ecc = ecc.astype(np.int64).tolist()
+        tau = Fraction(1, 4)
+        if method == "2approx":
+            est = ecc_2approx(g, 1)
+            low = [Fraction(e, 2) for e in ecc]
+            got = [est.values[v] for v in picked]
+        else:
+            est = ecc_2plusdelta(g, tau, 1)
+            low = [(1 - tau) * e / 2 for e in ecc]
+            got = [est.rationals[v] for v in picked]
+        print(f"ecc_{method}: certified={est.certified} sample_misses={est.sample_misses}")
+        record_property("certified", est.certified)
+        assert all(x <= e for x, e in zip(got, ecc))
+        assert not est.certified or all(lo <= x for lo, x in zip(low, got))
+
+
+@functools.lru_cache(maxsize=1)
+def _scale_graph():
+    """A strongly connected unit digraph, n = 10**5 and m = 5 * 10**5, from seed 1."""
+    return random_strongly_connected(Random(1), 10**5, 4 * 10**5)
 
 
 @st.composite

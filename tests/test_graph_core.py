@@ -1408,6 +1408,104 @@ class TestSingleSearches:
         assert fits == [True] * (len(levels) - len(bfs)) + [False] * len(bfs)
 
 
+@st.composite
+def _stop_cases(draw):
+    """A graph, a source set, a picked mask, a count and a cap for the two
+    early stops: unit weights, the ring of weights 1..8, keyed slots,
+    0-weight arcs (list searches only), or a twin path whose passes from
+    its first vertices raise _RingFull."""
+    kind = draw(st.sampled_from(["unit", "one-to-w", "keyed", "zero", "full"]))
+    if kind == "full":
+        g = _twin_path(draw(st.integers(45, 60)))
+        sources = draw(st.lists(st.integers(0, 3), min_size=1, max_size=4))
+    else:
+        n = draw(st.integers(1, 60))
+        weights = {"unit": [1], "one-to-w": range(1, 9), "keyed": [1, 7, 50],
+                   "zero": [0, 1, 3]}[kind]
+        edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                                         st.sampled_from(weights)), max_size=4 * n))
+        g = Graph(n, edges, directed=draw(st.booleans()))
+        sources = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=70))
+    picked = np.array(draw(st.lists(st.booleans(), min_size=g.n, max_size=g.n)), dtype=bool)
+    return g, sorted(set(sources)), picked, draw(st.integers(1, g.n)), draw(st.integers(0, 70))
+
+
+class TestEarlyStops:
+    """The one-bit pass that stops once k picked vertices are settled, and
+    the reach pass capped at a level, against full Bellman-Ford rows."""
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=_stop_cases())
+    def test_property_stopped_row(self, monkeypatch, case):
+        _free_steps(monkeypatch)
+        g, sources, picked, k, _ = case
+        for direction in ("out", "in"):
+            rows = [bellman_ford(g, s, direction) for s in sources]
+            full = np.array([min(col) for col in zip(*rows)])
+            # The first call may be the depth probe's full row, the rest ring
+            # passes, or list searches after _RingFull or on 0 weights.
+            for _ in range(2):
+                _assert_stopped(search._distances(g, sources, direction, (picked, k)),
+                                full, picked, k, exact=False)
+            if search._csr(g, direction) is not None:
+                with contextlib.suppress(search._RingFull):
+                    _assert_stopped(search._ring_row(g, sources, direction, until=(picked, k)),
+                                    full, picked, k, exact=True)
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=_stop_cases())
+    def test_property_capped_reach(self, monkeypatch, case):
+        _free_steps(monkeypatch)
+        g, sources, _, _, cap = case
+        for direction in ("out", "in"):
+            rows = [bellman_ford(g, s, direction) for s in sources]
+            far = np.array([max(col) for col in zip(*rows)])
+            for _ in range(2):
+                assert search._max_row(g, sources, direction, cap).tolist() == \
+                    np.minimum(far, cap).astype(np.int64).tolist()
+                assert search._max_row(g, sources, direction).tolist() == \
+                    np.where(np.isinf(far), -1, far).astype(np.int64).tolist()
+
+    def test_stop_level_is_recorded(self, monkeypatch):
+        # On a 30-path from 0 every vertex reads its own distance, so a cap
+        # of 10 reads min(v, 10); a pass that dropped the level that stopped
+        # it would leave vertex 10 at 9.  A one-bit pass until 3 of the
+        # picked odd vertices are settled stops at level 5.
+        g = path_graph(30, directed=True)
+        assert search._max_row(g, [0], "out", 10).tolist() == [min(v, 10) for v in range(30)]
+        picked = np.arange(30) % 2 == 1
+        row = search._ring_row(g, [0], "out", until=(picked, 3))
+        assert row.tolist() == list(range(6)) + [-1] * 24
+        # A pass on a 60-vertex twin path that reaches its last vertex raises
+        # _RingFull (see TestBatchedReductions), so these rows come from
+        # list searches: the stopped row in full, the reach capped after,
+        # where vertex 0, which source 1 cannot reach, reads the cap.
+        _free_steps(monkeypatch)
+        g = _twin_path(60)
+        search._distances(g, [0], "out")
+        assert search._distances(g, [0], "out", (np.arange(60) == 59, 1)).tolist() == \
+            list(range(60))
+        assert g._csr[("full", "out")]
+        assert search._max_row(g, [0, 1], "out", 50).tolist() == \
+            [50] + [min(v, 50) for v in range(1, 60)]
+
+
+def _assert_stopped(got, full, picked, k, exact):
+    """``got`` equals the full row ``full`` (inf where unreachable) where it
+    is settled, every -1 entry is farther than its last settled level, and
+    it holds k picked vertices or every reachable one.  With ``exact`` it
+    also settled no level past the one that met k."""
+    settled = got >= 0
+    assert got[settled].tolist() == full[settled].tolist()
+    last = got.max(initial=0)
+    assert (full[~settled] > last).all()
+    assert np.count_nonzero(picked & settled) >= k or (settled == np.isfinite(full)).all()
+    if exact:
+        assert np.count_nonzero(picked & (full < last)) < k
+
+
 def _ring_stream(g, sources, direction, one_bit):
     """Every (d, vertices, bits) of one ring pass, and the bits it left unseen."""
     unseen = search._all_bits(g.n)
