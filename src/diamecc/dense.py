@@ -17,14 +17,14 @@ One greedy cover, ``_greedy_hitting_set`` (max coverage, ties to the
 smaller id), makes both set choices: the initial centers, which hit every
 ceil(1/p)-closest neighborhood, and the spanner's dominators, which hit
 the closed neighborhood of every heavy vertex.  The neighborhoods come
-from ``search.closest``, 64 vertices' balls per ring pass, in which a
-source retires once its ball is full and the pass ends once all have, so
-it steps only as deep as its deepest ball.  They come as flat (owner,
-member, distance) arrays, and stay so: the cover runs on them, with
-bincount coverage and an argmax per pick, each round prunes them to the
-bunches with one mask, and the cluster sizes are a bincount of the
-members.  The bunch and cluster lists of CenterData are built once, on
-return.
+from ``search.closest``: off its neighbour view when every vertex has
+ceil(1/p) - 1 or more distinct neighbours, else 64 per ring pass, which
+ends once every ball is full, so it steps only as deep as its deepest
+ball.  They come as flat (owner, member, distance) arrays, and stay so:
+the cover runs on them, with bincount coverage and an argmax per pick,
+each round prunes them to the bunches with one mask, and the cluster
+sizes are a bincount of the members.  The bunch and cluster lists of
+CenterData are built once, on return.
 
 The spanner is built on the graph's out-arc view (``Graph.arcs``): the
 light edges by a degree mask over the arcs, the heavy vertices' closed
@@ -41,7 +41,8 @@ The searches from the centers A are ``search``'s reductions:
 one ``closest`` over all n vertices for the balls, and per tz_center
 round one ``nearest``, a single search from A that labels every vertex
 with its pivot p(v) as it settles d(v, A), as Thorup and Zwick compute
-them; in diam_dense_32 one
+them, unless every ball lies within one hop: then d(v, A) and the pivots
+are read off the balls, and no search runs; in diam_dense_32 one
 ``eccentricities`` over A on the spanner; in ecc_dense_53 one
 ``eccentricities`` and one ``max_distances`` over A on g, |A| sources
 each, plus one multi-source search per distinct center eccentricity.
@@ -57,7 +58,7 @@ import numpy as np
 
 from .eccen import EccEstimate, ceil_sqrt
 from .graph import Graph, _from_columns, _group_order
-from .search import (_arcs, _bfs_parents, _sorted_unique, closest, eccentricities,
+from .search import (_arcs, _bfs_parents, _mask, _sorted_unique, closest, eccentricities,
                      is_connected, max_distances, multi_source_distance, nearest)
 
 
@@ -142,13 +143,25 @@ def tz_center(g: Graph, p: float, seed: int = 0, *, op: str = "tz_center") -> Ce
     # The b-closest neighborhoods, flat; each round prunes them to the bunches.
     owners, members, dists = closest(g, range(n), b)
     centers = sorted(_greedy_hitting_set(owners, members, n))
+    # When every ball lies within one hop, v's ball is v and its b - 1
+    # smallest-id neighbours, and a center hits it, so d(v, A) <= 1.  A
+    # non-center v's ball holds a center neighbour c and every neighbour of
+    # id below c, so v's pivot is the smallest center in its ball; a center
+    # is its own.  Bunches are then single vertices: one round suffices.
+    one_hop = dists.max() <= 1
 
     cap = 4.0 / p
     rng = Random(seed)
     while True:
-        found = nearest(g, range(n), centers)
-        dist = [d for _, d in found]
-        keep = dists < np.asarray(dist, dtype=np.int64)[owners]
+        if one_hop:
+            hub = _mask(g, centers)
+            pivot = np.minimum.reduceat(np.where(hub[members], members, n),
+                                        np.searchsorted(owners, np.arange(n)))
+            pivot[hub] = centers
+            dist = (~hub).astype(np.int64)
+        else:
+            pivot, dist = map(np.array, zip(*nearest(g, range(n), centers)))
+        keep = dists < dist[owners]
         owners, members, dists = owners[keep], members[keep], dists[keep]
         size = np.bincount(members, minlength=n)
         oversized = np.flatnonzero(size > cap).tolist()
@@ -163,7 +176,7 @@ def tz_center(g: Graph, p: float, seed: int = 0, *, op: str = "tz_center") -> Ce
     order = _group_order(members)
     bunches = _split(members, dists, np.bincount(owners, minlength=n))
     clusters = _split(owners[order], dists[order], size)
-    return CenterData(centers, p, seed, dist, [a for a, _ in found], bunches, clusters)
+    return CenterData(centers, p, seed, dist.tolist(), pivot.tolist(), bunches, clusters)
 
 
 def _split(vertices, dists, sizes) -> list:

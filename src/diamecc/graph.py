@@ -313,8 +313,9 @@ def _parse_bulk(text: str):
     lines = len(newlines) + (len(data) > 0 and data[-1] != ord("\n"))
     if (lines != m or len(starts) != want * m
             or (ends - starts).max(initial=0) >= 19
-            # Each newline must close a line of exactly ``want`` tokens.
-            or (np.searchsorted(starts, newlines) != want * np.arange(1, len(newlines) + 1)).any()):
+            # Newline k must follow token want (k + 1) - 1 and precede token want (k + 1).
+            or (newlines < ends[want - 1::want][:len(newlines)]).any()
+            or (newlines[:m - 1] >= starts[want::want]).any()):
         return None
     cols = np.ascontiguousarray(np.fromstring(data, dtype=np.int64, sep=" ").reshape(m, want).T)
     u, v = cols[0], cols[1]

@@ -42,7 +42,11 @@ the ring rule below, its depth:
   estimators' probe loops, the S-T sweeps, the st scope of
   hardness.verify_construction and dense.tz_center's balls are built on
   them.  closest never consults the depth probe, which prices a full
-  search: it runs its ring passes whenever the encoding exists.
+  search.  On unit weights, when every source has s - 1 or more distinct
+  neighbours, it reads the balls off a neighbour view, the arc view
+  sorted by (tail, head) and deduplicated, built per call when every
+  source's arc degree reaches s - 1; otherwise it runs ring passes
+  whenever the encoding exists.
   A bit-parallel bucket queue (Dial's, one bit per source in a uint64
   word per vertex; "the ring" below) runs up to 64 sources per pass over
   the arc view and the ring's int64 targets (_csr).  Its n-word slots
@@ -835,7 +839,11 @@ def closest(g: Graph, sources, s: int, direction: str = "out"):
 
     Returns flat int64 arrays ``(owner, member, distance)``, owner-major in
     the order given: each source's entries are k_closest(g, source, s,
-    direction).items, fewer than s when fewer are reachable.  The sources
+    direction).items, fewer than s when fewer are reachable.  On unit
+    weights, when every source has s - 1 or more distinct neighbours, each
+    ball is the source, then its s - 1 smallest-id neighbours at distance
+    1: a prefix of its row in a neighbour view, built for the call only
+    when every source's arc degree reaches s - 1.  Otherwise the sources
     run in ring passes of up to 64 whenever the ring encoding exists and
     no pass in this direction has raised _RingFull; the other balls, on a
     graph with no encoding and from the batch that raised on, are _ball's.
@@ -846,6 +854,20 @@ def closest(g: Graph, sources, s: int, direction: str = "out"):
     if not 1 <= s <= g.n:
         raise ValueError(f"s must be in [1, {g.n}], got {s}")
     srcs = _listed(g, sources, direction)
+    indptr, degree, heads, _ = g.arcs(direction)
+    if g.unit_weights and srcs and degree[srcs].min() >= s - 1:
+        # Every ball may lie within one hop.  The neighbour view keeps each
+        # row's distinct neighbours, by id; at s = 1 no row is read.
+        if s > 1:
+            tails = np.arange(g.n).repeat(degree)
+            tails, heads = np.divmod(_sorted_unique((tails * g.n + heads)[tails != heads]), g.n)
+            degree = np.bincount(tails, minlength=g.n)
+            indptr = degree.cumsum() - degree
+        if degree[srcs].min() >= s - 1:
+            at = np.asarray(srcs, dtype=np.int64)
+            ball = heads[indptr[at][:, None] + np.arange(s - 1)]
+            return (at.repeat(s), np.column_stack((at, ball)).ravel(),
+                    np.tile(np.minimum(np.arange(s), 1), len(at)))
     empty = np.zeros(0, dtype=np.int64)
     parts, sizes = [(empty, empty)], []  # (members, distances) per batch or ball
 

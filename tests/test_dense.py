@@ -755,6 +755,38 @@ class TestAgainstPerCenterSearches:
                 assert tz_center(g, p, seed) == reference_tz_center(g, p, seed), (seed, p)
 
 
+class TestOneHopPivots:
+    """tz_center reads d(v, A) and the pivots off the balls when every ball
+    lies within one hop, and asks nearest otherwise."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return nearest(*args, **kwargs)
+
+        monkeypatch.setattr(dense_module, "nearest", spy)
+        return calls
+
+    def test_dense_graph_asks_no_nearest(self, calls):
+        g = random_connected(Random(1), 90, 90 * 90 // 8)
+        p = 1 / math.sqrt(g.n)
+        cd = tz_center(g, p, 1)
+        assert calls == []
+        assert (cd.dist, cd.pivot) == _nearest_centers(g, cd.centers)
+        assert cd == reference_tz_center(g, p, 1)
+
+    def test_band_graph_still_asks_nearest(self, calls):
+        # The band's end vertices have 20 neighbours, so their balls of 29
+        # reach two hops.
+        g = band_graph(800, 40)
+        cd = tz_center(g, 1 / math.sqrt(g.n), 0)
+        assert calls
+        assert (cd.dist, cd.pivot) == _nearest_centers(g, cd.centers)
+
+
 class TestSpannerComposition:
     def test_exact_inner_on_path(self):
         g = path_graph(8)

@@ -1674,9 +1674,26 @@ class TestClosest:
             for direction in ("out", "in"):
                 _assert_closest(g, sources, s, direction)
 
+    def test_one_hop_balls_run_no_pass(self, monkeypatch):
+        # Every vertex here has ceil(sqrt(n)) - 1 or more distinct
+        # neighbours, so every ball is read off the neighbour view.
+        passes = []
+        ring_bits = search._ring_bits
+
+        def spy(*args, **kwargs):
+            passes.append(args[1])
+            return ring_bits(*args, **kwargs)
+
+        monkeypatch.setattr(search, "_ring_bits", spy)
+        g = random_connected(Random(1), 90, 90 * 90 // 8)
+        _assert_closest(g, range(g.n), math.ceil(math.sqrt(g.n)), "out")
+        assert passes == []
+
     def test_passes_end_when_every_ball_is_full(self, monkeypatch):
         # On a 300-path a pass that kept stepping after its balls filled
-        # would walk the whole path.
+        # would walk the whole path.  At s = 1 each ball is its own source:
+        # on unit weights it is read off the neighbour view, so no pass
+        # runs, and on weights 2 each pass retires its sources at level 0.
         passes = []
         ring_bits = search._ring_bits
 
@@ -1688,11 +1705,11 @@ class TestClosest:
                 yield level
 
         monkeypatch.setattr(search, "_ring_bits", spy)
-        g = path_graph(300)
-        for s in (1, 18, 40):
+        unit, doubled = path_graph(300), path_graph(300, [2] * 299)
+        for g, s, count in ((unit, 1, 0), (doubled, 1, 5), (unit, 18, 5), (unit, 40, 5)):
             passes.clear()
             owner, _, dist = _assert_closest(g, range(300), s, "out")
-            assert len(passes) == 5
+            assert len(passes) == count
             for i, levels in enumerate(passes):
                 deepest = dist[(owner >= 64 * i) & (owner < 64 * i + 64)].max()
                 assert len(levels) <= deepest + 2
@@ -1905,6 +1922,31 @@ class TestBulkReader:
 
     @pytest.mark.parametrize("text", OTHER_TEXTS.values(), ids=OTHER_TEXTS.keys())
     def test_other_texts_match_the_line_parser(self, text):
+        assert _outcome(parse_graph, text) == _outcome(graph_module._parse_lines, text)
+
+    @settings(max_examples=200, deadline=None)
+    @given(g=_edge_list_graphs(), where=st.sampled_from(["first", "middle", "last"]),
+           edit=st.sampled_from(["add", "remove", "move down", "move up"]),
+           final_newline=st.booleans())
+    def test_token_count_edits_match_the_line_parser(self, g, where, edit, final_newline):
+        # A token added to or removed from one line, or moved to the next or
+        # the previous line, which keeps the total: the bulk reader must
+        # give the line parser's Graph or error, or hand the text to it.
+        head, *lines = format_graph(g).splitlines()
+        if not lines:
+            lines = ["0 0"]
+            head = head.replace(" 0 ", " 1 ", 1)
+        k = {"first": 0, "middle": len(lines) // 2, "last": len(lines) - 1}[where]
+        other = min(k + 1, len(lines) - 1) if edit == "move down" else max(k - 1, 0)
+        rest, _, token = lines[k].rpartition(" ")
+        if edit == "add":
+            lines[k] += " 7"
+        elif edit == "remove":
+            lines[k] = rest
+        elif other != k:
+            lines[k] = rest
+            lines[other] += " " + token
+        text = "\n".join([head] + lines) + ("\n" if final_newline else "")
         assert _outcome(parse_graph, text) == _outcome(graph_module._parse_lines, text)
 
     @pytest.mark.parametrize("directed", [False, True])
