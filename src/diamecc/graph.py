@@ -167,6 +167,13 @@ def _from_columns(n: int, directed: bool, u, v, w, g: Graph | None = None) -> Gr
     return g
 
 
+def _join(*blocks) -> tuple:
+    """The (u, v, w) columns of the edges of ``blocks`` in turn, each a
+    (u, v, w) triple whose scalars broadcast over its edges."""
+    return tuple(np.concatenate(col)
+                 for col in zip(*(np.broadcast_arrays(*block) for block in blocks)))
+
+
 def _group_order(ids):
     """The stable order that groups nonnegative int64 ``ids``: ascending
     ids, equal ids in input order, as np.argsort(ids, kind="stable") gives.

@@ -22,7 +22,8 @@ order lists its edges.  Pruning keeps a middle vertex exactly when it
 lies on some S-T path, by one forward and one backward sweep over the
 blocks; S and T always stay, and one cumsum renumbers.  The builders
 add their gadget edges as arrays too and hand the columns to
-graph._from_columns, so no construction makes a tuple per edge.
+graph._from_columns, so no construction makes a tuple per edge.  The
+four diameter gadgets share one layout past the core (_copies).
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from random import Random
 
 import numpy as np
 
-from .graph import Graph, _from_columns, load_graph, save_graph
+from .graph import Graph, _from_columns, _join, load_graph, save_graph
 from .search import UNREACHABLE, eccentricities, exact_diameter, nearest, sssp
 
 DEFAULT_EDGE_CAP = 2_000_000
@@ -182,11 +183,13 @@ class _LayeredCore:
     sets: dict           # name -> (lo, hi)
     t_lo: int
 
-    def s_id(self, digits) -> int:
-        return int(np.ravel_multi_index(digits, (self.n,) * (self.k - 1)))
-
-    def t_id(self, digits) -> int:
-        return self.t_lo + self.s_id(digits)
+    def planted(self, inst: OVInstance):
+        """The ids of the planted S and T tuples, or None when ``inst`` plants none."""
+        if inst.planted is None:
+            return None
+        s, t = (int(np.ravel_multi_index(ids, (self.n,) * (self.k - 1)))
+                for ids in (inst.planted[:-1], inst.planted[1:]))
+        return s, self.t_lo + t
 
 
 def check_size(name: str, k: int, n: int, d: int, max_edges: int, L: int = 0) -> None:
@@ -324,13 +327,6 @@ class ConstructionOutput:
         }
 
 
-def _join(*blocks) -> tuple:
-    """The (u, v, w) columns of the edges of ``blocks`` in turn, each a
-    (u, v, w) triple whose scalars broadcast over its edges."""
-    return tuple(np.concatenate(col)
-                 for col in zip(*(np.broadcast_arrays(*block) for block in blocks)))
-
-
 def _turns(*ids):
     """The entries of equal-length id arrays in turn: the first of each,
     then the second of each, and so on."""
@@ -357,12 +353,9 @@ def build_kov_layered(inst: OVInstance, max_edges: int = DEFAULT_EDGE_CAP,
     """The bare layered graph: S-T distance gap k versus 3k-2."""
     core = _build_layered(inst, prune=prune, max_edges=max_edges)
     k = inst.k
-    witness = None
-    if inst.planted is not None:
-        witness = (core.s_id(inst.planted[:k - 1]), core.t_id(inst.planted[1:]))
     u, v, _ = core.columns
     g = _from_columns(core.vertex_count, False, u, v, np.ones_like(u))
-    return ConstructionOutput("kov", g, dict(core.sets), k, 3 * k - 2, witness, "st",
+    return ConstructionOutput("kov", g, dict(core.sets), k, 3 * k - 2, core.planted(inst), "st",
                               _params(inst))
 
 
@@ -373,6 +366,23 @@ def _params(inst: OVInstance, **extra) -> dict:
     return out
 
 
+def _copies(core: _LayeredCore, inst: OVInstance):
+    """The diameter gadgets' layout from id core.vertex_count on: S' and
+    T' copy S and T, and the cliques S'' and T'' hold a vertex per vector
+    of the first and of the last set.  Returns their first ids, the core's
+    sets with these four, and the witness: the copies of the planted S and
+    T tuples, or None."""
+    s_size = core.n ** (core.k - 1)
+    s1 = core.vertex_count
+    s2 = s1 + s_size
+    t1 = s2 + core.n
+    t2 = t1 + s_size
+    sets = {**core.sets, "S'": (s1, s2), "S''": (s2, t1), "T'": (t1, t2), "T''": (t2, t2 + core.n)}
+    planted = core.planted(inst)
+    witness = None if planted is None else (s1 + planted[0], t1 + planted[1] - core.t_lo)
+    return (s1, s2, t1, t2), sets, witness
+
+
 def _diam_gadget_k3(inst: OVInstance, weighted: bool,
                     max_edges: int) -> ConstructionOutput:
     """Shared body of the 5-vs-8 and 6-vs-10 diameter constructions."""
@@ -381,28 +391,17 @@ def _diam_gadget_k3(inst: OVInstance, weighted: bool,
     core = _build_layered(inst, max_edges=max_edges)
     n = inst.n
     heavy = 2 if weighted else 1  # weight of middle-level and clique edges
-    s1 = core.vertex_count          # matched copy of S
-    s2 = s1 + n * n                 # clique, one vertex per first-set vector
-    t1 = s2 + n                     # matched copy of T
-    t2 = t1 + n * n                 # clique, one vertex per last-set vector
-    total = t2 + n
+    (s1, s2, t1, t2), sets, witness = _copies(core, inst)
 
     u, v, tag = core.columns
     i = np.arange(n * n)            # the S tuple (a, b) and the T tuple (b, a)
     a, b = np.divmod(i, n)
     lo, hi = np.triu_indices(n, 1)
-    g = _from_columns(total, False, *_join(
+    g = _from_columns(t2 + n, False, *_join(
         (u, v, np.where(tag == 1, heavy, 1)),
         (_turns(i, core.t_lo + i), _turns(s1 + i, t1 + i), 1),
         (_turns(s2 + lo, t2 + lo), _turns(s2 + hi, t2 + hi), heavy),
         (_turns(s2 + a, t2 + a), _turns(i, core.t_lo + b * n + a), 1)))
-    sets = dict(core.sets)
-    sets.update({"S'": (s1, s1 + n * n), "S''": (s2, s2 + n),
-                 "T'": (t1, t1 + n * n), "T''": (t2, t2 + n)})
-    witness = None
-    if inst.planted is not None:
-        ia, ib, ic = inst.planted
-        witness = (s1 + ia * n + ib, t1 + ib * n + ic)
     low, high = (6, 10) if weighted else (5, 8)
     name = "6v10" if weighted else "5v8"
     return ConstructionOutput(name, g, sets, low, high, witness, "diameter",
@@ -433,10 +432,7 @@ def _diam_gadget_directed(inst: OVInstance, name: str,
     k, n = inst.k, inst.n
     core = _build_layered(inst, max_edges=max_edges)
     s_size = n ** (k - 1)
-    s1 = core.vertex_count
-    s2 = s1 + s_size
-    t1 = s2 + n
-    t2 = t1 + s_size
+    (s1, s2, t1, t2), sets, witness = _copies(core, inst)
     inner = k - 3
     paths_lo = t2 + n
 
@@ -462,13 +458,6 @@ def _diam_gadget_directed(inst: OVInstance, name: str,
     u, v = (np.concatenate([arcs[side].ravel() for arcs in (layered, matched, cliques, spokes)])
             for side in (0, 1))
     g = _from_columns(paths_lo + 4 * s_size * inner, True, u, v, np.ones_like(u))
-    sets = dict(core.sets)
-    sets.update({"S'": (s1, s1 + s_size), "S''": (s2, s2 + n),
-                 "T'": (t1, t1 + s_size), "T''": (t2, t2 + n)})
-    witness = None
-    if inst.planted is not None:
-        witness = (s1 + core.s_id(inst.planted[:k - 1]),
-                   t1 + core.t_id(inst.planted[1:]) - core.t_lo)
     return ConstructionOutput(name, g, sets, 3 * k - 4, 5 * k - 7, witness,
                               "diameter", _params(inst))
 
@@ -513,11 +502,9 @@ def build_ecc_lb_undirected(inst: OVInstance, max_edges: int = DEFAULT_EDGE_CAP)
     sets = dict(core.sets)
     sets["HUB"] = (hub, hub + 1)
     sets["TTAILS"] = (t_tail_lo, total)
-    witness = None
-    if inst.planted is not None:
-        t_idx = core.t_id(inst.planted[1:]) - core.t_lo
-        witness = (core.s_id(inst.planted[:k - 1]),
-                   t_tail_lo + t_idx * (k - 1) + (k - 2))
+    planted = core.planted(inst)
+    witness = None if planted is None else (
+        planted[0], t_tail_lo + (planted[1] - core.t_lo) * (k - 1) + (k - 2))
     return ConstructionOutput("ecc-und", g, sets, 2 * k - 1, 4 * k - 3, witness,
                               "ecc_from_s", _params(inst))
 
@@ -610,7 +597,7 @@ def _range_set(meta, name, n):
     except (KeyError, TypeError, ValueError):
         raise MetadataError(f"metadata lacks vertex set {name!r}") from None
     # An empty set would make every promise over it hold vacuously.
-    if not (isinstance(lo, int) and isinstance(hi, int) and 0 <= lo < hi <= n):
+    if not (type(lo) is int and type(hi) is int and 0 <= lo < hi <= n):
         raise MetadataError(f"set {name!r} bounds {[lo, hi]!r} are not a nonempty "
                             f"range within the graph's {n} vertices")
     return range(lo, hi)
@@ -622,7 +609,8 @@ def _shown(dist) -> str:
 
 def _promise(meta, key) -> int:
     value = meta.get(key)
-    if not isinstance(value, int):
+    # Ints are checked by type: JSON's true and false load as bools, which are ints.
+    if type(value) is not int:
         raise MetadataError(f"{key} must be an integer, got {value!r}")
     return value
 
@@ -641,7 +629,7 @@ def verify_construction(g: Graph, meta: dict) -> list:
     if mode == "planted":
         high = _promise(meta, "promised_high")
         if not (isinstance(witness, (list, tuple)) and len(witness) == 2
-                and all(isinstance(w, int) and 0 <= w < g.n for w in witness)):
+                and all(type(w) is int and 0 <= w < g.n for w in witness)):
             raise MetadataError(f"bad witness {witness!r}")
         u, v = witness
         dist = sssp(g, u, "out")[v]

@@ -18,7 +18,9 @@ graph, lifted through the port counts of the degree-3 blow-up, whose
 distances are the original ones; the blown graph is never built.
 
 st_via_diameter computes the S-T Diameter *exactly* given any exact
-Diameter solver, via pendant-edge gadget graphs.
+Diameter solver, via pendant-edge gadget graphs.  It and
+build_equivalence_gadget build them in one place, _gadget, by appending
+the pendant and split edges to the doubled input's int64 edge columns.
 """
 
 from __future__ import annotations
@@ -28,8 +30,10 @@ from dataclasses import dataclass
 from itertools import accumulate
 from random import Random
 
+import numpy as np
+
 from .eccen import _sqrt_sample_size, ceil_sqrt
-from .graph import Graph, _check_budget, _from_columns
+from .graph import Graph, _check_budget, _from_columns, _join
 from .search import (eccentricities, exact_st_diameter, is_connected, k_closest,
                      multi_source_distance, nearest, sssp)
 
@@ -204,7 +208,8 @@ def st_2approx_weighted(inst: STInstance, seed: int = 0, true_mode: bool = False
 
 @dataclass
 class EquivalenceGadget:
-    """Gadget graphs reducing S-T Diameter to plain Diameter.
+    """Gadget graphs reducing S-T Diameter to plain Diameter, built by
+    _gadget for build_equivalence_gadget and st_via_diameter alike.
 
     All weights of the input are doubled up front (so the split weight
     half_span = span/2 is integral) and results must be halved back.
@@ -231,64 +236,53 @@ class EquivalenceGadget:
     swapped: bool
 
 
-def _doubled(inst: STInstance):
-    """Check the reduction's preconditions; return the input with every
-    weight doubled, and the pendant weight w_scale."""
+def _with_pendants(g: Graph, heads, w_scale: int) -> Graph:
+    """g plus a pendant vertex on each of ``heads`` in turn, from id g.n on."""
+    pendants = (np.arange(g.n, g.n + len(heads)), heads, w_scale)
+    return _from_columns(g.n + len(heads), False, *_join(g.columns, pendants))
+
+
+def _gadget(inst: STInstance, diameter_fn=None) -> EquivalenceGadget:
+    """The gadget of ``inst``, after checking the reduction's preconditions.
+
+    A side's span, for S and then for T, is 0 when it has one vertex, and
+    otherwise diameter_fn on its pendant graph g_s or g_t minus 2W, or,
+    with no diameter_fn, exact_st_diameter on the doubled graph.
+    """
     g = inst.graph
     if g.directed:
         raise ValueError("the equivalence reduction is for undirected graphs")
     if not is_connected(g):
         raise ValueError("the equivalence reduction requires a connected graph")
-    _check_budget(g.n, 2 * g.max_weight)
+    w_scale = max(2, 2 * g.max_weight) * g.n
+    # g_final, the largest gadget graph, has |S| + |T| + 2 more vertices and weight 2W.
+    _check_budget(g.n + len(inst.S) + len(inst.T) + 2, 2 * w_scale)
     g2 = _from_columns(g.n, False, *g.columns[:2], 2 * g.columns[2])
-    return g2, max(2, g2.max_weight) * g2.n
-
-
-def _with_pendants(g: Graph, groups, w_scale: int):
-    """Append one pendant vertex per listed original vertex, per group.
-
-    Returns the new graph plus, per group, the tuple of pendant ids
-    (aligned with the group's order).
-    """
-    heads = [v for group in groups for v in group]
-    ends = list(accumulate(map(len, groups), initial=g.n))
-    edges = g.edges + [(g.n + i, v, w_scale) for i, v in enumerate(heads)]
-    return (Graph(ends[-1], edges, directed=False),
-            [tuple(range(lo, hi)) for lo, hi in zip(ends, ends[1:])])
-
-
-def _one_side(g2: Graph, group, w_scale: int):
-    """Pendants on ``group`` only, or None when it has fewer than 2 vertices."""
-    return _with_pendants(g2, [group], w_scale)[0] if len(group) > 1 else None
-
-
-def build_equivalence_gadget(inst: STInstance) -> EquivalenceGadget:
-    """Construct the reduction gadgets, computing the spans exactly."""
-    g2, w_scale = _doubled(inst)
-    S, T = inst.S, inst.T
-    span_s = exact_st_diameter(g2, S, S) if len(S) > 1 else 0
-    span_t = exact_st_diameter(g2, T, T) if len(T) > 1 else 0
-    return _assemble_gadget(g2, S, T, _one_side(g2, S, w_scale), _one_side(g2, T, w_scale),
-                            w_scale, span_s, span_t)
-
-
-def _assemble_gadget(g2, S, T, g_s, g_t, w_scale, span_s, span_t) -> EquivalenceGadget:
-    """The gadget from the one-side graphs g_s and g_t, which have pendants
-    on S only and on T only; the roles swap when span_t > span_s."""
-    swapped = span_t > span_s
-    if swapped:
-        S, T, g_s, g_t = T, S, g_t, g_s
-        span_s, span_t = span_t, span_s
-    g_st, (sp, tp) = _with_pendants(g2, [S, T], w_scale)
+    sides = []
+    for group in (inst.S, inst.T):
+        g_side, span = None, 0
+        if len(group) > 1:
+            g_side = _with_pendants(g2, group, w_scale)
+            span = (exact_st_diameter(g2, group, group) if diameter_fn is None
+                    else diameter_fn(g_side) - 2 * w_scale)
+        sides.append((group, g_side, span))
+    swapped = sides[1][2] > sides[0][2]
+    (S, g_s, span_s), (T, g_t, span_t) = sides[::-1] if swapped else sides
+    g_st = _with_pendants(g2, S + T, w_scale)
+    sp, tp = tuple(range(g2.n, g2.n + len(S))), tuple(range(g2.n + len(S), g_st.n))
     # Split edges need span_s/2; doubling made every distance even.
     half = span_s // 2
     x = g_st.n
     y = g_st.n + 1
-    edges = [(x, y, 2 * w_scale)] + [(x, v, half) for v in sp] + [(y, v, half) for v in tp]
-    g_final = Graph(g_st.n + 2, g_st.edges + edges, directed=False)
-    return EquivalenceGadget(w_scale, g_s, g_t, g_st, g_final,
-                             tuple(S), tuple(T), sp, tp, x, y,
+    g_final = _from_columns(g_st.n + 2, False, *_join(
+        g_st.columns, ([x], y, 2 * w_scale), (x, sp, half), (y, tp, half)))
+    return EquivalenceGadget(w_scale, g_s, g_t, g_st, g_final, S, T, sp, tp, x, y,
                              span_s, span_t, swapped)
+
+
+def build_equivalence_gadget(inst: STInstance) -> EquivalenceGadget:
+    """Construct the reduction gadgets, computing the spans exactly."""
+    return _gadget(inst)
 
 
 def st_via_diameter(inst: STInstance, diameter_fn):
@@ -300,13 +294,8 @@ def st_via_diameter(inst: STInstance, diameter_fn):
     a plain Graph; 2*w_scale is subtracted from its answers and the final
     value is halved to undo the weight doubling.
     """
-    g2, w_scale = _doubled(inst)
-    S, T = inst.S, inst.T
-    g_s, g_t = _one_side(g2, S, w_scale), _one_side(g2, T, w_scale)
-    span_s = diameter_fn(g_s) - 2 * w_scale if g_s is not None else 0
-    span_t = diameter_fn(g_t) - 2 * w_scale if g_t is not None else 0
-    gadget = _assemble_gadget(g2, S, T, g_s, g_t, w_scale, span_s, span_t)
-    combined = diameter_fn(gadget.g_st) - 2 * w_scale
+    gadget = _gadget(inst, diameter_fn)
+    combined = diameter_fn(gadget.g_st) - 2 * gadget.w_scale
     if combined > gadget.span_s:
         return combined // 2
     return (diameter_fn(gadget.g_final) - 2 * gadget.w_scale) // 2

@@ -148,6 +148,22 @@ class TestRun:
         assert code == 0
         assert json.loads(out)["estimate"] is None
 
+    def test_text_report_shows_unreachable(self, capsys, tmp_path):
+        dag = tmp_path / "dag.txt"
+        dag.write_text("3 2 directed unweighted\n0 1\n0 2\n")
+        code, out, _ = run_cli(capsys, "run", "diam-folk", "--input", str(dag))
+        assert code == 0 and " estimate=unreachable " in out
+        code, out, _ = run_cli(capsys, "run", "ecc2", "--input", str(dag))
+        assert code == 0 and " estimates=1,unreachable,unreachable " in out
+
+    @pytest.mark.parametrize("missing", ["input", "sets"])
+    def test_missing_file_is_file_error(self, capsys, tmp_path, p5, sets04, missing):
+        absent = str(tmp_path / "absent.txt")
+        paths = {"input": p5, "sets": sets04[0], missing: absent}
+        code, out, err = run_cli(capsys, "run", "st3", "--input", paths["input"],
+                                 "--sets", paths["sets"], sets04[1])
+        assert (code, out) == (3, "") and err.startswith("error: ") and absent in err
+
     def test_tau_is_exact_rational(self, capsys, tmp_path):
         c6 = tmp_path / "c6.txt"
         c6.write_text(format_graph(cycle_graph(6, directed=True)))
@@ -212,6 +228,23 @@ class TestGenVerify:
                                "--k", "3", "--n", "2", "--d", "3",
                                "--out", str(tmp_path / "x"))
         assert code == 2 and "k=4" in err
+
+    def test_gen_needs_k(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "gen", "--construction", "kov", "--n", "2",
+                                 "--d", "3", "--out", str(tmp_path / "x"))
+        assert (code, out) == (2, "") and "kov needs --k" in err
+
+    @pytest.mark.parametrize("shape, message", [
+        (("--k", "1", "--n", "2", "--d", "3"), "k must be at least 2"),
+        (("--k", "2", "--n", "0", "--d", "3"), "n must be at least 1"),
+        (("--k", "2", "--n", "2", "--d", "1"), "d must be at least 2"),
+    ], ids=["k", "n", "d"])
+    def test_shape_gen_ov_refuses_is_usage_error(self, capsys, tmp_path, shape, message):
+        # The size guard passes a shape it cannot estimate, and gen_ov refuses it.
+        code, out, err = run_cli(capsys, "gen", "--construction", "kov", *shape,
+                                 "--out", str(tmp_path / "x"))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert not list(tmp_path.iterdir())
 
     def test_out_in_missing_directory(self, capsys, tmp_path):
         out = tmp_path / "missing-dir" / "x"
@@ -363,7 +396,18 @@ class TestGenVerify:
         (lambda meta: [], "JSON object"),
         (lambda meta: {"mode": "unsat", "scope": "diameter"}, "promised_low"),
         (lambda meta: {**meta, "sets": {**meta["sets"], "S": "ab"}}, "'S'"),
-    ], ids=["not-an-object", "no-promise", "non-integer-set-bounds"])
+        (lambda meta: {**meta, "mode": "both"}, "unknown mode 'both'"),
+        (lambda meta: {**meta, "scope": "radius"}, "unknown scope 'radius'"),
+        (lambda meta: {**meta, "sets": {"S": meta["sets"]["S"]}}, "lacks vertex set 'T'"),
+        # bool is an int subclass, so JSON's true and false would pass as 1 and 0.
+        (lambda meta: {**meta, "promised_low": True}, "promised_low must be an integer, got True"),
+        (lambda meta: {**meta, "mode": "planted", "promised_high": 1, "witness": [False, True]},
+         "bad witness [False, True]"),
+        (lambda meta: {**meta, "sets": {**meta["sets"], "S": [False, True]}},
+         "set 'S' bounds [False, True]"),
+    ], ids=["not-an-object", "no-promise", "non-integer-set-bounds", "unknown-mode",
+            "unknown-scope", "missing-set", "boolean-promise", "boolean-witness",
+            "boolean-set-bounds"])
     def test_malformed_metadata_is_parse_error(self, capsys, tmp_path, edit, message):
         prefix = str(tmp_path / "fix")
         run_cli(capsys, "gen", "--construction", "kov", "--k", "2", "--n", "2",

@@ -786,6 +786,27 @@ class TestOneHopPivots:
         assert calls
         assert (cd.dist, cd.pivot) == _nearest_centers(g, cd.centers)
 
+    @pytest.mark.parametrize("b", [3, 4, 6])
+    def test_poor_start_resamples_oversized_clusters(self, calls, monkeypatch, b):
+        # Pruning only drops ball members, so a cluster can exceed 4/p = 4b
+        # only at a vertex in more than 4b balls, which the greedy start
+        # picks first.  A band graph has none once its balls reach two
+        # hops: its end vertices' balls must outgrow their k = (n - 1)/D
+        # neighbours, and a vertex then lies in about b + k < 2b balls.
+        # The star's hub lies in every leaf's ball, and a leaf's ball of
+        # b >= 3 reaches the other leaves, two hops away, so a start of the
+        # last leaf alone leaves the hub in 30 bunches, over 4b.
+        def poor_start(owners, members, n):
+            return [n - 1]
+
+        monkeypatch.setattr(dense_module, "_greedy_hitting_set", poor_start)
+        monkeypatch.setitem(globals(), "_greedy_hitting_set", poor_start)
+        g = star_graph(30)
+        cd = tz_center(g, 1 / b, seed=b)
+        assert len(calls) > 1 and 0 in cd.centers
+        assert all(len(cluster) <= 4 * b for cluster in cd.clusters)
+        assert cd == reference_tz_center(g, 1 / b, seed=b)
+
 
 class TestSpannerComposition:
     def test_exact_inner_on_path(self):

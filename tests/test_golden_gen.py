@@ -34,9 +34,11 @@ CASES = (
     ("6v10", ("--n", "2", "--d", "3")),
     ("3km4", ("--k", "3", "--n", "2", "--d", "3")),
     ("3km4", ("--k", "4", "--n", "2", "--d", "3")),
+    ("3km4", ("--k", "5", "--n", "2", "--d", "3")),
     ("8v13", ("--n", "2", "--d", "3")),
     ("ecc-und", ("--k", "2", "--n", "3", "--d", "3")),
     ("ecc-und", ("--k", "3", "--n", "2", "--d", "3")),
+    ("ecc-und", ("--k", "4", "--n", "2", "--d", "3")),
     ("ecc-dir", ("--n", "3", "--d", "3", "--L", "2")),
     # Usage errors: no files are written.
     ("3km4", ("--k", "2", "--n", "2", "--d", "3")),

@@ -16,7 +16,7 @@ from conftest import (_arc_lists, bellman_ford, complete_graph, cycle_graph, pat
                       random_connected, random_graph, random_strongly_connected, star_graph)
 from diamecc import graph as graph_module
 from diamecc import search
-from diamecc.stdiam import STInstance, _assemble_gadget, _doubled, _with_pendants
+from diamecc.stdiam import STInstance, build_equivalence_gadget
 from diamecc import (UNREACHABLE, Graph, GraphFormatError, apsp_matrix, approx_on_spanner,
                      closest, degree3_blowup, diam_dense_32, diam_folklore_2approx,
                      diam_linear_lessthan2, ecc_2approx, ecc_2plusdelta, ecc_dense_53,
@@ -582,11 +582,8 @@ def _pendant_gadgets(rng, n):
     g = random_connected(rng, n, 3 * n)
     picked = rng.sample(range(n), 2 * (n // 10))
     S, T = sorted(picked[:n // 10]), sorted(picked[n // 10:])
-    g2, w_scale = _doubled(STInstance(g, S, T))
-    span_s, span_t = exact_st_diameter(g2, S, S), exact_st_diameter(g2, T, T)
-    g_s, g_t = _with_pendants(g2, [S], w_scale)[0], _with_pendants(g2, [T], w_scale)[0]
-    gadget = _assemble_gadget(g2, S, T, g_s, g_t, w_scale, span_s, span_t)
-    return g_s, gadget.g_st, gadget.g_final
+    gadget = build_equivalence_gadget(STInstance(g, S, T))
+    return gadget.g_s, gadget.g_st, gadget.g_final
 
 
 def _twin_path(n=600):
