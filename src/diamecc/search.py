@@ -41,12 +41,13 @@ the ring rule below, its depth:
   flat int64 (owner, member, distance) arrays).  The exact oracles, the
   estimators' probe loops, the S-T sweeps, the st scope of
   hardness.verify_construction and dense.tz_center's balls are built on
-  them.  closest never consults the depth probe, which prices a full
-  search.  On unit weights, when every source has s - 1 or more distinct
-  neighbours, it reads the balls off a neighbour view, the arc view
-  sorted by (tail, head) and deduplicated, built per call when every
-  source's arc degree reaches s - 1; otherwise it runs ring passes
-  whenever the encoding exists.
+  them; exact_diameter, on an undirected graph, runs only the sources that
+  one search from vertex 0 does not rule out.  closest never consults the
+  depth probe, which prices a full search.  On unit weights, when every
+  source has s - 1 or more distinct neighbours, it reads the balls off a
+  neighbour view, the arc view sorted by (tail, head) and deduplicated,
+  built per call when every source's arc degree reaches s - 1; otherwise
+  it runs ring passes whenever the encoding exists.
   A bit-parallel bucket queue (Dial's, one bit per source in a uint64
   word per vertex; "the ring" below) runs up to 64 sources per pass over
   the arc view and the ring's int64 targets (_csr).  Its n-word slots
@@ -165,6 +166,7 @@ from __future__ import annotations
 
 import contextlib
 import heapq
+import operator
 from collections import deque
 from dataclasses import dataclass
 
@@ -641,13 +643,23 @@ def _each(g: Graph, srcs: list, direction: str, from_row, from_batch):
 
 
 def _source_set(g: Graph, sources) -> list:
-    """Sorted distinct vertex ids; ValueError when empty or out of range."""
-    srcs = sorted(set(sources))
+    """Sorted distinct vertex ids; ValueError when empty or not ids (see _ids)."""
+    srcs = sorted(set(_ids(g, sources)))
     if not srcs:
         raise ValueError("vertex set must be nonempty")
-    if srcs[0] < 0 or srcs[-1] >= g.n:
-        raise ValueError("vertex id out of range")
     return srcs
+
+
+def _ids(g: Graph, vertices) -> list:
+    """The vertices as a list of ints; ValueError unless each is an integer
+    (an int or a numpy int, as Graph's edges take) in range(n)."""
+    try:
+        ids = list(map(operator.index, vertices))
+    except TypeError:
+        ids = None
+    if ids is None or ids and (min(ids) < 0 or max(ids) >= g.n):
+        raise ValueError("vertex id not an int or out of range")
+    return ids
 
 
 def eccentricities(g: Graph, sources, direction: str = "out", targets=None) -> list:
@@ -770,13 +782,10 @@ def _row_levels(row):
 
 
 def _listed(g: Graph, sources, direction: str) -> list:
-    """The sources as a list, repeats kept; ValueError when one is out of
-    range or the direction is bad, before anything is searched or cached."""
+    """The sources as a list, repeats kept; ValueError when one is not an
+    id or the direction is bad, before anything is searched or cached."""
     g._key(direction)
-    srcs = list(sources)
-    if srcs and (min(srcs) < 0 or max(srcs) >= g.n):
-        raise ValueError("source id out of range")
-    return srcs
+    return _ids(g, sources)
 
 
 def _mask(g: Graph, vertices):
@@ -922,8 +931,7 @@ def sssp(g: Graph, source: int, direction: str = "out") -> list:
     ``direction="out"`` gives d(source, v); ``"in"`` gives d(v, source).
     Unreachable vertices get the UNREACHABLE sentinel.
     """
-    if not 0 <= source < g.n:
-        raise ValueError(f"source {source} out of range")
+    source, = _ids(g, (source,))
     return _as_list(_row(g, (source,), direction))
 
 
@@ -937,8 +945,7 @@ def k_closest(g: Graph, v: int, s: int, direction: str = "out") -> Neighborhood:
     fewer are reachable: one truncated heap search, _ball."""
     if not 1 <= s <= g.n:
         raise ValueError(f"s must be in [1, {g.n}], got {s}")
-    if not 0 <= v < g.n:
-        raise ValueError(f"vertex {v} out of range")
+    v, = _ids(g, (v,))
     return Neighborhood(v, direction, _ball(g, v, s, direction))
 
 
@@ -986,10 +993,28 @@ def exact_eccentricities(g: Graph, direction: str = "out") -> list:
 
 
 def exact_diameter(g: Graph):
-    """Largest eccentricity; UNREACHABLE when some pair is unreachable."""
+    """Largest eccentricity; UNREACHABLE when some pair is unreachable.
+
+    On an undirected graph one search from vertex 0 bounds every
+    eccentricity: ecc(v) <= d(v, 0) + ecc(0), as d(v, u) <= d(v, 0) + d(0, u)
+    for every u.  The 64 sources of largest bound run first, ties to the
+    smaller id, then only those whose bound still exceeds the largest
+    eccentricity found, so the result is exact; at worst all n run.  A
+    directed graph runs every source: its bound needs d(v, 0), an in-search
+    that answers no eccentricity.
+    """
     if g.n == 0:
         return 0
-    return max(exact_eccentricities(g, "out"))
+    if g.directed:
+        return max(exact_eccentricities(g, "out"))
+    row = _distances(g, (0,), "out")
+    if row.min() < 0:
+        return UNREACHABLE
+    best = reach = int(row.max())  # v's bound is row[v] + reach
+    order = np.argsort(-row, kind="stable")
+    for part in (order[:_WORD], order[_WORD:]):
+        best = max([best, *eccentricities(g, part[row[part] + reach > best].tolist())])
+    return best
 
 
 def exact_radius(g: Graph):

@@ -10,7 +10,7 @@ from random import Random
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from conftest import (_arc_lists, bellman_ford, complete_graph, cycle_graph, path_graph,
                       random_connected, random_graph, random_strongly_connected, star_graph)
@@ -20,9 +20,9 @@ from diamecc.stdiam import STInstance, build_equivalence_gadget
 from diamecc import (UNREACHABLE, Graph, GraphFormatError, apsp_matrix, approx_on_spanner,
                      closest, degree3_blowup, diam_dense_32, diam_folklore_2approx,
                      diam_linear_lessthan2, ecc_2approx, ecc_2plusdelta, ecc_dense_53,
-                     eccentricities, eccentricity, exact_eccentricities, exact_st_diameter,
-                     format_graph, is_connected, is_strongly_connected, k_closest,
-                     max_distances, multi_source_distance, nearest, parse_graph,
+                     eccentricities, eccentricity, exact_diameter, exact_eccentricities,
+                     exact_st_diameter, format_graph, is_connected, is_strongly_connected,
+                     k_closest, max_distances, multi_source_distance, nearest, parse_graph,
                      parse_vertex_set, source_radius, sssp, st_2approx_true,
                      st_2approx_weighted, st_3approx)
 
@@ -403,6 +403,46 @@ class TestDirectionCheck:
             assert not g._csr and not g._views
 
 
+class TestVertexIdCheck:
+    # Every public search rejects a vertex id that is not an int (Python or
+    # numpy, as Graph's edges take) in range(n) with ValueError, before it
+    # searches or caches anything, on the ring path as on the list paths.
+    CALLS = {
+        "eccentricities": lambda g, v: eccentricities(g, [0, v, 5]),
+        "eccentricities into targets": lambda g, v: eccentricities(g, [0, 5], targets=[1, v]),
+        "nearest": lambda g, v: nearest(g, [0, v, 5], [1, 2]),
+        "nearest members": lambda g, v: nearest(g, [0, 5], [1, v]),
+        "max_distances": lambda g, v: max_distances(g, [0, v, 5]),
+        "closest": lambda g, v: closest(g, [0, v, 5], 4),
+        "sssp": lambda g, v: sssp(g, v),
+        "multi_source_distance": lambda g, v: multi_source_distance(g, [0, v]),
+        "k_closest": lambda g, v: k_closest(g, v, 4),
+        "eccentricity": lambda g, v: eccentricity(g, v),
+        "exact_st_diameter S": lambda g, v: exact_st_diameter(g, [0, v], [1, 2]),
+        "exact_st_diameter T": lambda g, v: exact_st_diameter(g, [0, 5], [1, v]),
+    }
+
+    @pytest.mark.parametrize("name", CALLS)
+    @pytest.mark.parametrize("max_w", [1, 7])
+    def test_non_ids_raise_and_cache_nothing(self, name, max_w):
+        g = random_connected(Random(0), 300, 1200, max_w)
+        for bad in (0.5, 1.0, np.float64(2.0), "1", None, -1, 300, np.int64(300)):
+            with pytest.raises(ValueError, match="out of range"):
+                self.CALLS[name](g, bad)
+            assert not g._csr and not g._views
+
+    @pytest.mark.parametrize("name", CALLS)
+    def test_numpy_ints_are_ids(self, name):
+        g = random_connected(Random(0), 300, 1200, 7)
+        want = self.CALLS[name](g, 3)
+        for v in (np.int64(3), np.int32(3), np.uint8(3)):
+            got = self.CALLS[name](g, v)
+            if name == "closest":
+                assert all(np.array_equal(a, b) for a, b in zip(got, want))
+            else:
+                assert got == want
+
+
 def _list_builders(monkeypatch) -> list:
     """Record the caller of every Graph.adjacency call: (module, function)."""
     calls = []
@@ -535,6 +575,97 @@ class TestExactOracles:
             T = rng.sample(range(n), rng.randint(1, n))
             D = apsp_matrix(g)
             assert exact_st_diameter(g, S, T) == D[np.ix_(sorted(S), sorted(T))].max()
+
+
+@st.composite
+def _diameter_graphs(draw):
+    """A graph for exact_diameter: directed or not, unit weights, 1..8, up
+    to 10**6, 0/1 or 0..9, and, when drawn connected, a random spanning tree
+    (both arc directions when directed) under random edges."""
+    n = draw(st.integers(0, 90))
+    directed = draw(st.booleans())
+    weight = st.integers(*draw(st.sampled_from([(1, 1), (1, 8), (1, 10**6), (0, 1), (0, 9)])))
+    edges = []
+    if n and draw(st.booleans()):
+        order = draw(st.permutations(range(n)))
+        for i in range(1, n):
+            u = order[draw(st.integers(0, i - 1))]
+            edges.append((u, order[i], draw(weight)))
+            if directed:
+                edges.append((order[i], u, draw(weight)))
+    if n:
+        edges += draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), weight),
+                               max_size=2 * n))
+    return Graph(n, edges, directed=directed)
+
+
+class TestExactDiameter:
+    # On an undirected graph one search from vertex 0 bounds every
+    # eccentricity by d(v, 0) + ecc(0), and only the sources whose bound
+    # can still beat the largest eccentricity found run; a directed graph
+    # runs every source.
+
+    @settings(max_examples=150, deadline=None)
+    @given(g=_diameter_graphs())
+    @example(g=Graph(0))
+    @example(g=Graph(1))
+    @example(g=Graph(2))
+    @example(g=Graph(2, [(0, 1, 0)]))
+    @example(g=Graph(2, [(1, 0, 5)], directed=True))
+    def test_property_matches_bellman_ford(self, g):
+        assert exact_diameter(g) == max((max(bellman_ford(g, v)) for v in range(g.n)), default=0)
+
+    def test_pendant_gadget_runs_one_batched_pass(self, monkeypatch):
+        # The g_st of st_via_diameter: 180 vertices, so every source
+        # would take three passes of 64; the bound leaves at most 64.
+        rng = Random(3)
+        g = random_connected(rng, 150, 450)
+        picked = rng.sample(range(150), 30)
+        g_st = build_equivalence_gadget(STInstance(g, picked[:15], picked[15:])).g_st
+        passes = _spy_ring(monkeypatch)
+        got = exact_diameter(g_st)
+        assert passes == [False]
+        monkeypatch.undo()
+        assert got == max(exact_eccentricities(g_st))
+
+    def test_cycle_runs_every_source(self, monkeypatch):
+        # Every vertex of an undirected 150-cycle has eccentricity 75 and
+        # bound d(v, 0) + 75, so no source but 0 is ruled out.
+        calls = _spy_eccentricities(monkeypatch)
+        assert exact_diameter(cycle_graph(150)) == 75
+        assert [len(c) for c in calls] == [64, 85]
+        assert sorted(v for c in calls for v in c) == list(range(1, 150))
+
+    @pytest.mark.parametrize("max_w", [1, 7])
+    def test_vertex_zero_cut_off_runs_no_batch(self, monkeypatch, max_w):
+        g = Graph(6, [(v, v + 1, max_w) for v in range(1, 5)])
+        calls = _spy_eccentricities(monkeypatch)
+        passes = _spy_ring(monkeypatch)
+        assert exact_diameter(g) == UNREACHABLE
+        assert calls == [] and False not in passes
+
+    @pytest.mark.parametrize("max_w", [1, 7, 10**6])
+    def test_directed_runs_the_searches_of_exact_eccentricities(self, monkeypatch, max_w):
+        g, twin = (random_strongly_connected(Random(5), 150, 600, max_w) for _ in range(2))
+        searches = _spy_searches(monkeypatch)
+        got = exact_diameter(g)
+        ran = list(searches)
+        searches.clear()
+        assert got == max(exact_eccentricities(twin, "out"))
+        assert ran == searches and len(ran) > 1
+
+
+def _spy_eccentricities(monkeypatch) -> list:
+    """Record the sources of every eccentricities call from now on."""
+    calls = []
+    eccentricities_ = search.eccentricities
+
+    def spy(g, sources, *args, **kwargs):
+        calls.append(list(sources))
+        return eccentricities_(g, sources, *args, **kwargs)
+
+    monkeypatch.setattr(search, "eccentricities", spy)
+    return calls
 
 
 def _assert_reductions(g, sources, direction, rows=None):
