@@ -651,15 +651,17 @@ def _source_set(g: Graph, sources) -> list:
 
 
 def _ids(g: Graph, vertices) -> list:
-    """The vertices as a list of ints; ValueError unless each is an integer
-    (an int or a numpy int, as Graph's edges take) in range(n)."""
+    """The vertices as a list of ints; ValueError naming the first that is
+    not an integer (an int or a numpy int, as Graph's edges take) in range(n)."""
+    vertices = list(vertices)
     try:
         ids = list(map(operator.index, vertices))
     except TypeError:
-        ids = None
-    if ids is None or ids and (min(ids) < 0 or max(ids) >= g.n):
-        raise ValueError("vertex id not an int or out of range")
-    return ids
+        ids = [-1]
+    if not ids or min(ids) >= 0 and max(ids) < g.n:
+        return ids
+    bad = next(v for v in vertices if not hasattr(v, "__index__") or not 0 <= operator.index(v) < g.n)
+    raise ValueError(f"vertex id {bad!r} not an int or out of range")
 
 
 def eccentricities(g: Graph, sources, direction: str = "out", targets=None) -> list:
@@ -1003,17 +1005,15 @@ def exact_diameter(g: Graph):
     directed graph runs every source: its bound needs d(v, 0), an in-search
     that answers no eccentricity.
     """
-    if g.n == 0:
-        return 0
-    if g.directed:
-        return max(exact_eccentricities(g, "out"))
+    if g.n == 0 or g.directed:
+        return max(exact_eccentricities(g, "out"), default=0)
     row = _distances(g, (0,), "out")
     if row.min() < 0:
         return UNREACHABLE
-    best = reach = int(row.max())  # v's bound is row[v] + reach
+    best = reach = int(row.max())  # v's bound is row[v] + reach; no sum, so no int64 wrap
     order = np.argsort(-row, kind="stable")
     for part in (order[:_WORD], order[_WORD:]):
-        best = max([best, *eccentricities(g, part[row[part] + reach > best].tolist())])
+        best = max([best, *eccentricities(g, part[row[part] > best - reach].tolist())])
     return best
 
 

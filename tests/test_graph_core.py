@@ -427,7 +427,7 @@ class TestVertexIdCheck:
     def test_non_ids_raise_and_cache_nothing(self, name, max_w):
         g = random_connected(Random(0), 300, 1200, max_w)
         for bad in (0.5, 1.0, np.float64(2.0), "1", None, -1, 300, np.int64(300)):
-            with pytest.raises(ValueError, match="out of range"):
+            with pytest.raises(ValueError, match=f"^vertex id {re.escape(repr(bad))} not an int or out of range$"):
                 self.CALLS[name](g, bad)
             assert not g._csr and not g._views
 
@@ -612,6 +612,9 @@ class TestExactDiameter:
     @example(g=Graph(2))
     @example(g=Graph(2, [(0, 1, 0)]))
     @example(g=Graph(2, [(1, 0, 5)], directed=True))
+    # Weights at the budget: a bound d(v, 0) + ecc(0) = 4W - 2 exceeds int64.
+    @example(g=Graph(4, [(0, 1, 3074457345618258601), (1, 2, 3074457345618258602),
+                         (1, 3, 3074457345618258602)]))
     def test_property_matches_bellman_ford(self, g):
         assert exact_diameter(g) == max((max(bellman_ford(g, v)) for v in range(g.n)), default=0)
 
