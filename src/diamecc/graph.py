@@ -61,7 +61,7 @@ class Graph:
     tuples), ``arcs`` (per direction, int64 arrays that every search
     reads, 16 bytes per vertex and 8-16 per arc), ``adj_out`` and ``adj_in``
     (per vertex its ``(head, weight)`` arcs, which only list searches
-    build, so only weighted, 0/1-weight and deep unit graphs get them,
+    build, so mostly 0/1-weight, weights-1..W and deep graphs get them,
     about 64 bytes per vertex and 95 per arc; an undirected graph has one
     of each for both directions) and ``degrees`` are built on
     first access and cached, and so are the ring's arrays and depth probe

@@ -42,12 +42,13 @@ the ring rule below, its depth:
   estimators' probe loops, the S-T sweeps, the st scope of
   hardness.verify_construction and dense.tz_center's balls are built on
   them; exact_diameter, on an undirected graph, runs only the sources that
-  one search from vertex 0 does not rule out.  closest never consults the
-  depth probe, which prices a full search.  On unit weights, when every
-  source has s - 1 or more distinct neighbours, it reads the balls off a
-  neighbour view, the arc view sorted by (tail, head) and deduplicated,
-  built per call when every source's arc degree reaches s - 1; otherwise
-  it runs ring passes whenever the encoding exists.
+  one search from vertex 0 does not rule out.  None of them runs the
+  depth probe: each pass is bounded by its own budget.  On unit weights,
+  when every source has s - 1 or more distinct neighbours, closest reads
+  the balls off a neighbour view, the arc view sorted by (tail, head)
+  and deduplicated, built per call when every source's arc degree
+  reaches s - 1; otherwise it runs ring passes whenever the encoding
+  exists.
   A bit-parallel bucket queue (Dial's, one bit per source in a uint64
   word per vertex; "the ring" below) runs up to 64 sources per pass over
   the arc view and the ring's int64 targets (_csr).  Its n-word slots
@@ -95,44 +96,50 @@ the ring rule below, its depth:
   nearly distinct weights a call of a few sources can cost more than
   their own list searches.
 
-The ring rule decides, for a call of k searches (k = 1 for a single
-search, one per source for eccentricities and max_distances), which run
-in the ring, the others running one list search each.  Its words are
-counted against 16 (n + m), 128 bytes per vertex and edge: the arc view
-and the ring's targets take 16 per vertex and 8 per arc on one weight,
-24 off it, and the lists a list search builds about 64 and 95 (see Graph).
+The ring rule decides which searches run in the ring, the others running
+one list search each.  Its words are counted against 16 (n + m), 128
+bytes per vertex and edge: the arc view and the ring's targets take 16
+per vertex and 8 per arc on one weight, 24 off it, and the lists a list
+search builds about 64 and 95 (see Graph).
 
-* depth: a ring step costs c = 64 + n // 64 list-search vertex and arc
-  scans (_step_cost): its fixed numpy overhead and its n-word settle.
-  Unit weights with k > 1 run in the ring with no probe.  In any other
-  call, a single search or a batch of one source alike, the first call
-  on a graph in a direction runs its first search as the depth probe,
-  whose row gives D, its largest finite distance, and K, its number of
-  distinct finite distances; later calls reuse them.  A pass of b
-  sources over keyed slots takes about min(D + W + 1, K b) steps, W
-  being the largest weight, and one over the ring of weights 1..W, or
-  over unit weights, steps through every distance, D + W + 1.  The k'
-  searches left (k - 1 on that first call, k after) run in the ring only
-  when c times the steps of their passes is at most k' (n + m), the list
-  searches' scans; a single search is one pass with k' = 1, whatever its
-  sources.  The keyed estimate, never above the ring's, is asked before
-  the memory half, so a graph that fails it builds no ring encoding.
-  Off unit weights the probe is a list search.  On unit weights it is a
-  one-bit ring pass that gives up for a list search at the first level d
-  where c (d + W + 1) > n + m, from which the rule refuses a single
-  search (see _ring_row).  So D, K and every later choice are a list
-  probe's, and a shallow unit graph builds no adjacency lists.
-  On a directed 320-cycle with weights 1..10, a step took about 12 us and
-  a Dijkstra about 0.18 us per vertex or arc, and the ring took 19 times
-  as long as 10 list searches and 3 times as long as 64; the rule sends
-  both to the list searches.  The pendant gadgets of
-  stdiam.st_via_diameter have W about 2 n but K below 10, so they run in
-  the ring.  One search on random_strongly_connected(n, 4 n) took 0.3 ms
-  in the ring against 1.1 ms as a BFS at n = 1500, and 1.1-2 ms against
-  23 ms at n = 10**4.  A directed 2000-cycle (D = 1999), a 300-path and
-  a parsed 50 x 2000 grid (n = 10**5, D = 2048) keep the list search: a
-  search on the grid after the probe took 0.04-0.08 s as a BFS, against
-  0.17-0.41 s in the ring when the step cost left out the settle.
+* time, during a pass: a ring step costs c = 64 + n // 64 list-search
+  vertex and arc scans (_step_cost): its fixed numpy overhead and its
+  n-word settle.  Every pass has a budget of the list searches it
+  replaces, n + m scans for a single search and b (n + m) for a batch of
+  b sources, and gives up once c times its steps would exceed it (see
+  _ring_bits): on unit weights and the ring of weights 1..W, a pass that
+  has settled distance d takes at least d + W + 1 steps, as the ring
+  steps through every distance; on keyed slots, which step only through
+  pending distances, it counts the steps that settled something, and one
+  more.  A pass that gives up hands its batch, and the rest of the call,
+  to list searches (closest's to _ball).  A full batch of 64 sources that
+  gives up marks the graph and direction, so later batched calls in it
+  run as list searches; a single search's or a smaller batch's budget
+  says little about a full batch's, so those fall back alone.  On a
+  directed 320-cycle with weights 1..10, a step took about 12 us and a
+  Dijkstra about 0.18 us per vertex or arc, and a whole pass 19 times as
+  long as 10 list searches and 3 times as long as 64.  On the pendant
+  gadgets of stdiam.st_via_diameter over random_connected(150,
+  450, max_w=3), W about 2 n, a single search took 10-13 steps against a
+  budget of 11.5-12, but a pass of up to 64 sources 17-27 against 735-771.
+* the depth probe, for single searches only: the first single search on
+  a graph in a direction is the probe.  On unit weights and keyed slots
+  it is a one-bit ring pass under that budget, which gives up for a list
+  search; on the ring of weights 1..W it is a list search whose row gives
+  D, its largest finite distance.  Later single searches in that
+  direction start in the ring only when the probe's pass did not give
+  up, or, on weights 1..W, when c (D + W + 1) <= n + m; so a deep graph
+  pays a failed pass once, not per search.  The 1..W probe stays a list
+  search because perfbench's tracer counts only list searches, and its
+  Dijkstra probes on the weights-1..8 graph are all that sparse-ecc's
+  ecc_2plusdelta search count reads.  Batched calls, whose budgets bound
+  them, run no probe.  One search on random_strongly_connected(n, 4 n) took
+  0.3 ms in the ring against 1.1 ms as a BFS at n = 1500, and 1.1-2 ms
+  against 23 ms at n = 10**4.  A directed 2000-cycle (D = 1999), a
+  300-path and a parsed 50 x 2000 grid (n = 10**5, D = 2048) keep the
+  list search: a search on the grid after the probe took 0.04-0.08 s as
+  a BFS, against 0.17-0.41 s in the ring when the step cost left out the
+  settle.
 * memory, before a pass: the k_w x n block and two slots must fit,
   (k_w + 2) n <= 16 (n + m), or no ring encoding is built.  Unit weights
   always pass; random weights up to 10**6, nearly all distinct, fail.
@@ -146,17 +153,15 @@ The ring runs on positive weights only: a graph with a 0-weight arc
 builds no ring encoding, so its searches, single and batched, are list
 searches, and its balls _ball's.
 
-What stays slow on deep graphs: unit-weight batches of two or more
-sources, and closest's balls on positive weights, skip the probe and
-always run in the ring, so a long path or cycle pays one step per level
-(no caller asks closest for balls of nearly n); and D and K come from
-one search, so a directed graph whose probe reaches only a shallow part
-can still let a deep batch or search into the ring.  A deep unit graph's
-first search pays for the probe's ring pass, about (n + m) / c levels,
-and then for the list search: on parsed directed cycles of 2000, 20000
-and 10**5 vertices it took 1.2-1.4, 11-14 and 80-90 ms against 0.6,
-6.5-8.6 and 55-65 ms for a list probe alone, on a 2-core Xeon.  A scalar
-step for narrow frontiers would remove this cost.
+What stays slow on deep graphs: a batch learns its depth only by running,
+so on a long path or cycle a batch pays its budget, as much as its list
+searches, before it gives up, until a full batch marks the direction;
+closest's deep balls pay the same before _ball answers them.  A deep
+graph's first single search pays for the probe's ring pass, about
+(n + m) / c levels, and then for the list search: on parsed directed
+cycles of 2000, 20000 and 10**5 vertices it took 1.2-1.4, 11-14 and
+80-90 ms against 0.6, 6.5-8.6 and 55-65 ms for a list probe alone, on a
+2-core Xeon.  A scalar step for narrow frontiers would remove this cost.
 
 All tie-breaking is by (distance, vertex id) ascending, so every operation
 here is deterministic.
@@ -263,7 +268,7 @@ def _row(g: Graph, sources, direction: str, until=None):
     module docstring): the depth probe's row, a ring pass's array (see
     _ring_row, which alone reads ``until``), or a list search's list, also
     when the pass raises _RingFull."""
-    ring, rows = _ring_rule(g, sources, 1, direction)
+    ring, rows = _ring_rule(g, sources, direction)
     if rows:
         return rows[0]
     if ring:
@@ -296,23 +301,16 @@ def _as_list(row) -> list:
     return [UNREACHABLE if d < 0 else d for d in out] if (row < 0).any() else out
 
 
-def _ring_row(g: Graph, sources, direction: str, probe: bool = False, until=None):
+def _ring_row(g: Graph, sources, direction: str, until=None):
     """The row of one ring pass with every source in bit 0, as an int64
     array with -1 where unreachable; the pass stops once every vertex is
     settled, or with ``until = (picked, k)``, a bool mask and a count, once
-    k picked ones are, every -1 entry then being farther than the last level.
-
-    With ``probe`` (unit weights) the pass gives up and returns None at
-    the first level d where _fits refuses a single search of depth d:
-    where d + W + 1 steps (W = 1, or 0 with no arcs) at _step_cost each,
-    the settle of all n words included, exceed a list search's n + m.
+    k picked ones are, every -1 entry then being farther than the last
+    level.  Raises _RingFull when the pass gives up (see _ring_bits).
     """
-    cost = _step_cost(g) if probe else 0
     dist = np.full(g.n, -1, dtype=np.int64)
     picked, left = until or (None, g.n)
     for d, frontier, _ in _ring_bits(g, sources, direction, _all_bits(g.n), one_bit=True):
-        if cost * (d + g.max_weight + 1) > g.n + g.m:
-            return None
         dist[frontier] = d
         left -= len(frontier) if picked is None else int(np.count_nonzero(picked[frontier]))
         if left <= 0:
@@ -426,67 +424,52 @@ def _step_cost(g: Graph) -> int:
     return _STEP_COST + g.n // _SETTLE_WORDS
 
 
-def _ring_rule(g: Graph, first, left: int, direction: str):
-    """The ring rule (see the module docstring) for a call of ``left``
-    searches, the first of them from the source set ``first``.
+def _has_ring(g: Graph, direction: str) -> bool:
+    """Whether ring passes may run in this direction: the graph has a ring
+    encoding (see _csr) and no batch in this direction has given up."""
+    return not g._csr.get(("full", g._key(direction))) and _csr(g, direction) is not None
 
-    Returns (ring, rows): ``rows`` holds the depth probe's row, the first
-    search's answer, when this call ran the probe, and ``ring`` says
-    whether the searches after it run in the ring or as list searches.
+
+def _ring_rule(g: Graph, sources, direction: str):
+    """The ring rule for a single search from the source set ``sources``
+    (see the module docstring): (ring, rows), kept per graph and direction.
+
+    The first call runs the depth probe, whose row it returns in ``rows``
+    as the search's answer: a one-bit ring pass, which gives up for a list
+    search, or on weights 1..W a list search.  ``ring`` says whether later
+    single searches start in the ring: the probe's pass did not give up,
+    or, on weights 1..W, a pass to the probe's largest distance D, D + W + 1
+    steps, would not.  It only picks a kernel, so it never changes a result.
     """
-    if g.unit_weights and left > 1:
-        return True, []
-    (depth, distinct), rows = _depth(g, first, direction)
-    return _fits(g, direction, depth, distinct, left - len(rows)), rows
-
-
-def _fits(g: Graph, direction: str, depth: int, distinct: int, left: int) -> bool:
-    """The depth and memory halves of the ring rule for ``left`` sources,
-    one bit each, given the probe's D and K; False after a pass in this
-    direction raised _RingFull."""
-    scans, cost = left * (g.n + g.m), _step_cost(g)
-    deepest = depth + g.max_weight + 1
-    # Keyed slots step only through pending distances, at most K per source;
-    # this is the lower estimate, so it is asked before the arrays are built.
-    full, part = divmod(left, _WORD)
-    keyed = full * min(deepest, distinct * _WORD) + min(deepest, distinct * part)
-    # The memory half: no ring encoding is built when the k_w x n block and
-    # two slots would not fit next to the graph, or when it has a 0-weight arc.
-    if (not left or g._csr.get(("full", g._key(direction)))
-            or cost * keyed > scans or _csr(g, direction) is None):
-        return False
-    # Unit weights and the ring of weights 1..W step through every distance
-    # up to the last.
-    if g.unit_weights or _one_to_w(_csr(g, direction)[1]):
-        return cost * -(-left // _WORD) * deepest <= scans
-    return True
-
-
-def _depth(g: Graph, sources, direction: str):
-    """The ring rule's depth probe: ((D, K), rows), kept per graph and direction.
-
-    D is the largest finite distance of one search and K the number of
-    distinct finite distances in it.  The first call runs that search from
-    ``sources``, a list search or on unit weights a one-bit ring pass that
-    gives up for one (see _ring_row), and returns its row; later calls
-    reuse (D, K) and return no rows.  They only pick a kernel, so which
-    search measured them never changes a result.
-    """
-    key = ("depth", g._key(direction))
-    depth = g._csr.get(key)
-    if depth is not None:
-        return depth, []
-    row = _ring_row(g, sources, direction, probe=True) if g.unit_weights else None
-    if row is None:
+    if not _has_ring(g, direction):
+        return False, []
+    key = ("probe", g._key(direction))
+    if key in g._csr:
+        return g._csr[key], []
+    if _one_to_w(_csr(g, direction)[1]):
         row = _list_distances(g, sources, direction)
-    # UNREACHABLE marks an unreached vertex in a list, -1 in an array.
-    finite = set(row if isinstance(row, list) else row.tolist()) - {UNREACHABLE, -1}
-    depth = g._csr[key] = max(finite), len(finite)
-    return depth, [row]
+        depth = max(d for d in row if d != UNREACHABLE)
+        ring = _step_cost(g) * (depth + g.max_weight + 1) <= g.n + g.m
+    else:
+        try:
+            row, ring = _ring_row(g, sources, direction), True
+        except _RingFull:
+            row, ring = _list_distances(g, sources, direction), False
+    g._csr[key] = ring
+    return ring, [row]
 
 
 class _RingFull(Exception):
-    """A ring pass would hold more live slots than the memory rule allows."""
+    """A ring pass gave up: it would hold more live slots than the memory
+    rule allows, or take more steps than its budget."""
+
+
+def _give_up(g: Graph, direction: str, mark: bool = True):
+    """Stop a ring pass by raising _RingFull; with ``mark``, first mark the
+    graph and direction so that later calls skip the ring (see _has_ring)."""
+    if mark:
+        g._csr[("full", g._key(direction))] = True
+    raise _RingFull
 
 
 def _ring_bits(g: Graph, sources, direction: str, unseen, one_bit: bool = False):
@@ -510,11 +493,20 @@ def _ring_bits(g: Graph, sources, direction: str, unseen, one_bit: bool = False)
     loses each bit at the vertices it reaches.  With ``one_bit`` every
     source is seeded in bit 0 instead, so the pass is one search from the
     set.  Raises _RingFull, before allocating the slot, when the live slots
-    plus k_w would exceed the memory rule's 16 (n + m) / n, and marks the
-    graph and direction so that _fits keeps later calls off the ring.
+    plus k_w would exceed the memory rule's 16 (n + m) / n; and, after
+    yielding d, when its steps at _step_cost each (0: no budget) would
+    cost more than the list searches it replaces, n + m scans for one bit
+    and len(sources) (n + m) for a batch.  The ring steps through every
+    distance, so it counts d + k_w + 1 steps; keyed slots count the steps
+    that settled something, and one more.  Either overrun marks the graph
+    and direction for later calls (see _has_ring), but a budget overrun
+    only on a full batch of 64 sources: a smaller budget says little
+    about a full batch's.
     """
     (indptr, degree, _, _), (targets, steps, ranks) = g.arcs(direction), _csr(g, direction)
     n, k = g.n, len(steps)
+    cost, budget = _step_cost(g), (1 if one_bit else len(sources)) * (n + g.m)
+    full = not one_bit and len(sources) == _WORD
     seeds = np.zeros(n, dtype=np.uint64)
     np.bitwise_or.at(seeds, np.asarray(sources, dtype=np.int64),
                      np.uint64(1) if one_bit else
@@ -531,6 +523,8 @@ def _ring_bits(g: Graph, sources, direction: str, unseen, one_bit: bool = False)
             frontier, bits = _settle(ring[d % (k + 1)], unseen)
             if frontier.size:
                 yield d, frontier, bits
+                if cost * (d + k + 1) > budget:
+                    _give_up(g, direction, full)
                 arcs, counts = _arcs(indptr, degree, frontier)
                 if arcs.size:
                     last = d + k
@@ -549,6 +543,7 @@ def _ring_bits(g: Graph, sources, direction: str, unseen, one_bit: bool = False)
     rows = list(block)
     alpha = _PULL // 2 if one_bit else _PULL
     pull = None  # the reverse arcs, once a step pulls
+    taken = 0  # the steps that settled something
     while pending:
         d = heapq.heappop(pending)
         slot = slots.pop(d)
@@ -556,6 +551,9 @@ def _ring_bits(g: Graph, sources, direction: str, unseen, one_bit: bool = False)
         if not frontier.size:
             continue
         yield d, frontier, bits
+        taken += 1
+        if cost * (taken + 1) > budget:
+            _give_up(g, direction, full)
         if k == 1 and 0 < len(targets) <= alpha * int(degree[frontier].sum()):
             # The settled slot holds exactly the frontier's new bits, so each
             # vertex with in-arcs ORs its in-neighbours' words into the block.
@@ -585,8 +583,7 @@ def _ring_bits(g: Graph, sources, direction: str, unseen, one_bit: bool = False)
                 if into is not None:
                     into |= rows[r]
                 elif len(slots) + 2 > cap:
-                    g._csr[("full", g._key(direction))] = True
-                    raise _RingFull
+                    _give_up(g, direction)
                 else:
                     slots[at] = rows[r].copy()
                     heapq.heappush(pending, at)
@@ -621,47 +618,55 @@ def _settle(slot, unseen):
 
 
 def _each(g: Graph, srcs: list, direction: str, from_row, from_batch):
-    """Run every source of a nonempty list, in order, under the ring rule.
+    """Run every source of a nonempty list, in order, in ring passes of up
+    to 64 while the ring may run (see _has_ring), the others as list
+    searches.
 
     ``from_row`` takes the distance row of one list search, and
     ``from_batch`` runs one ring pass over up to 64 sources; it must keep
     nothing from a pass that raises _RingFull, whose batch and the rest
     then run as list searches.
     """
-    ring, rows = _ring_rule(g, srcs[:1], len(srcs), direction)
-    for row in rows:
-        from_row(row)
-    rest = srcs[len(rows):]
     lo = 0
-    if ring:
+    if _has_ring(g, direction):
         with contextlib.suppress(_RingFull):
-            for lo in range(0, len(rest), _WORD):
-                from_batch(rest[lo:lo + _WORD])
+            for lo in range(0, len(srcs), _WORD):
+                from_batch(srcs[lo:lo + _WORD])
             return
-    for s in rest[lo:]:
+    for s in srcs[lo:]:
         from_row(_list_distances(g, (s,), direction))
 
 
 def _source_set(g: Graph, sources) -> list:
-    """Sorted distinct vertex ids; ValueError when empty or not ids (see _ids)."""
-    srcs = sorted(set(_ids(g, sources)))
+    """Sorted distinct vertex ids; ValueError when empty or not ids (see
+    _ids), the range checked on the sorted ends only."""
+    vertices = list(sources)
+    srcs = sorted(set(_ids(g, vertices, ranged=False)))
     if not srcs:
         raise ValueError("vertex set must be nonempty")
+    if srcs[0] < 0 or srcs[-1] >= g.n:
+        raise _bad_id(g, vertices)
     return srcs
 
 
-def _ids(g: Graph, vertices) -> list:
+def _ids(g: Graph, vertices, ranged: bool = True) -> list:
     """The vertices as a list of ints; ValueError naming the first that is
-    not an integer (an int or a numpy int, as Graph's edges take) in range(n)."""
+    not an integer (an int or a numpy int, as Graph's edges take) or, when
+    ``ranged``, not in range(n)."""
     vertices = list(vertices)
     try:
         ids = list(map(operator.index, vertices))
     except TypeError:
-        ids = [-1]
-    if not ids or min(ids) >= 0 and max(ids) < g.n:
-        return ids
+        raise _bad_id(g, vertices) from None
+    if ranged and ids and (min(ids) < 0 or max(ids) >= g.n):
+        raise _bad_id(g, vertices)
+    return ids
+
+
+def _bad_id(g: Graph, vertices) -> ValueError:
+    """The error naming the first of ``vertices`` that is not an id in range(n)."""
     bad = next(v for v in vertices if not hasattr(v, "__index__") or not 0 <= operator.index(v) < g.n)
-    raise ValueError(f"vertex id {bad!r} not an int or out of range")
+    return ValueError(f"vertex id {bad!r} not an int or out of range")
 
 
 def eccentricities(g: Graph, sources, direction: str = "out", targets=None) -> list:
@@ -729,8 +734,8 @@ def nearest(g: Graph, sources, members, direction: str = "out") -> list:
     if not g.positive_weights:
         return [_nearest_in_row(_list_distances(g, (s,), direction), cols) for s in srcs]
     back = "in" if direction == "out" else "out"
-    ring, rows = _ring_rule(g, cols, 1, back)
-    if ring:
+    ring, rows = _ring_rule(g, cols, back)
+    if ring and not rows:
         with contextlib.suppress(_RingFull):
             levels = _ring_bits(g, cols, back, _all_bits(g.n), one_bit=True)
             return _label_levels(g, srcs, cols, direction, ((d, at) for d, at, _ in levels))
@@ -855,9 +860,9 @@ def closest(g: Graph, sources, s: int, direction: str = "out"):
     ball is the source, then its s - 1 smallest-id neighbours at distance
     1: a prefix of its row in a neighbour view, built for the call only
     when every source's arc degree reaches s - 1.  Otherwise the sources
-    run in ring passes of up to 64 whenever the ring encoding exists and
-    no pass in this direction has raised _RingFull; the other balls, on a
-    graph with no encoding and from the batch that raised on, are _ball's.
+    run in ring passes of up to 64 while the ring may run (see _has_ring);
+    the other balls, on a graph with no encoding and from the batch that
+    gave up on, are _ball's.
     A pass keeps, per level, each source's smallest ids up to what its
     ball still needs; a full source retires, so its bit drops out at the
     next level, and the pass ends once every source has retired.
@@ -915,7 +920,7 @@ def closest(g: Graph, sources, s: int, direction: str = "out"):
         sizes.extend((s - need[:len(batch)]).tolist())
 
     lo = 0
-    if srcs and not g._csr.get(("full", g._key(direction))) and _csr(g, direction) is not None:
+    if srcs and _has_ring(g, direction):
         with contextlib.suppress(_RingFull):
             for lo in range(0, len(srcs), _WORD):
                 from_batch(srcs[lo:lo + _WORD])

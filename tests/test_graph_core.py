@@ -431,6 +431,17 @@ class TestVertexIdCheck:
                 self.CALLS[name](g, bad)
             assert not g._csr and not g._views
 
+    def test_the_first_bad_id_in_input_order_is_named(self):
+        # A source set checks its range on its sorted ends, but still names
+        # the first bad id as given, an int or not.
+        g = random_connected(Random(0), 300, 1200, 7)
+        for ids, bad in (([5, 300, -1], "300"), ([-1, 5, 300], "-1"), ([0, 0.5, 5], "0.5"),
+                         ([7000, 0.5], "7000"), ([0.5, 7000], "0.5")):
+            for call in (lambda: max_distances(g, iter(ids)), lambda: eccentricities(g, ids),
+                         lambda: exact_st_diameter(g, [0], ids)):
+                with pytest.raises(ValueError, match=f"^vertex id {re.escape(bad)} not"):
+                    call()
+
     @pytest.mark.parametrize("name", CALLS)
     def test_numpy_ints_are_ids(self, name):
         g = random_connected(Random(0), 300, 1200, 7)
@@ -486,8 +497,8 @@ class TestOnlyListSearchesBuildLists:
         unit = parse_graph(format_graph(random_connected(rng, 300, 900)))
         st_2approx_true(STInstance(unit, range(0, 300, 7), range(3, 300, 11)), seed=2)
         assert calls == []
-        # A weighted probe is a Dijkstra, and a deep unit graph's probe gives
-        # up its ring pass for a BFS: both are list searches.
+        # A probe on weights 1..W is a Dijkstra, and a deep unit graph's
+        # probe gives up its ring pass for a BFS: both are list searches.
         weighted = parse_graph(format_graph(random_connected(rng, 300, 900, max_w=6)))
         st_2approx_weighted(STInstance(weighted, range(0, 300, 5), range(1, 300, 13)),
                             seed=3, true_mode=True)
@@ -502,13 +513,13 @@ class TestOnlyListSearchesBuildLists:
         # half, and closest never runs the depth probe, one source or many.
         calls = _list_builders(monkeypatch)
         probes = []
-        depth = search._depth
+        ring_rule = search._ring_rule
 
         def spy(g, sources, direction):
             probes.append(direction)
-            return depth(g, sources, direction)
+            return ring_rule(g, sources, direction)
 
-        monkeypatch.setattr(search, "_depth", spy)
+        monkeypatch.setattr(search, "_ring_rule", spy)
         rng = Random(6)
         for max_w in (1, 7, 0, 10**6):
             g = parse_graph(format_graph(random_graph(rng, 300, 1200, True, max_w=max_w)))
@@ -620,16 +631,37 @@ class TestExactDiameter:
 
     def test_pendant_gadget_runs_one_batched_pass(self, monkeypatch):
         # The g_st of st_via_diameter: 180 vertices, so every source
-        # would take three passes of 64; the bound leaves at most 64.
+        # would take three passes of 64; the bound leaves at most 64.  The
+        # search from vertex 0 is the depth probe, a one-bit pass.
         rng = Random(3)
         g = random_connected(rng, 150, 450)
         picked = rng.sample(range(150), 30)
         g_st = build_equivalence_gadget(STInstance(g, picked[:15], picked[15:])).g_st
         passes = _spy_ring(monkeypatch)
         got = exact_diameter(g_st)
-        assert passes == [False]
+        assert passes == [True, False]
         monkeypatch.undo()
         assert got == max(exact_eccentricities(g_st))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_weighted_pendant_gadgets_run_in_the_ring(self, monkeypatch, seed):
+        # The gadgets of a weights-1..3 graph hang pendants of weight 900.
+        # A pass of up to 64 sources takes 17-27 steps against a budget of
+        # about 740, so the only list search allowed is the one of a
+        # single-search probe that gave up (11.5-12 steps of budget against
+        # 10-13 taken).
+        rng = Random(seed)
+        g = random_connected(rng, 150, 450, max_w=3)
+        picked = rng.sample(range(150), 30)
+        gadget = build_equivalence_gadget(STInstance(g, picked[:15], picked[15:]))
+        for h in (gadget.g_s, gadget.g_t, gadget.g_st):
+            searches = _spy_searches(monkeypatch)
+            got = exact_diameter(h)
+            monkeypatch.undo()
+            lists = [s for s in searches if s != "ring"]
+            assert lists in ([], [(0,)])
+            assert h._csr[("probe", "out")] == (not lists)
+            assert got == max(max(bellman_ford(h, v)) for v in range(h.n))
 
     def test_cycle_runs_every_source(self, monkeypatch):
         # Every vertex of an undirected 150-cycle has eccentricity 75 and
@@ -743,11 +775,11 @@ class TestBatchedReductions:
                 for count in (1, 63, 64, 65, 130):
                     distinct = rng.sample(range(n), min(count, n))
                     with_repeats = [rng.randrange(n) for _ in range(count)]
-                    # These graphs are shallow enough that big batches of
-                    # positive weights run in the ring.
-                    assert search._ring_rule(g, distinct[:1], count, direction)[0] == (lo > 0) or count == 1
                     _assert_reductions(g, distinct, direction, rows)
                     _assert_reductions(g, with_repeats, direction, rows)
+                    # These graphs are shallow enough that no full batch of
+                    # positive weights gives up its ring pass.
+                    assert search._has_ring(g, direction) == (lo > 0)
 
     @pytest.mark.parametrize("max_w", [1, 0, 7])
     def test_self_loops_parallel_arcs_isolated_vertices(self, max_w):
@@ -822,9 +854,9 @@ class TestBatchedReductions:
                     rng = Random(count)
                     distinct = rng.sample(range(graph.n), count)
                     with_repeats = [rng.randrange(graph.n) for _ in range(count)]
-                    assert search._ring_rule(graph, distinct[:1], count, direction)[0] or count == 1
                     _assert_reductions(graph, distinct, direction, rows)
                     _assert_reductions(graph, with_repeats, direction, rows)
+                    assert search._has_ring(graph, direction)
             assert ("full", "out") not in graph._csr
 
     def test_more_than_64_distinct_weights(self):
@@ -842,25 +874,23 @@ class TestBatchedReductions:
             for direction in ("out", "in"):
                 rows = {}
                 sources = [v % 30 for v in range(64)]
-                assert search._ring_rule(g, sources[:1], len(sources), direction)[0]
                 _assert_reductions(g, sources, direction, rows)
                 _assert_reductions(g, [4, 4, 17], direction, rows)
-                assert ("full", g._key(direction)) not in g._csr
+                assert search._has_ring(g, direction)
 
     def test_live_slot_overflow_falls_back(self):
         # A weight-1 path whose every arc has a weight-1000 twin: each step
         # leaves a slot pending 1000 ahead, so a pass from the start outgrows
-        # its live slots long before it ends.  At 1000 vertices the rule
-        # admits its 63 sources after the probe, 79 (999 + 1001) step scans
-        # against 63 (n + m); at 600 it would not, 73 * 1600 > 63 * 1798.
+        # its live slots long before it ends, and long before its budget of
+        # 64 (n + m) scans, 2428 steps at 79 scans a step, runs out.
         sources = list(range(64))
         g = _twin_path(1000)
-        assert search._ring_rule(g, sources[:1], len(sources), "out")[0]
+        assert search._has_ring(g, "out")
         rows = {}
         _assert_reductions(g, sources, "out", rows)
         # It fell back to list searches, and later calls skip the ring.
         assert g._csr[("full", "out")]
-        assert search._ring_rule(g, sources[:1], len(sources), "out") == (False, [])
+        assert not search._has_ring(g, "out")
         _assert_reductions(g, sources, "out", rows)
         # The in-direction has its own flag: from the far end its passes are
         # as deep, and they overflow too.
@@ -871,14 +901,16 @@ class TestBatchedReductions:
         # first pass and runs the second batch as list searches.
         g = _twin_path(1000)
         mixed = [g.n - 1] * 65 + sources
-        assert search._ring_rule(g, mixed[:1], len(mixed), "out")[0]
+        assert search._has_ring(g, "out")
         _assert_reductions(g, mixed, "out", rows)
         assert g._csr[("full", "out")]
 
-    def test_live_slots_stay_under_the_cap(self):
+    def test_live_slots_stay_under_the_cap(self, monkeypatch):
         # The live slots (the pending ones and the one settling) plus the
         # k_w block rows may fill 16 (n + m) / n words per vertex and no
-        # more; a pass that would go over stops before allocating.
+        # more; a pass that would go over stops before allocating.  Free
+        # steps keep the step budget out of the way.
+        _free_steps(monkeypatch)
         # From vertex 0 of a twin path on L vertices, step d leaves slots
         # d + 1 and 1000, ..., 1000 + d pending while slot d settles, so the
         # last step, d = L - 2, holds L + 1 live slots.  At L = 44 and 45
@@ -971,8 +1003,9 @@ def _nearest_by_rows(g, sources, members, direction):
 
 
 def _free_steps(monkeypatch):
-    """Price a ring step at nothing, so that every search after the probe
-    that the memory half admits runs in the ring."""
+    """Price a ring step at nothing, so that no ring pass gives up for its
+    step budget: every search after the probe that the memory half admits
+    runs in the ring."""
     monkeypatch.setattr(search, "_step_cost", lambda g: 0)
 
 
@@ -1043,7 +1076,10 @@ class TestNearest:
             assert nearest(g, [0, 0, 3], [6, 5, 4], direction) == [(5, d), (5, d), (4, 10)]
             assert nearest(g, range(7), [6, 5, 4], direction) == _nearest_by_rows(
                 g, range(7), [6, 5, 4], direction)
-        assert ("ring" in searches) == (cost == 0)
+        # The probe is a ring pass on these keyed slots; at the default
+        # cost it gives up for a list search, and so do the later calls.
+        assert searches[0] == "ring"
+        assert all(kind == "ring" for kind in searches) == (cost == 0)
 
     @pytest.mark.parametrize("cost", [0, search._STEP_COST])
     def test_sources_that_are_members_and_unreachable_members(self, monkeypatch, cost):
@@ -1076,7 +1112,7 @@ class TestNearest:
             assert nearest(cycle, sources, members, direction) == want
         assert searches == [tuple(members)] * 4
         for back in ("out", "in"):
-            assert search._ring_rule(cycle, members, 1, back) == (False, [])
+            assert search._ring_rule(cycle, members, back) == (False, [])
 
     @pytest.mark.parametrize("max_w", [1, 8])
     def test_ring_full_falls_back_to_the_list_row(self, monkeypatch, max_w):
@@ -1163,88 +1199,84 @@ class TestRingRule:
 
     def test_depth_probe(self):
         rng = Random(17)
-        # A directed 320-cycle with weights 1..10 is deep: the first source's
-        # largest distance is about 1760, so 64 sources still run as list
-        # searches, with that source's row reused.
+        # A directed 320-cycle with weights 1..10 is deep: the probe, a
+        # list search on weights 1..W, finds D about 1760, so later single
+        # searches run as list searches too.
         cycle = Graph(320, [(i, (i + 1) % 320, rng.randint(1, 10)) for i in range(320)],
                       directed=True)
-        ring, rows = search._ring_rule(cycle, [0], 64, "out")
-        assert not ring and rows == [bellman_ford(cycle, 0, "out")]
-        # The depth is kept: a later call runs no probe.
-        assert search._ring_rule(cycle, [5], 2, "out") == (False, [])
+        assert search._ring_rule(cycle, [0], "out") == (False, [bellman_ford(cycle, 0, "out")])
+        # The answer is kept: a later call runs no probe.
+        assert search._ring_rule(cycle, [5], "out") == (False, [])
         rows = {s: bellman_ford(cycle, s, "in") for s in range(0, 320, 5)}
         _assert_reductions(cycle, list(rows), "in", rows)
-        # Weights 1..8 at m = 5n are shallow.  A lone first source is the
-        # probe itself; once D is known, one source is enough for the ring.
+        # Weights 1..8 at m = 5n are shallow: after the probe's list search,
+        # single searches run in the ring.
         shallow = random_graph(rng, 700, 3500, True, max_w=8)
-        ring, rows = search._ring_rule(shallow, [3], 1, "out")
-        assert not ring and rows == [bellman_ford(shallow, 3, "out")]
-        assert search._ring_rule(shallow, [3], 1, "out") == (True, [])
-        ring, rows = search._ring_rule(random_graph(rng, 700, 3500, True, max_w=8), [3], 2, "out")
-        assert ring and len(rows) == 1
-        # Unit weights skip the probe however deep the graph, from two
-        # sources on; one source, a single search's call, probes like any.
+        assert search._ring_rule(shallow, [3], "out") == (True, [bellman_ford(shallow, 3, "out")])
+        assert search._ring_rule(shallow, [3], "out") == (True, [])
+        # On unit weights the probe is a one-bit ring pass, which on a
+        # 300-path gives up for a list search.
         path = path_graph(300)
-        assert search._ring_rule(path, [0], 2, "out") == (True, [])
-        assert search._ring_rule(path, [0], 1, "out") == (False, [bellman_ford(path, 0, "out")])
-        assert search._ring_rule(path, [5], 1, "out") == (False, [])
-        # Random weights up to 10**6 settle nearly every vertex at its own
-        # distance, and fail the depth half before the memory half is asked.
+        assert search._ring_rule(path, [0], "out") == (False, [bellman_ford(path, 0, "out")])
+        assert search._ring_rule(path, [5], "out") == (False, [])
+        # Random weights up to 10**6 fail the memory half: no probe runs.
         heavy = random_graph(rng, 50, 100, True, max_w=10**6)
-        ring, rows = search._ring_rule(heavy, [0], 2, "out")
-        assert not ring and rows == [bellman_ford(heavy, 0, "out")]
-        assert "out" not in heavy._csr
-        # A pass's steps are at most K per source, K being the number of
-        # distinct distances in the probe's row: a pendant gadget's depth
-        # D + W + 1 is about 600, but K is 8 or 9, so a pass of 64 sources
-        # takes at most about 9 * 64 steps and a pass of one source 9.  The
-        # 65 sources after the probe run in the ring; at D + W + 1 steps for
-        # each of their two passes they would not.
+        assert search._ring_rule(heavy, [0], "out") == (False, [])
+        assert heavy._csr == {"out": None}
+        # On keyed slots the probe is a one-bit ring pass too: a pendant
+        # gadget's depth D + W + 1 is about 600, but its search settles
+        # only 8 to 10 distances, within a budget of about 12 steps.
         gadget = _pendant_gadgets(Random(22), 150)[1]
-        ring, rows = search._ring_rule(gadget, [0], 66, "out")
-        (depth, distinct), W = gadget._csr[("depth", "out")], gadget.max_weight
-        assert ring and len(rows) == 1 and distinct * 64 < depth + W + 1
-        assert search._step_cost(gadget) * 2 * (depth + W + 1) > 65 * (gadget.n + gadget.m)
+        ring, rows = search._ring_rule(gadget, [0], "out")
+        assert ring and rows[0].tolist() == bellman_ford(gadget, 0, "out")
+        assert search._ring_rule(gadget, [0], "out") == (True, [])
 
     def test_memory_half_builds_no_arrays(self):
-        # A dense digraph of nearly all-distinct weights: the probe row holds
-        # at most n distances, so the depth half lets 79 sources through, but
-        # k_w is about m, far above 16 (n + m) / n.  The memory half rejects
-        # the ring without building the CSR arrays or the rank masks.
+        # A dense digraph of nearly all-distinct weights: k_w is about m,
+        # far above 16 (n + m) / n.  The memory half rejects the ring
+        # without building the CSR arrays or the rank masks, and no probe
+        # runs, single or batched.
         dense = random_graph(Random(23), 40, 4000, True, max_w=10**6)
         sources = list(range(40)) * 2
-        ring, rows = search._ring_rule(dense, sources[:1], len(sources), "out")
-        distinct = dense._csr[("depth", "out")][1]
-        assert search._step_cost(dense) * distinct * 79 <= 79 * (dense.n + dense.m)
-        assert not ring and len(rows) == 1
-        assert dense._csr == {("depth", "out"): dense._csr[("depth", "out")], "out": None}
+        assert search._ring_rule(dense, sources[:1], "out") == (False, [])
+        assert not search._has_ring(dense, "out")
+        assert dense._csr == {"out": None}
         _assert_reductions(dense, sources, "out")
 
-    def test_ring_of_one_to_w_steps_through_every_distance(self):
+    def test_ring_of_one_to_w_steps_through_every_distance(self, monkeypatch):
         # Weights exactly 1..30 run as a ring, which steps through all
         # D + W + 1 = 61 distances of a pass, however few of them hold bits.
-        # From vertex 0 every vertex is at 30, so K = 2 and a lone source
-        # passes the keyed estimate, but 71 * 61 > n + m sends it to a list
-        # search.  64 sources pay for a ring pass.
+        # From vertex 0 every vertex is at 30, but 71 * 61 > n + m sends a
+        # single search after the probe to a list search, and a batch of
+        # two gives up its pass for two list searches.  64 sources pay for
+        # a ring pass.
         n = 500
         edges = [(0, v, 30) for v in range(1, n)] + [(v, 0, 30) for v in range(1, n)]
         edges += [(v, v + 1, v) for v in range(1, 30)]
         g = Graph(n, edges, directed=True)
-        ring, rows = search._ring_rule(g, [0], 2, "out")
-        assert g._csr[("depth", "out")] == (30, 2) and search._one_to_w(search._csr(g, "out")[1])
-        assert search._step_cost(g) * 2 <= g.n + g.m < search._step_cost(g) * 61
-        assert not ring and len(rows) == 1
-        assert search._ring_rule(g, [0], 64, "out") == (True, [])
+        ring, rows = search._ring_rule(g, [0], "out")
+        assert search._one_to_w(search._csr(g, "out")[1]) and max(rows[0]) == 30
+        assert 2 * (g.n + g.m) < search._step_cost(g) * 61 <= 64 * (g.n + g.m)
+        assert not ring
+        searches = _spy_searches(monkeypatch)
+        assert eccentricities(g, [0, 5]) == [max(bellman_ford(g, s)) for s in (0, 5)]
+        assert searches == ["ring", (0,), (5,)]
+        searches.clear()
+        assert eccentricities(g, range(64)) == [max(bellman_ford(g, s)) for s in range(64)]
+        assert searches == ["ring"] and search._has_ring(g, "out")
+        monkeypatch.undo()
         _assert_reductions(g, [0, 5], "out")
         _assert_reductions(g, range(64), "out")
 
     @pytest.mark.parametrize("reduction", ["eccentricities", "targets", "max_distances",
                                            "nearest"])
-    def test_probe_row_is_the_first_answer(self, reduction):
-        # The first call on a fresh weighted graph answers its first source
-        # from the depth probe's row, on both sides of the depth rule.
-        # nearest searches from the members instead (see TestNearest), so
-        # for it only the Bellman-Ford answers are checked.
+    def test_batches_run_no_probe(self, monkeypatch, reduction):
+        # A batched call on a fresh weighted graph starts its ring passes
+        # with no depth probe: on a deep cycle its first full batch gives
+        # up, marks the direction and, with the rest, runs as list searches;
+        # on a shallow graph every batch runs in the ring.  nearest is one
+        # search from the members instead (see TestNearest), so for it only
+        # the Bellman-Ford answers are checked.
         rng = Random(18)
         deep = Graph(320, [(i, (i + 1) % 320, rng.randint(1, 10)) for i in range(320)],
                      directed=True)
@@ -1261,9 +1293,14 @@ class TestRingRule:
                     "targets": [max(row[t] for t in members) for row in rows],
                     "max_distances": [max(col) for col in zip(*rows)],
                     "nearest": [min((row[t], t) for t in members)[::-1] for row in rows]}
+            searches = _spy_searches(monkeypatch)
             assert run(g, srcs) == want[reduction]
+            monkeypatch.undo()
             if reduction != "nearest":
-                assert search._ring_rule(g, srcs[:1], len(srcs), "out") == (ring, [])
+                assert ("probe", "out") not in g._csr
+                assert search._has_ring(g, "out") == ring
+                assert searches == ["ring"] * (2 if ring else 1) + ([] if ring else [
+                    (s,) for s in sorted(set(srcs))])
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), n=st.integers(1, 60), directed=st.booleans(),
@@ -1271,11 +1308,11 @@ class TestRingRule:
            weights=st.sampled_from(["unit", "zero-one", "one-to-w", "sparse", "distinct",
                                     "heavy"]))
     def test_property_step_cost_changes_no_output(self, data, n, directed, shape, weights):
-        # The rule only picks a kernel: with _STEP_COST at 0 every search
-        # after the probe that the memory half admits runs in the ring, and
-        # at 10**9 only unit batches of two or more sources do, yet every
-        # reduction, single search and batch of one answers the same on a
-        # fresh copy of the graph.
+        # The rule only picks a kernel: with _STEP_COST at 0 nearly every
+        # pass that the memory half admits runs to its end, and at 10**9
+        # every pass gives up at its first step, yet every reduction,
+        # single search and batch of one answers the same on a fresh copy
+        # of the graph.
         if shape == "random":
             pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
                                        max_size=3 * n))
@@ -1350,7 +1387,7 @@ class TestSingleSearches:
     @pytest.mark.parametrize("directed", [True, False])
     @pytest.mark.parametrize("weights", list(WEIGHTS))
     def test_rows_match_dijkstra(self, monkeypatch, directed, weights):
-        # The time half is switched off, so every search after the probe
+        # A step costs n // 64 = 2 scans, so every search after the probe
         # that the memory half admits runs as a one-bit ring pass.
         monkeypatch.setattr(search, "_STEP_COST", 0)
         draws, ring = self.WEIGHTS[weights]
@@ -1373,28 +1410,30 @@ class TestSingleSearches:
             for sources in ([7, 7, 151], [9, 150, 9, 4]):
                 want = search._dijkstra(adj, g.n, sorted(set(sources)))
                 assert multi_source_distance(g, sources, direction) == want
-        # Five searches per direction.  Off unit weights the first on each
+        # Five searches per direction.  On weights 1..W the first on each
         # arc view is the probe, a list search, and undirected graphs share
-        # one view for both directions; on unit weights the probe is a ring
-        # pass too.
-        probes = 0 if weights == "unit" else 1 + directed
+        # one view for both directions; on unit weights and keyed slots the
+        # probe is a ring pass too.
+        probes = 1 + directed if weights == "one-to-w" else 0
         assert passes == [True] * (10 - probes) * ring
         assert ("full", "out") not in g._csr and ("full", "in") not in g._csr
 
     def test_ring_full_falls_back_and_marks(self, monkeypatch):
         # From the start of the twin path each step leaves a slot 1000
-        # ahead, so the pass outgrows its live slots and the search falls
-        # back to Dijkstra; the mark then keeps later single searches and
-        # batches in that direction off the ring.  The in-direction has its
-        # own mark, which a batch into the far end sets for later searches.
+        # ahead, so the probe's pass outgrows its live slots and the search
+        # falls back to Dijkstra; the mark then keeps later single searches
+        # and batches in that direction off the ring.  The in-direction has
+        # its own mark, which a batch into the far end sets for later
+        # searches.
         _free_steps(monkeypatch)
         g = _twin_path()
         adj, rev = g.adjacency("out"), g.adjacency("in")
         assert search._csr(g, "out") is not None
-        assert sssp(g, 0) == search._dijkstra(adj, g.n, [0])  # the probe
         passes = _spy_ring(monkeypatch)
-        assert sssp(g, 1) == search._dijkstra(adj, g.n, [1])
+        assert sssp(g, 0) == search._dijkstra(adj, g.n, [0])  # the probe
         assert passes == [True] and g._csr[("full", "out")]
+        assert sssp(g, 1) == search._dijkstra(adj, g.n, [1])
+        assert passes == [True]
         assert multi_source_distance(g, [2, 3]) == search._dijkstra(adj, g.n, [2, 3])
         assert eccentricities(g, range(64)) == [max(search._dijkstra(adj, g.n, [s]))
                                                 for s in range(64)]
@@ -1406,58 +1445,77 @@ class TestSingleSearches:
         assert passes == [True, False]
 
     def test_rule_keeps_deep_graphs_on_list_searches(self, monkeypatch):
-        # After the probe, a search runs in the ring when 64 (D + W + 1)
-        # steps cost at most the list search's n + m scans: a directed
-        # 2000-cycle (D = 1999) and a 300-path (D = 299) stay on the list,
-        # and a random digraph with m = 6n, D = 6, runs in the ring from
-        # the first search after the probe on.  The unit-weight probe is a
-        # ring pass of its own, which on the deep graphs gives up at that
-        # depth and falls back to a list search.
+        # The unit-weight probe is a ring pass, which gives up for a list
+        # search once its steps, at 64 + n // 64 scans each, would cost more
+        # than the list search's n + m: on a directed 2000-cycle (D = 1999)
+        # and a 300-path (D = 299) it does, and later searches stay on the
+        # list; on a random digraph with m = 6n, D = 6, it does not, and they
+        # run in the ring.
         passes = _spy_ring(monkeypatch)
         for g, ring in ((cycle_graph(2000, directed=True), False), (path_graph(300), False),
                         (random_strongly_connected(Random(0), 1000, 5000), True)):
-            key = g._key("out")
-            first = sssp(g, 0)
-            assert first == bellman_ford(g, 0, "out")
-            assert g._csr[("depth", key)] == (max(first), len(set(first)))
+            assert sssp(g, 0) == bellman_ford(g, 0, "out")
+            assert g._csr[("probe", g._key("out"))] == ring
             for s in (1, 2, 3):
                 assert sssp(g, s) == bellman_ford(g, s, "out")
             assert passes == [True] * (1 + 3 * ring)
             passes.clear()
 
-    def test_a_batch_of_one_is_a_single_search(self, monkeypatch):
-        # A single search and a one-source batch are calls of one search
-        # under the same rule: whichever kind comes first is the probe, a
-        # ring pass on unit weights, which on the deep graphs gives up for a
-        # list search; each later call of either kind starts a ring pass
-        # exactly when the graph is shallow.
+    def test_a_batch_of_one_runs_under_its_own_budget(self, monkeypatch):
+        # A single search follows the probe: the first is the probe, a ring
+        # pass on unit weights, and each later one starts a ring pass
+        # exactly when the graph is shallow.  A one-source batch runs no
+        # probe: it always starts a ring pass, bounded by the same n + m
+        # scans, which on the deep graphs gives up for a list search and,
+        # short of a full batch, marks nothing.
         passes = _spy_ring(monkeypatch)
-        batch = lambda g, s: eccentricities(g, [s])
+        batch = lambda g, s: eccentricities(g, [s])[0]
+        single = lambda g, s: max(sssp(g, s))
         for make, ring in ((lambda: cycle_graph(2000, directed=True), False),
                            (lambda: path_graph(300), False),
                            (lambda: random_strongly_connected(Random(0), 1000, 5000), True)):
-            for kinds in ((sssp, batch), (batch, sssp)):
-                g, started = make(), []
+            for kinds in ((single, batch), (batch, single)):
+                g, started, want = make(), [], []
                 for s in range(6):
                     passes.clear()
-                    kinds[s % 2](g, s)
+                    kind = kinds[s % 2]
+                    assert kind(g, s) == max(bellman_ford(g, s, "out"))
                     started.append(len(passes))
-                assert started == [1] + [ring] * 5
+                    want.append(int(kind is batch or ring or kind not in kinds[:s]))
+                assert started == want
+                assert ("full", "out") not in g._csr
 
-    def test_unit_weights_count_every_level(self):
-        # On unit weights K = D + 1, but a pass also settles the empty
-        # level after the last, so it is counted as D + W + 1 = D + 2 steps.
+    def test_unit_weights_count_every_level(self, monkeypatch):
+        # On unit weights a pass that has settled level d counts d + 2
+        # steps, the empty level after the last included: at c scans a
+        # step a pass read to its end fits its n + m budget exactly when
+        # c (D + 2) <= n + m.  (_ring_row stops once every vertex is
+        # settled, before the count of level D.)
         g = random_strongly_connected(Random(2), 1000, 5000)
-        depth = (g.n + g.m) // search._step_cost(g) - 2
-        assert search._fits(g, "out", depth, depth + 1, 1)
-        assert not search._fits(g, "out", depth + 1, depth + 2, 1)
+        depth, scans = max(bellman_ford(g, 0, "out")), g.n + g.m
+        cost = scans // (depth + 2)
+        assert (cost + 1) * (depth + 1) <= scans < (cost + 1) * (depth + 2)
+        levels = lambda: [d for d, _, _ in search._ring_bits(g, [0], "out", search._all_bits(g.n),
+                                                             one_bit=True)]
+        monkeypatch.setattr(search, "_step_cost", lambda g: cost)
+        assert levels() == list(range(depth + 1))
+        monkeypatch.setattr(search, "_step_cost", lambda g: cost + 1)
+        with pytest.raises(search._RingFull):
+            levels()
+        # A batch's budget is its sources' n + m each.
+        assert eccentricities(g, range(64)) == [max(bellman_ford(g, s)) for s in range(64)]
+        assert search._has_ring(g, "out")
+        monkeypatch.setattr(search, "_step_cost", lambda g: 64 * cost + 64)
+        assert eccentricities(g, range(64)) == [max(bellman_ford(g, s)) for s in range(64)]
+        assert not search._has_ring(g, "out")
 
     def test_search_after_the_probe_asks_the_rule(self, monkeypatch):
         # st_3approx's two searches on an undirected graph: the first is the
         # probe, and the second, in the other direction of the same arrays,
         # asks the rule, which runs it in the ring.  On unit weights the
         # probe is a ring pass that builds the arrays and answers the first
-        # search; a weighted probe is a Dijkstra, so the rule builds them.
+        # search; on weights 1..W the rule builds them to learn the weight
+        # class, and the probe is a Dijkstra.
         passes = _spy_ring(monkeypatch)
         g = random_connected(Random(1), 600, 1800)
         assert sssp(g, 3, "out") == bellman_ford(g, 3, "out")
@@ -1467,9 +1525,9 @@ class TestSingleSearches:
         passes.clear()
         g = random_connected(Random(1), 600, 1800, max_w=6)
         assert sssp(g, 3, "out") == bellman_ford(g, 3, "out")
-        assert "out" not in g._csr and passes == []
+        assert g._csr["out"] is not None and passes == []
         assert sssp(g, 7, "in") == bellman_ford(g, 7, "in")
-        assert g._csr["out"] is not None and passes == [True]
+        assert passes == [True]
 
     @pytest.mark.parametrize("n, last", [(2000, 41), (20000, 105)])
     def test_deep_probe_gives_up_at_the_refused_depth(self, monkeypatch, n, last):
@@ -1482,18 +1540,16 @@ class TestSingleSearches:
         g = cycle_graph(n, directed=True)
         scans, cost = g.n + g.m, search._step_cost(g)
         assert cost * (last + 1) <= scans < cost * (last + 2)
-        assert search._fits(g, "out", last - 1, last, 1)
-        assert not search._fits(g, "out", last, last + 1, 1)
         assert sssp(g, 0) == bellman_ford(g, 0, "out")
         assert levels == list(range(last + 1)) and bfs == [(0,)]
-        assert g._csr[("depth", "out")] == (n - 1, n)
+        assert g._csr[("probe", "out")] is False
 
     def test_later_searches_on_a_deep_grid_are_list_searches(self, monkeypatch):
         # A parsed 25 x 800 grid: n = 20000, m = 39175 and D = 823 from a
         # corner.  A step costs 64 + 312 list scans, so the probe gives up
-        # at level 156 and the rule refuses the ring for the second search,
-        # 376 * 825 > n + m; counting only the fixed 64 scans it would take
-        # it, and run 825 ring steps that each settle 20000 words.
+        # at level 156, 376 * 158 > n + m, and the second search runs as a
+        # list search; counting only the fixed 64 scans, the probe would
+        # run all 825 ring steps, each settling 20000 words.
         rows, cols = 25, 800
         edges = [(v, v + 1, 1) for v in range(rows * cols) if (v + 1) % cols]
         edges += [(v, v + cols, 1) for v in range((rows - 1) * cols)]
@@ -1503,7 +1559,7 @@ class TestSingleSearches:
         for source in (0, g.n - 1):
             manhattan = np.abs(r - source // cols) + np.abs(c - source % cols)
             assert sssp(g, source) == manhattan.tolist()
-        assert g._csr[("depth", "out")] == (823, 824)
+        assert g._csr[("probe", "out")] is False
         assert passes == [(0,)] and levels == list(range(157))
         assert bfs == [(0,), (g.n - 1,)]
 
@@ -1514,11 +1570,10 @@ class TestSingleSearches:
            direction=st.sampled_from(["out", "in"]))
     def test_property_unit_probe_depth(self, data, n, directed, shape, cost, settle,
                                        direction):
-        # The unit-weight probe caches (D, K), the largest finite distance
-        # and the number of distinct ones, of the row it answers with,
-        # whether its ring pass runs to the end or gives up for a list BFS.
-        # It gives up at the first level L where _fits refuses a single
-        # search of depth L, and nowhere else, whatever the step costs.
+        # The unit-weight probe answers with the row of its ring pass, or
+        # gives up for a list BFS at the first level L where its L + 2
+        # steps would cost more than n + m scans, and nowhere else, whatever
+        # the step costs; it keeps whether it gave up.
         if shape == "random":
             pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
                                        max_size=3 * n))
@@ -1533,10 +1588,12 @@ class TestSingleSearches:
             patch.setattr(search, "_SETTLE_WORDS", settle)
             _, levels, bfs = _spy_probe(patch)
             assert sssp(g, source, direction) == want
-            fits = [search._fits(g, direction, d, d + 1, 1) for d in levels]
-        assert g._csr[("depth", g._key(direction))] == (max(finite), len(set(finite)))
+            *fits, last = [search._step_cost(g) * (d + 2) <= g.n + g.m for d in levels]
+        assert g._csr[("probe", g._key(direction))] == (not bfs)
         assert levels == list(range(len(levels))) and len(bfs) <= 1
-        assert fits == [True] * (len(levels) - len(bfs)) + [False] * len(bfs)
+        assert levels[-1] == max(finite) or bfs
+        # A pass whose last level settles every vertex ends there uncounted.
+        assert all(fits) and (last != bool(bfs) or not bfs and len(finite) == g.n)
 
 
 @st.composite
@@ -1603,7 +1660,9 @@ class TestEarlyStops:
         # On a 30-path from 0 every vertex reads its own distance, so a cap
         # of 10 reads min(v, 10); a pass that dropped the level that stopped
         # it would leave vertex 10 at 9.  A one-bit pass until 3 of the
-        # picked odd vertices are settled stops at level 5.
+        # picked odd vertices are settled stops at level 5.  Free steps keep
+        # these short passes under their budgets.
+        _free_steps(monkeypatch)
         g = path_graph(30, directed=True)
         assert search._max_row(g, [0], "out", 10).tolist() == [min(v, 10) for v in range(30)]
         picked = np.arange(30) % 2 == 1
@@ -1613,7 +1672,6 @@ class TestEarlyStops:
         # _RingFull (see TestBatchedReductions), so these rows come from
         # list searches: the stopped row in full, the reach capped after,
         # where vertex 0, which source 1 cannot reach, reads the cap.
-        _free_steps(monkeypatch)
         g = _twin_path(60)
         search._distances(g, [0], "out")
         assert search._distances(g, [0], "out", (np.arange(60) == 59, 1)).tolist() == \
@@ -1621,6 +1679,41 @@ class TestEarlyStops:
         assert g._csr[("full", "out")]
         assert search._max_row(g, [0, 1], "out", 50).tolist() == \
             [50] + [min(v, 50) for v in range(1, 60)]
+
+
+class TestStepBudget:
+    """Every ring pass gives up once its steps would cost more than the
+    list searches it replaces; the budget only picks a kernel."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=_stop_cases(), data=st.data())
+    def test_property_budget_changes_no_output(self, case, data):
+        # A drawn step cost c puts the budget of a pass of b sources at
+        # about b (n + m) / c steps, so passes give up at arbitrary steps:
+        # single searches (the probe among them), stopped and capped
+        # passes, batches and balls, full batches marking their direction
+        # for the next call.  c = 0 means no budget.
+        g, sources, picked, k, cap = case
+        scale, steps = data.draw(st.sampled_from([0, 1, 8, 64])), data.draw(st.integers(1, 40))
+        cost = -(-scale * (g.n + g.m) // steps)
+        listed = [sources[i % len(sources)] for i in range(data.draw(st.integers(1, 130)))]
+        s = data.draw(st.integers(1, g.n))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(search, "_step_cost", lambda g: cost)
+            for direction in ("out", "in"):
+                rows = {v: bellman_ford(g, v, direction) for v in sources}
+                near = np.array([min(col) for col in zip(*rows.values())])
+                far = np.array([max(col) for col in zip(*rows.values())])
+                for _ in range(2):  # the second call after the first's marks
+                    assert search._distances(g, sources, direction).tolist() == \
+                        np.where(np.isinf(near), -1, near).astype(np.int64).tolist()
+                    _assert_stopped(search._distances(g, sources, direction, (picked, k)),
+                                    near, picked, k, exact=False)
+                    assert sssp(g, sources[-1], direction) == rows[sources[-1]]
+                    assert search._max_row(g, sources, direction, cap).tolist() == \
+                        np.minimum(far, cap).astype(np.int64).tolist()
+                    _assert_reductions(g, listed, direction, rows)
+                    _assert_closest(g, listed, s, direction)
 
 
 def _assert_stopped(got, full, picked, k, exact):
@@ -1684,6 +1777,7 @@ class TestPullSteps:
     @pytest.mark.parametrize("direction", ["out", "in"])
     @pytest.mark.parametrize("count", [1, 17, 64])
     def test_pull_and_push_yield_the_same_stream(self, monkeypatch, one_bit, direction, count):
+        _free_steps(monkeypatch)
         pulls = _spy_pulls(monkeypatch)
         rng = Random(count)
         pulled = 0
@@ -2119,7 +2213,8 @@ class TestBulkReader:
         # Unit-weight batches run in the ring with no list probe.
         assert exact_eccentricities(g) == [max(bellman_ford(built, v)) for v in range(60)]
         assert "edges" not in g._views and "out" not in g._views
-        # A single search's depth probe is a list search.
+        # A single search's depth probe gives up its ring pass at once on
+        # this small graph, for a list search.
         assert sssp(g, 0) == bellman_ford(built, 0)
         assert "out" in g._views and "edges" not in g._views
         assert g.edges and "edges" in g._views
